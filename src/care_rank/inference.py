@@ -8,6 +8,14 @@ per-edge trial counts in, no separate 1/L factor is needed; when every
 pair has the same trial count the numbers agree exactly with the
 constant-count formula that carries sqrt(L) explicitly.
 
+The likelihood depends on (alpha, beta) only through the total scores
+s = alpha + X beta, so H = M^T L_w M with M = [I, X] and L_w the
+weighted Laplacian of the comparison graph.  The variance models use
+that shape: with T the linear map from s to its regression split
+(alpha = (I - Q Q^T) s, beta = the slope rows of Xbar^+ s),
+[P H P]^+ = T L_w^+ T^T, which costs one n x n inverse instead of an
+(n+d)-dimensional eigendecomposition.
+
 Also provided: the minimizer of the quadratic expansion of the loss
 around a known truth (the inferential surrogate used to study how close
 the MLE is to its linearization), and soft-thresholded ranking scores
@@ -27,7 +35,9 @@ from .model import (
     CovariateMatrix,
     ParamVector,
     ProjectionOperator,
+    _hessian_weights,
     _readonly,
+    _weighted_laplacian,
     gradient,
     hessian,
     is_connected,
@@ -60,16 +70,14 @@ DEFAULT_EIGEN_CUTOFF = 1e-10
 class VarianceModel:
     """Projected Hessian with its pseudoinverse on the retained spectrum.
 
-    ``effective_l`` divides every variance; it stays 1 because trial
-    counts are already folded into the Hessian.  ``rank_warning`` flags
-    more near-zero eigenvalues than the d+1 the constraint accounts for,
-    the signature of a disconnected graph or collinear design.
+    ``rank_warning`` flags more near-zero eigenvalues than the d+1 the
+    constraint accounts for, the signature of a disconnected graph or
+    collinear design.
     """
 
     projected_hessian: np.ndarray
     pseudoinverse: np.ndarray
     eigen_threshold: float
-    effective_l: float
     n_zero_eigenvalues: int
     expected_zero_eigenvalues: int
     rank_warning: bool
@@ -79,7 +87,7 @@ class VarianceModel:
         object.__setattr__(self, "pseudoinverse", _readonly(self.pseudoinverse))
 
     def variance_of(self, cbar: np.ndarray) -> float:
-        v = float(cbar @ self.pseudoinverse @ cbar) / self.effective_l
+        v = float(cbar @ self.pseudoinverse @ cbar)
         return max(v, 0.0)
 
 
@@ -134,11 +142,15 @@ class InferenceReport:
     quantile_level: float
 
 
+def _check_cutoff(rel_eigen_cutoff: float) -> None:
+    if not (0 < rel_eigen_cutoff < 1):
+        raise InvalidArgumentError("rel_eigen_cutoff must be in (0, 1)")
+
+
 def projected_hessian_pinv(
     hess: np.ndarray,
     proj: ProjectionOperator,
     rel_eigen_cutoff: float = DEFAULT_EIGEN_CUTOFF,
-    effective_l: float = 1.0,
 ) -> VarianceModel:
     """Pseudoinverse of P @ hess @ P via symmetric eigendecomposition.
 
@@ -148,14 +160,15 @@ def projected_hessian_pinv(
     the result rather than raised.
     """
     hess = np.asarray(hess, dtype=float)
-    dim = proj.matrix_p.shape[0]
+    dim = proj.n_items + proj.n_features
     if hess.shape != (dim, dim):
         raise InvalidArgumentError(
             f"hessian shape {hess.shape} does not match projector dimension {dim}"
         )
-    if not (0 < rel_eigen_cutoff < 1):
-        raise InvalidArgumentError("rel_eigen_cutoff must be in (0, 1)")
-    projected = proj.matrix_p @ hess @ proj.matrix_p
+    _check_cutoff(rel_eigen_cutoff)
+    # P is symmetric, so projecting every row and then every column
+    # gives P @ hess @ P without the dense projector.
+    projected = proj.apply(proj.apply(hess).T)
     projected = 0.5 * (projected + projected.T)
     eigvals, eigvecs = np.linalg.eigh(projected)
     lam_max = float(eigvals[-1])
@@ -170,17 +183,88 @@ def projected_hessian_pinv(
         projected_hessian=projected,
         pseudoinverse=pinv,
         eigen_threshold=rel_eigen_cutoff,
-        effective_l=float(effective_l),
         n_zero_eigenvalues=n_zero,
         expected_zero_eigenvalues=expected,
         rank_warning=n_zero > expected,
     )
 
 
+def _split_sandwich(m: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """K^T m K for symmetric n x n ``m`` and K = [I - q q^T, y], in
+    O(n^2 (d+1)) without forming K."""
+    n, d = m.shape[0], y.shape[1]
+    mq = m @ q
+    my = m @ y
+    # (I - qq^T) m (I - qq^T) = m - u q^T - q u^T with u = mq - q (q^T mq) / 2
+    u = mq - 0.5 * (q @ (q.T @ mq))
+    out = np.empty((n + d, n + d))
+    np.subtract(m, np.hstack([u, q]) @ np.hstack([q, u]).T, out=out[:n, :n])
+    cross = my - q @ (q.T @ my)
+    out[:n, n:] = cross
+    out[n:, :n] = cross.T
+    out[n:, n:] = y.T @ my
+    out += out.T
+    out *= 0.5
+    return out
+
+
+def _laplacian_variance_model(
+    data: ComparisonData,
+    cov: CovariateMatrix,
+    params: ParamVector,
+    proj: ProjectionOperator,
+    rel_eigen_cutoff: float,
+) -> VarianceModel:
+    """Variance model through the n x n weighted Laplacian.
+
+    P H P = N^T L_w N with N = [I - Q Q^T, X], and its pseudoinverse is
+    T L_w^+ T^T with T stacking I - Q Q^T over the slope rows of Xbar^+.
+    On a connected graph L_w^+ = (L_w + 11^T/n)^-1 - 11^T/n.  When L_w is
+    numerically singular beyond its constant null vector (edge weights
+    that underflow, a disconnected graph) the eigenvalue path would drop
+    extra directions, so the result falls back to
+    ``projected_hessian_pinv`` on the dense Hessian.
+    """
+    _check_cutoff(rel_eigen_cutoff)
+    n = data.n_items
+    lap = _weighted_laplacian(n, data.item_i, data.item_j, _hessian_weights(data, cov, params))
+    q = proj._span_q
+    projected = _split_sandwich(lap, q, cov.scaled)
+    lap += 1.0 / n
+    try:
+        lap_pinv = np.linalg.inv(lap)
+    except np.linalg.LinAlgError:
+        return projected_hessian_pinv(hessian(data, cov, params), proj, rel_eigen_cutoff)
+    del lap
+    lap_pinv -= 1.0 / n
+    # Xbar = Q_r R, so Xbar^+ = R^-1 Q_r^T; its rows after the intercept
+    # map s to beta.
+    q_r, r = np.linalg.qr(cov.augmented)
+    slope = np.linalg.solve(r, q_r.T)[1:]
+    pinv = _split_sandwich(lap_pinv, q, slope.T)
+    # Frobenius norms bound the largest eigenvalues of P H P and of its
+    # pseudoinverse: below this product every nonzero eigenvalue clears the
+    # cutoff, so exactly the d+1 constraint directions vanish.  A NaN or
+    # infinite bound (an inverse that overflowed) falls back as well.
+    bound = float(np.linalg.norm(projected)) * float(np.linalg.norm(pinv))
+    if not bound * rel_eigen_cutoff < 1.0:
+        return projected_hessian_pinv(hessian(data, cov, params), proj, rel_eigen_cutoff)
+    expected = proj.n_constraints
+    return VarianceModel(
+        projected_hessian=projected,
+        pseudoinverse=pinv,
+        eigen_threshold=rel_eigen_cutoff,
+        n_zero_eigenvalues=expected,
+        expected_zero_eigenvalues=expected,
+        rank_warning=False,
+    )
+
+
 def plugin_variance_model(fit: FitResult, rel_eigen_cutoff: float = DEFAULT_EIGEN_CUTOFF) -> VarianceModel:
     """Variance model with the Hessian evaluated at the fitted parameters."""
-    hess = hessian(fit.data, fit.covariates, fit.params)
-    return projected_hessian_pinv(hess, fit.projection, rel_eigen_cutoff)
+    return _laplacian_variance_model(
+        fit.data, fit.covariates, fit.params, fit.projection, rel_eigen_cutoff
+    )
 
 
 def oracle_variance_model(
@@ -191,7 +275,7 @@ def oracle_variance_model(
     rel_eigen_cutoff: float = DEFAULT_EIGEN_CUTOFF,
 ) -> VarianceModel:
     """Variance model at known true parameters (simulation use)."""
-    return projected_hessian_pinv(hessian(data, cov, truth), proj, rel_eigen_cutoff)
+    return _laplacian_variance_model(data, cov, truth, proj, rel_eigen_cutoff)
 
 
 def _project_contrast(c: np.ndarray, proj: ProjectionOperator) -> np.ndarray:
@@ -262,30 +346,49 @@ def _basis_contrast(k: int, dim: int) -> np.ndarray:
     return c
 
 
+def _coefficient_rows(
+    fit: FitResult, vm: VarianceModel, start: int, stop: int, level: float
+) -> list[CoefficientEstimate]:
+    """Rows of ``contrast_inference`` on the basis contrasts e_k for the
+    stacked indices start <= k < stop, numbered from 0, vectorised: for
+    e_k the variance cbar^T V cbar is the diagonal entry V[k, k], since V
+    already lives on the subspace."""
+    if not (0.0 < level < 1.0):
+        raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
+    n, d = fit.params.n_items, fit.params.n_features
+    q = fit.projection._span_q
+    indices = np.arange(start, stop)
+    alpha_idx = indices[indices < n]
+    # ||P e_k||^2 = 1 - ||q_k||^2 for an alpha coordinate (beta coordinates
+    # are left alone by P).  The difference cancels near zero, so any
+    # coordinate close to the span is rechecked the way contrast_inference
+    # checks it, which raises DegenerateContrastError for P e_k = 0.
+    for k in alpha_idx[(q[alpha_idx] ** 2).sum(axis=1) > 1.0 - 1e-6]:
+        _project_contrast(_basis_contrast(int(k), n + d), fit.projection)
+    se = np.sqrt(np.maximum(np.diagonal(vm.pseudoinverse)[indices], 0.0))
+    est = fit.params.stacked[indices]
+    pos = se > 0
+    z = np.where(est > 0, np.inf, np.where(est < 0, -np.inf, 0.0))
+    p = np.where(est != 0, 0.0, 1.0)
+    z[pos] = est[pos] / se[pos]
+    p[pos] = two_sided_p_value(z[pos])
+    zq = normal_quantile(1.0 - (1.0 - level) / 2.0)
+    return [
+        CoefficientEstimate(k, float(e), float(s), float(zk), float(pk),
+                            float(e - zq * s), float(e + zq * s), level)
+        for k, (e, s, zk, pk) in enumerate(zip(est, se, z, p))
+    ]
+
+
 def beta_inference(fit: FitResult, vm: VarianceModel, level: float = 0.95) -> list[CoefficientEstimate]:
     """Per-covariate-effect tests: one row per beta coordinate."""
     n, d = fit.params.n_items, fit.params.n_features
-    rows = []
-    for j in range(d):
-        r = contrast_inference(_basis_contrast(n + j, n + d), fit, vm, level)
-        rows.append(
-            CoefficientEstimate(j, r.estimate, r.std_error, r.z_stat, r.p_value,
-                                r.ci_low, r.ci_high, level)
-        )
-    return rows
+    return _coefficient_rows(fit, vm, n, n + d, level)
 
 
 def alpha_inference(fit: FitResult, vm: VarianceModel, level: float = 0.95) -> list[CoefficientEstimate]:
     """Per-item intrinsic-score tests: one row per alpha coordinate."""
-    n, d = fit.params.n_items, fit.params.n_features
-    rows = []
-    for k in range(n):
-        r = contrast_inference(_basis_contrast(k, n + d), fit, vm, level)
-        rows.append(
-            CoefficientEstimate(k, r.estimate, r.std_error, r.z_stat, r.p_value,
-                                r.ci_low, r.ci_high, level)
-        )
-    return rows
+    return _coefficient_rows(fit, vm, 0, fit.params.n_items, level)
 
 
 def quadratic_approx_minimizer(
@@ -349,7 +452,7 @@ def care_ranking_scores(
         )
     n = fit.params.n_items
     zq = normal_quantile(quantile_level)
-    alpha_var = np.diag(vm.pseudoinverse)[:n] / vm.effective_l
+    alpha_var = np.diagonal(vm.pseudoinverse)[:n]
     taus = zq * np.sqrt(np.maximum(alpha_var, 0.0))
     scores1 = fit.covariates.scaled @ fit.params.beta
     scores2 = soft_threshold(fit.params.alpha, taus) + scores1

@@ -3,10 +3,11 @@
 Comparison data arrives as CSV in either aggregated form
 (``item_i,item_j,trials,wins_j``) or per-trial form
 (``item_i,item_j,winner``); item ids are arbitrary strings mapped to
-dense indices in order of first appearance, and the mapping travels with
-every output.  All writes go through a temp file plus atomic rename so a
-failing command never leaves partial output, and every float written to
-CSV uses 17 significant digits so it re-parses to the identical double.
+dense indices in sorted id order, so row order does not matter, and the
+mapping travels with every output.  All writes go through a temp file
+plus atomic rename so a failing command never leaves partial output, and
+every float written to CSV uses 17 significant digits so it re-parses to
+the identical double.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -222,37 +223,33 @@ class ParamVector:
 class ProjectionOperator:
     """Orthogonal projector onto the identifiable subspace.
 
-    ``matrix_p`` is I - Z (Z^T Z)^-1 Z^T where ``z_pad`` stacks the
-    augmented design over a zero block, so the projector centers the alpha
-    block against the covariate span and leaves beta untouched.
+    The projector is P = blockdiag(I - Q Q^T, I_d) with ``_span_q`` = Q an
+    orthonormal basis of the column span of the augmented design, so it
+    centers the alpha block against the covariate span and leaves beta
+    untouched.  ``apply`` costs O(n d).  The dense ``matrix_p``, the
+    constraint matrix ``z_pad`` (the augmented design stacked over a zero
+    block, so P = I - Z (Z^T Z)^-1 Z^T) and ``theta_basis()`` are built on
+    first access and cached; the fit and inference paths never need them.
     """
 
-    matrix_p: np.ndarray
-    z_pad: np.ndarray
-    # Orthonormal basis of the column span of the augmented design; kept
-    # for O(n d) application of the projector without the full matrix.
+    augmented: np.ndarray = field(repr=False)
     _span_q: np.ndarray = field(repr=False)
-    # Orthonormal basis of the identifiable subspace, used by callers that
-    # need a reduced coordinate system.
-    _theta_basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix_p", _readonly(self.matrix_p))
-        object.__setattr__(self, "z_pad", _readonly(self.z_pad))
+        object.__setattr__(self, "augmented", _readonly(self.augmented))
         object.__setattr__(self, "_span_q", _readonly(self._span_q))
-        object.__setattr__(self, "_theta_basis", _readonly(self._theta_basis))
 
     @property
     def n_items(self) -> int:
-        return self._span_q.shape[0]
+        return self.augmented.shape[0]
 
     @property
     def n_features(self) -> int:
-        return self.z_pad.shape[0] - self.n_items
+        return self.augmented.shape[1] - 1
 
     @property
     def n_constraints(self) -> int:
-        return self.z_pad.shape[1]
+        return self.augmented.shape[1]
 
     def apply(self, stacked: np.ndarray) -> np.ndarray:
         """Project a stacked (alpha, beta) vector onto the subspace."""
@@ -266,6 +263,33 @@ class ProjectionOperator:
         a = out[..., :n]
         a -= (a @ self._span_q) @ self._span_q.T
         return out
+
+    @cached_property
+    def matrix_p(self) -> np.ndarray:
+        """The dense (n+d) x (n+d) projector."""
+        n, d = self.n_items, self.n_features
+        p = np.zeros((n + d, n + d))
+        top = np.eye(n) - self._span_q @ self._span_q.T
+        p[:n, :n] = 0.5 * (top + top.T)
+        p[n:, n:] = np.eye(d)
+        return _readonly(p)
+
+    @cached_property
+    def z_pad(self) -> np.ndarray:
+        """Constraint matrix whose columns P annihilates."""
+        z = np.zeros((self.n_items + self.n_features, self.n_constraints))
+        z[: self.n_items] = self.augmented
+        return _readonly(z)
+
+    @cached_property
+    def _theta_basis(self) -> np.ndarray:
+        n, k = self.augmented.shape
+        d = k - 1
+        q_null = _svd_basis(self.augmented, full=True)[:, k:]
+        theta = np.zeros((n + d, n - k + d))
+        theta[:n, : n - k] = q_null
+        theta[n:, n - k:] = np.eye(d)
+        return _readonly(theta)
 
     def theta_basis(self) -> np.ndarray:
         """Orthonormal columns spanning the identifiable subspace."""
@@ -389,24 +413,31 @@ def _design_quadratic(cov: CovariateMatrix, lap: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hessian_weights(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:
+    """Per-edge logistic-variance weights trials * sigma * (1 - sigma)."""
+    _check_dims(data, cov, params)
+    s = params.scores(cov)
+    sig = sigmoid(s[data.item_i] - s[data.item_j])
+    return data.trials * sig * (1.0 - sig)
+
+
 def hessian(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:
     """Hessian of the negative log-likelihood: a trial-weighted sum of
     outer products of feature differences with logistic-variance weights
     in (0, 1/4]."""
-    _check_dims(data, cov, params)
-    s = params.scores(cov)
-    delta = s[data.item_i] - s[data.item_j]
-    sig = sigmoid(delta)
-    w = data.trials * sig * (1.0 - sig)
+    w = _hessian_weights(data, cov, params)
     lap = _weighted_laplacian(data.n_items, data.item_i, data.item_j, w)
     return _design_quadratic(cov, lap)
 
 
-def _span_and_null(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the column span of the augmented design and of
-    its orthogonal complement in R^n, with a rank check."""
-    _, k = augmented.shape
-    u, svals, _ = np.linalg.svd(augmented, full_matrices=True)
+def _svd_basis(augmented: np.ndarray, full: bool) -> np.ndarray:
+    """Left singular vectors of the augmented design, with a rank check.
+
+    The first k columns span the design; with ``full`` the remaining n - k
+    columns span its orthogonal complement in R^n.
+    """
+    k = augmented.shape[1]
+    u, svals, _ = np.linalg.svd(augmented, full_matrices=full)
     rank = int(np.sum(svals > RANK_RTOL * svals[0]))
     if rank < k:
         raise DegenerateDesignError(
@@ -414,24 +445,12 @@ def _span_and_null(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             "are collinear with each other or with the intercept",
             rank=rank,
         )
-    return np.ascontiguousarray(u[:, :k]), np.ascontiguousarray(u[:, k:])
+    return np.ascontiguousarray(u)
 
 
 def build_projection(cov: CovariateMatrix) -> ProjectionOperator:
     """Projector onto the identifiable subspace {(alpha, beta): Xbar^T alpha = 0}."""
-    n, k = cov.augmented.shape
-    d = k - 1
-    q_span, q_null = _span_and_null(cov.augmented)
-    p = np.zeros((n + d, n + d))
-    top = np.eye(n) - q_span @ q_span.T
-    p[:n, :n] = 0.5 * (top + top.T)
-    p[n:, n:] = np.eye(d)
-    z = np.zeros((n + d, k))
-    z[:n, :] = cov.augmented
-    theta = np.zeros((n + d, n - k + d))
-    theta[:n, : n - k] = q_null
-    theta[n:, n - k:] = np.eye(d)
-    return ProjectionOperator(p, z, q_span, theta)
+    return ProjectionOperator(cov.augmented, _svd_basis(cov.augmented, full=False))
 
 
 def graph_design(data: ComparisonData, cov: CovariateMatrix, trial_weighted: bool = False) -> GraphDesign:
@@ -452,12 +471,7 @@ def graph_design(data: ComparisonData, cov: CovariateMatrix, trial_weighted: boo
     lap = _weighted_laplacian(data.n_items, data.item_i, data.item_j, w)
     sigma = _design_quadratic(cov, lap)
     sigma = 0.5 * (sigma + sigma.T)
-    _, q_null = _span_and_null(cov.augmented)
-    n, k = cov.augmented.shape
-    d = k - 1
-    theta = np.zeros((n + d, n - k + d))
-    theta[:n, : n - k] = q_null
-    theta[n:, n - k:] = np.eye(d)
+    theta = build_projection(cov).theta_basis()
     reduced = theta.T @ sigma @ theta
     eigs_reduced = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
     lambda_max = float(np.linalg.eigvalsh(sigma)[-1])

@@ -33,8 +33,8 @@ from .estimation import (
     project_to_theta,
 )
 from .inference import (
+    oracle_variance_model,
     plugin_variance_model,
-    projected_hessian_pinv,
     standardized_stats,
 )
 from .model import (
@@ -42,7 +42,6 @@ from .model import (
     CovariateMatrix,
     ParamVector,
     build_projection,
-    hessian,
     is_connected,
     sigmoid,
 )
@@ -500,12 +499,12 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
                 spec, cov, truth, p, L, 2, pair_index, rep
             )
             fit = fit_mle(data, cov, fit_config)
-            vm_true = projected_hessian_pinv(hessian(data, cov, truth), proj)
+            vm_true = oracle_variance_model(data, cov, truth, proj)
             vm_plugin = plugin_variance_model(fit)
             a_stat, b_stat = standardized_stats(fit, vm_true, vm_plugin, contrast, truth)
             alpha1_err = float(fit.params.alpha[0] - truth.alpha[0])
-            se1_true = float(np.sqrt(max(vm_true.pseudoinverse[0, 0], 0.0) / vm_true.effective_l))
-            se1_plugin = float(np.sqrt(max(vm_plugin.pseudoinverse[0, 0], 0.0) / vm_plugin.effective_l))
+            se1_true = float(np.sqrt(max(vm_true.pseudoinverse[0, 0], 0.0)))
+            se1_plugin = float(np.sqrt(max(vm_plugin.pseudoinverse[0, 0], 0.0)))
             rec = {
                 "replication": rep,
                 "stream": stream,
@@ -524,13 +523,9 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
             }
             if d > 0:
                 beta1_err = float(fit.params.beta[0] - truth.beta[0])
-                se_beta1 = float(
-                    np.sqrt(max(vm_plugin.pseudoinverse[n, n], 0.0) / vm_plugin.effective_l)
-                )
+                se_beta1 = float(np.sqrt(max(vm_plugin.pseudoinverse[n, n], 0.0)))
                 rec["beta1_err"] = beta1_err
-                rec["var_beta1_oracle"] = float(
-                    max(vm_true.pseudoinverse[n, n], 0.0) / vm_true.effective_l
-                )
+                rec["var_beta1_oracle"] = float(max(vm_true.pseudoinverse[n, n], 0.0))
                 rec["cover_beta1"] = int(abs(beta1_err) <= zq * se_beta1)
             return rec
 

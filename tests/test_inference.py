@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+from care_rank.cli import EXIT_CONFIG, main
 from care_rank.errors import DegenerateContrastError, InvalidArgumentError
 from care_rank.estimation import FitConfig, fit_mle, preprocess_covariates
 from care_rank.inference import (
@@ -15,6 +16,7 @@ from care_rank.inference import (
     care_ranking_scores,
     contrast_inference,
     full_inference_report,
+    oracle_variance_model,
     plugin_variance_model,
     projected_hessian_pinv,
     quadratic_approx_minimizer,
@@ -24,6 +26,7 @@ from care_rank.inference import (
 from care_rank.model import (
     ComparisonData,
     ParamVector,
+    ProjectionOperator,
     build_projection,
     gradient,
     hessian,
@@ -99,6 +102,122 @@ class TestProjectedHessianPinv:
         h = hessian(data, cov, fit.params)
         with pytest.raises(InvalidArgumentError):
             projected_hessian_pinv(h, fit.projection, rel_eigen_cutoff=0.0)
+
+
+def unequal_trials_instance(seed, n=12, d=2, standardize=True):
+    """A random connected graph (a path plus about half the other pairs)
+    with unequal trial counts and interior win counts."""
+    rng = np.random.default_rng(seed)
+    cov = preprocess_covariates(rng.uniform(0.5, 2.0, size=(n, d)), standardize=standardize)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or rng.random() < 0.5:
+                trials = int(rng.integers(2, 12))
+                edges.append((i, j, trials, int(rng.integers(1, trials))))
+    return ComparisonData.from_edges(n, edges), cov
+
+
+class TestLaplacianVarianceModel:
+    @pytest.mark.parametrize(
+        "d, standardize, ridge", [(0, True, 0.0), (2, False, 0.0), (2, True, 0.5)]
+    )
+    def test_matches_dense_route(self, d, standardize, ridge):
+        data, cov = unequal_trials_instance(seed=100 + d, d=d, standardize=standardize)
+        fit = fit_mle(data, cov, FitConfig(ridge_alpha=ridge))
+        vm = plugin_variance_model(fit)
+        ref = projected_hessian_pinv(hessian(data, cov, fit.params), fit.projection)
+        for got, want in (
+            (vm.pseudoinverse, ref.pseudoinverse),
+            (vm.projected_hessian, ref.projected_hessian),
+        ):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert vm.n_zero_eigenvalues == ref.n_zero_eigenvalues == d + 1
+        assert vm.expected_zero_eigenvalues == ref.expected_zero_eigenvalues
+        assert not vm.rank_warning and not ref.rank_warning
+
+    def test_oracle_matches_dense_route(self):
+        data, cov = unequal_trials_instance(seed=104)
+        rng = np.random.default_rng(104)
+        truth = ParamVector(rng.normal(size=12), rng.normal(size=2))
+        proj = build_projection(cov)
+        vm = oracle_variance_model(data, cov, truth, proj)
+        ref = projected_hessian_pinv(hessian(data, cov, truth), proj)
+        assert np.abs(vm.pseudoinverse - ref.pseudoinverse).max() <= 1e-12 * np.abs(
+            ref.pseudoinverse
+        ).max()
+
+    def test_report_rows_match_contrast_inference(self):
+        data, cov = unequal_trials_instance(seed=105)
+        fit = fit_mle(data, cov)
+        vm = plugin_variance_model(fit)
+        report = full_inference_report(fit, vm, level=0.9)
+        n, d = 12, 2
+        for rows, offset in ((report.alpha_rows, 0), (report.beta_rows, n)):
+            for row in rows:
+                c = np.zeros(n + d)
+                c[row.index + offset] = 1.0
+                ref = contrast_inference(c, fit, vm, level=0.9)
+                np.testing.assert_allclose(
+                    [row.estimate, row.std_error, row.z_stat, row.p_value,
+                     row.ci_low, row.ci_high],
+                    [ref.estimate, ref.std_error, ref.z_stat, ref.p_value,
+                     ref.ci_low, ref.ci_high],
+                    rtol=1e-10, atol=1e-14,
+                )
+                assert row.level == 0.9
+
+    def test_underflowing_weights_fall_back_to_dense_route(self):
+        # two triangles joined by the bridge (2, 3); scores 800 apart make
+        # the bridge weight underflow to exactly zero, so L_w has a second
+        # null vector and the dense route must report it
+        edges = [(0, 1, 4, 2), (0, 2, 4, 1), (1, 2, 4, 3),
+                 (3, 4, 4, 2), (3, 5, 4, 1), (4, 5, 4, 3), (2, 3, 4, 2)]
+        data = ComparisonData.from_edges(6, edges)
+        cov = preprocess_covariates(np.zeros((6, 0)))
+        fit = fit_mle(data, cov)
+        far = ParamVector(np.repeat([400.0, -400.0], 3), np.zeros(0))
+        vm = plugin_variance_model(dataclasses.replace(fit, params=far))
+        ref = projected_hessian_pinv(hessian(data, cov, far), fit.projection)
+        np.testing.assert_array_equal(vm.pseudoinverse, ref.pseudoinverse)
+        np.testing.assert_array_equal(vm.projected_hessian, ref.projected_hessian)
+        assert vm.n_zero_eigenvalues == ref.n_zero_eigenvalues == 2
+        assert vm.rank_warning and ref.rank_warning
+
+    def test_fit_and_report_never_build_dense_projector(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense projector built")
+
+        for name in ("matrix_p", "z_pad", "_theta_basis"):
+            monkeypatch.setattr(ProjectionOperator, name, property(refuse))
+        data, cov = unequal_trials_instance(seed=106)
+        fit = fit_mle(data, cov)
+        report = full_inference_report(fit, plugin_variance_model(fit))
+        assert len(report.alpha_rows) == 12 and len(report.beta_rows) == 2
+
+    def test_one_hot_covariate_is_degenerate(self, tmp_path):
+        # a one-hot column puts e_0 in the covariate span, so P e_0 = 0
+        data, _ = unequal_trials_instance(seed=107, n=6, d=0)
+        raw = np.zeros((6, 1))
+        raw[0, 0] = 1.0
+        fit = fit_mle(data, preprocess_covariates(raw))
+        vm = plugin_variance_model(fit)
+        with pytest.raises(DegenerateContrastError):
+            full_inference_report(fit, vm)
+
+        ids = [f"i{k}" for k in range(6)]
+        comparisons = tmp_path / "comparisons.csv"
+        comparisons.write_text(
+            "item_i,item_j,trials,wins_j\n"
+            + "".join(f"{ids[i]},{ids[j]},{t},{w}\n" for i, j, t, w in data.edges)
+        )
+        covariates = tmp_path / "covariates.csv"
+        covariates.write_text(
+            "item,hot\n" + "".join(f"{ids[k]},{raw[k, 0]}\n" for k in range(6))
+        )
+        code = main(["infer", "--comparisons", str(comparisons),
+                     "--covariates", str(covariates), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
 
 
 class TestContrastInference:
