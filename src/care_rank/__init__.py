@@ -2,10 +2,12 @@
 
 Items carry latent scores alpha_i + x_i @ beta; comparisons follow the
 logistic law in the score difference.  The package estimates the scores
-by constrained maximum likelihood (projected gradient descent over the
-identifiable subspace), quantifies uncertainty through the pseudoinverse
-of the projected Hessian, ranks items with soft-thresholded scores, and
-ships a reproducible Monte Carlo harness plus a CSV-driven CLI.
+by constrained maximum likelihood (damped Newton on the total scores
+with the weighted comparison-graph Laplacian as Hessian, after checking
+Ford's strong-connectivity condition for the estimate to exist),
+quantifies uncertainty through the pseudoinverse of the projected
+Hessian, ranks items with soft-thresholded scores, and ships a
+reproducible Monte Carlo harness plus a CSV-driven CLI.
 """
 
 __version__ = "0.1.0"

@@ -8,8 +8,9 @@ file via --config; command-line flags win over the file, which wins over
 defaults.
 
 Exit codes: 0 success; 2 malformed input file; 3 disconnected comparison
-graph; 4 fit did not converge; 5 invalid configuration or degenerate
-inputs; 1 unexpected failure.
+graph; 4 fit did not converge, or (without --ridge-alpha) the win graph
+is not strongly connected so the MLE does not exist; 5 invalid
+configuration or degenerate inputs; 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -86,18 +87,6 @@ def _parse_bool(text: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {text!r}")
 
 
-def _parse_step(text: str):
-    if str(text).strip().lower() == "auto":
-        return "auto"
-    return float(text)
-
-
-def _parse_optional_float(text: str):
-    if str(text).strip().lower() in ("", "none", "auto"):
-        return None
-    return float(text)
-
-
 def _parse_pairs(text: str) -> tuple[tuple[float, int], ...]:
     pairs = []
     for chunk in str(text).split(","):
@@ -122,12 +111,9 @@ class RunConfig:
     covariates: str | None = None
     out: str | None = None
     # fit options
-    step_size: float | str = "auto"
-    max_iters: int = 20000
+    max_iters: int = 100
     grad_tol: float = 1e-8
-    step_tol: float = 1e-12
     ridge_alpha: float = 0.0
-    likelihood_scale: float | None = None
     standardize: bool = True
     # inference options
     level: float = 0.95
@@ -159,13 +145,9 @@ class RunConfig:
 
     def fit_config(self) -> FitConfig:
         return FitConfig(
-            step_size=self.step_size,
             max_iters=self.max_iters,
             grad_tol=self.grad_tol,
-            step_tol=self.step_tol,
             ridge_alpha=self.ridge_alpha,
-            likelihood_scale=self.likelihood_scale,
-            seed=self.seed,
         )
 
     def provenance(self) -> dict:
@@ -189,12 +171,9 @@ _CONVERTERS = {
     "comparisons": str,
     "covariates": str,
     "out": str,
-    "step_size": _parse_step,
     "max_iters": int,
     "grad_tol": float,
-    "step_tol": float,
     "ridge_alpha": float,
-    "likelihood_scale": _parse_optional_float,
     "standardize": _parse_bool,
     "level": float,
     "quantile_level": float,
@@ -237,7 +216,6 @@ class ResultBundle:
             "kappa1": fit.diagnostics.kappa1,
             "incoherence": fit.diagnostics.incoherence,
             "likelihood_scale": fit.likelihood_scale,
-            "initial_step": fit.initial_step,
             "objective_initial": fit.objective_trace[0],
             "objective_final": fit.objective_trace[-1],
             "scale_k": cov.scale_k,
@@ -261,17 +239,13 @@ def build_parser() -> _Parser:
     def add_fit_options(sp):
         sp.add_argument("--comparisons", help="comparisons CSV path")
         sp.add_argument("--covariates", help="covariates CSV path (omit for none)")
-        sp.add_argument("--step-size", dest="step_size", help="'auto' or a positive float")
-        sp.add_argument("--max-iters", dest="max_iters", type=int)
+        sp.add_argument("--max-iters", dest="max_iters", type=int,
+                        help="Newton step limit, default 100")
         sp.add_argument("--grad-tol", dest="grad_tol", type=float)
-        sp.add_argument("--step-tol", dest="step_tol", type=float)
         sp.add_argument("--ridge-alpha", dest="ridge_alpha", type=float,
                         help="l2 penalty on intrinsic scores only")
-        sp.add_argument("--likelihood-scale", dest="likelihood_scale",
-                        help="objective divisor; default total trial count")
         sp.add_argument("--standardize", dest="standardize",
                         action=argparse.BooleanOptionalAction, default=None)
-        sp.add_argument("--seed", type=int)
 
     sp_fit = sub.add_parser("fit", help="estimate scores from CSV data")
     add_common(sp_fit)
@@ -354,10 +328,14 @@ def _converged_or_report(bundle: ResultBundle, held_back: str | None = None) -> 
     if bundle.fit.converged:
         return True
     suffix = f"; not writing {held_back}" if held_back else ""
-    print(
-        f"fit stopped without convergence ({bundle.fit.stop_reason}){suffix}",
-        file=sys.stderr,
-    )
+    if bundle.fit.stop_reason == "no_mle":
+        message = (
+            "the maximum-likelihood estimate does not exist: some items won or "
+            "lost every comparison against the rest; try --ridge-alpha 0.1"
+        )
+    else:
+        message = f"fit stopped without convergence ({bundle.fit.stop_reason})"
+    print(f"{message}{suffix}", file=sys.stderr)
     return False
 
 

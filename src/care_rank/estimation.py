@@ -1,9 +1,15 @@
 """Covariate preprocessing and the constrained maximum-likelihood fit.
 
-The estimator minimizes the comparison negative log-likelihood over the
-identifiable subspace by projected gradient descent: take a gradient step,
-project back onto the subspace, repeat.  An optional ridge penalty on the
-intrinsic scores (alpha only) stabilizes sparse real-world datasets.
+The likelihood depends on (alpha, beta) only through the total scores
+s = alpha + X beta, which range over all of R^n (up to a constant shift
+the likelihood ignores).  The fit is therefore a Bradley-Terry fit on s,
+by damped Newton on the weighted Laplacian, followed by the regression
+split of s on the augmented design: beta is the slope and alpha the
+residual, which lies in the identifiable subspace.  An optional ridge
+penalty on the intrinsic scores (alpha only) stabilizes sparse
+real-world datasets.  Without it the MLE exists only when the directed
+win graph is strongly connected (Ford 1957); other data stops at once
+with ``stop_reason == "no_mle"``.
 """
 
 from __future__ import annotations
@@ -24,12 +30,12 @@ from .model import (
     FitDiagnostics,
     ParamVector,
     ProjectionOperator,
-    _design_quadratic,
+    _score_split,
+    _score_terms,
+    _strongly_connected,
     _weighted_laplacian,
     build_projection,
     connected_components,
-    sigmoid,
-    softplus,
 )
 
 __all__ = [
@@ -49,38 +55,26 @@ _MAX_HALVINGS = 80
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the projected gradient fit.
+    """Knobs for the Newton fit.
 
-    ``step_size`` "auto" derives the step from the largest eigenvalue of
-    the trial-weighted graph design, the measured stand-in for the
-    theoretical curvature bound.  ``likelihood_scale`` divides the
-    objective (None means the total trial count); it moves the step size
-    but not the minimizer.  ``ridge_alpha`` penalizes 0.5 * ||alpha||^2
-    only, leaving the covariate effects unpenalized.  ``seed`` is reserved
-    for randomized tie-breaking; the descent itself is deterministic.
+    ``max_iters`` caps the Newton steps.  The fit converges when the
+    projected gradient norm of the objective (the negative
+    log-likelihood divided by the total trial count, plus the ridge) is
+    at most ``grad_tol``.  ``ridge_alpha`` penalizes 0.5 * ||alpha||^2
+    only, leaving the covariate effects unpenalized.
     """
 
-    step_size: float | str = "auto"
-    max_iters: int = 20000
+    max_iters: int = 100
     grad_tol: float = 1e-8
-    step_tol: float = 1e-12
     ridge_alpha: float = 0.0
-    likelihood_scale: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
-        if self.step_size != "auto":
-            if not (float(self.step_size) > 0):
-                raise InvalidArgumentError("step_size must be positive or 'auto'")
-            object.__setattr__(self, "step_size", float(self.step_size))
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be at least 1")
-        if not (self.grad_tol > 0 and self.step_tol > 0):
-            raise InvalidArgumentError("tolerances must be positive")
+        if not self.grad_tol > 0:
+            raise InvalidArgumentError("grad_tol must be positive")
         if self.ridge_alpha < 0:
             raise InvalidArgumentError("ridge_alpha must be nonnegative")
-        if self.likelihood_scale is not None and not (self.likelihood_scale > 0):
-            raise InvalidArgumentError("likelihood_scale must be positive")
 
 
 @dataclass
@@ -88,10 +82,13 @@ class FitResult:
     """Outcome of a constrained fit.
 
     ``converged`` is True only when the projected gradient norm met
-    ``grad_tol``; a stop on ``step_tol`` or ``max_iters`` is reported via
-    ``stop_reason`` instead of an exception.  ``objective_trace`` holds
-    the (scaled, ridge-inclusive) objective at the start and after every
-    accepted step.
+    ``grad_tol``.  Any other stop is reported via ``stop_reason`` instead
+    of an exception: ``"max_iters"``, ``"stalled"`` (no step length
+    decreased the objective) or ``"no_mle"`` (no ridge and a win graph
+    that is not strongly connected, so the MLE does not exist; the fit
+    stops before iterating).  ``objective_trace`` holds the (scaled,
+    ridge-inclusive) objective at the start and after every accepted
+    step; ``likelihood_scale`` is the total trial count that scales it.
     """
 
     params: ParamVector
@@ -104,7 +101,6 @@ class FitResult:
     projection: ProjectionOperator = field(repr=False, default=None)
     config: FitConfig = field(repr=False, default=None)
     likelihood_scale: float = 1.0
-    initial_step: float = 0.0
 
 
 def preprocess_covariates(raw: np.ndarray, standardize: bool = True) -> CovariateMatrix:
@@ -165,27 +161,18 @@ def project_to_theta(params: ParamVector, proj: ProjectionOperator) -> ParamVect
     )
 
 
-def _auto_step(data: ComparisonData, cov: CovariateMatrix, ridge: float, scale: float) -> float:
-    # Curvature of the scaled objective is at most lambda_max((trial-
-    # weighted design)) / (4 * scale) plus the ridge, mirroring the
-    # eta = 2 / (2 lambda + c1 n p) rule with the measured eigenvalue in
-    # place of the unknown constant.
-    lap = _weighted_laplacian(
-        data.n_items, data.item_i, data.item_j, data.trials.astype(float)
-    )
-    sigma = _design_quadratic(cov, lap)
-    lam_max = float(np.linalg.eigvalsh(0.5 * (sigma + sigma.T))[-1])
-    return 2.0 / (2.0 * ridge + lam_max / (2.0 * scale))
-
-
 def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None = None) -> FitResult:
-    """Constrained MLE of (alpha, beta) by projected gradient descent.
+    """Constrained MLE of (alpha, beta) by damped Newton on the total scores.
 
-    Starts from zero (projected), steps along the negative gradient of the
-    scaled objective, and projects every iterate back onto the
-    identifiable subspace.  Halves the step while a move would increase
-    the objective, so the objective trace is nonincreasing.  Requires a
-    connected comparison graph.
+    Minimizes the negative log-likelihood over the total trial count plus
+    0.5 * ridge * ||(I - Q Q^T) s||^2 from s = 0.  Each step solves with
+    the Hessian L_w / scale + ridge (I - Q Q^T) + 11^T / n (the last term
+    pins the constant shift the objective ignores) and is halved while it
+    would increase the objective, so the objective trace is
+    nonincreasing.  The fit converges when the projected gradient in
+    (alpha, beta), ||[(I - Q Q^T) G; X^T G]||, meets ``grad_tol``.
+    Requires a connected comparison graph; without a ridge, a win graph
+    that is not strongly connected stops at once with ``"no_mle"``.
 
     Raises
     ------
@@ -209,69 +196,57 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         )
 
     proj = build_projection(cov)
-    n, d = data.n_items, cov.n_features
-    scale = float(config.likelihood_scale) if config.likelihood_scale else float(data.total_trials)
+    n = data.n_items
+    x, q = cov.scaled, proj._span_q
+    scale = float(data.total_trials)
     lam = float(config.ridge_alpha)
 
-    ii, jj = data.item_i, data.item_j
-    trials = data.trials.astype(float)
-    y = data.win_fraction
-    x = cov.scaled
+    def objective(s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        value, grad, weights = _score_terms(data, s)
+        alpha = s - q @ (q.T @ s)
+        return value / scale + 0.5 * lam * float(alpha @ alpha), grad / scale + lam * alpha, weights
 
-    def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        alpha = theta[:n]
-        s = alpha + x @ theta[n:]
-        delta = s[ii] - s[jj]
-        val = float(np.sum(trials * (-(1.0 - y) * delta + softplus(delta)))) / scale
-        r = trials * (sigmoid(delta) - (1.0 - y))
-        g_alpha = np.bincount(ii, weights=r, minlength=n) - np.bincount(jj, weights=r, minlength=n)
-        g = np.concatenate([g_alpha, x.T @ g_alpha]) / scale
-        if lam:
-            val += 0.5 * lam * float(alpha @ alpha)
-            g[:n] += lam * alpha
-        return val, g
+    def projected_norm(g: np.ndarray) -> float:
+        return float(np.linalg.norm(proj.apply(np.concatenate([g, x.T @ g]))))
 
-    if config.step_size == "auto":
-        step = _auto_step(data, cov, lam, scale)
-    else:
-        step = float(config.step_size)
-    initial_step = step
-
-    theta = proj.apply(np.zeros(n + d))
-    val, g = value_and_grad(theta)
-    pg_norm = float(np.linalg.norm(proj.apply(g)))
+    s = np.zeros(n)
+    val, g, weights = objective(s)
+    pg_norm = projected_norm(g)
     trace = [val]
     iterations = 0
-    while True:
+    stop_reason = "no_mle" if lam == 0.0 and not _strongly_connected(data) else None
+    while stop_reason is None:
         if pg_norm <= config.grad_tol:
             stop_reason = "grad_tol"
             break
         if iterations >= config.max_iters:
             stop_reason = "max_iters"
             break
-        stalled = True
+        hess = _weighted_laplacian(n, data.item_i, data.item_j, weights / scale)
+        if lam:
+            hess -= (lam * q) @ q.T
+            hess[np.diag_indices(n)] += lam
+        hess += 1.0 / n
+        newton = np.linalg.solve(hess, -g)
+        del hess
+        t = 1.0
         for _ in range(_MAX_HALVINGS):
-            cand = proj.apply(theta - step * g)
-            cand_val, cand_g = value_and_grad(cand)
+            cand = s + t * newton
+            cand_val, cand_g, cand_weights = objective(cand)
             if cand_val <= val + _DESCENT_SLACK * max(1.0, abs(val)):
-                stalled = False
                 break
-            step *= 0.5
-        if stalled:
+            t *= 0.5
+        else:
             stop_reason = "stalled"
             break
-        step_norm = float(np.linalg.norm(cand - theta))
-        theta, val, g = cand, cand_val, cand_g
-        pg_norm = float(np.linalg.norm(proj.apply(g)))
+        s, val, g, weights = cand, cand_val, cand_g, cand_weights
+        pg_norm = projected_norm(g)
         trace.append(val)
         iterations += 1
-        if step_norm <= config.step_tol:
-            stop_reason = "step_tol"
-            break
 
-    params = ParamVector.from_stacked(proj.apply(theta), n, identified=True)
+    stacked = proj.apply(np.concatenate([s, _score_split(cov) @ s]))
+    params = ParamVector.from_stacked(stacked, n, identified=True)
     scores = params.scores(cov)
-    q = proj._span_q
     diagnostics = FitDiagnostics(
         kappa1=float(np.exp(scores.max() - scores.min())),
         incoherence=float(np.sqrt((q * q).sum(axis=1)).max()),
@@ -282,7 +257,7 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
     return FitResult(
         params=params,
         diagnostics=diagnostics,
-        converged=pg_norm <= config.grad_tol,
+        converged=stop_reason == "grad_tol",
         objective_trace=trace,
         stop_reason=stop_reason,
         data=data,
@@ -290,7 +265,6 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         projection=proj,
         config=config,
         likelihood_scale=scale,
-        initial_step=initial_step,
     )
 
 

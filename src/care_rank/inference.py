@@ -37,6 +37,7 @@ from .model import (
     ProjectionOperator,
     _hessian_weights,
     _readonly,
+    _score_split,
     _weighted_laplacian,
     gradient,
     hessian,
@@ -237,11 +238,7 @@ def _laplacian_variance_model(
         return projected_hessian_pinv(hessian(data, cov, params), proj, rel_eigen_cutoff)
     del lap
     lap_pinv -= 1.0 / n
-    # Xbar = Q_r R, so Xbar^+ = R^-1 Q_r^T; its rows after the intercept
-    # map s to beta.
-    q_r, r = np.linalg.qr(cov.augmented)
-    slope = np.linalg.solve(r, q_r.T)[1:]
-    pinv = _split_sandwich(lap_pinv, q, slope.T)
+    pinv = _split_sandwich(lap_pinv, q, _score_split(cov).T)
     # Frobenius norms bound the largest eigenvalues of P H P and of its
     # pseudoinverse: below this product every nonzero eigenvalue clears the
     # cutoff, so exactly the d+1 constraint directions vanish.  A NaN or

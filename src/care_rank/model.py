@@ -19,7 +19,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -346,44 +345,49 @@ def _check_dims(data: ComparisonData, cov: CovariateMatrix, params: ParamVector)
         )
 
 
-def neg_log_likelihood(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> float:
-    """Negative log-likelihood of the comparison outcomes.
+def _score_terms(data: ComparisonData, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The likelihood kernel on total scores ``s``: the negative
+    log-likelihood, its gradient in ``s``, and the per-edge
+    logistic-variance weights ``trials * sigma * (1 - sigma)`` of the
+    Hessian in ``s`` (a weighted Laplacian).
 
     Each edge contributes ``trials * (-(1 - y) * delta + log(1 + e^delta))``
     where ``delta`` is the score of the lower-indexed item minus the score
     of the higher-indexed one and ``y`` is the win fraction of the
-    higher-indexed item.  The value is invariant under any parameter shift
-    orthogonal to all pairwise feature differences.
+    higher-indexed item.
+    """
+    ii, jj = data.item_i, data.item_j
+    delta = s[ii] - s[jj]
+    y = data.win_fraction
+    value = float(np.sum(data.trials * (-(1.0 - y) * delta + softplus(delta))))
+    sig = sigmoid(delta)
+    r = data.trials * (sig - (1.0 - y))
+    n = data.n_items
+    grad = np.bincount(ii, weights=r, minlength=n) - np.bincount(jj, weights=r, minlength=n)
+    return value, grad, data.trials * sig * (1.0 - sig)
+
+
+def neg_log_likelihood(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> float:
+    """Negative log-likelihood of the comparison outcomes.
+
+    The value depends on the parameters only through the total scores,
+    so it is invariant under any parameter shift orthogonal to all
+    pairwise feature differences.
     """
     _check_dims(data, cov, params)
     if data.n_edges == 0:
         raise InvalidArgumentError("comparison data has no edges")
-    s = params.scores(cov)
-    delta = s[data.item_i] - s[data.item_j]
-    y = data.win_fraction
-    terms = data.trials * (-(1.0 - y) * delta + softplus(delta))
-    return float(terms.sum())
-
-
-def _edge_residual(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:
-    s = params.scores(cov)
-    delta = s[data.item_i] - s[data.item_j]
-    return data.trials * (sigmoid(delta) - (1.0 - data.win_fraction))
+    return _score_terms(data, params.scores(cov))[0]
 
 
 def gradient(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:
     """Gradient of the negative log-likelihood, stacked (alpha, beta).
 
-    Uses the identity grad_beta = X^T grad_alpha: every edge contributes
-    its residual to the two endpoints with opposite signs, and the beta
-    block aggregates those same residuals through the feature rows.
+    Uses the identity grad_beta = X^T grad_alpha: the beta block
+    aggregates the per-item gradient through the feature rows.
     """
     _check_dims(data, cov, params)
-    r = _edge_residual(data, cov, params)
-    n = data.n_items
-    g_alpha = np.bincount(data.item_i, weights=r, minlength=n) - np.bincount(
-        data.item_j, weights=r, minlength=n
-    )
+    g_alpha = _score_terms(data, params.scores(cov))[1]
     return np.concatenate([g_alpha, cov.scaled.T @ g_alpha])
 
 
@@ -416,9 +420,7 @@ def _design_quadratic(cov: CovariateMatrix, lap: np.ndarray) -> np.ndarray:
 def _hessian_weights(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:
     """Per-edge logistic-variance weights trials * sigma * (1 - sigma)."""
     _check_dims(data, cov, params)
-    s = params.scores(cov)
-    sig = sigmoid(s[data.item_i] - s[data.item_j])
-    return data.trials * sig * (1.0 - sig)
+    return _score_terms(data, params.scores(cov))[2]
 
 
 def hessian(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:
@@ -453,6 +455,16 @@ def build_projection(cov: CovariateMatrix) -> ProjectionOperator:
     return ProjectionOperator(cov.augmented, _svd_basis(cov.augmented, full=False))
 
 
+def _score_split(cov: CovariateMatrix) -> np.ndarray:
+    """The d x n map from total scores s to beta: the slope rows of
+    Xbar^+.  The rest of the regression split of s on Xbar is alpha =
+    (I - Q Q^T) s; the intercept is dropped, as the likelihood ignores
+    constant shifts of s."""
+    # Xbar = Q_r R, so Xbar^+ = R^-1 Q_r^T.
+    q_r, r = np.linalg.qr(cov.augmented)
+    return np.linalg.solve(r, q_r.T)[1:]
+
+
 def graph_design(data: ComparisonData, cov: CovariateMatrix, trial_weighted: bool = False) -> GraphDesign:
     """Design matrix of the comparison graph with its extreme eigenvalues.
 
@@ -478,35 +490,57 @@ def graph_design(data: ComparisonData, cov: CovariateMatrix, trial_weighted: boo
     return GraphDesign(sigma, float(eigs_reduced[0]), lambda_max)
 
 
+def _reach_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """For each item, the smallest item that reaches it along src -> dst.
+
+    Min-label propagation, each sweep followed by pointer jumping: if w
+    reaches u and u reaches v then w reaches v, so ``label[label]`` is
+    again a valid label and long chains collapse in a logarithmic number
+    of jumps.  At the fixed point label[dst] <= label[src] on every edge.
+    """
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, dst, label[src])
+        jumped = new[new]
+        while not np.array_equal(jumped, new):
+            new, jumped = jumped, jumped[jumped]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _component_labels(data: ComparisonData) -> np.ndarray:
+    """Smallest member of each item's undirected component."""
+    ii, jj = data.item_i, data.item_j
+    return _reach_labels(data.n_items, np.concatenate([ii, jj]), np.concatenate([jj, ii]))
+
+
 def connected_components(data: ComparisonData) -> list[list[int]]:
     """Connected components of the undirected comparison graph, each
     sorted, ordered by smallest member."""
-    n = data.n_items
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(data.item_i, data.item_j):
-        adj[i].append(int(j))
-        adj[j].append(int(i))
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        comp = []
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        comps.append(sorted(comp))
-    return comps
+    labels = _component_labels(data)
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [comp.tolist() for comp in np.split(order, cuts)]
 
 
 def is_connected(data: ComparisonData) -> bool:
     """True when every item is reachable from every other through compared pairs."""
-    if data.n_items <= 1:
-        return True
-    return len(connected_components(data)) == 1
+    return not _component_labels(data).any()
+
+
+def _strongly_connected(data: ComparisonData) -> bool:
+    """Ford's (1957) condition for the unpenalized MLE to exist.
+
+    In the win graph each item points to every item that beat it at
+    least once.  Unless item 0 reaches every item along it and along its
+    reversal, some group of items won (or lost) every comparison against
+    the rest, and the likelihood keeps rising as their scores move apart.
+    """
+    beat_j = data.wins_j > 0
+    beat_i = data.wins_j < data.trials
+    loser = np.concatenate([data.item_i[beat_j], data.item_j[beat_i]])
+    winner = np.concatenate([data.item_j[beat_j], data.item_i[beat_i]])
+    n = data.n_items
+    return not (_reach_labels(n, loser, winner).any() or _reach_labels(n, winner, loser).any())

@@ -7,6 +7,7 @@ not tautology.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 from scipy.linalg import null_space
@@ -117,3 +118,52 @@ def sample_small_instance(seed, n=4, d=2, trials=12):
             edges.append((i, j, trials, wins))
     data = ComparisonData.from_edges(n, edges)
     return data, cov, params
+
+
+def reachable_by_bfs(n, adjacency, start):
+    """Items reachable from ``start`` by breadth-first search over a list
+    of neighbour lists."""
+    seen = [False] * n
+    seen[start] = True
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for u in adjacency[v]:
+            if not seen[u]:
+                seen[u] = True
+                queue.append(u)
+    return [v for v in range(n) if seen[v]]
+
+
+def components_by_bfs(data):
+    """Connected components of the undirected comparison graph, each
+    sorted, ordered by smallest member."""
+    n = data.n_items
+    adjacency = [[] for _ in range(n)]
+    for i, j, _, _ in data.edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    comps, assigned = [], set()
+    for start in range(n):
+        if start not in assigned:
+            comp = reachable_by_bfs(n, adjacency, start)
+            assigned.update(comp)
+            comps.append(comp)
+    return comps
+
+
+def strongly_connected_by_bfs(data):
+    """Whether every item reaches every other in the directed win graph
+    (an arc from each item to every item that beat it at least once)."""
+    n = data.n_items
+    forward = [[] for _ in range(n)]
+    backward = [[] for _ in range(n)]
+    for i, j, t, w in data.edges:
+        if w > 0:  # j beat i
+            forward[i].append(j)
+            backward[j].append(i)
+        if w < t:  # i beat j
+            forward[j].append(i)
+            backward[i].append(j)
+    return (len(reachable_by_bfs(n, forward, 0)) == n
+            and len(reachable_by_bfs(n, backward, 0)) == n)

@@ -384,11 +384,27 @@ class TestExitCodes:
         )
         out = tmp_path / "o"
         code = main(["fit", "--comparisons", data, "--out", str(out),
-                     "--max-iters", "1", "--step-size", "1e-9"])
+                     "--max-iters", "1"])
         assert code == EXIT_CONVERGENCE
         # result file still written, honestly flagged
         payload = json.loads((out / "fit.json").read_text())
         assert payload["converged"] is False
+
+    def test_no_mle_exit(self, tmp_path, capsys):
+        data = write(
+            tmp_path / "c.csv",
+            "item_i,item_j,trials,wins_j\na,b,6,2\na,c,6,6\nb,c,6,6\n",
+        )
+        out = tmp_path / "o"
+        code = main(["fit", "--comparisons", data, "--out", str(out)])
+        assert code == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "does not exist" in err and "--ridge-alpha" in err
+        payload = json.loads((out / "fit.json").read_text())
+        assert payload["converged"] is False
+        assert payload["stop_reason"] == "no_mle"
+        assert main(["fit", "--comparisons", data, "--out", str(out),
+                     "--ridge-alpha", "0.1"]) == EXIT_OK
 
     def test_missing_required_option(self):
         assert main(["fit"]) == EXIT_CONFIG

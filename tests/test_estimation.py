@@ -1,4 +1,4 @@
-"""Preprocessing and the projected-gradient constrained MLE."""
+"""Preprocessing and the constrained MLE by Newton on the total scores."""
 
 import math
 
@@ -22,7 +22,14 @@ from care_rank.model import (
     ComparisonData,
     ParamVector,
     build_projection,
+    is_connected,
     neg_log_likelihood,
+)
+from care_rank.simulation import (
+    SyntheticSpec,
+    generate_truth,
+    rate_experiment_pairs,
+    sample_comparisons,
 )
 
 from oracles import grid_search_mle, sample_small_instance
@@ -119,15 +126,11 @@ class TestProjectToTheta:
 class TestFitConfig:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
-            FitConfig(step_size=-1.0)
-        with pytest.raises(InvalidArgumentError):
             FitConfig(grad_tol=0.0)
         with pytest.raises(InvalidArgumentError):
             FitConfig(ridge_alpha=-0.1)
         with pytest.raises(InvalidArgumentError):
             FitConfig(max_iters=0)
-        with pytest.raises(InvalidArgumentError):
-            FitConfig(likelihood_scale=0.0)
 
 
 class TestFitMLE:
@@ -159,7 +162,7 @@ class TestFitMLE:
 
     def test_non_convergence_is_not_an_exception(self):
         data, cov, _ = sample_small_instance(seed=32)
-        fit = fit_mle(data, cov, FitConfig(max_iters=1, step_size=1e-6))
+        fit = fit_mle(data, cov, FitConfig(max_iters=1))
         assert not fit.converged
         assert fit.stop_reason == "max_iters"
 
@@ -218,17 +221,6 @@ class TestFitMLE:
         np.testing.assert_array_equal(fit_a.params.stacked, fit_b.params.stacked)
         assert fit_a.objective_trace == fit_b.objective_trace
 
-    def test_explicit_step_size(self):
-        data, cov, _ = sample_small_instance(seed=39)
-        fit = fit_mle(data, cov, FitConfig(step_size=0.5, max_iters=50000))
-        assert fit.converged
-
-    def test_step_tol_stop(self):
-        data, cov, _ = sample_small_instance(seed=40)
-        fit = fit_mle(data, cov, FitConfig(grad_tol=1e-15, step_tol=1e-3))
-        assert fit.stop_reason in ("step_tol", "stalled")
-        assert not fit.converged or fit.diagnostics.final_grad_norm <= 1e-15
-
     def test_kappa1_at_least_one(self):
         data, cov, _ = sample_small_instance(seed=41)
         fit = fit_mle(data, cov)
@@ -241,6 +233,51 @@ class TestFitMLE:
         cov = preprocess_covariates(np.zeros((4, 0)))
         fit = fit_mle(data, cov)
         assert fit.diagnostics.incoherence == pytest.approx(0.5, abs=1e-12)
+
+    def test_newton_converges_in_few_steps(self):
+        designs = [(200, p, L) for p, L in rate_experiment_pairs()] + [(2000, 0.05, 10)]
+        for n, p, L in designs:
+            cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=20250801))
+            data = sample_comparisons(cov, truth, p, L, 1)
+            fit = fit_mle(data, cov)
+            assert fit.converged, (n, p, L)
+            assert fit.diagnostics.iterations <= 10, (n, p, L)
+            assert fit.diagnostics.final_grad_norm <= fit.config.grad_tol
+
+    def test_no_mle_stops_at_once(self):
+        # item 2 beats items 0 and 1 in every trial: its score has no
+        # finite maximizer, though the graph is connected
+        data = ComparisonData.from_edges(3, [(0, 1, 6, 2), (0, 2, 6, 6), (1, 2, 6, 6)])
+        cov = preprocess_covariates(np.zeros((3, 0)))
+        fit = fit_mle(data, cov)
+        assert not fit.converged
+        assert fit.stop_reason == "no_mle"
+        assert fit.diagnostics.iterations == 0
+        assert fit.objective_trace == [fit.objective_trace[0]]
+        ridged = fit_mle(data, cov, FitConfig(ridge_alpha=0.1))
+        assert ridged.converged
+        assert ridged.params.alpha[2] == ridged.params.alpha.max()
+
+    def test_sparse_single_trial_draw_has_no_mle(self):
+        # one trial per pair at mean degree 6: some items lose every
+        # comparison, so only the ridge fit has a finite optimum
+        n = 500
+        cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=3))
+        data = next(d for d in (sample_comparisons(cov, truth, 6 / (n - 1), 1, seed)
+                                for seed in range(20)) if is_connected(d))
+        fit = fit_mle(data, cov)
+        assert fit.stop_reason == "no_mle" and fit.diagnostics.iterations == 0
+        assert fit_mle(data, cov, FitConfig(ridge_alpha=0.1)).converged
+
+    def test_fit_needs_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition in the fit")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        data, cov, _ = sample_small_instance(seed=42)
+        assert fit_mle(data, cov, FitConfig(ridge_alpha=0.1)).converged
+        assert fit_mle(data, cov).converged
 
 
 class TestRidge:
@@ -264,14 +301,9 @@ class TestRidge:
         assert np.abs(cov.augmented.T @ fit.params.alpha).max() <= 1e-8
 
     def test_real_data_recipe_runs(self):
-        # step 3e-3 with the alpha-only penalty and a loose step-norm stop
         data, cov, _ = sample_small_instance(seed=53)
-        fit = fit_mle(
-            data, cov,
-            FitConfig(step_size=3e-3, ridge_alpha=0.1, step_tol=1e-2,
-                      likelihood_scale=float(data.total_trials)),
-        )
-        assert fit.stop_reason in ("step_tol", "grad_tol")
+        fit = fit_mle(data, cov, FitConfig(ridge_alpha=0.1))
+        assert fit.converged
 
 
 class TestPipeline:

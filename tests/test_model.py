@@ -10,6 +10,7 @@ from care_rank.estimation import preprocess_covariates, project_to_theta
 from care_rank.model import (
     ComparisonData,
     ParamVector,
+    _strongly_connected,
     build_projection,
     connected_components,
     gradient,
@@ -23,9 +24,11 @@ from care_rank.model import (
 from oracles import (
     central_difference_gradient,
     central_difference_hessian,
+    components_by_bfs,
     nll_by_direct_summation,
     projector_by_nullspace,
     sample_small_instance,
+    strongly_connected_by_bfs,
 )
 
 
@@ -326,3 +329,31 @@ class TestConnectivity:
             for seed in range(100)
         )
         assert connected >= 99
+
+    def test_long_path_matches_bfs(self):
+        # a 2000-item path, in item order and in a shuffled order, is the
+        # worst case for label propagation: one label must travel its length
+        n = 2000
+        for order in (np.arange(n), np.random.default_rng(0).permutation(n)):
+            a, b = order[:-1], order[1:]
+            data = ComparisonData(n, np.minimum(a, b), np.maximum(a, b),
+                                  np.ones(n - 1), np.zeros(n - 1))
+            assert connected_components(data) == components_by_bfs(data) == [list(range(n))]
+            assert is_connected(data)
+            cut = ComparisonData(n, data.item_i[1:], data.item_j[1:],
+                                 data.trials[1:], data.wins_j[1:])
+            assert connected_components(cut) == components_by_bfs(cut)
+            assert len(connected_components(cut)) == 2
+
+    def test_random_graphs_match_bfs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            n = int(rng.integers(2, 40))
+            p = float(rng.uniform(0.0, 0.3))
+            trials = int(rng.integers(1, 4))
+            edges = [(i, j, trials, int(rng.integers(0, trials + 1)))
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            data = ComparisonData.from_edges(n, edges)
+            assert connected_components(data) == components_by_bfs(data)
+            assert is_connected(data) == (len(components_by_bfs(data)) == 1)
+            assert _strongly_connected(data) == strongly_connected_by_bfs(data)
