@@ -250,7 +250,6 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
     diagnostics = FitDiagnostics(
         kappa1=float(np.exp(scores.max() - scores.min())),
         incoherence=float(np.sqrt((q * q).sum(axis=1)).max()),
-        connectivity=True,
         iterations=iterations,
         final_grad_norm=pg_norm,
     )

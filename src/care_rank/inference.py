@@ -78,7 +78,6 @@ class VarianceModel:
 
     projected_hessian: np.ndarray
     pseudoinverse: np.ndarray
-    eigen_threshold: float
     n_zero_eigenvalues: int
     expected_zero_eigenvalues: int
     rank_warning: bool
@@ -143,19 +142,10 @@ class InferenceReport:
     quantile_level: float
 
 
-def _check_cutoff(rel_eigen_cutoff: float) -> None:
-    if not (0 < rel_eigen_cutoff < 1):
-        raise InvalidArgumentError("rel_eigen_cutoff must be in (0, 1)")
-
-
-def projected_hessian_pinv(
-    hess: np.ndarray,
-    proj: ProjectionOperator,
-    rel_eigen_cutoff: float = DEFAULT_EIGEN_CUTOFF,
-) -> VarianceModel:
+def projected_hessian_pinv(hess: np.ndarray, proj: ProjectionOperator) -> VarianceModel:
     """Pseudoinverse of P @ hess @ P via symmetric eigendecomposition.
 
-    Eigenvalues below ``rel_eigen_cutoff`` times the largest are treated
+    Eigenvalues below ``DEFAULT_EIGEN_CUTOFF`` times the largest are treated
     as exact zeros.  On a connected graph with a full-rank design exactly
     d+1 of them should vanish; any surplus is recorded as a warning on
     the result rather than raised.
@@ -166,14 +156,13 @@ def projected_hessian_pinv(
         raise InvalidArgumentError(
             f"hessian shape {hess.shape} does not match projector dimension {dim}"
         )
-    _check_cutoff(rel_eigen_cutoff)
     # P is symmetric, so projecting every row and then every column
     # gives P @ hess @ P without the dense projector.
     projected = proj.apply(proj.apply(hess).T)
     projected = 0.5 * (projected + projected.T)
     eigvals, eigvecs = np.linalg.eigh(projected)
     lam_max = float(eigvals[-1])
-    threshold = rel_eigen_cutoff * max(lam_max, 0.0)
+    threshold = DEFAULT_EIGEN_CUTOFF * max(lam_max, 0.0)
     keep = eigvals > threshold
     inv_vals = np.where(keep, 1.0 / np.where(keep, eigvals, 1.0), 0.0)
     pinv = (eigvecs * inv_vals) @ eigvecs.T
@@ -183,7 +172,6 @@ def projected_hessian_pinv(
     return VarianceModel(
         projected_hessian=projected,
         pseudoinverse=pinv,
-        eigen_threshold=rel_eigen_cutoff,
         n_zero_eigenvalues=n_zero,
         expected_zero_eigenvalues=expected,
         rank_warning=n_zero > expected,
@@ -214,7 +202,6 @@ def _laplacian_variance_model(
     cov: CovariateMatrix,
     params: ParamVector,
     proj: ProjectionOperator,
-    rel_eigen_cutoff: float,
 ) -> VarianceModel:
     """Variance model through the n x n weighted Laplacian.
 
@@ -226,7 +213,6 @@ def _laplacian_variance_model(
     extra directions, so the result falls back to
     ``projected_hessian_pinv`` on the dense Hessian.
     """
-    _check_cutoff(rel_eigen_cutoff)
     n = data.n_items
     lap = _weighted_laplacian(n, data.item_i, data.item_j, _hessian_weights(data, cov, params))
     q = proj._span_q
@@ -235,7 +221,7 @@ def _laplacian_variance_model(
     try:
         lap_pinv = np.linalg.inv(lap)
     except np.linalg.LinAlgError:
-        return projected_hessian_pinv(hessian(data, cov, params), proj, rel_eigen_cutoff)
+        return projected_hessian_pinv(hessian(data, cov, params), proj)
     del lap
     lap_pinv -= 1.0 / n
     pinv = _split_sandwich(lap_pinv, q, _score_split(cov).T)
@@ -244,24 +230,21 @@ def _laplacian_variance_model(
     # cutoff, so exactly the d+1 constraint directions vanish.  A NaN or
     # infinite bound (an inverse that overflowed) falls back as well.
     bound = float(np.linalg.norm(projected)) * float(np.linalg.norm(pinv))
-    if not bound * rel_eigen_cutoff < 1.0:
-        return projected_hessian_pinv(hessian(data, cov, params), proj, rel_eigen_cutoff)
+    if not bound * DEFAULT_EIGEN_CUTOFF < 1.0:
+        return projected_hessian_pinv(hessian(data, cov, params), proj)
     expected = proj.n_constraints
     return VarianceModel(
         projected_hessian=projected,
         pseudoinverse=pinv,
-        eigen_threshold=rel_eigen_cutoff,
         n_zero_eigenvalues=expected,
         expected_zero_eigenvalues=expected,
         rank_warning=False,
     )
 
 
-def plugin_variance_model(fit: FitResult, rel_eigen_cutoff: float = DEFAULT_EIGEN_CUTOFF) -> VarianceModel:
+def plugin_variance_model(fit: FitResult) -> VarianceModel:
     """Variance model with the Hessian evaluated at the fitted parameters."""
-    return _laplacian_variance_model(
-        fit.data, fit.covariates, fit.params, fit.projection, rel_eigen_cutoff
-    )
+    return _laplacian_variance_model(fit.data, fit.covariates, fit.params, fit.projection)
 
 
 def oracle_variance_model(
@@ -269,10 +252,9 @@ def oracle_variance_model(
     cov: CovariateMatrix,
     truth: ParamVector,
     proj: ProjectionOperator,
-    rel_eigen_cutoff: float = DEFAULT_EIGEN_CUTOFF,
 ) -> VarianceModel:
     """Variance model at known true parameters (simulation use)."""
-    return _laplacian_variance_model(data, cov, truth, proj, rel_eigen_cutoff)
+    return _laplacian_variance_model(data, cov, truth, proj)
 
 
 def _project_contrast(c: np.ndarray, proj: ProjectionOperator) -> np.ndarray:
@@ -296,6 +278,22 @@ def _condition_ratio(c: np.ndarray, cbar: np.ndarray, n: int, d: int) -> float:
     return num / float(np.linalg.norm(cbar))
 
 
+def _z_tests(est: np.ndarray, se: np.ndarray, level: float):
+    """Two-sided z-tests of est = 0 and the intervals est -+ z_q se at
+    ``level``, elementwise.  A zero standard error gives z = +-inf and
+    p = 0 for a nonzero estimate, z = 0 and p = 1 for a zero one.
+    Returns (z, p, ci_low, ci_high)."""
+    if not (0.0 < level < 1.0):
+        raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
+    pos = se > 0
+    z = np.where(est > 0, np.inf, np.where(est < 0, -np.inf, 0.0))
+    p = np.where(est != 0, 0.0, 1.0)
+    z[pos] = est[pos] / se[pos]
+    p[pos] = two_sided_p_value(z[pos])
+    zq = normal_quantile(1.0 - (1.0 - level) / 2.0)
+    return z, p, est - zq * se, est + zq * se
+
+
 def contrast_inference(
     c: np.ndarray,
     fit: FitResult,
@@ -308,8 +306,6 @@ def contrast_inference(
     estimate +- z_{(1-level)/2} * std_error with the plug-in standard
     error from ``vm``.
     """
-    if not (0.0 < level < 1.0):
-        raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
     n, d = fit.params.n_items, fit.params.n_features
     c = np.asarray(c, dtype=float).ravel()
     if c.size != n + d:
@@ -318,20 +314,14 @@ def contrast_inference(
     variance = vm.variance_of(cbar)
     se = float(np.sqrt(variance))
     estimate = float(c @ fit.params.stacked)
-    if se > 0:
-        z = estimate / se
-        p = float(two_sided_p_value(z))
-    else:
-        z = np.inf if estimate > 0 else (-np.inf if estimate < 0 else 0.0)
-        p = 0.0 if estimate != 0 else 1.0
-    zq = normal_quantile(1.0 - (1.0 - level) / 2.0)
+    z, p, lo, hi = (float(v[0]) for v in _z_tests(np.array([estimate]), np.array([se]), level))
     return ContrastResult(
         estimate=estimate,
         std_error=se,
-        z_stat=float(z),
+        z_stat=z,
         p_value=p,
-        ci_low=estimate - zq * se,
-        ci_high=estimate + zq * se,
+        ci_low=lo,
+        ci_high=hi,
         level=level,
         condition_ratio=_condition_ratio(c, cbar, n, d),
     )
@@ -350,8 +340,6 @@ def _coefficient_rows(
     stacked indices start <= k < stop, numbered from 0, vectorised: for
     e_k the variance cbar^T V cbar is the diagonal entry V[k, k], since V
     already lives on the subspace."""
-    if not (0.0 < level < 1.0):
-        raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
     n, d = fit.params.n_items, fit.params.n_features
     q = fit.projection._span_q
     indices = np.arange(start, stop)
@@ -364,16 +352,10 @@ def _coefficient_rows(
         _project_contrast(_basis_contrast(int(k), n + d), fit.projection)
     se = np.sqrt(np.maximum(np.diagonal(vm.pseudoinverse)[indices], 0.0))
     est = fit.params.stacked[indices]
-    pos = se > 0
-    z = np.where(est > 0, np.inf, np.where(est < 0, -np.inf, 0.0))
-    p = np.where(est != 0, 0.0, 1.0)
-    z[pos] = est[pos] / se[pos]
-    p[pos] = two_sided_p_value(z[pos])
-    zq = normal_quantile(1.0 - (1.0 - level) / 2.0)
+    z, p, lo, hi = _z_tests(est, se, level)
     return [
-        CoefficientEstimate(k, float(e), float(s), float(zk), float(pk),
-                            float(e - zq * s), float(e + zq * s), level)
-        for k, (e, s, zk, pk) in enumerate(zip(est, se, z, p))
+        CoefficientEstimate(k, *map(float, row), level)
+        for k, row in enumerate(zip(est, se, z, p, lo, hi))
     ]
 
 

@@ -314,7 +314,6 @@ class FitDiagnostics:
 
     kappa1: float
     incoherence: float
-    connectivity: bool
     iterations: int
     final_grad_norm: float
 

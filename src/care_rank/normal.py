@@ -1,15 +1,18 @@
-"""Standard normal CDF and quantile, self-contained and deterministic.
+"""Standard normal CDF, two-sided tail and quantile.
 
-Both directions are computed from rational approximations rather than
-platform libm special functions, so p-values, confidence intervals, and
-thresholds reproduce bit-for-bit across machines.  Accuracy is far below
-the 1e-9 the inference layer needs: the CDF path is good to ~1e-15
-relative and the quantile is polished with one Halley step.
+Thin wrappers over the standard library: ``math.erfc`` for the CDF and
+the tail, ``statistics.NormalDist().inv_cdf`` for the quantile.  Both
+are accurate to a few units in the last place.  The results depend only
+on the inputs, so p-values, confidence intervals and thresholds
+reproduce exactly across runs and worker counts on one machine.  Each
+function takes a scalar (and returns a float) or an array (and returns
+an array of the same shape).
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -18,51 +21,15 @@ from .errors import InvalidArgumentError
 __all__ = ["erfc", "normal_cdf", "normal_quantile", "two_sided_p_value"]
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_PI = math.sqrt(math.pi)
-_TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
+_INV_CDF = NormalDist().inv_cdf
 
 
-def _erf_series(x: float) -> float:
-    # Maclaurin series of erf; used for |x| <= 1.5 where it converges in
-    # well under 40 terms with no cancellation trouble.
-    x2 = x * x
-    term = x
-    total = x
-    k = 0
-    while True:
-        k += 1
-        term *= -x2 / k
-        delta = term / (2 * k + 1)
-        total += delta
-        if abs(delta) <= 1e-18 * abs(total):
-            return _TWO_OVER_SQRT_PI * total
-
-
-def _erfc_cf(x: float) -> float:
-    # erfc(x) = exp(-x^2)/sqrt(pi) * CF, the Legendre continued fraction
-    # for the upper incomplete gamma Q(1/2, x^2), evaluated with the
-    # modified Lentz algorithm.  Used for x > 1.5 where it converges fast.
-    t = x * x
-    tiny = 1e-300
-    b = t + 0.5
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 300):
-        an = -i * (i - 0.5)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) <= 1e-17:
-            break
-    return math.exp(-t) * x / _SQRT_PI * h
+def _elementwise(f, x):
+    """``f`` on a scalar, or on every entry of an array keeping its shape."""
+    if np.ndim(x) == 0:
+        return f(float(x))
+    arr = np.asarray(x, dtype=float)
+    return np.array([f(v) for v in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
 
 
 def erfc(x: float) -> float:
@@ -70,82 +37,25 @@ def erfc(x: float) -> float:
     x = float(x)
     if math.isnan(x):
         raise InvalidArgumentError("erfc argument must not be NaN")
-    if x < 0:
-        return 2.0 - erfc(-x)
-    if x <= 1.5:
-        return 1.0 - _erf_series(x)
-    if x > 27.0:
-        return 0.0  # below the smallest positive double
-    return _erfc_cf(x)
+    return math.erfc(x)
 
 
 def normal_cdf(x):
     """Standard normal CDF; accepts scalars or arrays."""
-    if np.ndim(x) == 0:
-        return 0.5 * erfc(-float(x) / _SQRT2)
-    arr = np.asarray(x, dtype=float)
-    return np.array([0.5 * erfc(-v / _SQRT2) for v in arr.ravel()]).reshape(arr.shape)
+    return _elementwise(lambda v: 0.5 * erfc(-v / _SQRT2), x)
 
 
 def two_sided_p_value(z):
     """P(|N(0,1)| >= |z|), computed in the tail-stable form erfc(|z|/sqrt(2))."""
-    if np.ndim(z) == 0:
-        return erfc(abs(float(z)) / _SQRT2)
-    arr = np.asarray(z, dtype=float)
-    return np.array([erfc(abs(v) / _SQRT2) for v in arr.ravel()]).reshape(arr.shape)
+    return _elementwise(lambda v: erfc(abs(v) / _SQRT2), z)
 
 
-# Coefficients of Acklam's rational initializer for the inverse normal
-# CDF (relative error < 1.15e-9 on its own; one Halley step below brings
-# the result to full double accuracy).
-_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-      1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-      6.680131188771972e01, -1.328068155288572e01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-      -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-      3.754408661907416e00)
-_P_LOW = 0.02425
-
-
-def _ppf_initial(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((( _C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        return -((((( _C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    return ((((( _A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / (
-        ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-    )
+def _quantile(p: float) -> float:
+    if not (0.0 < p < 1.0):
+        raise InvalidArgumentError(f"quantile probability must be in (0, 1), got {p}")
+    return _INV_CDF(p)
 
 
 def normal_quantile(p):
     """Inverse standard normal CDF for p in (0, 1); scalars or arrays."""
-    if np.ndim(p) != 0:
-        arr = np.asarray(p, dtype=float)
-        return np.array([normal_quantile(v) for v in arr.ravel()]).reshape(arr.shape)
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise InvalidArgumentError(f"quantile probability must be in (0, 1), got {p}")
-    if p > 0.5:
-        # 1 - p is exact for p >= 0.5, and the lower-tail path keeps full
-        # relative precision through erfc; mirror it.
-        return -normal_quantile(1.0 - p)
-    x = _ppf_initial(p)
-    # One Halley refinement against the accurate CDF; in the lower half
-    # plane the CDF is the small erfc quantity, so the residual is
-    # relatively accurate.
-    err = normal_cdf(x) - p
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        u = err / pdf
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    return _elementwise(_quantile, p)

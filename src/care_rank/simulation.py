@@ -26,12 +26,7 @@ from math import log, sqrt
 import numpy as np
 
 from .errors import ConfigurationError, InvalidArgumentError
-from .estimation import (
-    FitConfig,
-    fit_mle,
-    preprocess_covariates,
-    project_to_theta,
-)
+from .estimation import fit_mle, preprocess_covariates, project_to_theta
 from .inference import (
     oracle_variance_model,
     plugin_variance_model,
@@ -219,10 +214,8 @@ class ExperimentPlan:
     pl_pairs: tuple
     replications: int = 200
     statistics: frozenset = frozenset({"alpha_linf", "beta_rel_l2"})
-    contrast: np.ndarray | None = None
     level: float = 0.95
     workers: int | None = None
-    fit_config: FitConfig | None = None
 
     def __post_init__(self):
         pairs = tuple((float(p), int(L)) for p, L in self.pl_pairs)
@@ -406,7 +399,6 @@ def run_rate_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Experiment
         raise InvalidArgumentError("beta_rel_l2 is undefined without covariates")
     cov, truth = generate_truth(spec)
     workers = _resolve_workers(plan)
-    fit_config = plan.fit_config or FitConfig()
     beta_norm = float(np.linalg.norm(truth.beta)) if spec.d else 1.0
 
     settings = []
@@ -416,7 +408,7 @@ def run_rate_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Experiment
             data, resamples, stream = _sample_connected(
                 spec, cov, truth, p, L, 1, pair_index, rep
             )
-            fit = fit_mle(data, cov, fit_config)
+            fit = fit_mle(data, cov)
             rec = {"replication": rep, "stream": stream, "resamples": resamples,
                    "converged": bool(fit.converged)}
             if "alpha_linf" in plan.statistics:
@@ -468,10 +460,11 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
     """Replicated study of the standardized fitted quantities.
 
     Records, per replication, the first intrinsic score standardized by
-    its plug-in and oracle standard errors, the contrast error
-    standardized at the truth (statistic named a_stat) and at the fit
-    (b_stat), per-coordinate CI coverage indicators, and the oracle
-    contrast variance.  Emits QQ and histogram summaries per setting.
+    its plug-in and oracle standard errors, the error of the contrast
+    alpha_1 + beta_1 (alpha_1 alone when d = 0) standardized at the
+    truth (statistic named a_stat) and at the fit (b_stat),
+    per-coordinate CI coverage indicators, and the oracle contrast
+    variance.  Emits QQ and histogram summaries per setting.
     """
     if not (plan.statistics & DISTRIBUTION_STATISTICS):
         raise InvalidArgumentError(
@@ -480,12 +473,8 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
     cov, truth = generate_truth(spec)
     proj = build_projection(cov)
     workers = _resolve_workers(plan)
-    fit_config = plan.fit_config or FitConfig()
     n, d = spec.n, spec.d
-    contrast = plan.contrast if plan.contrast is not None else _default_contrast(n, d)
-    contrast = np.asarray(contrast, dtype=float).ravel()
-    if contrast.size != n + d:
-        raise InvalidArgumentError(f"contrast length {contrast.size}, expected {n + d}")
+    contrast = _default_contrast(n, d)
     cbar = proj.apply(contrast)
     zq = normal_quantile(1.0 - (1.0 - plan.level) / 2.0)
     truth_stacked = truth.stacked
@@ -498,7 +487,7 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
             data, resamples, stream = _sample_connected(
                 spec, cov, truth, p, L, 2, pair_index, rep
             )
-            fit = fit_mle(data, cov, fit_config)
+            fit = fit_mle(data, cov)
             vm_true = oracle_variance_model(data, cov, truth, proj)
             vm_plugin = plugin_variance_model(fit)
             a_stat, b_stat = standardized_stats(fit, vm_true, vm_plugin, contrast, truth)

@@ -97,12 +97,6 @@ class TestProjectedHessianPinv:
         assert vm.n_zero_eigenvalues == 2
         assert vm.rank_warning
 
-    def test_bad_cutoff(self):
-        data, cov, _, fit = fitted_instance(seed=74)
-        h = hessian(data, cov, fit.params)
-        with pytest.raises(InvalidArgumentError):
-            projected_hessian_pinv(h, fit.projection, rel_eigen_cutoff=0.0)
-
 
 def unequal_trials_instance(seed, n=12, d=2, standardize=True):
     """A random connected graph (a path plus about half the other pairs)

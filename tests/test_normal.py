@@ -79,6 +79,12 @@ class TestNormalQuantile:
         assert out[1] == 0.0
         assert out[0] == -out[2]
 
+    def test_relative_accuracy_near_center(self):
+        # the quantile is tiny here, so only a relative bound tests it
+        for p in [0.49999999999999994, 0.4999, 0.5001, 0.501]:
+            ref = float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1))
+            assert abs(normal_quantile(p) - ref) <= 1e-13 * abs(ref)
+
 
 class TestTwoSidedP:
     def test_anchor(self):
