@@ -44,6 +44,7 @@ from .inference import (
 from .io import (
     ParsedComparisons,
     config_hash,
+    file_sha256,
     parse_comparisons_csv,
     parse_covariates_csv,
     read_config_file,
@@ -151,12 +152,18 @@ class RunConfig:
         )
 
     def provenance(self) -> dict:
-        # Hash only what defines the computation: the output path and the
-        # worker count must not change result file contents.
+        # Hash only what defines the computation: input files by their
+        # bytes, not their paths, and only for the commands that read
+        # them; the output path and the worker count must not change
+        # result file contents.
         hashable = {
             k: v for k, v in dataclasses.asdict(self).items()
             if k not in ("out", "workers")
         }
+        reads_inputs = self.command in ("fit", "infer", "rank")
+        for key in ("comparisons", "covariates"):
+            path = hashable[key]
+            hashable[key] = file_sha256(path) if path and reads_inputs else None
         return {
             "version": __version__,
             "config_hash": config_hash(hashable),
@@ -212,6 +219,8 @@ class ResultBundle:
             "converged": bool(fit.converged),
             "stop_reason": fit.stop_reason,
             "iterations": fit.diagnostics.iterations,
+            "halvings": fit.diagnostics.halvings,
+            "cg_iterations": fit.diagnostics.cg_iterations,
             "final_grad_norm": fit.diagnostics.final_grad_norm,
             "kappa1": fit.diagnostics.kappa1,
             "incoherence": fit.diagnostics.incoherence,

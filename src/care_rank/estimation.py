@@ -5,7 +5,10 @@ s = alpha + X beta, which range over all of R^n (up to a constant shift
 the likelihood ignores).  The fit is therefore a Bradley-Terry fit on s,
 by damped Newton on the weighted Laplacian, followed by the regression
 split of s on the augmented design: beta is the slope and alpha the
-residual, which lies in the identifiable subspace.  An optional ridge
+residual, which lies in the identifiable subspace.  Each Newton step is
+solved by Jacobi-preconditioned conjugate gradients with Laplacian
+matvecs over the edge list, so a step costs O(E) per inner iteration
+and the fit builds no n x n array.  An optional ridge
 penalty on the intrinsic scores (alpha only) stabilizes sparse
 real-world datasets.  Without it the MLE exists only when the directed
 win graph is strongly connected (Ford 1957); other data stops at once
@@ -33,7 +36,6 @@ from .model import (
     _score_split,
     _score_terms,
     _strongly_connected,
-    _weighted_laplacian,
     build_projection,
     connected_components,
 )
@@ -51,6 +53,10 @@ __all__ = [
 # slack bounds how much the recorded trace may rise per step.
 _DESCENT_SLACK = 1e-12
 _MAX_HALVINGS = 80
+# Each Newton system is solved by preconditioned CG from zero to this
+# relative residual, within at most this many inner iterations.
+_CG_RTOL = 1e-12
+_CG_MAX_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -161,16 +167,49 @@ def project_to_theta(params: ParamVector, proj: ProjectionOperator) -> ParamVect
     )
 
 
+def _pcg(apply, b: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve H x = b for symmetric positive definite H, given by
+    ``apply``, by conjugate gradients with the Jacobi preconditioner
+    ``diag`` from x = 0; returns x and the iteration count.
+
+    Every iterate minimizes 0.5 x^T H x - b^T x over a Krylov space that
+    contains 0, so b^T x > 0 as soon as x != 0: with b the negative
+    gradient, each iterate is a descent direction.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / diag
+    p = z.copy()
+    rz = float(r @ z)
+    stop = _CG_RTOL * float(np.linalg.norm(b))
+    for k in range(_CG_MAX_ITERS):
+        if np.linalg.norm(r) <= stop:
+            return x, k
+        hp = apply(p)
+        curvature = float(p @ hp)
+        if not curvature > 0:
+            return x, k
+        step = rz / curvature
+        x += step * p
+        r -= step * hp
+        z = r / diag
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return x, _CG_MAX_ITERS
+
+
 def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None = None) -> FitResult:
     """Constrained MLE of (alpha, beta) by damped Newton on the total scores.
 
     Minimizes the negative log-likelihood over the total trial count plus
     0.5 * ridge * ||(I - Q Q^T) s||^2 from s = 0.  Each step solves with
     the Hessian L_w / scale + ridge (I - Q Q^T) + 11^T / n (the last term
-    pins the constant shift the objective ignores) and is halved while it
-    would increase the objective, so the objective trace is
-    nonincreasing.  The fit converges when the projected gradient in
-    (alpha, beta), ||[(I - Q Q^T) G; X^T G]||, meets ``grad_tol``.
+    pins the constant shift the objective ignores) by Jacobi-preconditioned
+    conjugate gradients, applying L_w by two ``bincount`` passes over the
+    edges; the step is halved while it would increase the objective, so
+    the objective trace is nonincreasing.  The fit converges when the
+    projected gradient in (alpha, beta), ||[(I - Q Q^T) G; X^T G]||, meets
+    ``grad_tol``.  Memory and time per inner iteration are O(n d + E).
     Requires a connected comparison graph; without a ridge, a win graph
     that is not strongly connected stops at once with ``"no_mle"``.
 
@@ -197,9 +236,12 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
 
     proj = build_projection(cov)
     n = data.n_items
+    ii, jj = data.item_i, data.item_j
     x, q = cov.scaled, proj._span_q
     scale = float(data.total_trials)
     lam = float(config.ridge_alpha)
+    # diagonal of ridge (I - Q Q^T) + 11^T / n
+    fixed_diag = lam * (1.0 - (q * q).sum(axis=1)) + 1.0 / n
 
     def objective(s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         value, grad, weights = _score_terms(data, s)
@@ -209,11 +251,23 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
     def projected_norm(g: np.ndarray) -> float:
         return float(np.linalg.norm(proj.apply(np.concatenate([g, x.T @ g]))))
 
+    def hess_apply(v: np.ndarray) -> np.ndarray:
+        # (L_w / scale + ridge (I - Q Q^T) + 11^T / n) v, with the edge
+        # weights w / scale of the current step
+        flow = v[ii]
+        flow -= v[jj]
+        flow *= w
+        out = np.bincount(ii, flow, n) - np.bincount(jj, flow, n)
+        if lam:
+            out += lam * (v - q @ (q.T @ v))
+        out += v.sum() / n
+        return out
+
     s = np.zeros(n)
     val, g, weights = objective(s)
     pg_norm = projected_norm(g)
     trace = [val]
-    iterations = 0
+    iterations = halvings = cg_iterations = 0
     stop_reason = "no_mle" if lam == 0.0 and not _strongly_connected(data) else None
     while stop_reason is None:
         if pg_norm <= config.grad_tol:
@@ -222,13 +276,10 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         if iterations >= config.max_iters:
             stop_reason = "max_iters"
             break
-        hess = _weighted_laplacian(n, data.item_i, data.item_j, weights / scale)
-        if lam:
-            hess -= (lam * q) @ q.T
-            hess[np.diag_indices(n)] += lam
-        hess += 1.0 / n
-        newton = np.linalg.solve(hess, -g)
-        del hess
+        w = weights / scale
+        degree = np.bincount(ii, w, n) + np.bincount(jj, w, n)
+        newton, inner = _pcg(hess_apply, -g, degree + fixed_diag)
+        cg_iterations += inner
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = s + t * newton
@@ -236,6 +287,7 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
             if cand_val <= val + _DESCENT_SLACK * max(1.0, abs(val)):
                 break
             t *= 0.5
+            halvings += 1
         else:
             stop_reason = "stalled"
             break
@@ -252,6 +304,8 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         incoherence=float(np.sqrt((q * q).sum(axis=1)).max()),
         iterations=iterations,
         final_grad_norm=pg_norm,
+        halvings=halvings,
+        cg_iterations=cg_iterations,
     )
     return FitResult(
         params=params,

@@ -4,7 +4,10 @@ Comparison data arrives as CSV in either aggregated form
 (``item_i,item_j,trials,wins_j``) or per-trial form
 (``item_i,item_j,winner``); item ids are arbitrary strings mapped to
 dense indices in sorted id order, so row order does not matter, and the
-mapping travels with every output.  All writes go through a temp file
+mapping travels with every output.  ``csv.reader`` splits the records;
+the cells are then stripped, checked, mapped and summed as numpy
+columns, and a malformed file raises the error of its first bad record
+with that record's 1-based number.  All writes go through a temp file
 plus atomic rename so a failing command never leaves partial output, and
 every float written to CSV uses 17 significant digits so it re-parses to
 the identical double.
@@ -32,6 +35,7 @@ __all__ = [
     "parse_covariates_csv",
     "read_config_file",
     "config_hash",
+    "file_sha256",
     "fmt17",
     "provenance_comment",
     "atomic_write_text",
@@ -86,25 +90,85 @@ class ParsedCovariates:
     extra_items: list[str]
 
 
-def _read_rows(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header and body rows with 1-based line numbers; '#' comment lines
-    (such as the provenance line our writers emit) and blank lines skip."""
-    header = None
-    rows = []
+def _is_record(row: list[str]) -> bool:
+    """False for blank records and for '#' comment records (such as the
+    provenance line our writers emit)."""
+    first = row[0].lstrip() if row else ""
+    if first:
+        return first[0] != "#"
+    return any(cell.strip() for cell in row)
+
+
+def _read_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray, ParseError | None]:
+    """A CSV file as its header and a column-addressable body.
+
+    ``csv.reader`` splits the records, so quoting works as usual; blank
+    and comment records are skipped.  Returns the stripped header, the
+    1-based record numbers of the body records, their stripped cells as
+    an (m, width) string array, and the error for the first record whose
+    width differs from the header's (or None).  The body stops before
+    that record; its error stands only if no earlier record fails.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [h.strip() for h in row]
-                continue
-            rows.append((lineno, [cell.strip() for cell in row]))
-    if header is None:
+        records = list(csv.reader(fh))
+    numbers = [k for k, row in enumerate(records, start=1) if _is_record(row)]
+    if not numbers:
         raise ParseError(f"{path}: empty file")
-    return header, rows
+    header = [h.strip() for h in records[numbers[0] - 1]]
+    body = [records[k - 1] for k in numbers[1:]]
+    del records
+    widths = np.fromiter(map(len, body), dtype=np.int64, count=len(body))
+    wrong = np.flatnonzero(widths != len(header))
+    width_error = None
+    if wrong.size:
+        k = int(wrong[0])
+        width_error = ParseError(
+            f"expected {len(header)} columns, got {widths[k]}", row=numbers[k + 1]
+        )
+        del body[k:]
+    cells = np.array(body, dtype=str).reshape(len(body), len(header))
+    del body
+    return header, np.array(numbers[1 : len(cells) + 1]), np.char.strip(cells), width_error
+
+
+def _raise_first(numbers: np.ndarray, checks, width_error: ParseError | None) -> None:
+    """Raise the error a record-by-record reading would meet first.
+
+    ``checks`` are (mask, message) pairs in the order a record is
+    checked; ``message`` builds the text from a record's position.  The
+    earliest record failing any check wins, and at that record the
+    earliest check.  The body stops before the width error's record, so
+    that error is raised only when no check fails.
+    """
+    first = None
+    for mask, message in checks:
+        hits = np.flatnonzero(mask)
+        if hits.size and (first is None or hits[0] < first[0]):
+            first = (int(hits[0]), message)
+    if first is not None:
+        k, message = first
+        raise ParseError(message(k), row=int(numbers[k]))
+    if width_error is not None:
+        raise width_error
+
+
+def _convert(cells: np.ndarray, kind: type) -> tuple[np.ndarray, np.ndarray]:
+    """Values of string cells as ``kind`` (int or float) and the mask of
+    cells ``kind()`` rejects, whose values read 0.  numpy's cast accepts
+    the spellings ``kind()`` accepts; when it refuses the array, each
+    cell goes through ``kind()`` to locate the bad ones."""
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return cells.astype(dtype), np.zeros(cells.shape, dtype=bool)
+    except (ValueError, OverflowError):
+        values = np.zeros(cells.shape, dtype=dtype)
+        bad = np.zeros(cells.shape, dtype=bool)
+        for pos, cell in np.ndenumerate(cells):
+            try:
+                values[pos] = kind(cell)
+            except ValueError:
+                bad[pos] = True
+        return values, bad
 
 
 def parse_comparisons_csv(path: str) -> ParsedComparisons:
@@ -115,9 +179,11 @@ def parse_comparisons_csv(path: str) -> ParsedComparisons:
     Duplicate pairs are summed, orientation is canonicalized to i < j in
     mapping order, and per-trial rows whose winner column is the tie
     marker are dropped (counted in the result) -- the model cannot
-    represent ties.
+    represent ties.  The records are checked and aggregated as columns;
+    a malformed file raises the error of its first bad record, with that
+    record's number.
     """
-    header, rows = _read_rows(path)
+    header, numbers, cells, width_error = _read_table(path)
     if header == AGGREGATED_HEADER:
         aggregated = True
     elif header == PER_TRIAL_HEADER:
@@ -128,63 +194,56 @@ def parse_comparisons_csv(path: str) -> ParsedComparisons:
             f"{AGGREGATED_HEADER} or {PER_TRIAL_HEADER}"
         )
 
-    raw_edges: list[tuple[str, str, int, int]] = []
-    ties = 0
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} columns, got {len(row)}", row=lineno)
-        if not row[0] or not row[1]:
-            raise ParseError("empty item id", row=lineno)
-        if row[0] == row[1]:
-            raise ParseError(f"self-comparison of item {row[0]!r}", row=lineno)
-        if aggregated:
-            try:
-                trials = int(row[2])
-                wins_j = int(row[3])
-            except ValueError:
-                raise ParseError(f"non-integer trials/wins in {row[2]!r},{row[3]!r}", row=lineno)
-            if trials < 1:
-                raise ParseError(f"trials must be positive, got {trials}", row=lineno)
-            if not (0 <= wins_j <= trials):
-                raise ParseError(f"wins_j {wins_j} outside [0, {trials}]", row=lineno)
-        else:
-            winner = row[2]
-            if winner.lower() == TIE_MARKER:
-                ties += 1
-                continue
-            if winner == row[0]:
-                trials, wins_j = 1, 0
-            elif winner == row[1]:
-                trials, wins_j = 1, 1
-            else:
-                raise ParseError(
-                    f"winner {winner!r} is neither {row[0]!r} nor {row[1]!r}", row=lineno
-                )
-        raw_edges.append((row[0], row[1], trials, wins_j))
+    first, second = cells[:, 0], cells[:, 1]
+    checks = [
+        ((first == "") | (second == ""), lambda k: "empty item id"),
+        (first == second, lambda k: f"self-comparison of item {str(first[k])!r}"),
+    ]
+    if aggregated:
+        (trials, wins_j), bad = _convert(cells[:, 2:].T, int)
+        checks += [
+            (bad.any(axis=0), lambda k: (
+                f"non-integer trials/wins in {str(cells[k, 2])!r},{str(cells[k, 3])!r}"
+            )),
+            (trials < 1, lambda k: f"trials must be positive, got {trials[k]}"),
+            ((wins_j < 0) | (wins_j > trials),
+             lambda k: f"wins_j {wins_j[k]} outside [0, {trials[k]}]"),
+        ]
+        keep = slice(None)
+        ties = 0
+    else:
+        winner = cells[:, 2]
+        tie = np.char.lower(winner) == TIE_MARKER
+        second_won = winner == second
+        checks.append((~(tie | second_won | (winner == first)), lambda k: (
+            f"winner {str(winner[k])!r} is neither {str(first[k])!r} nor {str(second[k])!r}"
+        )))
+        keep = ~tie
+        ties = int(tie.sum())
+        trials = np.ones(int(keep.sum()), dtype=np.int64)
+        wins_j = second_won[keep].astype(np.int64)
+    _raise_first(numbers, checks, width_error)
 
-    if not raw_edges:
+    pairs = cells[keep, :2]
+    del cells
+    if not pairs.size:
         raise ParseError(f"{path}: no usable comparison rows")
-    item_ids = sorted({name for edge in raw_edges for name in edge[:2]})
-    index = {name: k for k, name in enumerate(item_ids)}
-    edges: dict[tuple[int, int], list[int]] = {}
-    for name_i, name_j, trials, wins_j in raw_edges:
-        a, b = index[name_i], index[name_j]
-        # Canonical orientation: lower index first, wins count the
-        # higher-indexed item.
-        if a > b:
-            a, b = b, a
-            wins_j = trials - wins_j
-        acc = edges.setdefault((a, b), [0, 0])
-        acc[0] += trials
-        acc[1] += wins_j
-
-    keys = sorted(edges)
-    ii = np.array([k[0] for k in keys], dtype=np.int64)
-    jj = np.array([k[1] for k in keys], dtype=np.int64)
-    tt = np.array([edges[k][0] for k in keys], dtype=np.int64)
-    ww = np.array([edges[k][1] for k in keys], dtype=np.int64)
-    data = ComparisonData(len(item_ids), ii, jj, tt, ww)
-    return ParsedComparisons(data, item_ids, ties)
+    if trials.sum(dtype=np.float64) >= 2.0**63:  # int64 sums below would wrap
+        raise ParseError(f"{path}: trial counts sum past the 64-bit range")
+    item_ids, index = np.unique(pairs, return_inverse=True)
+    index = index.reshape(-1, 2)
+    n = item_ids.size
+    # Canonical orientation: lower index first, wins count the
+    # higher-indexed item.
+    flip = index[:, 0] > index[:, 1]
+    wins_j = np.where(flip, trials - wins_j, wins_j)
+    keys, edge = np.unique(index.min(axis=1) * n + index.max(axis=1), return_inverse=True)
+    tt = np.zeros(keys.size, dtype=np.int64)
+    ww = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(tt, edge, trials)
+    np.add.at(ww, edge, wins_j)
+    data = ComparisonData(n, keys // n, keys % n, tt, ww)
+    return ParsedComparisons(data, item_ids.tolist(), ties)
 
 
 def parse_covariates_csv(path: str, item_ids: list[str]) -> ParsedCovariates:
@@ -194,43 +253,33 @@ def parse_covariates_csv(path: str, item_ids: list[str]) -> ParsedCovariates:
     column is valid and yields the covariate-free model.  Items outside
     the mapping are reported, not used.
     """
-    header, rows = _read_rows(path)
-    if not header or header[0] != "item":
+    header, numbers, cells, width_error = _read_table(path)
+    if header[0] != "item":
         raise ParseError(f"{path}: first column must be 'item', got {header[:1]}")
     feature_names = header[1:]
-    d = len(feature_names)
-    wanted = set(item_ids)
-    seen: dict[str, np.ndarray] = {}
-    extra = []
-    for lineno, row in rows:
-        if len(row) != d + 1:
-            raise ParseError(f"expected {d + 1} columns, got {len(row)}", row=lineno)
-        name = row[0]
-        if not name:
-            raise ParseError("empty item id", row=lineno)
-        if name in seen:
-            raise ParseError(f"duplicate item {name!r}", row=lineno)
-        values = np.empty(d)
-        for col, cell in enumerate(row[1:], start=1):
-            try:
-                values[col - 1] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric value {cell!r} in column {header[col]!r}", row=lineno
-                )
-        seen[name] = values
-        if name not in wanted:
-            extra.append(name)
-    missing = [name for name in item_ids if name not in seen]
+    names = cells[:, 0]
+    repeated = np.ones(names.size, dtype=bool)
+    repeated[np.unique(names, return_index=True)[1]] = False
+    values, bad = _convert(cells[:, 1:], float)
+    _raise_first(numbers, [
+        (names == "", lambda k: "empty item id"),
+        (repeated, lambda k: f"duplicate item {str(names[k])!r}"),
+        (bad.any(axis=1), lambda k: (
+            f"non-numeric value {str(cells[k, 1 + bad[k].argmax()])!r} "
+            f"in column {header[1 + bad[k].argmax()]!r}"
+        )),
+    ], width_error)
+
+    position = {name: k for k, name in enumerate(names.tolist())}
+    missing = [name for name in item_ids if name not in position]
     if missing:
         raise ParseError(
             f"{path}: missing covariates for compared items {missing[:8]}"
             + ("..." if len(missing) > 8 else "")
         )
-    if d == 0:
-        matrix = np.zeros((len(item_ids), 0))
-    else:
-        matrix = np.vstack([seen[name] for name in item_ids])
+    wanted = set(item_ids)
+    extra = [name for name in position if name not in wanted]
+    matrix = values[[position[name] for name in item_ids]]
     return ParsedCovariates(matrix, feature_names, extra)
 
 
@@ -253,6 +302,15 @@ def config_hash(config: dict) -> str:
     """Stable hash of a configuration mapping (order-insensitive)."""
     canon = json.dumps({k: str(v) for k, v in sorted(config.items())}, sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+def file_sha256(path: str) -> str:
+    """Hex sha256 of a file's bytes."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def provenance_comment(provenance: dict | None) -> str | None:

@@ -105,8 +105,8 @@ class ComparisonData:
                 raise InvalidArgumentError(
                     "edges must satisfy i < j (no self-edges, canonical order)"
                 )
-            keys = ii * n + jj
-            if np.unique(keys).size != keys.size:
+            keys = np.sort(ii * n + jj)
+            if np.any(keys[1:] == keys[:-1]):
                 raise InvalidArgumentError("duplicate (i, j) pairs in edge list")
             if np.any(tt < 1):
                 raise InvalidArgumentError("every edge needs at least one trial")
@@ -310,12 +310,19 @@ class GraphDesign:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """Structural and convergence diagnostics attached to a fit."""
+    """Structural and convergence diagnostics attached to a fit.
+
+    ``iterations`` counts accepted Newton steps, ``halvings`` the step
+    halvings over all of them and ``cg_iterations`` the inner conjugate
+    gradient iterations that solved them.
+    """
 
     kappa1: float
     incoherence: float
     iterations: int
     final_grad_norm: float
+    halvings: int
+    cg_iterations: int
 
 
 def win_probability(score_i: float, score_j: float) -> float:
@@ -459,9 +466,7 @@ def _score_split(cov: CovariateMatrix) -> np.ndarray:
     Xbar^+.  The rest of the regression split of s on Xbar is alpha =
     (I - Q Q^T) s; the intercept is dropped, as the likelihood ignores
     constant shifts of s."""
-    # Xbar = Q_r R, so Xbar^+ = R^-1 Q_r^T.
-    q_r, r = np.linalg.qr(cov.augmented)
-    return np.linalg.solve(r, q_r.T)[1:]
+    return np.linalg.pinv(cov.augmented)[1:]
 
 
 def graph_design(data: ComparisonData, cov: CovariateMatrix, trial_weighted: bool = False) -> GraphDesign:

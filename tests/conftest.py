@@ -1,8 +1,11 @@
 """Shared fixtures: the expensive n=200 Monte Carlo runs execute once per
 session and feed both the acceptance criteria and the distributional
-example checks."""
+example checks.  Property tests draw the same examples on every run (a
+derandomized hypothesis profile with no example database) and have no
+per-example deadline, so the suite stays deterministic on slow machines."""
 
 import pytest
+from hypothesis import settings
 
 from care_rank.simulation import (
     ExperimentPlan,
@@ -17,6 +20,9 @@ ACCEPTANCE_SEED = 20250801
 ACCEPTANCE_N = 200
 ACCEPTANCE_D = 5
 ACCEPTANCE_WORKERS = 4
+
+settings.register_profile("care-rank", derandomize=True, deadline=None, database=None)
+settings.load_profile("care-rank")
 
 
 @pytest.fixture(scope="session")

@@ -6,12 +6,15 @@ search, null-space construction via scipy), so agreement is evidence and
 not tautology.
 """
 
+import csv
 import math
 from collections import deque
 
 import numpy as np
 from scipy.linalg import null_space
 
+from care_rank.errors import ParseError
+from care_rank.io import AGGREGATED_HEADER, PER_TRIAL_HEADER, TIE_MARKER, ParsedComparisons
 from care_rank.model import ComparisonData, ParamVector, neg_log_likelihood, win_probability
 
 
@@ -167,3 +170,112 @@ def strongly_connected_by_bfs(data):
             backward[i].append(j)
     return (len(reachable_by_bfs(n, forward, 0)) == n
             and len(reachable_by_bfs(n, backward, 0)) == n)
+
+
+def parse_comparisons_by_rows(path):
+    """``parse_comparisons_csv`` one record at a time: each record is
+    checked in turn and the pairs are summed in a dict."""
+    header, rows = None, []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if row[0].lstrip().startswith("#"):
+                continue
+            if header is None:
+                header = [h.strip() for h in row]
+                continue
+            rows.append((lineno, [cell.strip() for cell in row]))
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    if header not in (AGGREGATED_HEADER, PER_TRIAL_HEADER):
+        raise ParseError(
+            f"{path}: unrecognized header {header}; expected "
+            f"{AGGREGATED_HEADER} or {PER_TRIAL_HEADER}"
+        )
+    aggregated = header == AGGREGATED_HEADER
+
+    raw_edges, ties = [], 0
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} columns, got {len(row)}", row=lineno)
+        if not row[0] or not row[1]:
+            raise ParseError("empty item id", row=lineno)
+        if row[0] == row[1]:
+            raise ParseError(f"self-comparison of item {row[0]!r}", row=lineno)
+        if aggregated:
+            try:
+                trials, wins_j = int(row[2]), int(row[3])
+            except ValueError:
+                raise ParseError(f"non-integer trials/wins in {row[2]!r},{row[3]!r}", row=lineno)
+            if trials < 1:
+                raise ParseError(f"trials must be positive, got {trials}", row=lineno)
+            if not (0 <= wins_j <= trials):
+                raise ParseError(f"wins_j {wins_j} outside [0, {trials}]", row=lineno)
+        else:
+            winner = row[2]
+            if winner.lower() == TIE_MARKER:
+                ties += 1
+                continue
+            if winner == row[0]:
+                trials, wins_j = 1, 0
+            elif winner == row[1]:
+                trials, wins_j = 1, 1
+            else:
+                raise ParseError(
+                    f"winner {winner!r} is neither {row[0]!r} nor {row[1]!r}", row=lineno
+                )
+        raw_edges.append((row[0], row[1], trials, wins_j))
+
+    if not raw_edges:
+        raise ParseError(f"{path}: no usable comparison rows")
+    item_ids = sorted({name for edge in raw_edges for name in edge[:2]})
+    index = {name: k for k, name in enumerate(item_ids)}
+    edges = {}
+    for name_i, name_j, trials, wins_j in raw_edges:
+        a, b = index[name_i], index[name_j]
+        if a > b:
+            a, b, wins_j = b, a, trials - wins_j
+        acc = edges.setdefault((a, b), [0, 0])
+        acc[0] += trials
+        acc[1] += wins_j
+    data = ComparisonData.from_edges(
+        len(item_ids), [(a, b, t, w) for (a, b), (t, w) in sorted(edges.items())]
+    )
+    return ParsedComparisons(data, item_ids, ties)
+
+
+def fit_by_dense_newton(data, cov, ridge_alpha=0.0, grad_tol=1e-8, max_iters=100):
+    """The damped Newton fit of ``fit_mle`` with each step solved densely
+    on the assembled n x n Hessian.  Returns the stacked parameters and
+    the Newton step count."""
+    from care_rank.model import _score_split, _score_terms, _weighted_laplacian, build_projection
+
+    proj = build_projection(cov)
+    n, q = data.n_items, proj._span_q
+    scale, lam = float(data.total_trials), float(ridge_alpha)
+
+    def objective(s):
+        value, grad, weights = _score_terms(data, s)
+        alpha = s - q @ (q.T @ s)
+        return value / scale + 0.5 * lam * float(alpha @ alpha), grad / scale + lam * alpha, weights
+
+    def projected_norm(g):
+        return float(np.linalg.norm(proj.apply(np.concatenate([g, cov.scaled.T @ g]))))
+
+    s = np.zeros(n)
+    val, g, weights = objective(s)
+    iterations = 0
+    while projected_norm(g) > grad_tol and iterations < max_iters:
+        hess = _weighted_laplacian(n, data.item_i, data.item_j, weights / scale)
+        hess += lam * (np.eye(n) - q @ q.T) + 1.0 / n
+        newton = np.linalg.solve(hess, -g)
+        t = 1.0
+        while True:
+            cand_val, cand_g, cand_weights = objective(s + t * newton)
+            if cand_val <= val + 1e-12 * max(1.0, abs(val)):
+                break
+            t *= 0.5
+        s, val, g, weights = s + t * newton, cand_val, cand_g, cand_weights
+        iterations += 1
+    return proj.apply(np.concatenate([s, _score_split(cov) @ s])), iterations

@@ -1,11 +1,15 @@
 """CSV ingestion, serialization, CLI commands, and exit codes."""
 
 import csv
+import io
 import json
+import shutil
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from care_rank.cli import (
     EXIT_CONFIG,
@@ -17,6 +21,8 @@ from care_rank.cli import (
 )
 from care_rank.errors import ParseError
 from care_rank.io import (
+    AGGREGATED_HEADER,
+    PER_TRIAL_HEADER,
     fmt17,
     parse_comparisons_csv,
     parse_covariates_csv,
@@ -24,6 +30,8 @@ from care_rank.io import (
     write_comparisons_csv,
 )
 from care_rank.model import ComparisonData
+
+from oracles import parse_comparisons_by_rows
 
 
 def write(path, text):
@@ -42,6 +50,51 @@ def read_csv_dicts(path):
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     return list(csv.DictReader(lines))
+
+
+def parse_outcome(parse, path):
+    """What a parser makes of a file: the parsed result, or the message
+    and record number of its ParseError."""
+    try:
+        parsed = parse(path)
+    except ParseError as exc:
+        return "error", str(exc), exc.row
+    data = parsed.data
+    return "ok", data.n_items, data.edges, parsed.item_ids, parsed.tie_rows_dropped
+
+
+# Ids with a comma, inner and outer blanks, quotes, a leading '#' (a
+# record starting with it is a comment) and the tie marker itself.
+ODD_IDS = ["a", "b", "c,d", " e f ", '"g"', "#h", "Tie", "10", "item_2"]
+
+
+@st.composite
+def comparison_files(draw):
+    """Small comparison files in either form, with tie rows in mixed
+    case, duplicate pairs in both orientations, comment and blank lines,
+    padded cells and quoted ids."""
+    aggregated = draw(st.booleans())
+    ids = draw(st.lists(st.sampled_from(ODD_IDS), min_size=2, max_size=4, unique=True))
+    header = AGGREGATED_HEADER if aggregated else PER_TRIAL_HEADER
+    records = [[f" {h} " for h in header] if draw(st.booleans()) else header]
+    for _ in range(draw(st.integers(1, 12))):
+        first, second = draw(st.permutations(ids))[:2]
+        if aggregated:
+            trials = draw(st.integers(1, 9))
+            rest = [str(trials), str(draw(st.integers(0, trials)))]
+        else:
+            rest = [draw(st.sampled_from([first, second, "tie", "TIE", "Tie"]))]
+        cells = [first, second, *rest]
+        if draw(st.booleans()):
+            cells = [f"  {c} " for c in cells]
+        records.append(cells)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for record in records:
+        for _ in range(draw(st.integers(0, 2))):
+            buf.write(draw(st.sampled_from(["\n", "# a comment, quoted \"x\"\n", " , \n"])))
+        writer.writerow(record)
+    return buf.getvalue()
 
 
 class TestParseComparisons:
@@ -130,6 +183,58 @@ class TestParseComparisons:
         np.testing.assert_array_equal(parsed.data.item_j, data.item_j)
         np.testing.assert_array_equal(parsed.data.trials, data.trials)
         np.testing.assert_array_equal(parsed.data.wins_j, data.wins_j)
+
+
+    def test_trial_sums_past_int64_rejected(self, tmp_path):
+        big = 2**62
+        path = write(
+            tmp_path / "c.csv", f"item_i,item_j,trials,wins_j\na,b,{big},0\nb,a,{big},0\n"
+        )
+        with pytest.raises(ParseError, match="64-bit"):
+            parse_comparisons_csv(path)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(comparison_files())
+    def test_matches_row_oracle(self, tmp_path, text):
+        path = write(tmp_path / "c.csv", text)
+        assert parse_outcome(parse_comparisons_csv, path) == parse_outcome(
+            parse_comparisons_by_rows, path
+        )
+
+    @pytest.mark.parametrize("text, row", [
+        ("item_i,item_j,trials,wins_j\na,b,2,1\na,b,2\n", 3),
+        ("item_i,item_j,trials,wins_j\na,b,2,1\n , b,2,1\n", 3),
+        ("item_i,item_j,trials,wins_j\na,b,2,1\n\nb, b ,2,1\n", 4),
+        ("item_i,item_j,trials,wins_j\na,b,2,1\na,b,2.5,1\n", 3),
+        ("item_i,item_j,trials,wins_j\na,b,2,1\na,b,x,\n", 3),
+        ("item_i,item_j,trials,wins_j\na,b,0,0\n", 2),
+        ("item_i,item_j,trials,wins_j\na,b,2,3\n", 2),
+        ("item_i,item_j,trials,wins_j\na,b,2,-1\n", 2),
+        ("item_i,item_j,winner\na,b,b\na,b,c\n", 3),
+        ("item_i,item_j,winner\na,b,tie\n# note\na,b,TIE\n", None),
+        ("", None),
+        ("# only a comment\n\n", None),
+        ("from,to,n,w\na,b,2,1\n", None),
+        # the earliest bad record wins, whichever check it fails
+        ("item_i,item_j,trials,wins_j\na,b,2,5\na,b\n,b,2,1\n", 2),
+        ("item_i,item_j,trials,wins_j\na,b\na,b,2,5\n", 2),
+        ("item_i,item_j,trials,wins_j\na,b,2,x\na,a,2,1\n", 2),
+        ("item_i,item_j,trials,wins_j\na,b,0,x\n", 2),
+        ("item_i,item_j,trials,wins_j\na,b,١٢,+3\na,b,1_0,٣\na,b,2,9\n", 4),
+        # a quoted line break keeps one record: numbers count records
+        ('item_i,item_j,trials,wins_j\n"a\nb",c,2,1\na,c,3,4\n', 3),
+    ], ids=[
+        "wrong-width", "empty-id", "self-comparison", "non-integer", "non-integer-empty",
+        "trials-below-one", "wins-above-trials", "wins-negative", "unknown-winner",
+        "no-usable-rows", "empty-file", "comments-only", "bad-header",
+        "value-before-width", "width-before-value", "non-integer-before-self",
+        "non-integer-before-range", "non-ascii-digits", "quoted-line-break",
+    ])
+    def test_errors_match_row_oracle(self, tmp_path, text, row):
+        path = write(tmp_path / "c.csv", text)
+        outcome = parse_outcome(parse_comparisons_csv, path)
+        assert outcome[0] == "error" and outcome[2] == row
+        assert outcome == parse_outcome(parse_comparisons_by_rows, path)
 
 
 class TestParseCovariates:
@@ -330,6 +435,46 @@ class TestCliPipelines:
             outs.append(payload)
         assert outs[0] == outs[1]
 
+    def test_config_hash_follows_file_bytes(self, tmp_path):
+        sim = simulate_dataset(tmp_path, n=20, d=1, seed=13, p=0.9, trials=6)
+        copy = tmp_path / "elsewhere" / "copy"
+        copy.mkdir(parents=True)
+        for name in ("comparisons.csv", "covariates.csv"):
+            shutil.copy(sim / name, copy / name)
+
+        def run_rank(data_dir, name):
+            out = tmp_path / name
+            assert main([
+                "rank", "--comparisons", str(data_dir / "comparisons.csv"),
+                "--covariates", str(data_dir / "covariates.csv"), "--out", str(out),
+            ]) == EXIT_OK
+            payload = json.loads((out / "fit.json").read_text())
+            with open(out / "ranking.csv", encoding="utf-8") as fh:
+                return payload["provenance"]["config_hash"], fh.readline()
+
+        original = run_rank(sim, "r1")
+        assert run_rank(copy, "r2") == original
+        # one changed win count is another computation
+        lines = (copy / "comparisons.csv").read_text().splitlines(keepends=True)
+        k = lines.index(",".join(AGGREGATED_HEADER) + "\n") + 1
+        i, j, trials, wins = lines[k].rstrip("\n").split(",")
+        wins = int(wins) + (1 if int(wins) < int(trials) else -1)
+        lines[k] = f"{i},{j},{trials},{wins}\n"
+        (copy / "comparisons.csv").write_text("".join(lines))
+        changed = run_rank(copy, "r3")
+        assert changed[0] != original[0] and changed[1] != original[1]
+
+    def test_fit_json_solver_trace(self, tmp_path):
+        sim = simulate_dataset(tmp_path, n=40, d=3, seed=5, p=0.7, trials=10)
+        out = tmp_path / "fit"
+        assert main([
+            "fit", "--comparisons", str(sim / "comparisons.csv"),
+            "--covariates", str(sim / "covariates.csv"), "--out", str(out),
+        ]) == EXIT_OK
+        payload = json.loads((out / "fit.json").read_text())
+        assert payload["halvings"] == 0
+        assert payload["cg_iterations"] >= payload["iterations"] > 0
+
     def test_config_file_precedence(self, tmp_path):
         sim = simulate_dataset(tmp_path, n=20, d=1, seed=11, p=0.9, trials=6)
         cfg = write(tmp_path / "run.cfg", "grad-tol = 1e-4\nridge-alpha = 0.25\n")
@@ -433,6 +578,17 @@ class TestExperimentCommand:
         rows = read_csv_dicts(out / "experiment" / "records.csv")
         assert {r["statistic"] for r in rows} >= {"alpha_linf", "beta_rel_l2"}
         assert (out / "experiment" / "summary.csv").exists()
+
+    def test_solver_trace_stays_out_of_experiment_files(self, tmp_path):
+        out = tmp_path / "exp"
+        assert main([
+            "experiment", "--kind", "rate", "--n", "30", "--d", "1",
+            "--seed", "3", "--pairs", "0.8:4", "--replications", "2",
+            "--out", str(out),
+        ]) == EXIT_OK
+        for name in ("result.json", "records.csv", "summary.csv"):
+            text = (out / "experiment" / name).read_text()
+            assert "halvings" not in text and "cg_iterations" not in text
 
     def test_worker_thread_determinism(self, tmp_path):
         payloads = []

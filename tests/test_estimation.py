@@ -1,6 +1,7 @@
 """Preprocessing and the constrained MLE by Newton on the total scores."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from care_rank.errors import (
     DimensionError,
     InvalidArgumentError,
 )
+from care_rank import estimation, model
 from care_rank.estimation import (
     FitConfig,
     fit_care_scores_pipeline,
@@ -32,7 +34,7 @@ from care_rank.simulation import (
     sample_comparisons,
 )
 
-from oracles import grid_search_mle, sample_small_instance
+from oracles import fit_by_dense_newton, grid_search_mle, sample_small_instance
 
 
 class TestPreprocess:
@@ -279,6 +281,67 @@ class TestFitMLE:
         assert fit_mle(data, cov, FitConfig(ridge_alpha=0.1)).converged
         assert fit_mle(data, cov).converged
 
+
+    @pytest.mark.parametrize("ridge_alpha", [0.0, 0.1])
+    def test_matches_dense_newton(self, ridge_alpha):
+        designs = [(200, p, L) for p, L in rate_experiment_pairs()] + [(2000, 0.05, 10)]
+        for n, p, L in designs:
+            cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=20250801))
+            data = sample_comparisons(cov, truth, p, L, 1)
+            fit = fit_mle(data, cov, FitConfig(ridge_alpha=ridge_alpha))
+            stacked, iterations = fit_by_dense_newton(data, cov, ridge_alpha)
+            assert fit.converged, (n, p, L)
+            assert fit.diagnostics.iterations == iterations, (n, p, L)
+            assert np.abs(fit.params.stacked - stacked).max() <= 1e-10, (n, p, L)
+            assert fit.diagnostics.halvings == 0
+            assert fit.diagnostics.cg_iterations >= iterations
+
+    def test_fit_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense n x n solve in the fit")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(model, "_weighted_laplacian", refuse)
+        data, cov, _ = sample_small_instance(seed=42)
+        assert fit_mle(data, cov, FitConfig(ridge_alpha=0.1)).converged
+        assert fit_mle(data, cov).converged
+
+    def test_fit_memory_is_linear_in_edges(self):
+        n = 1500
+        cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=7))
+        data = sample_comparisons(cov, truth, 0.02, 5, 1)
+        tracemalloc.start()
+        try:
+            fit = fit_mle(data, cov, FitConfig(ridge_alpha=0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.converged
+        # one n x n float array alone would take 18 MB
+        assert peak < n * n * 8 / 4
+
+    def test_halvings_counted(self, monkeypatch):
+        # a first direction 64 times too long is halved five or six times
+        # (twice the Newton step may already descend); later steps are
+        # plain Newton steps
+        pcg, calls = estimation._pcg, []
+
+        def overshoot_once(*args):
+            x, k = pcg(*args)
+            calls.append(k)
+            return (64.0 * x if len(calls) == 1 else x), k
+
+        monkeypatch.setattr(estimation, "_pcg", overshoot_once)
+        data, cov, _ = sample_small_instance(seed=43)
+        fit = fit_mle(data, cov)
+        assert fit.converged
+        assert fit.diagnostics.halvings in (5, 6)
+        assert fit.diagnostics.cg_iterations == sum(calls)
+        monkeypatch.undo()
+        plain = fit_mle(data, cov)
+        assert plain.diagnostics.halvings == 0
+        assert np.abs(fit.params.stacked - plain.params.stacked).max() <= 1e-6
 
 class TestRidge:
     def test_zero_ridge_matches_plain(self):
