@@ -13,8 +13,15 @@ s = alpha + X beta, so H = M^T L_w M with M = [I, X] and L_w the
 weighted Laplacian of the comparison graph.  The variance models use
 that shape: with T the linear map from s to its regression split
 (alpha = (I - Q Q^T) s, beta = the slope rows of Xbar^+ s),
-[P H P]^+ = T L_w^+ T^T, which costs one n x n inverse instead of an
-(n+d)-dimensional eigendecomposition.
+[P H P]^+ = T L_w^+ T^T.  T kills the constant vector, so L_w^+ may be
+replaced by A^-1 with A = L_w + 11^T/n, and with the Cholesky factor
+A = L L^T the covariance is G^T G for the n x (n+d) root G = L^-1 T^T.
+Building G costs one Cholesky factorization (about n^3/3 flops), one
+triangular inverse by blocked matrix products (about 2 n^3/3, as the
+products treat the triangular blocks as dense) and O(n^2 (d+1))
+products, against about 8 n^3/3 for a general inverse; every coordinate variance is a column sum of
+G * G and every contrast variance a squared norm, with no dense
+(n+d) x (n+d) matrix.
 
 Also provided: the minimizer of the quadratic expansion of the loss
 around a known truth (the inferential surrogate used to study how close
@@ -24,7 +31,9 @@ that zero out statistically insignificant intrinsic effects.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -67,28 +76,70 @@ __all__ = [
 DEFAULT_EIGEN_CUTOFF = 1e-10
 
 
-@dataclass(frozen=True)
 class VarianceModel:
-    """Projected Hessian with its pseudoinverse on the retained spectrum.
+    """The plug-in covariance V = [P H P]^+ of the stacked (alpha, beta)
+    estimate, in one of two forms.
+
+    The factor form, built by ``plugin_variance_model`` and
+    ``oracle_variance_model``, keeps only the n x (n+d) root
+    G = L^-1 T^T of V = G^T G (see the module docstring): ``diagonal`` is
+    the column sums of G * G and ``variance_of`` a squared norm, both
+    O(n (n+d)), and ``pseudoinverse`` (G^T G) and ``projected_hessian``
+    (rebuilt from the dense Hessian) are O(n^3) and built only on first
+    access.  The dense form, from ``projected_hessian_pinv``, holds both
+    (n+d) x (n+d) matrices.
 
     ``rank_warning`` flags more near-zero eigenvalues than the d+1 the
     constraint accounts for, the signature of a disconnected graph or
     collinear design.
     """
 
-    projected_hessian: np.ndarray
-    pseudoinverse: np.ndarray
-    n_zero_eigenvalues: int
-    expected_zero_eigenvalues: int
-    rank_warning: bool
+    def __init__(
+        self,
+        *,
+        n_zero_eigenvalues: int,
+        expected_zero_eigenvalues: int,
+        root: np.ndarray | None = None,
+        pseudoinverse: np.ndarray | None = None,
+        projected_hessian: np.ndarray | Callable[[], np.ndarray],
+    ):
+        """Give exactly one of ``root`` (factor form) and ``pseudoinverse``
+        (dense form); ``projected_hessian`` may be a function that builds it."""
+        if (root is None) == (pseudoinverse is None):
+            raise InvalidArgumentError("give exactly one of root and pseudoinverse")
+        self.n_zero_eigenvalues = n_zero_eigenvalues
+        self.expected_zero_eigenvalues = expected_zero_eigenvalues
+        self.rank_warning = n_zero_eigenvalues > expected_zero_eigenvalues
+        self._root = None if root is None else _readonly(root)
+        self._pinv = None if pseudoinverse is None else _readonly(pseudoinverse)
+        self._hessian = projected_hessian
 
-    def __post_init__(self):
-        object.__setattr__(self, "projected_hessian", _readonly(self.projected_hessian))
-        object.__setattr__(self, "pseudoinverse", _readonly(self.pseudoinverse))
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The coordinate variances, diag V, stacked (alpha, beta)."""
+        if self._root is None:
+            return _readonly(np.diagonal(self._pinv))
+        return _readonly(np.einsum("ij,ij->j", self._root, self._root))
 
     def variance_of(self, cbar: np.ndarray) -> float:
-        v = float(cbar @ self.pseudoinverse @ cbar)
+        """cbar^T V cbar, clipped at zero."""
+        if self._root is None:
+            v = float(cbar @ self._pinv @ cbar)
+        else:
+            u = self._root @ cbar
+            v = float(u @ u)
         return max(v, 0.0)
+
+    @cached_property
+    def pseudoinverse(self) -> np.ndarray:
+        if self._pinv is not None:
+            return self._pinv
+        return _readonly(_symmetrized(self._root.T @ self._root))
+
+    @cached_property
+    def projected_hessian(self) -> np.ndarray:
+        hess = self._hessian
+        return _readonly(hess() if callable(hess) else hess)
 
 
 @dataclass(frozen=True)
@@ -142,6 +193,24 @@ class InferenceReport:
     quantile_level: float
 
 
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    a += a.T
+    a *= 0.5
+    return a
+
+
+def _projected(hess: np.ndarray, proj: ProjectionOperator) -> np.ndarray:
+    # P is symmetric, so projecting every row and then every column
+    # gives P @ hess @ P without the dense projector.
+    return _symmetrized(proj.apply(proj.apply(hess).T))
+
+
+def _dense_projected_hessian(
+    data: ComparisonData, cov: CovariateMatrix, params: ParamVector, proj: ProjectionOperator
+) -> np.ndarray:
+    return _projected(hessian(data, cov, params), proj)
+
+
 def projected_hessian_pinv(hess: np.ndarray, proj: ProjectionOperator) -> VarianceModel:
     """Pseudoinverse of P @ hess @ P via symmetric eigendecomposition.
 
@@ -156,45 +225,74 @@ def projected_hessian_pinv(hess: np.ndarray, proj: ProjectionOperator) -> Varian
         raise InvalidArgumentError(
             f"hessian shape {hess.shape} does not match projector dimension {dim}"
         )
-    # P is symmetric, so projecting every row and then every column
-    # gives P @ hess @ P without the dense projector.
-    projected = proj.apply(proj.apply(hess).T)
-    projected = 0.5 * (projected + projected.T)
+    projected = _projected(hess, proj)
     eigvals, eigvecs = np.linalg.eigh(projected)
     lam_max = float(eigvals[-1])
     threshold = DEFAULT_EIGEN_CUTOFF * max(lam_max, 0.0)
     keep = eigvals > threshold
     inv_vals = np.where(keep, 1.0 / np.where(keep, eigvals, 1.0), 0.0)
-    pinv = (eigvecs * inv_vals) @ eigvecs.T
-    pinv = 0.5 * (pinv + pinv.T)
-    n_zero = int(np.sum(~keep))
-    expected = proj.n_constraints
     return VarianceModel(
+        n_zero_eigenvalues=int(np.sum(~keep)),
+        expected_zero_eigenvalues=proj.n_constraints,
+        pseudoinverse=_symmetrized((eigvecs * inv_vals) @ eigvecs.T),
         projected_hessian=projected,
-        pseudoinverse=pinv,
-        n_zero_eigenvalues=n_zero,
-        expected_zero_eigenvalues=expected,
-        rank_warning=n_zero > expected,
     )
 
 
-def _split_sandwich(m: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """K^T m K for symmetric n x n ``m`` and K = [I - q q^T, y], in
-    O(n^2 (d+1)) without forming K."""
-    n, d = m.shape[0], y.shape[1]
-    mq = m @ q
-    my = m @ y
-    # (I - qq^T) m (I - qq^T) = m - u q^T - q u^T with u = mq - q (q^T mq) / 2
-    u = mq - 0.5 * (q @ (q.T @ mq))
-    out = np.empty((n + d, n + d))
-    np.subtract(m, np.hstack([u, q]) @ np.hstack([q, u]).T, out=out[:n, :n])
-    cross = my - q @ (q.T @ my)
-    out[:n, n:] = cross
-    out[n:, :n] = cross.T
-    out[n:, n:] = y.T @ my
-    out += out.T
-    out *= 0.5
-    return out
+# Diagonal blocks up to this size are inverted directly by _invert_lower;
+# of 32-256, 64 was fastest at n = 200 and level with the rest at
+# n = 2000 (2-core OpenBLAS).
+_INVERSE_BLOCK = 64
+
+
+def _invert_lower(low: np.ndarray) -> np.ndarray:
+    """Invert the lower-triangular ``low`` in place and return it.
+
+    Recursive 2 x 2 blocking,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: after the
+    two diagonal blocks are inverted, the off-diagonal one is two matrix
+    products, so nearly all the work runs as BLAS-3 products.
+    """
+    n = low.shape[0]
+    if n <= _INVERSE_BLOCK:
+        low[...] = np.tril(np.linalg.inv(low))
+        return low
+    h = n // 2
+    top, bottom = _invert_lower(low[:h, :h]), _invert_lower(low[h:, h:])
+    corner = bottom @ low[h:, :h]
+    np.negative(corner, out=corner)
+    low[h:, :h] = corner @ top
+    return low
+
+
+def _shifted_laplacian(data: ComparisonData, weights: np.ndarray) -> np.ndarray:
+    """A = L_w + 11^T/n, positive definite when the weighted graph is
+    connected; A^-1 = L_w^+ + 11^T/n."""
+    n = data.n_items
+    shifted = _weighted_laplacian(n, data.item_i, data.item_j, weights)
+    shifted += 1.0 / n
+    return shifted
+
+
+def _eigen_ratio_bound(
+    data: ComparisonData, cov: CovariateMatrix, weights: np.ndarray, q: np.ndarray,
+    diagonal: np.ndarray,
+) -> float:
+    """tr(P H P) tr([P H P]^+), an upper bound on
+    lambda_max(P H P) lambda_max([P H P]^+) since both are positive
+    semidefinite, in O(E d) from the edges and the variances.
+
+    P H P = N^T L_w N with N = [I - Q Q^T, X], so
+    tr(P H P) = tr(L_w) - tr(Q^T L_w Q) + tr(X^T L_w X)
+    = sum_e w_e (2 - |q_i - q_j|^2 + |x_i - x_j|^2).
+    """
+    ii, jj = data.item_i, data.item_j
+    trace = 2.0 * float(weights.sum())
+    for sign, columns in ((-1.0, q), (1.0, cov.scaled)):
+        for col in columns.T:
+            diff = col[ii] - col[jj]
+            trace += sign * float(weights @ (diff * diff))
+    return trace * float(diagonal.sum())
 
 
 def _laplacian_variance_model(
@@ -203,43 +301,41 @@ def _laplacian_variance_model(
     params: ParamVector,
     proj: ProjectionOperator,
 ) -> VarianceModel:
-    """Variance model through the n x n weighted Laplacian.
+    """Variance model in the factor form: the root G = L^-1 T^T with
+    A = L_w + 11^T/n = L L^T and T stacking I - Q Q^T over the slope rows
+    S of Xbar^+, so G = [R - (R Q) Q^T, R S^T] with R = L^-1.
 
-    P H P = N^T L_w N with N = [I - Q Q^T, X], and its pseudoinverse is
-    T L_w^+ T^T with T stacking I - Q Q^T over the slope rows of Xbar^+.
-    On a connected graph L_w^+ = (L_w + 11^T/n)^-1 - 11^T/n.  When L_w is
-    numerically singular beyond its constant null vector (edge weights
-    that underflow, a disconnected graph) the eigenvalue path would drop
-    extra directions, so the result falls back to
-    ``projected_hessian_pinv`` on the dense Hessian.
+    When A is not numerically positive definite (edge weights that
+    underflow, a disconnected graph) or the trace bound of
+    ``_eigen_ratio_bound`` reaches 1 / ``DEFAULT_EIGEN_CUTOFF`` (some
+    nonzero eigenvalue might fall below the cutoff, or the factor
+    overflowed), the result falls back to ``projected_hessian_pinv`` on
+    the dense Hessian, whose eigenvalue count reports the extra null
+    directions.
     """
-    n = data.n_items
-    lap = _weighted_laplacian(n, data.item_i, data.item_j, _hessian_weights(data, cov, params))
-    q = proj._span_q
-    projected = _split_sandwich(lap, q, cov.scaled)
-    lap += 1.0 / n
+    weights = _hessian_weights(data, cov, params)
+    shifted = _shifted_laplacian(data, weights)
     try:
-        lap_pinv = np.linalg.inv(lap)
+        root = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return projected_hessian_pinv(hessian(data, cov, params), proj)
-    del lap
-    lap_pinv -= 1.0 / n
-    pinv = _split_sandwich(lap_pinv, q, _score_split(cov).T)
-    # Frobenius norms bound the largest eigenvalues of P H P and of its
-    # pseudoinverse: below this product every nonzero eigenvalue clears the
-    # cutoff, so exactly the d+1 constraint directions vanish.  A NaN or
-    # infinite bound (an inverse that overflowed) falls back as well.
-    bound = float(np.linalg.norm(projected)) * float(np.linalg.norm(pinv))
+    del shifted
+    _invert_lower(root)
+    q = proj._span_q
+    k = q.shape[1]
+    products = root @ np.hstack([q, _score_split(cov).T])
+    root -= products[:, :k] @ q.T
+    vm = VarianceModel(
+        n_zero_eigenvalues=proj.n_constraints,
+        expected_zero_eigenvalues=proj.n_constraints,
+        root=np.hstack([root, products[:, k:]]),
+        projected_hessian=partial(_dense_projected_hessian, data, cov, params, proj),
+    )
+    # A NaN bound (a factor that overflowed) falls back as well.
+    bound = _eigen_ratio_bound(data, cov, weights, q, vm.diagonal)
     if not bound * DEFAULT_EIGEN_CUTOFF < 1.0:
         return projected_hessian_pinv(hessian(data, cov, params), proj)
-    expected = proj.n_constraints
-    return VarianceModel(
-        projected_hessian=projected,
-        pseudoinverse=pinv,
-        n_zero_eigenvalues=expected,
-        expected_zero_eigenvalues=expected,
-        rank_warning=False,
-    )
+    return vm
 
 
 def plugin_variance_model(fit: FitResult) -> VarianceModel:
@@ -350,7 +446,7 @@ def _coefficient_rows(
     # checks it, which raises DegenerateContrastError for P e_k = 0.
     for k in alpha_idx[(q[alpha_idx] ** 2).sum(axis=1) > 1.0 - 1e-6]:
         _project_contrast(_basis_contrast(int(k), n + d), fit.projection)
-    se = np.sqrt(np.maximum(np.diagonal(vm.pseudoinverse)[indices], 0.0))
+    se = np.sqrt(np.maximum(vm.diagonal[indices], 0.0))
     est = fit.params.stacked[indices]
     z, p, lo, hi = _z_tests(est, se, level)
     return [
@@ -379,27 +475,39 @@ def quadratic_approx_minimizer(
     """Minimizer of the quadratic expansion of the loss around ``truth``,
     constrained to the identifiable subspace.
 
-    Solves P grad + P H (out - truth) = 0 with P out = out, i.e.
-    out = P truth - [P H P]^+ P grad.  Simulation-side tool: requires the
-    true parameters.
+    In the total scores the expansion is g^T (s - s*) + (s - s*)^T L_w
+    (s - s*) / 2 around the true scores s*, so the minimizer is one Newton
+    step, s = s* - L_w^+ g = s* - A^-1 g (g sums to zero), solved through
+    the Cholesky factor of A = L_w + 11^T/n; the regression split of s is
+    the point of the subspace with those scores.  Simulation-side tool:
+    requires the true parameters.
     """
     if not is_connected(data):
         raise ConnectivityError("comparison graph is disconnected")
-    g = gradient(data, cov, truth)
-    h = hessian(data, cov, truth)
-    vm = projected_hessian_pinv(h, proj)
-    t = truth.stacked
-    pt = proj.apply(t)
-    rhs = -proj.apply(g + h @ (pt - t))
-    delta = vm.pseudoinverse @ rhs
-    out = proj.apply(pt + delta)
-    residual = float(np.linalg.norm(proj.apply(g + h @ (out - t))))
-    if residual > 1e-8 * max(1.0, float(np.linalg.norm(proj.apply(g)))):
+    n = data.n_items
+    g = gradient(data, cov, truth)[:n]
+    shifted = _shifted_laplacian(data, _hessian_weights(data, cov, truth))
+    try:
+        root = _invert_lower(np.linalg.cholesky(shifted))
+    except np.linalg.LinAlgError:
+        raise InvalidArgumentError(
+            "L_w + 11^T/n is not numerically positive definite; "
+            "graph may be effectively disconnected"
+        ) from None
+    step = root.T @ (root @ g)
+    # stationarity in (alpha, beta): P M^T (g + L_w (s - s*)), with
+    # L_w v = A v - 1 (1^T v) / n
+    resid = g - shifted @ step + step.sum() / n
+    residual = float(np.linalg.norm(proj.apply(np.concatenate([resid, cov.scaled.T @ resid]))))
+    scale = float(np.linalg.norm(proj.apply(np.concatenate([g, cov.scaled.T @ g]))))
+    if not residual <= 1e-8 * max(1.0, scale):
         raise InvalidArgumentError(
             f"quadratic stationarity residual {residual:.3e} too large; "
             "graph may be effectively disconnected"
         )
-    return ParamVector.from_stacked(out, data.n_items, identified=True)
+    s = truth.scores(cov) - step
+    stacked = proj.apply(np.concatenate([s, _score_split(cov) @ s]))
+    return ParamVector.from_stacked(stacked, n, identified=True)
 
 
 def soft_threshold(x, tau):
@@ -431,7 +539,7 @@ def care_ranking_scores(
         )
     n = fit.params.n_items
     zq = normal_quantile(quantile_level)
-    alpha_var = np.diagonal(vm.pseudoinverse)[:n]
+    alpha_var = vm.diagonal[:n]
     taus = zq * np.sqrt(np.maximum(alpha_var, 0.0))
     scores1 = fit.covariates.scaled @ fit.params.beta
     scores2 = soft_threshold(fit.params.alpha, taus) + scores1

@@ -399,8 +399,10 @@ def gradient(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) ->
 
 def _weighted_laplacian(n: int, item_i: np.ndarray, item_j: np.ndarray, w: np.ndarray) -> np.ndarray:
     lap = np.zeros((n, n))
-    np.add.at(lap, (item_i, item_j), -w)
-    np.add.at(lap, (item_j, item_i), -w)
+    # ComparisonData holds each pair once as a canonical i < j edge, so
+    # plain assignment places every weight; no scatter-add is needed.
+    lap[item_i, item_j] = -w
+    lap[item_j, item_i] = -w
     deg = np.bincount(item_i, weights=w, minlength=n) + np.bincount(
         item_j, weights=w, minlength=n
     )

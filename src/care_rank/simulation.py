@@ -492,8 +492,8 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
             vm_plugin = plugin_variance_model(fit)
             a_stat, b_stat = standardized_stats(fit, vm_true, vm_plugin, contrast, truth)
             alpha1_err = float(fit.params.alpha[0] - truth.alpha[0])
-            se1_true = float(np.sqrt(max(vm_true.pseudoinverse[0, 0], 0.0)))
-            se1_plugin = float(np.sqrt(max(vm_plugin.pseudoinverse[0, 0], 0.0)))
+            se1_true = float(np.sqrt(max(vm_true.diagonal[0], 0.0)))
+            se1_plugin = float(np.sqrt(max(vm_plugin.diagonal[0], 0.0)))
             rec = {
                 "replication": rep,
                 "stream": stream,
@@ -512,9 +512,9 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
             }
             if d > 0:
                 beta1_err = float(fit.params.beta[0] - truth.beta[0])
-                se_beta1 = float(np.sqrt(max(vm_plugin.pseudoinverse[n, n], 0.0)))
+                se_beta1 = float(np.sqrt(max(vm_plugin.diagonal[n], 0.0)))
                 rec["beta1_err"] = beta1_err
-                rec["var_beta1_oracle"] = float(max(vm_true.pseudoinverse[n, n], 0.0))
+                rec["var_beta1_oracle"] = float(max(vm_true.diagonal[n], 0.0))
                 rec["cover_beta1"] = int(abs(beta1_err) <= zq * se_beta1)
             return rec
 

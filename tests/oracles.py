@@ -279,3 +279,20 @@ def fit_by_dense_newton(data, cov, ridge_alpha=0.0, grad_tol=1e-8, max_iters=100
         s, val, g, weights = s + t * newton, cand_val, cand_g, cand_weights
         iterations += 1
     return proj.apply(np.concatenate([s, _score_split(cov) @ s])), iterations
+
+
+def quadratic_minimizer_by_dense_pinv(data, cov, truth, proj):
+    """The minimizer of the quadratic expansion of the loss around
+    ``truth`` on the identifiable subspace, in (alpha, beta) with the
+    dense Hessian: out = P truth - [P H P]^+ P (g + H (P truth - truth)),
+    the pseudoinverse from the eigendecomposition.  Returns the stacked
+    parameters."""
+    from care_rank.inference import projected_hessian_pinv
+    from care_rank.model import gradient, hessian
+
+    g = gradient(data, cov, truth)
+    h = hessian(data, cov, truth)
+    pinv = projected_hessian_pinv(h, proj).pseudoinverse
+    t = truth.stacked
+    pt = proj.apply(t)
+    return proj.apply(pt - pinv @ proj.apply(g + h @ (pt - t)))

@@ -2,15 +2,19 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+from care_rank import inference
 from care_rank.cli import EXIT_CONFIG, main
 from care_rank.errors import DegenerateContrastError, InvalidArgumentError
 from care_rank.estimation import FitConfig, fit_mle, preprocess_covariates
 from care_rank.inference import (
+    DEFAULT_EIGEN_CUTOFF,
+    VarianceModel,
     alpha_inference,
     beta_inference,
     care_ranking_scores,
@@ -27,13 +31,26 @@ from care_rank.model import (
     ComparisonData,
     ParamVector,
     ProjectionOperator,
+    _hessian_weights,
     build_projection,
     gradient,
     hessian,
 )
 from care_rank.normal import two_sided_p_value
+from care_rank.simulation import (
+    ExperimentPlan,
+    SyntheticSpec,
+    distribution_sampling_probability,
+    generate_truth,
+    run_distribution_experiment,
+    sample_comparisons,
+)
 
-from oracles import sample_small_instance, theta_basis_by_nullspace
+from oracles import (
+    quadratic_minimizer_by_dense_pinv,
+    sample_small_instance,
+    theta_basis_by_nullspace,
+)
 
 
 def fitted_instance(seed=70, **config_kwargs):
@@ -129,6 +146,131 @@ class TestLaplacianVarianceModel:
         assert vm.n_zero_eigenvalues == ref.n_zero_eigenvalues == d + 1
         assert vm.expected_zero_eigenvalues == ref.expected_zero_eigenvalues
         assert not vm.rank_warning and not ref.rank_warning
+
+    @pytest.mark.parametrize(
+        "design", ["d0", "d2-unstandardized", "d2-ridge", "study-n300"]
+    )
+    def test_readers_match_dense_route(self, design):
+        if design == "study-n300":
+            cov, truth = generate_truth(SyntheticSpec(n=300, d=5, seed=108))
+            data = sample_comparisons(
+                cov, truth, distribution_sampling_probability(300, 5), 20, 108
+            )
+            ridge = 0.0
+        else:
+            d, standardize, ridge = {
+                "d0": (0, True, 0.0),
+                "d2-unstandardized": (2, False, 0.0),
+                "d2-ridge": (2, True, 0.5),
+            }[design]
+            data, cov = unequal_trials_instance(seed=100 + d, d=d, standardize=standardize)
+        fit = fit_mle(data, cov, FitConfig(ridge_alpha=ridge))
+        vm = plugin_variance_model(fit)
+        ref = projected_hessian_pinv(hessian(data, cov, fit.params), fit.projection)
+        n = data.n_items
+        np.testing.assert_allclose(vm.diagonal, np.diagonal(ref.pseudoinverse), rtol=1e-12, atol=0)
+        rng = np.random.default_rng(len(design))
+        for _ in range(5):
+            cbar = fit.projection.apply(rng.normal(size=n + cov.n_features))
+            assert vm.variance_of(cbar) == pytest.approx(ref.variance_of(cbar), rel=1e-12)
+        beta_block, want = vm.pseudoinverse[n:, n:], ref.pseudoinverse[n:, n:]
+        if want.size:
+            assert np.abs(beta_block - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_inference_and_study_touch_no_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense (n+d) x (n+d) work")
+
+        for name in ("pseudoinverse", "projected_hessian"):
+            monkeypatch.setattr(VarianceModel, name, property(refuse))
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(inference, "hessian", refuse)
+        data, cov = unequal_trials_instance(seed=109)
+        fit = fit_mle(data, cov)
+        vm = plugin_variance_model(fit)
+        report = full_inference_report(fit, vm)
+        assert len(report.alpha_rows) == 12 and len(report.beta_rows) == 2
+        care_ranking_scores(fit, vm)
+        c = np.zeros(14)
+        c[0], c[12] = 1.0, 1.0
+        assert contrast_inference(c, fit, vm).std_error > 0
+        plan = ExperimentPlan(
+            pl_pairs=((0.5, 6),), replications=1,
+            statistics=frozenset({"qq_alpha1", "coverage"}), workers=1,
+        )
+        result = run_distribution_experiment(SyntheticSpec(n=40, d=2, seed=109), plan)
+        assert len(result.settings[0].records) == 1
+
+    def test_memory_stays_near_three_squares(self):
+        # variance model plus report at n = 1500, mean degree 40: the
+        # shifted Laplacian, its Cholesky factor and the root, about
+        # 2.2-2.4 n^2 doubles traced; a general inverse with dense
+        # (n+d)^2 sandwiches needs about 4 n^2
+        n = 1500
+        cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=110))
+        data = sample_comparisons(cov, truth, 40.0 / (n - 1), 10, 110)
+        fit = fit_mle(data, cov)
+        tracemalloc.start()
+        try:
+            full_inference_report(fit, plugin_variance_model(fit))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
+
+    def test_trace_bound_quiet_at_cli_scale(self, monkeypatch):
+        # the size of the cli-n2000 benchmark dataset; the bound reads
+        # about 4e-4 of its limit there and grows like n^2
+        n = 2000
+        cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=20250801))
+        data = sample_comparisons(cov, truth, 0.05, 10, 20250801)
+        fit = fit_mle(data, cov)
+        bounds = []
+        real_bound = inference._eigen_ratio_bound
+
+        def record(*args):
+            bounds.append(real_bound(*args))
+            return bounds[-1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense Hessian built")
+
+        monkeypatch.setattr(inference, "_eigen_ratio_bound", record)
+        monkeypatch.setattr(inference, "hessian", refuse)
+        vm = plugin_variance_model(fit)
+        assert not vm.rank_warning and vm.n_zero_eigenvalues == 6
+        assert len(bounds) == 1 and bounds[0] * DEFAULT_EIGEN_CUTOFF < 1e-2
+
+    def test_trace_bound_is_product_of_traces(self):
+        data, cov = unequal_trials_instance(seed=111)
+        fit = fit_mle(data, cov)
+        vm = plugin_variance_model(fit)
+        weights = _hessian_weights(data, cov, fit.params)
+        bound = inference._eigen_ratio_bound(
+            data, cov, weights, fit.projection._span_q, vm.diagonal
+        )
+        want = np.trace(vm.projected_hessian) * np.trace(vm.pseudoinverse)
+        assert bound == pytest.approx(want, rel=1e-12)
+        top = np.linalg.eigvalsh(vm.projected_hessian)[-1] * np.linalg.eigvalsh(vm.pseudoinverse)[-1]
+        assert top <= bound
+
+    @pytest.mark.parametrize("bound", [1.0 / DEFAULT_EIGEN_CUTOFF, math.nan])
+    def test_trace_bound_at_limit_falls_back(self, monkeypatch, bound):
+        data, cov = unequal_trials_instance(seed=112)
+        fit = fit_mle(data, cov)
+        monkeypatch.setattr(inference, "_eigen_ratio_bound", lambda *args: bound)
+        vm = plugin_variance_model(fit)
+        ref = projected_hessian_pinv(hessian(data, cov, fit.params), fit.projection)
+        np.testing.assert_array_equal(vm.pseudoinverse, ref.pseudoinverse)
+        np.testing.assert_array_equal(vm.diagonal, np.diagonal(ref.pseudoinverse))
+
+    def test_triangular_inverse(self):
+        rng = np.random.default_rng(113)
+        for n in (1, 5, 64, 65, 300):
+            low = np.tril(rng.normal(size=(n, n))) + n * np.eye(n)
+            inv = inference._invert_lower(low.copy())
+            assert np.array_equal(inv, np.tril(inv))
+            assert np.abs(inv @ low - np.eye(n)).max() <= 1e-13
 
     def test_oracle_matches_dense_route(self):
         data, cov = unequal_trials_instance(seed=104)
@@ -338,6 +480,27 @@ class TestQuadraticApproxMinimizer:
         z = np.linalg.solve(basis.T @ h @ basis, -basis.T @ g)
         oracle = truth_in.stacked + basis @ z
         np.testing.assert_allclose(approx.stacked, oracle, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_pinv_oracle(self, seed):
+        # the truth off the subspace (as criterion 5 passes it) and on it
+        cov, truth = generate_truth(SyntheticSpec(n=60 + 40 * seed, d=seed + 1, seed=120 + seed))
+        data = sample_comparisons(cov, truth, 0.5, 25, 120 + seed)
+        proj = build_projection(cov)
+        for t in (truth, ParamVector.from_stacked(proj.apply(truth.stacked), cov.n_items)):
+            got = quadratic_approx_minimizer(data, cov, t, proj).stacked
+            want = quadratic_minimizer_by_dense_pinv(data, cov, t, proj)
+            assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+    def test_builds_no_dense_hessian(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense Hessian work")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(inference, "hessian", refuse)
+        data, cov, truth = sample_small_instance(seed=84, n=6, d=2, trials=20)
+        approx = quadratic_approx_minimizer(data, cov, truth, build_projection(cov))
+        assert approx.identified
 
     def test_stationarity_residual(self):
         data, cov, truth = sample_small_instance(seed=83, n=6, d=2, trials=20)
