@@ -57,11 +57,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def sigmoid(t: np.ndarray | float) -> np.ndarray | float:
     """Logistic function, stable for arguments of any magnitude."""
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+    # e = e^-|t| never overflows; 1 / (1 + e^-t) for t >= 0, e^t / (1 + e^t) below
+    e = np.exp(-np.abs(t))
+    out = np.where(t >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 

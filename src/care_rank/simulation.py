@@ -12,15 +12,19 @@ Bernoulli trials.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id), so every replication owns an independent,
-platform-stable stream and results do not depend on how work is split
-across worker threads.
+platform-stable stream.  A study runs its replications in a pool of
+spawned worker processes, each started with one BLAS thread; a
+replication's floating-point results depend on the BLAS thread count,
+so pinning it in every worker (one worker included) is what makes a
+study's output independent of both the worker count and the caller's
+BLAS environment.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from math import log, sqrt
 
 import numpy as np
@@ -36,6 +40,7 @@ from .model import (
     ComparisonData,
     CovariateMatrix,
     ParamVector,
+    ProjectionOperator,
     build_projection,
     is_connected,
     sigmoid,
@@ -80,6 +85,10 @@ _STREAM_SAMPLE = 4
 _MAX_RESAMPLE_ATTEMPTS = 200
 
 ENV_WORKERS = "CARE_RANK_WORKERS"
+
+# Thread-count variables the BLAS libraries numpy links read when they
+# load; every worker process starts with each set to 1.
+_BLAS_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -331,20 +340,79 @@ def _default_contrast(n: int, d: int) -> np.ndarray:
     return c
 
 
-def _run_setting(
-    plan: ExperimentPlan,
-    p: float,
-    L: int,
-    replication_fn,
-    workers: int,
-) -> SettingResult:
-    reps = range(plan.replications)
-    if workers <= 1:
-        records = [replication_fn(rep) for rep in reps]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(replication_fn, reps))
-    records.sort(key=lambda r: r["replication"])
+@dataclass(frozen=True)
+class _StudyContext:
+    """What every replication of one study reads.  The parent builds it
+    once; the pool sends it once to each worker."""
+
+    spec: SyntheticSpec
+    plan: ExperimentPlan
+    cov: CovariateMatrix
+    truth: ParamVector
+    beta_norm: float = 1.0
+    proj: ProjectionOperator | None = None
+    contrast: np.ndarray | None = None
+    cbar: np.ndarray | None = None
+    zq: float = 0.0
+
+
+# The replication function and shared context of the study this worker
+# process serves; installed by the pool initializer.
+_worker_state: tuple | None = None
+
+
+def _install_worker(replication_fn, context: _StudyContext) -> None:
+    global _worker_state
+    _worker_state = (replication_fn, context)
+
+
+def _run_task(task: tuple) -> dict:
+    replication_fn, context = _worker_state
+    return replication_fn(context, task)
+
+
+def _start_pool(processes: int, replication_fn, context: _StudyContext):
+    """A pool of spawned worker processes, each with one BLAS thread.
+
+    The BLAS thread variables are set only while the children start; a
+    spawned child reads them when it loads numpy, while this process
+    keeps its own environment and its already loaded BLAS."""
+    import multiprocessing
+
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_ENV}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_ENV, "1"))
+    try:
+        return multiprocessing.get_context("spawn").Pool(
+            processes, _install_worker, (replication_fn, context)
+        )
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _run_study(context: _StudyContext, replication_fn) -> list[SettingResult]:
+    """Every (p, L) setting's replications, in one pool of at most as many
+    workers as there are replications.  Results arrive in task order, so
+    a failing replication raises the same error at any worker count."""
+    plan = context.plan
+    tasks = [
+        (p, L, pair_index, rep)
+        for pair_index, (p, L) in enumerate(plan.pl_pairs)
+        for rep in range(plan.replications)
+    ]
+    workers = min(_resolve_workers(plan), len(tasks))
+    with _start_pool(workers, replication_fn, context) as pool:
+        records = pool.imap(_run_task, tasks)
+        return [
+            _setting_result(plan, p, L, list(islice(records, plan.replications)))
+            for p, L in plan.pl_pairs
+        ]
+
+
+def _setting_result(plan: ExperimentPlan, p: float, L: int, records: list[dict]) -> SettingResult:
     resamples = int(sum(r["resamples"] for r in records))
     draws = plan.replications + resamples
     if resamples / draws > 0.5:
@@ -368,7 +436,7 @@ def _run_setting(
 
 def _provenance(spec: SyntheticSpec, plan: ExperimentPlan, kind: str) -> dict:
     # Worker count deliberately not recorded: results are identical for
-    # any split of replications across threads.
+    # any split of replications across worker processes.
     from . import __version__
 
     return {
@@ -398,29 +466,28 @@ def run_rate_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Experiment
     if "beta_rel_l2" in plan.statistics and spec.d == 0:
         raise InvalidArgumentError("beta_rel_l2 is undefined without covariates")
     cov, truth = generate_truth(spec)
-    workers = _resolve_workers(plan)
     beta_norm = float(np.linalg.norm(truth.beta)) if spec.d else 1.0
-
-    settings = []
-    for pair_index, (p, L) in enumerate(plan.pl_pairs):
-
-        def replication_fn(rep: int, p=p, L=L, pair_index=pair_index) -> dict:
-            data, resamples, stream = _sample_connected(
-                spec, cov, truth, p, L, 1, pair_index, rep
-            )
-            fit = fit_mle(data, cov)
-            rec = {"replication": rep, "stream": stream, "resamples": resamples,
-                   "converged": bool(fit.converged)}
-            if "alpha_linf" in plan.statistics:
-                rec["alpha_linf"] = float(np.abs(fit.params.alpha - truth.alpha).max())
-            if "beta_rel_l2" in plan.statistics:
-                rec["beta_rel_l2"] = float(
-                    np.linalg.norm(fit.params.beta - truth.beta) / beta_norm
-                )
-            return rec
-
-        settings.append(_run_setting(plan, p, L, replication_fn, workers))
+    context = _StudyContext(spec, plan, cov, truth, beta_norm=beta_norm)
+    settings = _run_study(context, _rate_replication)
     return ExperimentResult("rate", settings, _provenance(spec, plan, "rate"))
+
+
+def _rate_replication(context: _StudyContext, task: tuple) -> dict:
+    p, L, pair_index, rep = task
+    truth, statistics = context.truth, context.plan.statistics
+    data, resamples, stream = _sample_connected(
+        context.spec, context.cov, truth, p, L, 1, pair_index, rep
+    )
+    fit = fit_mle(data, context.cov)
+    rec = {"replication": rep, "stream": stream, "resamples": resamples,
+           "converged": bool(fit.converged)}
+    if "alpha_linf" in statistics:
+        rec["alpha_linf"] = float(np.abs(fit.params.alpha - truth.alpha).max())
+    if "beta_rel_l2" in statistics:
+        rec["beta_rel_l2"] = float(
+            np.linalg.norm(fit.params.beta - truth.beta) / context.beta_norm
+        )
+    return rec
 
 
 def ks_distance_to_normal(values) -> float:
@@ -456,6 +523,57 @@ def _hist_block(values: np.ndarray) -> dict:
     }
 
 
+def _distribution_context(spec: SyntheticSpec, plan: ExperimentPlan) -> _StudyContext:
+    cov, truth = generate_truth(spec)
+    proj = build_projection(cov)
+    contrast = _default_contrast(spec.n, spec.d)
+    return _StudyContext(
+        spec, plan, cov, truth, proj=proj, contrast=contrast, cbar=proj.apply(contrast),
+        zq=normal_quantile(1.0 - (1.0 - plan.level) / 2.0),
+    )
+
+
+def _distribution_replication(context: _StudyContext, task: tuple) -> dict:
+    p, L, pair_index, rep = task
+    cov, truth, contrast, cbar, zq = (
+        context.cov, context.truth, context.contrast, context.cbar, context.zq
+    )
+    n = context.spec.n
+    data, resamples, stream = _sample_connected(
+        context.spec, cov, truth, p, L, 2, pair_index, rep
+    )
+    fit = fit_mle(data, cov)
+    vm_true = oracle_variance_model(data, cov, truth, context.proj)
+    vm_plugin = plugin_variance_model(fit)
+    a_stat, b_stat = standardized_stats(fit, vm_true, vm_plugin, contrast, truth)
+    alpha1_err = float(fit.params.alpha[0] - truth.alpha[0])
+    se1_true = float(np.sqrt(max(vm_true.diagonal[0], 0.0)))
+    se1_plugin = float(np.sqrt(max(vm_plugin.diagonal[0], 0.0)))
+    rec = {
+        "replication": rep,
+        "stream": stream,
+        "resamples": resamples,
+        "converged": bool(fit.converged),
+        "alpha1_err": alpha1_err,
+        "alpha1_std_oracle": alpha1_err / se1_true,
+        "alpha1_std_plugin": alpha1_err / se1_plugin,
+        "var_alpha1_oracle": se1_true**2,
+        "a_stat": float(a_stat),
+        "b_stat": float(b_stat),
+        "c_dot_fit": float(contrast @ fit.params.stacked),
+        "var_c_oracle": vm_true.variance_of(cbar),
+        "var_c_plugin": vm_plugin.variance_of(cbar),
+        "cover_alpha1": int(abs(alpha1_err) <= zq * se1_plugin),
+    }
+    if context.spec.d > 0:
+        beta1_err = float(fit.params.beta[0] - truth.beta[0])
+        se_beta1 = float(np.sqrt(max(vm_plugin.diagonal[n], 0.0)))
+        rec["beta1_err"] = beta1_err
+        rec["var_beta1_oracle"] = float(max(vm_true.diagonal[n], 0.0))
+        rec["cover_beta1"] = int(abs(beta1_err) <= zq * se_beta1)
+    return rec
+
+
 def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> ExperimentResult:
     """Replicated study of the standardized fitted quantities.
 
@@ -470,55 +588,12 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
         raise InvalidArgumentError(
             f"distribution experiment needs one of {sorted(DISTRIBUTION_STATISTICS)}"
         )
-    cov, truth = generate_truth(spec)
-    proj = build_projection(cov)
-    workers = _resolve_workers(plan)
-    n, d = spec.n, spec.d
-    contrast = _default_contrast(n, d)
-    cbar = proj.apply(contrast)
-    zq = normal_quantile(1.0 - (1.0 - plan.level) / 2.0)
-    truth_stacked = truth.stacked
-    c_dot_truth = float(contrast @ truth_stacked)
+    context = _distribution_context(spec, plan)
+    d = spec.d
+    c_dot_truth = float(context.contrast @ context.truth.stacked)
 
-    settings = []
-    for pair_index, (p, L) in enumerate(plan.pl_pairs):
-
-        def replication_fn(rep: int, p=p, L=L, pair_index=pair_index) -> dict:
-            data, resamples, stream = _sample_connected(
-                spec, cov, truth, p, L, 2, pair_index, rep
-            )
-            fit = fit_mle(data, cov)
-            vm_true = oracle_variance_model(data, cov, truth, proj)
-            vm_plugin = plugin_variance_model(fit)
-            a_stat, b_stat = standardized_stats(fit, vm_true, vm_plugin, contrast, truth)
-            alpha1_err = float(fit.params.alpha[0] - truth.alpha[0])
-            se1_true = float(np.sqrt(max(vm_true.diagonal[0], 0.0)))
-            se1_plugin = float(np.sqrt(max(vm_plugin.diagonal[0], 0.0)))
-            rec = {
-                "replication": rep,
-                "stream": stream,
-                "resamples": resamples,
-                "converged": bool(fit.converged),
-                "alpha1_err": alpha1_err,
-                "alpha1_std_oracle": alpha1_err / se1_true,
-                "alpha1_std_plugin": alpha1_err / se1_plugin,
-                "var_alpha1_oracle": se1_true**2,
-                "a_stat": float(a_stat),
-                "b_stat": float(b_stat),
-                "c_dot_fit": float(contrast @ fit.params.stacked),
-                "var_c_oracle": vm_true.variance_of(cbar),
-                "var_c_plugin": vm_plugin.variance_of(cbar),
-                "cover_alpha1": int(abs(alpha1_err) <= zq * se1_plugin),
-            }
-            if d > 0:
-                beta1_err = float(fit.params.beta[0] - truth.beta[0])
-                se_beta1 = float(np.sqrt(max(vm_plugin.diagonal[n], 0.0)))
-                rec["beta1_err"] = beta1_err
-                rec["var_beta1_oracle"] = float(max(vm_true.diagonal[n], 0.0))
-                rec["cover_beta1"] = int(abs(beta1_err) <= zq * se_beta1)
-            return rec
-
-        setting = _run_setting(plan, p, L, replication_fn, workers)
+    settings = _run_study(context, _distribution_replication)
+    for setting in settings:
         recs = setting.records
         extras: dict = {"c_dot_truth": c_dot_truth}
         if "qq_alpha1" in plan.statistics:
@@ -543,7 +618,6 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
             "mean_plugin_var": float(np.mean([r["var_c_plugin"] for r in recs])),
         }
         setting.extras = extras
-        settings.append(setting)
     return ExperimentResult(
         "distribution", settings, _provenance(spec, plan, "distribution")
     )

@@ -18,6 +18,18 @@ from care_rank.io import AGGREGATED_HEADER, PER_TRIAL_HEADER, TIE_MARKER, Parsed
 from care_rank.model import ComparisonData, ParamVector, neg_log_likelihood, win_probability
 
 
+def sigmoid_by_masks(t):
+    """Logistic function by boolean masks: 1 / (1 + e^-t) where t >= 0 and
+    e^t / (1 + e^t) elsewhere (the library's former formula)."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out if out.ndim else float(out)
+
+
 def nll_by_direct_summation(data, cov, params):
     """Negative log-likelihood via per-edge Bernoulli log-probabilities."""
     s = params.alpha + cov.scaled @ params.beta

@@ -18,6 +18,7 @@ from care_rank.model import (
     hessian,
     is_connected,
     neg_log_likelihood,
+    sigmoid,
     win_probability,
 )
 
@@ -28,6 +29,7 @@ from oracles import (
     nll_by_direct_summation,
     projector_by_nullspace,
     sample_small_instance,
+    sigmoid_by_masks,
     strongly_connected_by_bfs,
 )
 
@@ -35,6 +37,24 @@ from oracles import (
 def btl_cov(n):
     """Covariate-free design (d = 0)."""
     return preprocess_covariates(np.zeros((n, 0)))
+
+
+class TestSigmoid:
+    def test_equals_masked_formula(self):
+        special = [0.0, -0.0, 700.0, -700.0, 800.0, -800.0, 5e-324, -5e-324,
+                   np.inf, -np.inf, np.nan]
+        t = np.concatenate([special, np.random.default_rng(8).normal(scale=10, size=10_000)])
+        got, want = sigmoid(t), sigmoid_by_masks(t)
+        np.testing.assert_array_equal(got, want)  # NaN where the formula gives NaN
+        finite = ~np.isnan(want)
+        assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+        assert math.isnan(got[len(special) - 1])
+
+    def test_scalar_in_scalar_out(self):
+        for t in (0.0, -0.0, 3.0, -3.0, 800.0, -800.0, math.inf, -math.inf):
+            got = sigmoid(t)
+            assert type(got) is float and got == sigmoid_by_masks(t)
+        assert math.isnan(sigmoid(math.nan))
 
 
 class TestWinProbability:

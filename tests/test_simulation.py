@@ -1,10 +1,16 @@
 """Generators, RNG streams, and the experiment harness."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import care_rank
+from care_rank import simulation
 from care_rank.errors import ConfigurationError, InvalidArgumentError
 from care_rank.model import build_projection, is_connected
 from care_rank.simulation import (
@@ -289,3 +295,69 @@ class TestKsPipeline:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             ks_distance_to_normal([])
+
+
+class TestWorkerPool:
+    BLAS_PREFIXES = ("OMP_", "OPENBLAS_", "MKL_")
+
+    def blas_env(self):
+        return {k: v for k, v in os.environ.items() if k.startswith(self.BLAS_PREFIXES)}
+
+    def test_never_more_processes_than_replications(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            """Records what the study asks for and runs its tasks here."""
+
+            def __init__(self, processes, initializer, initargs):
+                started.append((processes, {
+                    name: os.environ.get(name)
+                    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+                }))
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks):
+                return map(fn, tasks)
+
+        def get_context(method):
+            assert method == "spawn"
+            return type("SpawnContext", (), {"Pool": InProcessPool})
+
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        monkeypatch.setattr(simulation, "_worker_state", None)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = self.blas_env()
+        plan = ExperimentPlan(pl_pairs=[(0.9, 4)], replications=3, workers=10_000)
+        res = run_rate_experiment(SyntheticSpec(n=20, d=1, seed=30), plan)
+        assert [r["replication"] for r in res.settings[0].records] == [0, 1, 2]
+        one = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        assert started == [(3, one)]
+        assert self.blas_env() == before
+
+    def test_output_independent_of_workers_and_blas_environment(self, tmp_path):
+        # n = 200 is large enough for a multithreaded BLAS to change the
+        # last bits of the Cholesky factor and the products behind each
+        # variance model
+        src = os.path.dirname(os.path.dirname(os.path.abspath(care_rank.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        pinned = dict(env, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        outputs = []
+        for label, workers, run_env in (("w1", 1, env), ("w2", 2, env), ("w1-pinned", 1, pinned)):
+            out = tmp_path / label
+            subprocess.run(
+                [sys.executable, "-m", "care_rank.cli", "experiment", "--kind", "distribution",
+                 "--n", "200", "--d", "5", "--seed", "31", "--replications", "4",
+                 "--workers", str(workers), "--out", str(out)],
+                env=run_env, check=True, capture_output=True,
+            )
+            outputs.append({name: (out / "experiment" / name).read_bytes()
+                            for name in ("records.csv", "summary.csv")})
+        assert outputs[0] == outputs[1] == outputs[2]
