@@ -4,13 +4,16 @@ Comparison data arrives as CSV in either aggregated form
 (``item_i,item_j,trials,wins_j``) or per-trial form
 (``item_i,item_j,winner``); item ids are arbitrary strings mapped to
 dense indices in sorted id order, so row order does not matter, and the
-mapping travels with every output.  ``csv.reader`` splits the records;
-the cells are then stripped, checked, mapped and summed as numpy
-columns, and a malformed file raises the error of its first bad record
-with that record's 1-based number.  All writes go through a temp file
-plus atomic rename so a failing command never leaves partial output, and
-every float written to CSV uses 17 significant digits so it re-parses to
-the identical double.
+mapping travels with every output.  ``csv.reader`` splits the records
+into one Python list of stripped cells per column; the ids become
+integer codes through one dict and the counts become numpy arrays a
+column at a time, the checks and the pair sums run on those arrays, and
+a malformed file raises the error of its first bad record with that
+record's 1-based number.  The writers turn each numpy column into a
+Python list once and hand the rows to ``csv.writer``.  All writes go
+through a temp file plus atomic rename so a failing command never leaves
+partial output, and every float written to CSV uses 17 significant
+digits so it re-parses to the identical double.
 """
 
 from __future__ import annotations
@@ -90,28 +93,24 @@ class ParsedCovariates:
     extra_items: list[str]
 
 
-def _is_record(row: list[str]) -> bool:
-    """False for blank records and for '#' comment records (such as the
-    provenance line our writers emit)."""
-    first = row[0].lstrip() if row else ""
-    if first:
-        return first[0] != "#"
-    return any(cell.strip() for cell in row)
-
-
-def _read_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray, ParseError | None]:
-    """A CSV file as its header and a column-addressable body.
+def _read_table(path: str) -> tuple[list[str], list[int], list[list[str]], ParseError | None]:
+    """A CSV file as its header and its body's columns.
 
     ``csv.reader`` splits the records, so quoting works as usual; blank
-    and comment records are skipped.  Returns the stripped header, the
-    1-based record numbers of the body records, their stripped cells as
-    an (m, width) string array, and the error for the first record whose
-    width differs from the header's (or None).  The body stops before
-    that record; its error stands only if no earlier record fails.
+    records and '#' comment records (such as the provenance line our
+    writers emit) are skipped.  Returns the stripped header, the 1-based
+    record numbers of the body records, one list of stripped cells per
+    header column, and the error for the first record whose width
+    differs from the header's (or None).  The body stops before that
+    record; its error stands only if no earlier record fails.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         records = list(csv.reader(fh))
-    numbers = [k for k, row in enumerate(records, start=1) if _is_record(row)]
+    numbers = [
+        k for k, row in enumerate(records, start=1)
+        if row and ((first := row[0].lstrip()) and first[0] != "#"
+                    or not first and any(map(str.strip, row)))
+    ]
     if not numbers:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in records[numbers[0] - 1]]
@@ -126,12 +125,11 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray, ParseErro
             f"expected {len(header)} columns, got {widths[k]}", row=numbers[k + 1]
         )
         del body[k:]
-    cells = np.array(body, dtype=str).reshape(len(body), len(header))
-    del body
-    return header, np.array(numbers[1 : len(cells) + 1]), np.char.strip(cells), width_error
+    columns = [[row[c].strip() for row in body] for c in range(len(header))]
+    return header, numbers[1 : len(body) + 1], columns, width_error
 
 
-def _raise_first(numbers: np.ndarray, checks, width_error: ParseError | None) -> None:
+def _raise_first(numbers: list[int], checks, width_error: ParseError | None) -> None:
     """Raise the error a record-by-record reading would meet first.
 
     ``checks`` are (mask, message) pairs in the order a record is
@@ -147,28 +145,38 @@ def _raise_first(numbers: np.ndarray, checks, width_error: ParseError | None) ->
             first = (int(hits[0]), message)
     if first is not None:
         k, message = first
-        raise ParseError(message(k), row=int(numbers[k]))
+        raise ParseError(message(k), row=numbers[k])
     if width_error is not None:
         raise width_error
 
 
-def _convert(cells: np.ndarray, kind: type) -> tuple[np.ndarray, np.ndarray]:
-    """Values of string cells as ``kind`` (int or float) and the mask of
-    cells ``kind()`` rejects, whose values read 0.  numpy's cast accepts
-    the spellings ``kind()`` accepts; when it refuses the array, each
-    cell goes through ``kind()`` to locate the bad ones."""
+def _convert(cells: list[str], kind: type) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values of string cells as ``kind`` (int or float), the mask of
+    cells ``kind()`` rejects and the mask of integers outside the int64
+    range; the values of both read 0.  The cells are converted as one
+    column; only when that raises does each cell go through ``kind()``
+    alone, to locate the bad ones."""
     dtype = np.int64 if kind is int else np.float64
     try:
-        return cells.astype(dtype), np.zeros(cells.shape, dtype=bool)
+        values = np.fromiter(map(kind, cells), dtype=dtype, count=len(cells))
+        clean = np.zeros(len(cells), dtype=bool)
+        return values, clean, clean
     except (ValueError, OverflowError):
-        values = np.zeros(cells.shape, dtype=dtype)
-        bad = np.zeros(cells.shape, dtype=bool)
-        for pos, cell in np.ndenumerate(cells):
-            try:
-                values[pos] = kind(cell)
-            except ValueError:
-                bad[pos] = True
-        return values, bad
+        pass
+    values = np.zeros(len(cells), dtype=dtype)
+    rejected = np.zeros(len(cells), dtype=bool)
+    wide = np.zeros(len(cells), dtype=bool)
+    for k, cell in enumerate(cells):
+        try:
+            value = kind(cell)
+        except ValueError:
+            rejected[k] = True
+            continue
+        try:
+            values[k] = value
+        except OverflowError:
+            wide[k] = True
+    return values, rejected, wide
 
 
 def parse_comparisons_csv(path: str) -> ParsedComparisons:
@@ -183,7 +191,7 @@ def parse_comparisons_csv(path: str) -> ParsedComparisons:
     a malformed file raises the error of its first bad record, with that
     record's number.
     """
-    header, numbers, cells, width_error = _read_table(path)
+    header, numbers, columns, width_error = _read_table(path)
     if header == AGGREGATED_HEADER:
         aggregated = True
     elif header == PER_TRIAL_HEADER:
@@ -194,56 +202,77 @@ def parse_comparisons_csv(path: str) -> ParsedComparisons:
             f"{AGGREGATED_HEADER} or {PER_TRIAL_HEADER}"
         )
 
-    first, second = cells[:, 0], cells[:, 1]
+    # Every id seen, in sorted order, as an integer code; the checks
+    # below compare codes rather than strings.
+    first, second = columns[0], columns[1]
+    m = len(first)
+    ids = sorted(set(first) | set(second))
+    code = {name: k for k, name in enumerate(ids)}
+    code_i = np.fromiter(map(code.__getitem__, first), dtype=np.int64, count=m)
+    code_j = np.fromiter(map(code.__getitem__, second), dtype=np.int64, count=m)
+    empty = code.get("", -1)
     checks = [
-        ((first == "") | (second == ""), lambda k: "empty item id"),
-        (first == second, lambda k: f"self-comparison of item {str(first[k])!r}"),
+        ((code_i == empty) | (code_j == empty), lambda k: "empty item id"),
+        (code_i == code_j, lambda k: f"self-comparison of item {first[k]!r}"),
     ]
     if aggregated:
-        (trials, wins_j), bad = _convert(cells[:, 2:].T, int)
+        (trials, bad_t, wide_t), (wins_j, bad_w, wide_w) = (
+            _convert(column, int) for column in columns[2:]
+        )
         checks += [
-            (bad.any(axis=0), lambda k: (
-                f"non-integer trials/wins in {str(cells[k, 2])!r},{str(cells[k, 3])!r}"
+            (bad_t | bad_w, lambda k: (
+                f"non-integer trials/wins in {columns[2][k]!r},{columns[3][k]!r}"
+            )),
+            (wide_t | wide_w, lambda k: (
+                f"trials/wins {columns[2][k]!r},{columns[3][k]!r} outside the 64-bit range"
             )),
             (trials < 1, lambda k: f"trials must be positive, got {trials[k]}"),
             ((wins_j < 0) | (wins_j > trials),
              lambda k: f"wins_j {wins_j[k]} outside [0, {trials[k]}]"),
         ]
-        keep = slice(None)
         ties = 0
     else:
-        winner = cells[:, 2]
-        tie = np.char.lower(winner) == TIE_MARKER
-        second_won = winner == second
-        checks.append((~(tie | second_won | (winner == first)), lambda k: (
-            f"winner {str(winner[k])!r} is neither {str(first[k])!r} nor {str(second[k])!r}"
+        winner = columns[2]
+        tie = np.fromiter((w.lower() == TIE_MARKER for w in winner), dtype=bool, count=m)
+        code_w = np.fromiter((code.get(w, -1) for w in winner), dtype=np.int64, count=m)
+        checks.append((~(tie | (code_w == code_i) | (code_w == code_j)), lambda k: (
+            f"winner {winner[k]!r} is neither {first[k]!r} nor {second[k]!r}"
         )))
         keep = ~tie
         ties = int(tie.sum())
-        trials = np.ones(int(keep.sum()), dtype=np.int64)
-        wins_j = second_won[keep].astype(np.int64)
+        wins_j = (code_w == code_j)[keep].astype(np.int64)
+        trials = np.ones(wins_j.size, dtype=np.int64)
+        code_i, code_j = code_i[keep], code_j[keep]
     _raise_first(numbers, checks, width_error)
+    del columns, first, second, checks, code  # free the cells before copying ids below
 
-    pairs = cells[keep, :2]
-    del cells
-    if not pairs.size:
+    if not code_i.size:
         raise ParseError(f"{path}: no usable comparison rows")
     if trials.sum(dtype=np.float64) >= 2.0**63:  # int64 sums below would wrap
         raise ParseError(f"{path}: trial counts sum past the 64-bit range")
-    item_ids, index = np.unique(pairs, return_inverse=True)
-    index = index.reshape(-1, 2)
-    n = item_ids.size
+    # Keep the ids the usable rows name, renumbered densely.  The kept
+    # ids are fresh string objects: the parsed cells they came from are
+    # scattered over the heap the records filled, and would keep it all
+    # mapped for as long as the ids live.
+    used = np.zeros(len(ids), dtype=bool)
+    used[code_i] = used[code_j] = True
+    item_ids = [ids[k].encode().decode() for k in np.flatnonzero(used).tolist()]
+    renumber = np.cumsum(used) - 1
+    index_i, index_j = renumber[code_i], renumber[code_j]
+    n = len(item_ids)
     # Canonical orientation: lower index first, wins count the
     # higher-indexed item.
-    flip = index[:, 0] > index[:, 1]
+    flip = index_i > index_j
     wins_j = np.where(flip, trials - wins_j, wins_j)
-    keys, edge = np.unique(index.min(axis=1) * n + index.max(axis=1), return_inverse=True)
+    keys, edge = np.unique(
+        np.minimum(index_i, index_j) * n + np.maximum(index_i, index_j), return_inverse=True
+    )
     tt = np.zeros(keys.size, dtype=np.int64)
     ww = np.zeros(keys.size, dtype=np.int64)
     np.add.at(tt, edge, trials)
     np.add.at(ww, edge, wins_j)
     data = ComparisonData(n, keys // n, keys % n, tt, ww)
-    return ParsedComparisons(data, item_ids.tolist(), ties)
+    return ParsedComparisons(data, item_ids, ties)
 
 
 def parse_covariates_csv(path: str, item_ids: list[str]) -> ParsedCovariates:
@@ -253,24 +282,30 @@ def parse_covariates_csv(path: str, item_ids: list[str]) -> ParsedCovariates:
     column is valid and yields the covariate-free model.  Items outside
     the mapping are reported, not used.
     """
-    header, numbers, cells, width_error = _read_table(path)
+    header, numbers, columns, width_error = _read_table(path)
     if header[0] != "item":
         raise ParseError(f"{path}: first column must be 'item', got {header[:1]}")
     feature_names = header[1:]
-    names = cells[:, 0]
-    repeated = np.ones(names.size, dtype=bool)
-    repeated[np.unique(names, return_index=True)[1]] = False
-    values, bad = _convert(cells[:, 1:], float)
+    names = columns[0]
+    m = len(names)
+    # The first record of each id; any later record of it is a duplicate.
+    position = dict(zip(reversed(names), range(m - 1, -1, -1)))
+    first_row = np.fromiter(map(position.__getitem__, names), dtype=np.int64, count=m)
+    repeated = first_row != np.arange(m)
+    values = np.zeros((m, len(feature_names)))
+    bad = np.zeros((m, len(feature_names)), dtype=bool)
+    for c, column in enumerate(columns[1:]):
+        values[:, c], bad[:, c], _ = _convert(column, float)
     _raise_first(numbers, [
-        (names == "", lambda k: "empty item id"),
-        (repeated, lambda k: f"duplicate item {str(names[k])!r}"),
+        (np.fromiter((name == "" for name in names), dtype=bool, count=m),
+         lambda k: "empty item id"),
+        (repeated, lambda k: f"duplicate item {names[k]!r}"),
         (bad.any(axis=1), lambda k: (
-            f"non-numeric value {str(cells[k, 1 + bad[k].argmax()])!r} "
+            f"non-numeric value {columns[1 + bad[k].argmax()][k]!r} "
             f"in column {header[1 + bad[k].argmax()]!r}"
         )),
     ], width_error)
 
-    position = {name: k for k, name in enumerate(names.tolist())}
     missing = [name for name in item_ids if name not in position]
     if missing:
         raise ParseError(
@@ -278,7 +313,7 @@ def parse_covariates_csv(path: str, item_ids: list[str]) -> ParsedCovariates:
             + ("..." if len(missing) > 8 else "")
         )
     wanted = set(item_ids)
-    extra = [name for name in position if name not in wanted]
+    extra = [name for name in names if name not in wanted]
     matrix = values[[position[name] for name in item_ids]]
     return ParsedCovariates(matrix, feature_names, extra)
 
@@ -331,17 +366,18 @@ def _csv_text(header: list[str], rows, comment: str | None = None) -> str:
         buf.write(comment + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 def write_comparisons_csv(
     path: str, data: ComparisonData, item_ids: list[str], provenance: dict | None = None
 ) -> None:
-    rows = (
-        [item_ids[i], item_ids[j], int(t), int(w)]
-        for i, j, t, w in zip(data.item_i, data.item_j, data.trials, data.wins_j)
+    rows = zip(
+        map(item_ids.__getitem__, data.item_i.tolist()),
+        map(item_ids.__getitem__, data.item_j.tolist()),
+        data.trials.tolist(),
+        data.wins_j.tolist(),
     )
     atomic_write_text(
         path, _csv_text(AGGREGATED_HEADER, rows, provenance_comment(provenance))
@@ -355,9 +391,7 @@ def write_covariates_csv(
     feature_names: list[str],
     provenance: dict | None = None,
 ) -> None:
-    rows = (
-        [item_ids[k]] + [fmt17(v) for v in matrix[k]] for k in range(len(item_ids))
-    )
+    rows = ([name, *map(fmt17, values)] for name, values in zip(item_ids, matrix.tolist()))
     atomic_write_text(
         path,
         _csv_text(["item"] + list(feature_names), rows, provenance_comment(provenance)),
@@ -397,10 +431,13 @@ def write_ranking_csv(
     path: str, ranking, item_ids: list[str], provenance: dict | None = None
 ) -> None:
     header = ["item", "score1", "score2", "tau", "rank1", "rank2"]
-    rows = (
-        [item_ids[k], fmt17(ranking.scores1[k]), fmt17(ranking.scores2[k]),
-         fmt17(ranking.taus[k]), int(ranking.ranks1[k]), int(ranking.ranks2[k])]
-        for k in range(len(item_ids))
+    rows = zip(
+        item_ids,
+        map(fmt17, ranking.scores1.tolist()),
+        map(fmt17, ranking.scores2.tolist()),
+        map(fmt17, ranking.taus.tolist()),
+        ranking.ranks1.tolist(),
+        ranking.ranks2.tolist(),
     )
     atomic_write_text(path, _csv_text(header, rows, provenance_comment(provenance)))
 

@@ -7,6 +7,7 @@ not tautology.
 """
 
 import csv
+import io
 import math
 from collections import deque
 
@@ -14,7 +15,14 @@ import numpy as np
 from scipy.linalg import null_space
 
 from care_rank.errors import ParseError
-from care_rank.io import AGGREGATED_HEADER, PER_TRIAL_HEADER, TIE_MARKER, ParsedComparisons
+from care_rank.io import (
+    AGGREGATED_HEADER,
+    PER_TRIAL_HEADER,
+    TIE_MARKER,
+    ParsedComparisons,
+    ParsedCovariates,
+    fmt17,
+)
 from care_rank.model import ComparisonData, ParamVector, neg_log_likelihood, win_probability
 
 
@@ -184,9 +192,10 @@ def strongly_connected_by_bfs(data):
             and len(reachable_by_bfs(n, backward, 0)) == n)
 
 
-def parse_comparisons_by_rows(path):
-    """``parse_comparisons_csv`` one record at a time: each record is
-    checked in turn and the pairs are summed in a dict."""
+def _records_by_rows(path):
+    """The stripped header of a CSV file and its body records, each with
+    its 1-based record number and stripped cells; blank records and
+    records whose first cell starts with '#' are skipped."""
     header, rows = None, []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -200,6 +209,13 @@ def parse_comparisons_by_rows(path):
             rows.append((lineno, [cell.strip() for cell in row]))
     if header is None:
         raise ParseError(f"{path}: empty file")
+    return header, rows
+
+
+def parse_comparisons_by_rows(path):
+    """``parse_comparisons_csv`` one record at a time: each record is
+    checked in turn and the pairs are summed in a dict."""
+    header, rows = _records_by_rows(path)
     if header not in (AGGREGATED_HEADER, PER_TRIAL_HEADER):
         raise ParseError(
             f"{path}: unrecognized header {header}; expected "
@@ -220,6 +236,10 @@ def parse_comparisons_by_rows(path):
                 trials, wins_j = int(row[2]), int(row[3])
             except ValueError:
                 raise ParseError(f"non-integer trials/wins in {row[2]!r},{row[3]!r}", row=lineno)
+            if not all(-(2**63) <= v < 2**63 for v in (trials, wins_j)):
+                raise ParseError(
+                    f"trials/wins {row[2]!r},{row[3]!r} outside the 64-bit range", row=lineno
+                )
             if trials < 1:
                 raise ParseError(f"trials must be positive, got {trials}", row=lineno)
             if not (0 <= wins_j <= trials):
@@ -255,6 +275,105 @@ def parse_comparisons_by_rows(path):
         len(item_ids), [(a, b, t, w) for (a, b), (t, w) in sorted(edges.items())]
     )
     return ParsedComparisons(data, item_ids, ties)
+
+
+def parse_covariates_by_rows(path, item_ids):
+    """``parse_covariates_csv`` one record at a time: each record is
+    checked in turn and its values kept in a dict by id."""
+    header, rows = _records_by_rows(path)
+    if header[0] != "item":
+        raise ParseError(f"{path}: first column must be 'item', got {header[:1]}")
+    by_id = {}
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} columns, got {len(row)}", row=lineno)
+        name = row[0]
+        if not name:
+            raise ParseError("empty item id", row=lineno)
+        if name in by_id:
+            raise ParseError(f"duplicate item {name!r}", row=lineno)
+        values = []
+        for cell, column in zip(row[1:], header[1:]):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"non-numeric value {cell!r} in column {column!r}", row=lineno
+                )
+        by_id[name] = values
+    missing = [name for name in item_ids if name not in by_id]
+    if missing:
+        raise ParseError(
+            f"{path}: missing covariates for compared items {missing[:8]}"
+            + ("..." if len(missing) > 8 else "")
+        )
+    matrix = np.array([by_id[name] for name in item_ids], dtype=float)
+    return ParsedCovariates(
+        matrix.reshape(len(item_ids), len(header) - 1),
+        header[1:],
+        [name for name in by_id if name not in item_ids],
+    )
+
+
+def _csv_text_by_rows(header, rows, comment):
+    buf = io.StringIO()
+    if comment:
+        buf.write(comment + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def comparisons_text_by_rows(data, item_ids, comment=None):
+    """The text ``write_comparisons_csv`` writes, built one edge at a
+    time from numpy scalars."""
+    rows = (
+        [item_ids[i], item_ids[j], int(t), int(w)]
+        for i, j, t, w in zip(data.item_i, data.item_j, data.trials, data.wins_j)
+    )
+    return _csv_text_by_rows(AGGREGATED_HEADER, rows, comment)
+
+
+def covariates_text_by_rows(matrix, item_ids, feature_names, comment=None):
+    """The text ``write_covariates_csv`` writes, one item at a time."""
+    rows = ([item_ids[k]] + [fmt17(v) for v in matrix[k]] for k in range(len(item_ids)))
+    return _csv_text_by_rows(["item"] + list(feature_names), rows, comment)
+
+
+def inference_text_by_rows(report, item_ids, feature_names, comment=None):
+    """The text ``write_inference_csv`` writes, one coefficient at a time."""
+    header = [
+        "kind", "index", "name", "estimate", "std_error", "z_stat",
+        "p_value", "ci_low", "ci_high", "level",
+    ]
+    rows = []
+    for row in report.alpha_rows:
+        rows.append([
+            "alpha", row.index, item_ids[row.index], fmt17(row.estimate),
+            fmt17(row.std_error), fmt17(row.z_stat), fmt17(row.p_value),
+            fmt17(row.ci_low), fmt17(row.ci_high), fmt17(row.level),
+        ])
+    for row in report.beta_rows:
+        name = feature_names[row.index] if row.index < len(feature_names) else f"f{row.index + 1}"
+        rows.append([
+            "beta", row.index, name, fmt17(row.estimate), fmt17(row.std_error),
+            fmt17(row.z_stat), fmt17(row.p_value), fmt17(row.ci_low),
+            fmt17(row.ci_high), fmt17(row.level),
+        ])
+    return _csv_text_by_rows(header, rows, comment)
+
+
+def ranking_text_by_rows(ranking, item_ids, comment=None):
+    """The text ``write_ranking_csv`` writes, one item at a time from
+    numpy scalars."""
+    rows = (
+        [item_ids[k], fmt17(ranking.scores1[k]), fmt17(ranking.scores2[k]),
+         fmt17(ranking.taus[k]), int(ranking.ranks1[k]), int(ranking.ranks2[k])]
+        for k in range(len(item_ids))
+    )
+    return _csv_text_by_rows(["item", "score1", "score2", "tau", "rank1", "rank2"], rows, comment)
 
 
 def fit_by_dense_newton(data, cov, ridge_alpha=0.0, grad_tol=1e-8, max_iters=100):

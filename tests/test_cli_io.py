@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,18 +21,30 @@ from care_rank.cli import (
     main,
 )
 from care_rank.errors import ParseError
+from care_rank.inference import CoefficientEstimate, RankingScores
 from care_rank.io import (
     AGGREGATED_HEADER,
     PER_TRIAL_HEADER,
     fmt17,
     parse_comparisons_csv,
     parse_covariates_csv,
+    provenance_comment,
     read_config_file,
     write_comparisons_csv,
+    write_covariates_csv,
+    write_inference_csv,
+    write_ranking_csv,
 )
 from care_rank.model import ComparisonData
 
-from oracles import parse_comparisons_by_rows
+from oracles import (
+    comparisons_text_by_rows,
+    covariates_text_by_rows,
+    inference_text_by_rows,
+    parse_comparisons_by_rows,
+    parse_covariates_by_rows,
+    ranking_text_by_rows,
+)
 
 
 def write(path, text):
@@ -63,9 +76,37 @@ def parse_outcome(parse, path):
     return "ok", data.n_items, data.edges, parsed.item_ids, parsed.tie_rows_dropped
 
 
+def covariates_outcome(parse, path, item_ids):
+    """What a covariates parser makes of a file: the matrix (by shape
+    and bytes, so NaN compares equal), feature names and extra items, or
+    the message and record number of its ParseError."""
+    try:
+        parsed = parse(path, item_ids)
+    except ParseError as exc:
+        return "error", str(exc), exc.row
+    matrix = parsed.matrix
+    return "ok", matrix.shape, matrix.tobytes(), parsed.feature_names, parsed.extra_items
+
+
 # Ids with a comma, inner and outer blanks, quotes, a leading '#' (a
-# record starting with it is a comment) and the tie marker itself.
-ODD_IDS = ["a", "b", "c,d", " e f ", '"g"', "#h", "Tie", "10", "item_2"]
+# record starting with it is a comment), the tie marker itself, a
+# trailing NUL (kept: it is not whitespace) and Unicode whitespace
+# (stripped, so "\u2003a" is "a").
+ODD_IDS = [
+    "a", "b", "c,d", " e f ", '"g"', "#h", "Tie", "10", "item_2", "a\x00", "\u2003a",
+]
+
+
+def csv_text(draw, records):
+    """Records as CSV text, with blank, comment and blank-cell lines
+    drawn in before each."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for record in records:
+        for _ in range(draw(st.integers(0, 2))):
+            buf.write(draw(st.sampled_from(["\n", "# a comment, quoted \"x\"\n", " , \n"])))
+        writer.writerow(record)
+    return buf.getvalue()
 
 
 @st.composite
@@ -88,13 +129,37 @@ def comparison_files(draw):
         if draw(st.booleans()):
             cells = [f"  {c} " for c in cells]
         records.append(cells)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for record in records:
-        for _ in range(draw(st.integers(0, 2))):
-            buf.write(draw(st.sampled_from(["\n", "# a comment, quoted \"x\"\n", " , \n"])))
-        writer.writerow(record)
-    return buf.getvalue()
+    return csv_text(draw, records)
+
+
+NUMERIC_CELLS = ["1", "-0.5", "2e3", "1_0.5", "nan", "-inf", "\u0663", "+.5"]
+NON_NUMERIC_CELLS = ["x", "", "0x1", "1,5", "--1"]
+
+
+@st.composite
+def covariate_files(draw):
+    """Small covariate files with up to two features and the compared
+    ids to align them to: duplicate, empty, NUL-suffixed and padded ids,
+    non-numeric and padded cells, short records, and compared ids that
+    are missing from the file or leave some of it extra."""
+    names = [f"f{k + 1}" for k in range(draw(st.integers(0, 2)))]
+    ids = draw(st.lists(st.sampled_from(ODD_IDS), max_size=5, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        ids.append(draw(st.sampled_from(ODD_IDS + [""])))
+    records = [["item", *names]]
+    for name in ids:
+        cells = [name]
+        for _ in names:
+            bad = draw(st.integers(0, 15)) == 0
+            cells.append(draw(st.sampled_from(NON_NUMERIC_CELLS if bad else NUMERIC_CELLS)))
+        if draw(st.integers(0, 15)) == 0:
+            cells = cells[:-1] if len(cells) > 1 else cells + ["1"]
+        if draw(st.booleans()):
+            cells = [f"  {c} " for c in cells]
+        records.append(cells)
+    pool = sorted({name.strip() for name in ids} - {""}) + ["zz"]
+    compared = draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True))
+    return csv_text(draw, records), sorted(compared)
 
 
 class TestParseComparisons:
@@ -221,6 +286,9 @@ class TestParseComparisons:
         ("item_i,item_j,trials,wins_j\na,b,2,x\na,a,2,1\n", 2),
         ("item_i,item_j,trials,wins_j\na,b,0,x\n", 2),
         ("item_i,item_j,trials,wins_j\na,b,١٢,+3\na,b,1_0,٣\na,b,2,9\n", 4),
+        ("item_i,item_j,trials,wins_j\na,b,2,1\na,b,99999999999999999999,1\n", 3),
+        ("item_i,item_j,trials,wins_j\na,b,2,-9223372036854775809\n", 2),
+        ("item_i,item_j,trials,wins_j\na,b,99999999999999999999,x\n", 2),
         # a quoted line break keeps one record: numbers count records
         ('item_i,item_j,trials,wins_j\n"a\nb",c,2,1\na,c,3,4\n', 3),
     ], ids=[
@@ -228,7 +296,8 @@ class TestParseComparisons:
         "trials-below-one", "wins-above-trials", "wins-negative", "unknown-winner",
         "no-usable-rows", "empty-file", "comments-only", "bad-header",
         "value-before-width", "width-before-value", "non-integer-before-self",
-        "non-integer-before-range", "non-ascii-digits", "quoted-line-break",
+        "non-integer-before-range", "non-ascii-digits", "past-int64", "below-int64",
+        "non-integer-before-int64", "quoted-line-break",
     ])
     def test_errors_match_row_oracle(self, tmp_path, text, row):
         path = write(tmp_path / "c.csv", text)
@@ -278,6 +347,94 @@ class TestParseCovariates:
         parsed = parse_covariates_csv(path, ["a", "b"])
         assert parsed.extra_items == ["zz"]
         assert parsed.matrix.shape == (2, 1)
+
+    def test_nul_suffixed_id_is_its_own_item(self, tmp_path):
+        path = write(tmp_path / "x.csv", "item,f1\na,1.0\na\x00,2.0\n")
+        parsed = parse_covariates_csv(path, ["a", "a\x00"])
+        assert parsed.matrix.tolist() == [[1.0], [2.0]]
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(covariate_files())
+    def test_matches_row_oracle(self, tmp_path, file):
+        text, compared = file
+        path = write(tmp_path / "x.csv", text)
+        assert covariates_outcome(parse_covariates_csv, path, compared) == covariates_outcome(
+            parse_covariates_by_rows, path, compared
+        )
+
+
+# Ids a CSV writer must quote (comma, quote, line break, leading '#' or
+# blank) or keep as they are (trailing NUL, non-ASCII).
+QUOTED_IDS = ["c,d", '"g"', "x\ny", " e f ", "#h", "a\x00", "\u00e9t\u00e9", "plain"]
+PROVENANCE = {"version": "0.0", "config_hash": "abc", "seed": 1}
+
+
+def special_doubles(rng, shape):
+    """Random doubles over many magnitudes, with NaN, infinities, signed
+    zeros and a subnormal mixed in."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    flat = values.reshape(-1)
+    flat[:6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324][: flat.size]
+    rng.shuffle(flat)
+    return values
+
+
+class TestWriters:
+    """The column writers give the bytes of a row-by-row writer."""
+
+    def test_comparisons(self, tmp_path):
+        rng = np.random.default_rng(1)
+        n = len(QUOTED_IDS)
+        edges = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.7:
+                    t = int(rng.integers(1, 2**40))
+                    edges.append((i, j, t, int(rng.integers(0, t + 1))))
+        data = ComparisonData.from_edges(n, edges)
+        path = tmp_path / "c.csv"
+        write_comparisons_csv(str(path), data, QUOTED_IDS, PROVENANCE)
+        expected = comparisons_text_by_rows(data, QUOTED_IDS, provenance_comment(PROVENANCE))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("d", [0, 3])
+    def test_covariates(self, tmp_path, d):
+        matrix = special_doubles(np.random.default_rng(2), (len(QUOTED_IDS), d))
+        names = QUOTED_IDS[:d]
+        path = tmp_path / "x.csv"
+        write_covariates_csv(str(path), matrix, QUOTED_IDS, names)
+        assert path.read_bytes() == covariates_text_by_rows(matrix, QUOTED_IDS, names).encode()
+
+    def test_inference(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = len(QUOTED_IDS)
+
+        def rows(count):
+            values = special_doubles(rng, (count, 7))
+            return [CoefficientEstimate(k, *map(float, values[k])) for k in range(count)]
+
+        # three effects, two names: the third falls back to "f3"
+        report = SimpleNamespace(alpha_rows=rows(n), beta_rows=rows(3))
+        names = ["w,x", '"y"']
+        path = tmp_path / "inference.csv"
+        write_inference_csv(str(path), report, QUOTED_IDS, names, PROVENANCE)
+        expected = inference_text_by_rows(
+            report, QUOTED_IDS, names, provenance_comment(PROVENANCE)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_ranking(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n = len(QUOTED_IDS)
+        ranking = RankingScores(
+            scores1=special_doubles(rng, n), scores2=special_doubles(rng, n),
+            taus=np.abs(special_doubles(rng, n)),
+            ranks1=rng.permutation(n) + 1, ranks2=rng.permutation(n) + 1,
+        )
+        path = tmp_path / "ranking.csv"
+        write_ranking_csv(str(path), ranking, QUOTED_IDS, PROVENANCE)
+        expected = ranking_text_by_rows(ranking, QUOTED_IDS, provenance_comment(PROVENANCE))
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestConfigFile:
@@ -513,6 +670,15 @@ class TestExitCodes:
         bad = write(tmp_path / "bad.csv", "item_i,item_j,trials,wins_j\na,b,2,9\n")
         code = main(["fit", "--comparisons", bad, "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
+
+    def test_count_past_int64_is_parse_error(self, tmp_path, capsys):
+        bad = write(
+            tmp_path / "big.csv",
+            "item_i,item_j,trials,wins_j\na,b,2,1\na,b,99999999999999999999,1\n",
+        )
+        code = main(["fit", "--comparisons", bad, "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        assert "row 3:" in capsys.readouterr().err
 
     def test_disconnected_graph_exit(self, tmp_path):
         data = write(
