@@ -290,8 +290,8 @@ def build_parser() -> _Parser:
     sp_exp.add_argument("--pairs", help="comma-separated p:L pairs, e.g. 1:50,0.5:25")
     sp_exp.add_argument("--replications", type=int)
     sp_exp.add_argument("--workers", type=int,
-                        help="worker processes, each with one BLAS thread; "
-                             "default $CARE_RANK_WORKERS or 1")
+                        help="worker processes, each with one BLAS thread, at most "
+                             "one per usable CPU; default $CARE_RANK_WORKERS or 1")
     sp_exp.add_argument("--statistics", help="comma-separated statistic names")
     return parser
 

@@ -7,10 +7,10 @@ by damped Newton on the weighted Laplacian, followed by the regression
 split of s on the augmented design: beta is the slope and alpha the
 residual, which lies in the identifiable subspace.  Each Newton step is
 solved by Jacobi-preconditioned conjugate gradients with Laplacian
-matvecs over the edge list, so a step costs O(E) per inner iteration
-and the fit builds no n x n array.  An optional ridge
-penalty on the intrinsic scores (alpha only) stabilizes sparse
-real-world datasets.  Without it the MLE exists only when the directed
+matvecs over the half-edge layout of the comparisons, so a step costs
+O(E) per inner iteration and the fit builds no n x n array.  An
+optional ridge penalty on the intrinsic scores (alpha only) stabilizes
+sparse real-world datasets.  Without it the MLE exists only when the directed
 win graph is strongly connected (Ford 1957); other data stops at once
 with ``stop_reason == "no_mle"``.
 """
@@ -205,11 +205,12 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
     0.5 * ridge * ||(I - Q Q^T) s||^2 from s = 0.  Each step solves with
     the Hessian L_w / scale + ridge (I - Q Q^T) + 11^T / n (the last term
     pins the constant shift the objective ignores) by Jacobi-preconditioned
-    conjugate gradients, applying L_w by two ``bincount`` passes over the
-    edges; the step is halved while it would increase the objective, so
-    the objective trace is nonincreasing.  The fit converges when the
-    projected gradient in (alpha, beta), ||[(I - Q Q^T) G; X^T G]||, meets
-    ``grad_tol``.  Memory and time per inner iteration are O(n d + E).
+    conjugate gradients, applying L_w v = deg * v - sum_e w_e v[other] as
+    one segment sum over the half-edge layout of the comparisons (every
+    edge once from each end, grouped by item); the step is halved while
+    it would increase the objective, so the objective trace is
+    nonincreasing.  The fit converges when the projected gradient in
+    (alpha, beta), ||[(I - Q Q^T) G; X^T G]||, meets ``grad_tol``.  Memory and time per inner iteration are O(n d + E).
     Requires a connected comparison graph; without a ridge, a win graph
     that is not strongly connected stops at once with ``"no_mle"``.
 
@@ -236,7 +237,7 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
 
     proj = build_projection(cov)
     n = data.n_items
-    ii, jj = data.item_i, data.item_j
+    half = data._half_edges
     x, q = cov.scaled, proj._span_q
     scale = float(data.total_trials)
     lam = float(config.ridge_alpha)
@@ -253,11 +254,9 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
 
     def hess_apply(v: np.ndarray) -> np.ndarray:
         # (L_w / scale + ridge (I - Q Q^T) + 11^T / n) v, with the edge
-        # weights w / scale of the current step
-        flow = v[ii]
-        flow -= v[jj]
-        flow *= w
-        out = np.bincount(ii, flow, n) - np.bincount(jj, flow, n)
+        # weights w / scale of the current step on both half-edges
+        out = degree * v
+        out -= half.sum(w_half * v.take(half.other))
         if lam:
             out += lam * (v - q @ (q.T @ v))
         out += v.sum() / n
@@ -277,7 +276,8 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
             stop_reason = "max_iters"
             break
         w = weights / scale
-        degree = np.bincount(ii, w, n) + np.bincount(jj, w, n)
+        w_half = half.spread(w, w)
+        degree = half.sum(w_half)
         newton, inner = _pcg(hess_apply, -g, degree + fixed_diag)
         cg_iterations += inner
         t = 1.0

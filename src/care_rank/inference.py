@@ -274,25 +274,24 @@ def _shifted_laplacian(data: ComparisonData, weights: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _eigen_ratio_bound(
-    data: ComparisonData, cov: CovariateMatrix, weights: np.ndarray, q: np.ndarray,
-    diagonal: np.ndarray,
-) -> float:
-    """tr(P H P) tr([P H P]^+), an upper bound on
-    lambda_max(P H P) lambda_max([P H P]^+) since both are positive
-    semidefinite, in O(E d) from the edges and the variances.
+def _projected_hessian_trace(shifted: np.ndarray, q: np.ndarray, x: np.ndarray) -> float:
+    """tr(P H P) from A = L_w + 11^T/n, in O(n^2 d) by one product A [Q, X].
 
     P H P = N^T L_w N with N = [I - Q Q^T, X], so
-    tr(P H P) = tr(L_w) - tr(Q^T L_w Q) + tr(X^T L_w X)
-    = sum_e w_e (2 - |q_i - q_j|^2 + |x_i - x_j|^2).
+    tr(P H P) = tr(L_w) - tr(Q^T L_w Q) + tr(X^T L_w X); for any columns
+    Y, tr(Y^T L_w Y) = tr(Y^T A Y) - |1^T Y|^2 / n, and tr(L_w) = tr(A) - 1.
     """
-    ii, jj = data.item_i, data.item_j
-    trace = 2.0 * float(weights.sum())
-    for sign, columns in ((-1.0, q), (1.0, cov.scaled)):
-        for col in columns.T:
-            diff = col[ii] - col[jj]
-            trace += sign * float(weights @ (diff * diff))
-    return trace * float(diagonal.sum())
+    n, k = q.shape
+    cols = np.hstack([q, x])
+    quad = np.einsum("ij,ij->j", cols, shifted @ cols) - cols.sum(axis=0) ** 2 / n
+    return float(np.trace(shifted)) - 1.0 - float(quad[:k].sum()) + float(quad[k:].sum())
+
+
+def _eigen_ratio_bound(hessian_trace: float, diagonal: np.ndarray) -> float:
+    """tr(P H P) tr([P H P]^+), an upper bound on
+    lambda_max(P H P) lambda_max([P H P]^+) since both are positive
+    semidefinite, from ``_projected_hessian_trace`` and the variances."""
+    return hessian_trace * float(diagonal.sum())
 
 
 def _laplacian_variance_model(
@@ -319,10 +318,13 @@ def _laplacian_variance_model(
         root = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return projected_hessian_pinv(hessian(data, cov, params), proj)
-    del shifted
-    _invert_lower(root)
     q = proj._span_q
     k = q.shape[1]
+    # A is freed below; reading tr(P H P) from it first adds only an
+    # n x (2d + 1) product, well under the Cholesky peak
+    hessian_trace = _projected_hessian_trace(shifted, q, cov.scaled)
+    del shifted
+    _invert_lower(root)
     products = root @ np.hstack([q, _score_split(cov).T])
     root -= products[:, :k] @ q.T
     vm = VarianceModel(
@@ -332,7 +334,7 @@ def _laplacian_variance_model(
         projected_hessian=partial(_dense_projected_hessian, data, cov, params, proj),
     )
     # A NaN bound (a factor that overflowed) falls back as well.
-    bound = _eigen_ratio_bound(data, cov, weights, q, vm.diagonal)
+    bound = _eigen_ratio_bound(hessian_trace, vm.diagonal)
     if not bound * DEFAULT_EIGEN_CUTOFF < 1.0:
         return projected_hessian_pinv(hessian(data, cov, params), proj)
     return vm

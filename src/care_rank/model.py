@@ -63,13 +63,6 @@ def sigmoid(t: np.ndarray | float) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def softplus(t: np.ndarray | float) -> np.ndarray | float:
-    """log(1 + e^t) computed as max(t, 0) + log1p(e^-|t|) to avoid overflow."""
-    t = np.asarray(t, dtype=float)
-    out = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class ComparisonData:
     """Edge list of compared pairs with per-pair trial and win counts.
@@ -77,7 +70,9 @@ class ComparisonData:
     ``wins_j[e]`` counts the trials on edge ``(item_i[e], item_j[e])`` in
     which the higher-indexed item ``item_j[e]`` was preferred.  The win
     fraction ``wins_j / trials`` is the sufficient statistic: the
-    likelihood depends on the raw outcomes only through it.
+    likelihood depends on the raw outcomes only through it.  The arrays
+    are read-only, so the half-edge layout that every per-item reduction
+    runs over and the component labels are built on first use and cached.
     """
 
     n_items: int
@@ -146,6 +141,78 @@ class ComparisonData:
     def total_trials(self) -> int:
         return int(self.trials.sum())
 
+    @cached_property
+    def _half_edges(self) -> _HalfEdges:
+        return _HalfEdges.build(self.n_items, self.item_i, self.item_j)
+
+    @cached_property
+    def _component_labels(self) -> np.ndarray:
+        """Smallest member of each item's undirected component, by
+        label propagation over the half-edge layout; cached, so
+        ``is_connected`` and ``connected_components`` share one pass."""
+        return _readonly(_smallest_reaching(self._half_edges))
+
+
+@dataclass(frozen=True)
+class _HalfEdges:
+    """Every edge once from each end, grouped by the item it starts at.
+
+    The half-edges starting at item ``items[k]`` occupy positions
+    ``starts[k]`` up to the next start (or the end); ``other`` holds each
+    one's far end and ``slot`` its position in the doubled edge list
+    ``(item_i, item_j)``: e for the half-edge leaving ``item_i[e]``,
+    E + e for the one leaving ``item_j[e]``, so ``slot < E`` marks the
+    half-edges that start at the lower-indexed item.  Only items with an
+    edge own a segment, because ``reduceat`` gives an empty segment the
+    value at its start rather than the identity.  Per-item reductions
+    over the segments replace scatter-adds by item.
+    """
+
+    n_items: int
+    starts: np.ndarray
+    items: np.ndarray
+    other: np.ndarray
+    slot: np.ndarray
+
+    @classmethod
+    def build(cls, n: int, item_i: np.ndarray, item_j: np.ndarray) -> "_HalfEdges":
+        own = np.concatenate([item_i, item_j])
+        # numpy sorts keys of at most 16 bits by radix sort, 3x faster
+        # than int64 keys at 200k half-edges; stable keeps the edge order
+        order = np.argsort(own.astype(np.min_scalar_type(n - 1)), kind="stable")
+        counts = np.bincount(own, minlength=n)
+        items = np.flatnonzero(counts)
+        return cls(
+            n,
+            _readonly((np.cumsum(counts) - counts)[items]),
+            _readonly(items),
+            _readonly(np.concatenate([item_j, item_i]).take(order).astype(np.int32)),
+            _readonly(order.astype(np.int32)),
+        )
+
+    def spread(self, at_i: np.ndarray, at_j: np.ndarray) -> np.ndarray:
+        """Per-half-edge values from two per-edge arrays: ``at_i[e]`` on
+        the half-edge leaving ``item_i[e]``, ``at_j[e]`` on the one
+        leaving ``item_j[e]``."""
+        return np.concatenate([at_i, at_j]).take(self.slot)
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-item sums of per-half-edge values; 0 for items without edges."""
+        return self._reduce(np.add, values, 0)
+
+    def min(self, values: np.ndarray, fill) -> np.ndarray:
+        """Per-item minima of per-half-edge values; ``fill`` for items
+        without edges."""
+        return self._reduce(np.minimum, values, fill)
+
+    def _reduce(self, ufunc: np.ufunc, values: np.ndarray, fill) -> np.ndarray:
+        if self.items.size == self.n_items:
+            return ufunc.reduceat(values, self.starts)
+        out = np.full(self.n_items, fill, dtype=values.dtype)
+        if values.size:
+            out[self.items] = ufunc.reduceat(values, self.starts)
+        return out
+
 
 @dataclass(frozen=True)
 class CovariateMatrix:
@@ -153,7 +220,9 @@ class CovariateMatrix:
 
     ``scaled`` is the standardized feature matrix divided by ``scale_k`` so
     that the largest row norm equals sqrt((d+1)/n); ``augmented`` prepends
-    an all-ones intercept column to ``scaled``.
+    an all-ones intercept column to ``scaled``.  The projector and the
+    score split that depend on the covariates alone are built on first
+    use and cached (``build_projection``, ``_score_split``).
     """
 
     raw: np.ndarray
@@ -177,6 +246,14 @@ class CovariateMatrix:
     @property
     def n_features(self) -> int:
         return self.scaled.shape[1]
+
+    @cached_property
+    def _projection(self) -> ProjectionOperator:
+        return ProjectionOperator(self.augmented, _svd_basis(self.augmented, full=False))
+
+    @cached_property
+    def _score_split(self) -> np.ndarray:
+        return _readonly(np.linalg.pinv(self.augmented)[1:])
 
 
 @dataclass(frozen=True)
@@ -360,15 +437,17 @@ def _score_terms(data: ComparisonData, s: np.ndarray) -> tuple[float, np.ndarray
     of the higher-indexed one and ``y`` is the win fraction of the
     higher-indexed item.
     """
-    ii, jj = data.item_i, data.item_j
-    delta = s[ii] - s[jj]
+    delta = s[data.item_i] - s[data.item_j]
     y = data.win_fraction
-    value = float(np.sum(data.trials * (-(1.0 - y) * delta + softplus(delta))))
-    sig = sigmoid(delta)
+    # one e = e^-|delta| serves the stable softplus max(delta, 0) +
+    # log1p(e) and the stable sigmoid, which never overflow
+    e = np.exp(-np.abs(delta))
+    softplus = np.maximum(delta, 0.0) + np.log1p(e)
+    value = float(np.sum(data.trials * (-(1.0 - y) * delta + softplus)))
+    sig = np.where(delta >= 0, 1.0, e) / (1.0 + e)
     r = data.trials * (sig - (1.0 - y))
-    n = data.n_items
-    grad = np.bincount(ii, weights=r, minlength=n) - np.bincount(jj, weights=r, minlength=n)
-    return value, grad, data.trials * sig * (1.0 - sig)
+    half = data._half_edges
+    return value, half.sum(half.spread(r, -r)), data.trials * sig * (1.0 - sig)
 
 
 def neg_log_likelihood(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> float:
@@ -424,9 +503,12 @@ def _design_quadratic(cov: CovariateMatrix, lap: np.ndarray) -> np.ndarray:
 
 
 def _hessian_weights(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:
-    """Per-edge logistic-variance weights trials * sigma * (1 - sigma)."""
+    """Per-edge logistic-variance weights trials * sigma * (1 - sigma),
+    the third output of ``_score_terms`` without the likelihood."""
     _check_dims(data, cov, params)
-    return _score_terms(data, params.scores(cov))[2]
+    s = params.scores(cov)
+    sig = sigmoid(s[data.item_i] - s[data.item_j])
+    return data.trials * sig * (1.0 - sig)
 
 
 def hessian(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:
@@ -457,16 +539,17 @@ def _svd_basis(augmented: np.ndarray, full: bool) -> np.ndarray:
 
 
 def build_projection(cov: CovariateMatrix) -> ProjectionOperator:
-    """Projector onto the identifiable subspace {(alpha, beta): Xbar^T alpha = 0}."""
-    return ProjectionOperator(cov.augmented, _svd_basis(cov.augmented, full=False))
+    """Projector onto the identifiable subspace {(alpha, beta): Xbar^T alpha = 0};
+    built once per covariate matrix and cached on it."""
+    return cov._projection
 
 
 def _score_split(cov: CovariateMatrix) -> np.ndarray:
     """The d x n map from total scores s to beta: the slope rows of
-    Xbar^+.  The rest of the regression split of s on Xbar is alpha =
-    (I - Q Q^T) s; the intercept is dropped, as the likelihood ignores
-    constant shifts of s."""
-    return np.linalg.pinv(cov.augmented)[1:]
+    Xbar^+, built once per covariate matrix and cached on it.  The rest
+    of the regression split of s on Xbar is alpha = (I - Q Q^T) s; the
+    intercept is dropped, as the likelihood ignores constant shifts of s."""
+    return cov._score_split
 
 
 def graph_design(data: ComparisonData, cov: CovariateMatrix, trial_weighted: bool = False) -> GraphDesign:
@@ -494,18 +577,25 @@ def graph_design(data: ComparisonData, cov: CovariateMatrix, trial_weighted: boo
     return GraphDesign(sigma, float(eigs_reduced[0]), lambda_max)
 
 
-def _reach_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """For each item, the smallest item that reaches it along src -> dst.
+def _smallest_reaching(half: _HalfEdges, keep: np.ndarray | None = None) -> np.ndarray:
+    """For each item, the smallest item that reaches it, where a kept
+    half-edge from u to v lets v reach u; ``keep`` (one flag per
+    half-edge) defaults to every half-edge.
 
-    Min-label propagation, each sweep followed by pointer jumping: if w
-    reaches u and u reaches v then w reaches v, so ``label[label]`` is
-    again a valid label and long chains collapse in a logarithmic number
-    of jumps.  At the fixed point label[dst] <= label[src] on every edge.
+    Min-label propagation, each sweep a segment minimum over the layout
+    in which dropped half-edges contribute the sentinel n, followed by
+    pointer jumping: if w reaches u and u reaches v then w reaches v, so
+    ``label[label]`` is again a valid label and long chains collapse in a
+    logarithmic number of jumps.  At the fixed point label[u] <= label[v]
+    on every kept half-edge from u to v.
     """
+    n = half.n_items
     label = np.arange(n)
     while True:
-        new = label.copy()
-        np.minimum.at(new, dst, label[src])
+        far = label.take(half.other)
+        if keep is not None:
+            far = np.where(keep, far, n)
+        new = np.minimum(label, half.min(far, n))
         jumped = new[new]
         while not np.array_equal(jumped, new):
             new, jumped = jumped, jumped[jumped]
@@ -514,16 +604,10 @@ def _reach_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _component_labels(data: ComparisonData) -> np.ndarray:
-    """Smallest member of each item's undirected component."""
-    ii, jj = data.item_i, data.item_j
-    return _reach_labels(data.n_items, np.concatenate([ii, jj]), np.concatenate([jj, ii]))
-
-
 def connected_components(data: ComparisonData) -> list[list[int]]:
     """Connected components of the undirected comparison graph, each
     sorted, ordered by smallest member."""
-    labels = _component_labels(data)
+    labels = data._component_labels
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
     return [comp.tolist() for comp in np.split(order, cuts)]
@@ -531,7 +615,7 @@ def connected_components(data: ComparisonData) -> list[list[int]]:
 
 def is_connected(data: ComparisonData) -> bool:
     """True when every item is reachable from every other through compared pairs."""
-    return not _component_labels(data).any()
+    return not data._component_labels.any()
 
 
 def _strongly_connected(data: ComparisonData) -> bool:
@@ -541,10 +625,13 @@ def _strongly_connected(data: ComparisonData) -> bool:
     least once.  Unless item 0 reaches every item along it and along its
     reversal, some group of items won (or lost) every comparison against
     the rest, and the likelihood keeps rising as their scores move apart.
+    Both reachabilities are label propagations over the half-edge layout,
+    one keeping the half-edges whose far end beat their start at least
+    once, the other those whose start beat their far end.
     """
-    beat_j = data.wins_j > 0
-    beat_i = data.wins_j < data.trials
-    loser = np.concatenate([data.item_i[beat_j], data.item_j[beat_i]])
-    winner = np.concatenate([data.item_j[beat_j], data.item_i[beat_i]])
-    n = data.n_items
-    return not (_reach_labels(n, loser, winner).any() or _reach_labels(n, winner, loser).any())
+    half = data._half_edges
+    beat_j = data.wins_j > 0  # item_j won at least once
+    beat_i = data.wins_j < data.trials  # item_i won at least once
+    far_won = half.spread(beat_j, beat_i)
+    near_won = half.spread(beat_i, beat_j)
+    return not (_smallest_reaching(half, far_won).any() or _smallest_reaching(half, near_won).any())

@@ -305,6 +305,14 @@ def _resolve_workers(plan: ExperimentPlan) -> int:
     return 1
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sample_connected(
     spec: SyntheticSpec,
     cov: CovariateMatrix,
@@ -395,15 +403,16 @@ def _start_pool(processes: int, replication_fn, context: _StudyContext):
 
 def _run_study(context: _StudyContext, replication_fn) -> list[SettingResult]:
     """Every (p, L) setting's replications, in one pool of at most as many
-    workers as there are replications.  Results arrive in task order, so
-    a failing replication raises the same error at any worker count."""
+    workers as there are replications or usable cores (more processes
+    than cores only add spawn cost).  Results arrive in task order, so a
+    failing replication raises the same error at any worker count."""
     plan = context.plan
     tasks = [
         (p, L, pair_index, rep)
         for pair_index, (p, L) in enumerate(plan.pl_pairs)
         for rep in range(plan.replications)
     ]
-    workers = min(_resolve_workers(plan), len(tasks))
+    workers = min(_resolve_workers(plan), len(tasks), _usable_cores())
     with _start_pool(workers, replication_fn, context) as pool:
         records = pool.imap(_run_task, tasks)
         return [

@@ -38,6 +38,39 @@ def sigmoid_by_masks(t):
     return out if out.ndim else float(out)
 
 
+def score_terms_by_bincount(data, s):
+    """The likelihood kernel on total scores (the library's former
+    formulas): softplus and sigmoid each from their own exponential, and
+    the gradient by one ``bincount`` scatter per edge end."""
+    delta = s[data.item_i] - s[data.item_j]
+    y = data.win_fraction
+    softplus = np.maximum(delta, 0.0) + np.log1p(np.exp(-np.abs(delta)))
+    value = float(np.sum(data.trials * (-(1.0 - y) * delta + softplus)))
+    sig = sigmoid_by_masks(delta)
+    r = data.trials * (sig - (1.0 - y))
+    return value, signed_sums_by_bincount(data, r), data.trials * sig * (1.0 - sig)
+
+
+def degree_by_bincount(data, w):
+    """Per-item sums of per-edge values over both edge ends."""
+    n = data.n_items
+    return np.bincount(data.item_i, w, n) + np.bincount(data.item_j, w, n)
+
+
+def signed_sums_by_bincount(data, r):
+    """Per-item sums of per-edge values, added at the lower-indexed end
+    and subtracted at the higher-indexed end."""
+    n = data.n_items
+    return np.bincount(data.item_i, r, n) - np.bincount(data.item_j, r, n)
+
+
+def minima_by_minimum_at(n, src, dst, values, fill):
+    """out[v] = min(fill, values[u] over arcs u -> v), by ``np.minimum.at``."""
+    out = np.full(n, fill, dtype=np.asarray(values).dtype)
+    np.minimum.at(out, dst, values[src])
+    return out
+
+
 def nll_by_direct_summation(data, cov, params):
     """Negative log-likelihood via per-edge Bernoulli log-probabilities."""
     s = params.alpha + cov.scaled @ params.beta

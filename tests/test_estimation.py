@@ -156,6 +156,14 @@ class TestFitMLE:
             fit_mle(data, cov)
         assert exc_info.value.components == [[0, 1], [2, 3]]
 
+    def test_last_item_without_edges_rejected(self):
+        # item 3 starts no half-edge, so the layout has no segment for it
+        data = ComparisonData.from_edges(4, [(0, 1, 2, 1), (1, 2, 2, 1), (0, 2, 2, 1)])
+        cov = preprocess_covariates(np.zeros((4, 0)))
+        with pytest.raises(ConnectivityError) as exc_info:
+            fit_mle(data, cov)
+        assert exc_info.value.components == [[0, 1, 2], [3]]
+
     def test_no_edges_rejected(self):
         data = ComparisonData.from_edges(3, [])
         cov = preprocess_covariates(np.zeros((3, 0)))

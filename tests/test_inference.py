@@ -250,7 +250,10 @@ class TestLaplacianVarianceModel:
         vm = plugin_variance_model(fit)
         weights = _hessian_weights(data, cov, fit.params)
         bound = inference._eigen_ratio_bound(
-            data, cov, weights, fit.projection._span_q, vm.diagonal
+            inference._projected_hessian_trace(
+                inference._shifted_laplacian(data, weights), fit.projection._span_q, cov.scaled
+            ),
+            vm.diagonal,
         )
         want = np.trace(vm.projected_hessian) * np.trace(vm.pseudoinverse)
         assert bound == pytest.approx(want, rel=1e-12)

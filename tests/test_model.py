@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from care_rank import model
 from care_rank.errors import DegenerateDesignError, InvalidArgumentError
 from care_rank.estimation import preprocess_covariates, project_to_theta
 from care_rank.model import (
     ComparisonData,
     ParamVector,
+    _hessian_weights,
+    _score_terms,
     _strongly_connected,
     build_projection,
     connected_components,
@@ -26,10 +31,14 @@ from oracles import (
     central_difference_gradient,
     central_difference_hessian,
     components_by_bfs,
+    degree_by_bincount,
+    minima_by_minimum_at,
     nll_by_direct_summation,
     projector_by_nullspace,
     sample_small_instance,
+    score_terms_by_bincount,
     sigmoid_by_masks,
+    signed_sums_by_bincount,
     strongly_connected_by_bfs,
 )
 
@@ -110,6 +119,88 @@ class TestComparisonData:
         data = ComparisonData.from_edges(2, [(0, 1, 4, 3)])
         assert data.win_fraction[0] == 0.75
         assert data.total_trials == 4
+
+
+class TestLikelihoodKernel:
+    def instance(self):
+        from care_rank.simulation import SyntheticSpec, generate_truth, sample_comparisons
+
+        cov, truth = generate_truth(SyntheticSpec(n=60, d=2, seed=9))
+        data = sample_comparisons(cov, truth, 0.3, 7, 9)
+        alpha = np.random.default_rng(9).normal(scale=20.0, size=60)
+        alpha[:2] = (800.0, -800.0)  # e^|delta| overflows on their edges
+        return data, cov, ParamVector(alpha, truth.beta)
+
+    def test_score_terms_equal_former_formulas(self):
+        data, cov, params = self.instance()
+        value, grad, weights = _score_terms(data, params.scores(cov))
+        want_value, want_grad, want_weights = score_terms_by_bincount(data, params.scores(cov))
+        assert value == want_value
+        np.testing.assert_array_equal(weights, want_weights)
+        # the per-item sums now run in half-edge order, not edge order
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * data.total_trials)
+
+    def test_hessian_weights_equal_former_formulas(self):
+        data, cov, params = self.instance()
+        want = score_terms_by_bincount(data, params.scores(cov))[2]
+        np.testing.assert_array_equal(_hessian_weights(data, cov, params), want)
+
+
+@st.composite
+def comparison_graphs(draw, max_items=10):
+    """Comparison data on up to ``max_items`` items, edges in drawn
+    (unsorted) order; items may have no edge and E may be 0."""
+    n = draw(st.integers(1, max_items))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = []
+    for i, j in chosen:
+        trials = draw(st.integers(1, 3))
+        edges.append((i, j, trials, draw(st.integers(0, trials))))
+    return ComparisonData.from_edges(n, edges)
+
+
+class TestHalfEdgeLayout:
+    @given(comparison_graphs())
+    @example(ComparisonData.from_edges(1, []))
+    @example(ComparisonData.from_edges(4, []))
+    @example(ComparisonData.from_edges(3, [(0, 1, 2, 1)]))  # last item isolated
+    @example(ComparisonData.from_edges(5, [(2, 4, 1, 1), (1, 3, 2, 0), (0, 2, 3, 3), (0, 1, 1, 0)]))
+    @example(ComparisonData.from_edges(3, [(1, 2, 2, 1), (0, 2, 2, 2), (0, 1, 2, 2)]))  # 0 never wins
+    @example(ComparisonData.from_edges(3, [(1, 2, 2, 1), (0, 2, 2, 0), (0, 1, 2, 0)]))  # 0 never loses
+    def test_reducers_equal_scatter_formulas(self, data):
+        half = data._half_edges
+        n, ii, jj = data.n_items, data.item_i, data.item_j
+        assert half.other.dtype == half.slot.dtype == np.int32
+        # integer-valued weights, so every summation order is exact
+        w = data.trials.astype(float)
+        r = (2 * data.wins_j - data.trials).astype(float)
+        np.testing.assert_array_equal(half.sum(half.spread(w, w)), degree_by_bincount(data, w))
+        np.testing.assert_array_equal(
+            half.sum(half.spread(r, -r)), signed_sums_by_bincount(data, r)
+        )
+        labels = np.arange(n)[::-1].copy()
+        far = labels.take(half.other)
+        both_i, both_j = np.concatenate([ii, jj]), np.concatenate([jj, ii])
+        np.testing.assert_array_equal(
+            half.min(far, n), minima_by_minimum_at(n, both_j, both_i, labels, n)
+        )
+        beat_j, beat_i = data.wins_j > 0, data.wins_j < data.trials
+        loser = np.concatenate([ii[beat_j], jj[beat_i]])
+        winner = np.concatenate([jj[beat_j], ii[beat_i]])
+        far_won = half.spread(beat_j, beat_i)
+        near_won = half.spread(beat_i, beat_j)
+        np.testing.assert_array_equal(
+            half.min(np.where(far_won, far, n), n),
+            minima_by_minimum_at(n, winner, loser, labels, n),
+        )
+        np.testing.assert_array_equal(
+            half.min(np.where(near_won, far, n), n),
+            minima_by_minimum_at(n, loser, winner, labels, n),
+        )
+        assert connected_components(data) == components_by_bfs(data)
+        assert is_connected(data) == (len(components_by_bfs(data)) == 1)
+        assert _strongly_connected(data) == strongly_connected_by_bfs(data)
 
 
 class TestNegLogLikelihood:
@@ -227,6 +318,12 @@ class TestHessian:
 
 
 class TestProjection:
+    def test_covariate_factors_built_once(self):
+        _, cov, _ = sample_small_instance(seed=24, n=6, d=2)
+        proj, split = build_projection(cov), model._score_split(cov)
+        assert build_projection(cov) is proj and model._score_split(cov) is split
+        assert not (proj._span_q.flags.writeable or split.flags.writeable)
+
     def test_btl_block_is_centering(self):
         cov = btl_cov(5)
         proj = build_projection(cov)
@@ -332,6 +429,18 @@ class TestConnectivity:
     def test_path_is_connected(self):
         data = ComparisonData.from_edges(3, [(0, 1, 1, 0), (1, 2, 1, 0)])
         assert is_connected(data)
+
+    def test_one_propagation_per_dataset(self, monkeypatch):
+        real, undirected = model._smallest_reaching, []
+
+        def counting(half, keep=None):
+            undirected.append(keep is None)
+            return real(half, keep)
+
+        monkeypatch.setattr(model, "_smallest_reaching", counting)
+        data = ComparisonData.from_edges(3, [(0, 1, 1, 0), (1, 2, 1, 0)])
+        assert is_connected(data) and connected_components(data) == [[0, 1, 2]]
+        assert is_connected(data) and undirected == [True]
 
     def test_isolated_item_disconnects(self):
         data = ComparisonData.from_edges(3, [(0, 1, 1, 0)])

@@ -303,7 +303,9 @@ class TestWorkerPool:
     def blas_env(self):
         return {k: v for k, v in os.environ.items() if k.startswith(self.BLAS_PREFIXES)}
 
-    def test_never_more_processes_than_replications(self, monkeypatch):
+    def pools_started(self, monkeypatch, workers):
+        """The sizes and BLAS variables of the pools a three-replication
+        rate study at ``workers`` asks for, run in this process."""
         started = []
 
         class InProcessPool:
@@ -331,15 +333,29 @@ class TestWorkerPool:
 
         monkeypatch.setattr(multiprocessing, "get_context", get_context)
         monkeypatch.setattr(simulation, "_worker_state", None)
+        plan = ExperimentPlan(pl_pairs=[(0.9, 4)], replications=3, workers=workers)
+        res = run_rate_experiment(SyntheticSpec(n=20, d=1, seed=30), plan)
+        assert [r["replication"] for r in res.settings[0].records] == [0, 1, 2]
+        return started
+
+    def test_never_more_processes_than_replications(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         before = self.blas_env()
-        plan = ExperimentPlan(pl_pairs=[(0.9, 4)], replications=3, workers=10_000)
-        res = run_rate_experiment(SyntheticSpec(n=20, d=1, seed=30), plan)
-        assert [r["replication"] for r in res.settings[0].records] == [0, 1, 2]
+        started = self.pools_started(monkeypatch, workers=10_000)
         one = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
         assert started == [(3, one)]
         assert self.blas_env() == before
+
+    def test_never_more_processes_than_cores(self, monkeypatch):
+        # one usable core: by affinity where the platform has it, else
+        # by the machine's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert [size for size, _ in self.pools_started(monkeypatch, workers=4)] == [1]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert [size for size, _ in self.pools_started(monkeypatch, workers=4)] == [1]
 
     def test_output_independent_of_workers_and_blas_environment(self, tmp_path):
         # n = 200 is large enough for a multithreaded BLAS to change the
