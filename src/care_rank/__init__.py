@@ -27,22 +27,18 @@ from .model import (
     ComparisonData,
     CovariateMatrix,
     FitDiagnostics,
-    GraphDesign,
     ParamVector,
     ProjectionOperator,
     build_projection,
     connected_components,
     gradient,
-    graph_design,
     hessian,
     is_connected,
     neg_log_likelihood,
-    win_probability,
 )
 from .estimation import (
     FitConfig,
     FitResult,
-    fit_care_scores_pipeline,
     fit_mle,
     preprocess_covariates,
     project_to_theta,

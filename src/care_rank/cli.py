@@ -10,7 +10,8 @@ defaults.
 Exit codes: 0 success; 2 malformed input file; 3 disconnected comparison
 graph; 4 fit did not converge, or (without --ridge-alpha) the win graph
 is not strongly connected so the MLE does not exist; 5 invalid
-configuration or degenerate inputs; 1 unexpected failure.
+configuration, an unusable input path or degenerate inputs; 1
+unexpected failure.
 """
 
 from __future__ import annotations
@@ -301,11 +302,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
     resolved = {"command": args.command}
     for key, convert in _CONVERTERS.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = convert(cli_value) if isinstance(cli_value, str) else cli_value
-        elif key in file_cfg:
-            resolved[key] = convert(file_cfg[key])
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_cfg.get(key)
+        if isinstance(value, str):
+            try:
+                value = convert(value)
+            except ValueError as exc:
+                raise ConfigurationError(f"{key}: {exc}") from None
+        if value is not None:
+            resolved[key] = value
     return RunConfig(**resolved)
 
 
@@ -484,7 +490,7 @@ def main(argv=None) -> int:
             DegenerateContrastError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CareRankError as exc:

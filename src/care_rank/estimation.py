@@ -46,7 +46,6 @@ __all__ = [
     "preprocess_covariates",
     "project_to_theta",
     "fit_mle",
-    "fit_care_scores_pipeline",
 ]
 
 # Objective increases beyond this slack trigger step halving; the same
@@ -320,23 +319,3 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         likelihood_scale=scale,
     )
 
-
-def fit_care_scores_pipeline(
-    comparisons: ComparisonData | tuple[int, list],
-    raw_covariates: np.ndarray | None,
-    config: FitConfig | None = None,
-    standardize: bool = True,
-) -> FitResult:
-    """Preprocess covariates, build the projector, and fit in one call.
-
-    ``comparisons`` may be a ready ComparisonData or an ``(n_items,
-    edges)`` pair; ``raw_covariates`` of None means the covariate-free
-    model (plain pairwise comparison scores).
-    """
-    if not isinstance(comparisons, ComparisonData):
-        n_items, edges = comparisons
-        comparisons = ComparisonData.from_edges(n_items, edges)
-    if raw_covariates is None:
-        raw_covariates = np.zeros((comparisons.n_items, 0))
-    cov = preprocess_covariates(raw_covariates, standardize=standardize)
-    return fit_mle(comparisons, cov, config)

@@ -151,10 +151,6 @@ class ContrastResult:
     ci_low: float
     ci_high: float
     level: float
-    # max(||c_alpha||_1, sqrt(n/(d+1)) ||c_beta||_2) / ||cbar||_2 -- the
-    # quantity the normality guarantee needs bounded; reported, not
-    # enforced.
-    condition_ratio: float
 
 
 @dataclass(frozen=True)
@@ -366,16 +362,6 @@ def _project_contrast(c: np.ndarray, proj: ProjectionOperator) -> np.ndarray:
     return cbar
 
 
-def _condition_ratio(c: np.ndarray, cbar: np.ndarray, n: int, d: int) -> float:
-    c_alpha = c[:n]
-    c_beta = c[n:]
-    num = max(
-        float(np.abs(c_alpha).sum()),
-        float(np.sqrt(n / (d + 1)) * np.linalg.norm(c_beta)),
-    )
-    return num / float(np.linalg.norm(cbar))
-
-
 def _z_tests(est: np.ndarray, se: np.ndarray, level: float):
     """Two-sided z-tests of est = 0 and the intervals est -+ z_q se at
     ``level``, elementwise.  A zero standard error gives z = +-inf and
@@ -421,7 +407,6 @@ def contrast_inference(
         ci_low=lo,
         ci_high=hi,
         level=level,
-        condition_ratio=_condition_ratio(c, cbar, n, d),
     )
 
 

@@ -104,8 +104,11 @@ def _read_table(path: str) -> tuple[list[str], list[int], list[list[str]], Parse
     differs from the header's (or None).  The body stops before that
     record; its error stands only if no earlier record fails.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        records = list(csv.reader(fh))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     numbers = [
         k for k, row in enumerate(records, start=1)
         if row and ((first := row[0].lstrip()) and first[0] != "#"
@@ -320,16 +323,20 @@ def parse_covariates_csv(path: str, item_ids: list[str]) -> ParsedCovariates:
 
 def read_config_file(path: str) -> dict[str, str]:
     """Flat key=value config file; '#' starts a comment; blank lines ignored."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"expected key=value, got {stripped!r}", row=lineno)
-            key, value = stripped.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"expected key=value, got {stripped!r}", row=lineno)
+        key, value = stripped.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 

@@ -31,14 +31,11 @@ __all__ = [
     "CovariateMatrix",
     "ParamVector",
     "ProjectionOperator",
-    "GraphDesign",
     "FitDiagnostics",
-    "win_probability",
     "neg_log_likelihood",
     "gradient",
     "hessian",
     "build_projection",
-    "graph_design",
     "is_connected",
     "connected_components",
 ]
@@ -249,7 +246,7 @@ class CovariateMatrix:
 
     @cached_property
     def _projection(self) -> ProjectionOperator:
-        return ProjectionOperator(self.augmented, _svd_basis(self.augmented, full=False))
+        return ProjectionOperator(self.augmented, _svd_basis(self.augmented))
 
     @cached_property
     def _score_split(self) -> np.ndarray:
@@ -300,10 +297,10 @@ class ProjectionOperator:
     The projector is P = blockdiag(I - Q Q^T, I_d) with ``_span_q`` = Q an
     orthonormal basis of the column span of the augmented design, so it
     centers the alpha block against the covariate span and leaves beta
-    untouched.  ``apply`` costs O(n d).  The dense ``matrix_p``, the
+    untouched.  ``apply`` costs O(n d).  The dense ``matrix_p`` and the
     constraint matrix ``z_pad`` (the augmented design stacked over a zero
-    block, so P = I - Z (Z^T Z)^-1 Z^T) and ``theta_basis()`` are built on
-    first access and cached; the fit and inference paths never need them.
+    block, so P = I - Z (Z^T Z)^-1 Z^T) are built on first access and
+    cached; the fit and inference paths never need them.
     """
 
     augmented: np.ndarray = field(repr=False)
@@ -355,33 +352,6 @@ class ProjectionOperator:
         z[: self.n_items] = self.augmented
         return _readonly(z)
 
-    @cached_property
-    def _theta_basis(self) -> np.ndarray:
-        n, k = self.augmented.shape
-        d = k - 1
-        q_null = _svd_basis(self.augmented, full=True)[:, k:]
-        theta = np.zeros((n + d, n - k + d))
-        theta[:n, : n - k] = q_null
-        theta[n:, n - k:] = np.eye(d)
-        return _readonly(theta)
-
-    def theta_basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the identifiable subspace."""
-        return self._theta_basis
-
-
-@dataclass(frozen=True)
-class GraphDesign:
-    """Sum of outer products of compared-pair feature differences, with the
-    eigenvalue range that controls the optimization landscape."""
-
-    sigma_g: np.ndarray
-    lambda_min_perp: float
-    lambda_max: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma_g", _readonly(self.sigma_g))
-
 
 @dataclass(frozen=True)
 class FitDiagnostics:
@@ -398,19 +368,6 @@ class FitDiagnostics:
     final_grad_norm: float
     halvings: int
     cg_iterations: int
-
-
-def win_probability(score_i: float, score_j: float) -> float:
-    """Probability that item j is preferred over item i.
-
-    Computed as 1 / (1 + e^(score_i - score_j)); stable for score
-    differences up to the overflow limit of double exponentials.
-    """
-    si = float(score_i)
-    sj = float(score_j)
-    if not (np.isfinite(si) and np.isfinite(sj)):
-        raise InvalidArgumentError("scores must be finite")
-    return float(sigmoid(sj - si))
 
 
 def _check_dims(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> None:
@@ -487,21 +444,6 @@ def _weighted_laplacian(n: int, item_i: np.ndarray, item_j: np.ndarray, w: np.nd
     return lap
 
 
-def _design_quadratic(cov: CovariateMatrix, lap: np.ndarray) -> np.ndarray:
-    """Assemble sum_e w_e (xt_i - xt_j)(xt_i - xt_j)^T from the weighted
-    Laplacian of the alpha block, using the block identities
-    H_ab = H_aa X and H_bb = X^T H_aa X."""
-    x = cov.scaled
-    n, d = x.shape
-    top_right = lap @ x
-    out = np.empty((n + d, n + d))
-    out[:n, :n] = lap
-    out[:n, n:] = top_right
-    out[n:, :n] = top_right.T
-    out[n:, n:] = x.T @ top_right
-    return out
-
-
 def _hessian_weights(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:
     """Per-edge logistic-variance weights trials * sigma * (1 - sigma),
     the third output of ``_score_terms`` without the likelihood."""
@@ -514,20 +456,26 @@ def _hessian_weights(data: ComparisonData, cov: CovariateMatrix, params: ParamVe
 def hessian(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:
     """Hessian of the negative log-likelihood: a trial-weighted sum of
     outer products of feature differences with logistic-variance weights
-    in (0, 1/4]."""
+    in (0, 1/4].  Assembled from the weighted Laplacian of the alpha
+    block by the block identities H_ab = H_aa X and H_bb = X^T H_aa X."""
     w = _hessian_weights(data, cov, params)
     lap = _weighted_laplacian(data.n_items, data.item_i, data.item_j, w)
-    return _design_quadratic(cov, lap)
+    x = cov.scaled
+    n, d = x.shape
+    top_right = lap @ x
+    out = np.empty((n + d, n + d))
+    out[:n, :n] = lap
+    out[:n, n:] = top_right
+    out[n:, :n] = top_right.T
+    out[n:, n:] = x.T @ top_right
+    return out
 
 
-def _svd_basis(augmented: np.ndarray, full: bool) -> np.ndarray:
-    """Left singular vectors of the augmented design, with a rank check.
-
-    The first k columns span the design; with ``full`` the remaining n - k
-    columns span its orthogonal complement in R^n.
-    """
+def _svd_basis(augmented: np.ndarray) -> np.ndarray:
+    """The k left singular vectors of the n x k augmented design, an
+    orthonormal basis of its span, with a rank check."""
     k = augmented.shape[1]
-    u, svals, _ = np.linalg.svd(augmented, full_matrices=full)
+    u, svals, _ = np.linalg.svd(augmented, full_matrices=False)
     rank = int(np.sum(svals > RANK_RTOL * svals[0]))
     if rank < k:
         raise DegenerateDesignError(
@@ -550,31 +498,6 @@ def _score_split(cov: CovariateMatrix) -> np.ndarray:
     of the regression split of s on Xbar is alpha = (I - Q Q^T) s; the
     intercept is dropped, as the likelihood ignores constant shifts of s."""
     return cov._score_split
-
-
-def graph_design(data: ComparisonData, cov: CovariateMatrix, trial_weighted: bool = False) -> GraphDesign:
-    """Design matrix of the comparison graph with its extreme eigenvalues.
-
-    ``lambda_min_perp`` is the smallest eigenvalue restricted to the
-    identifiable subspace; it is positive exactly when the graph is
-    connected.  With ``trial_weighted`` each edge counts with its number
-    of trials instead of once.
-    """
-    if data.n_items != cov.n_items:
-        raise InvalidArgumentError(
-            f"item counts disagree: data={data.n_items}, covariates={cov.n_items}"
-        )
-    if data.n_edges == 0:
-        raise InvalidArgumentError("comparison data has no edges")
-    w = data.trials.astype(float) if trial_weighted else np.ones(data.n_edges)
-    lap = _weighted_laplacian(data.n_items, data.item_i, data.item_j, w)
-    sigma = _design_quadratic(cov, lap)
-    sigma = 0.5 * (sigma + sigma.T)
-    theta = build_projection(cov).theta_basis()
-    reduced = theta.T @ sigma @ theta
-    eigs_reduced = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
-    lambda_max = float(np.linalg.eigvalsh(sigma)[-1])
-    return GraphDesign(sigma, float(eigs_reduced[0]), lambda_max)
 
 
 def _smallest_reaching(half: _HalfEdges, keep: np.ndarray | None = None) -> np.ndarray:

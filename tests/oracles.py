@@ -23,7 +23,7 @@ from care_rank.io import (
     ParsedCovariates,
     fmt17,
 )
-from care_rank.model import ComparisonData, ParamVector, neg_log_likelihood, win_probability
+from care_rank.model import ComparisonData, ParamVector, neg_log_likelihood
 
 
 def sigmoid_by_masks(t):
@@ -69,6 +69,26 @@ def minima_by_minimum_at(n, src, dst, values, fill):
     out = np.full(n, fill, dtype=np.asarray(values).dtype)
     np.minimum.at(out, dst, values[src])
     return out
+
+
+def win_probability(score_i, score_j):
+    """Probability that item j is preferred over item i, by the logistic
+    law in the score difference."""
+    return 1.0 / (1.0 + math.exp(score_i - score_j))
+
+
+def design_by_outer_products(data, cov):
+    """Sum over compared pairs, once per pair, of the outer products of
+    the stacked (indicator, scaled covariate) differences."""
+    n = data.n_items
+    dim = n + cov.n_features
+    sigma = np.zeros((dim, dim))
+    for i, j, _, _ in data.edges:
+        xt_i = np.concatenate([np.eye(n)[i], cov.scaled[i]])
+        xt_j = np.concatenate([np.eye(n)[j], cov.scaled[j]])
+        diff = xt_i - xt_j
+        sigma += np.outer(diff, diff)
+    return sigma
 
 
 def nll_by_direct_summation(data, cov, params):

@@ -720,6 +720,30 @@ class TestExitCodes:
     def test_missing_required_option(self):
         assert main(["fit"]) == EXIT_CONFIG
 
+    def test_non_numeric_value_is_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "e")
+        assert main(["experiment", "--kind", "rate", "--pairs", "abc:5", "--out", out]) == EXIT_CONFIG
+        assert "error: pairs:" in capsys.readouterr().err
+        cfg = write(tmp_path / "run.cfg", "n = ten\n")
+        assert main(["experiment", "--config", cfg, "--out", out]) == EXIT_CONFIG
+        assert "error: n:" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "c.csv"
+        bad.write_bytes(b"item_i,item_j,trials,wins_j\na,b,2,1\n\xff,b,2,1\n")
+        assert main(["fit", "--comparisons", str(bad), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"n = 3\n\xff\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == EXIT_PARSE
+        assert f"error: {cfg}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_directory_path_is_config_error(self, tmp_path, capsys):
+        data = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\na,b,2,1\n")
+        for path in (str(tmp_path), data + "/x"):
+            assert main(["fit", "--comparisons", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert "error:" in capsys.readouterr().err
+
     def test_unknown_statistic_is_config_error(self, tmp_path):
         code = main([
             "experiment", "--kind", "rate", "--n", "20", "--d", "1",

@@ -15,7 +15,6 @@ from care_rank.errors import (
 from care_rank import estimation, model
 from care_rank.estimation import (
     FitConfig,
-    fit_care_scores_pipeline,
     fit_mle,
     preprocess_covariates,
     project_to_theta,
@@ -380,26 +379,16 @@ class TestRidge:
 class TestPipeline:
     def test_balanced_cycle_gives_zero_scores(self):
         edges = [(0, 1, 2, 1), (1, 2, 2, 1), (0, 2, 2, 1)]
-        fit = fit_care_scores_pipeline((3, edges), None)
+        fit = fit_mle(ComparisonData.from_edges(3, edges), preprocess_covariates(np.zeros((3, 0))))
         np.testing.assert_allclose(fit.params.alpha, 0.0, atol=1e-8)
-
-    def test_matches_manual_stages(self):
-        rng = np.random.default_rng(60)
-        raw = rng.normal(size=(5, 1))
-        edges = [(i, j, 6, int(rng.integers(1, 6))) for i in range(5) for j in range(i + 1, 5)]
-        fit_pipeline = fit_care_scores_pipeline((5, edges), raw)
-        data = ComparisonData.from_edges(5, edges)
-        cov = preprocess_covariates(raw)
-        fit_manual = fit_mle(data, cov)
-        np.testing.assert_array_equal(
-            fit_pipeline.params.stacked, fit_manual.params.stacked
-        )
 
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(61)
         raw = rng.normal(size=(4, 1))
         edges = [(0, 1, 4, 2), (1, 2, 4, 1), (2, 3, 4, 3), (0, 3, 4, 2)]
-        fit_a = fit_care_scores_pipeline((4, edges), raw)
-        fit_b = fit_care_scores_pipeline((4, edges), raw)
+        fit_a, fit_b = (
+            fit_mle(ComparisonData.from_edges(4, edges), preprocess_covariates(raw))
+            for _ in range(2)
+        )
         np.testing.assert_array_equal(fit_a.params.stacked, fit_b.params.stacked)
         assert fit_a.objective_trace == fit_b.objective_trace

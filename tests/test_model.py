@@ -19,12 +19,10 @@ from care_rank.model import (
     build_projection,
     connected_components,
     gradient,
-    graph_design,
     hessian,
     is_connected,
     neg_log_likelihood,
     sigmoid,
-    win_probability,
 )
 
 from oracles import (
@@ -32,6 +30,7 @@ from oracles import (
     central_difference_hessian,
     components_by_bfs,
     degree_by_bincount,
+    design_by_outer_products,
     minima_by_minimum_at,
     nll_by_direct_summation,
     projector_by_nullspace,
@@ -64,32 +63,6 @@ class TestSigmoid:
             got = sigmoid(t)
             assert type(got) is float and got == sigmoid_by_masks(t)
         assert math.isnan(sigmoid(math.nan))
-
-
-class TestWinProbability:
-    def test_symmetry_point(self):
-        assert win_probability(0.0, 0.0) == 0.5
-
-    def test_log_odds_examples(self):
-        assert win_probability(0.0, math.log(3)) == pytest.approx(0.75, abs=1e-15)
-        assert win_probability(math.log(2), 0.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-    def test_extreme_differences_stay_in_unit_interval(self):
-        assert win_probability(700.0, 0.0) >= 0.0
-        assert win_probability(0.0, 700.0) <= 1.0
-        assert win_probability(350.0, -350.0) > 0.0
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            win_probability(np.nan, 0.0)
-        with pytest.raises(InvalidArgumentError):
-            win_probability(0.0, np.inf)
-
-    def test_complement(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a, b = rng.normal(scale=5, size=2)
-            assert win_probability(a, b) + win_probability(b, a) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestComparisonData:
@@ -296,8 +269,7 @@ class TestHessian:
         data = ComparisonData.from_edges(3, [(0, 1, 1, 0), (0, 2, 1, 1), (1, 2, 1, 0)])
         cov = btl_cov(3)
         h = hessian(data, cov, ParamVector(np.zeros(3), np.zeros(0)))
-        gd = graph_design(data, cov)
-        np.testing.assert_allclose(h, gd.sigma_g / 4.0, atol=1e-14)
+        np.testing.assert_allclose(h, design_by_outer_products(data, cov) / 4.0, atol=1e-14)
 
     def test_psd(self):
         for seed in range(4):
@@ -382,47 +354,6 @@ class TestProjection:
         with pytest.raises(DegenerateDesignError) as exc_info:
             build_projection(cov)
         assert exc_info.value.rank == 2
-
-
-class TestGraphDesign:
-    def test_triangle_is_complete_laplacian(self):
-        data = ComparisonData.from_edges(3, [(0, 1, 1, 0), (0, 2, 1, 0), (1, 2, 1, 0)])
-        gd = graph_design(data, btl_cov(3))
-        np.testing.assert_allclose(gd.sigma_g, 3.0 * np.eye(3) - 1.0, atol=1e-14)
-        assert gd.lambda_min_perp == pytest.approx(3.0, abs=1e-10)
-        assert gd.lambda_max == pytest.approx(3.0, abs=1e-10)
-
-    def test_disconnected_has_zero_restricted_eigenvalue(self):
-        data = ComparisonData.from_edges(4, [(0, 1, 1, 0), (2, 3, 1, 0)])
-        gd = graph_design(data, btl_cov(4))
-        assert abs(gd.lambda_min_perp) <= 1e-10
-
-    def test_matches_dense_oracle(self):
-        data, cov, _ = sample_small_instance(seed=23, n=6, d=2)
-        gd = graph_design(data, cov)
-        dim = 8
-        sigma = np.zeros((dim, dim))
-        for i, j, _, _ in data.edges:
-            xt_i = np.concatenate([np.eye(6)[i], cov.scaled[i]])
-            xt_j = np.concatenate([np.eye(6)[j], cov.scaled[j]])
-            diff = xt_i - xt_j
-            sigma += np.outer(diff, diff)
-        np.testing.assert_allclose(gd.sigma_g, sigma, atol=1e-12)
-        assert gd.lambda_max == pytest.approx(np.linalg.eigvalsh(sigma)[-1], abs=1e-10)
-        basis = projector_by_nullspace(np.vstack([cov.augmented, np.zeros((2, 3))]))
-        restricted = np.linalg.eigvalsh(basis @ sigma @ basis)
-        # smallest eigenvalue of the restriction = smallest nonzero of P S P
-        positive = restricted[restricted > 1e-9]
-        assert gd.lambda_min_perp == pytest.approx(positive.min(), abs=1e-9)
-
-    def test_trial_weighted(self):
-        data = ComparisonData.from_edges(3, [(0, 1, 7, 3), (1, 2, 2, 1), (0, 2, 1, 1)])
-        cov = btl_cov(3)
-        unweighted = graph_design(data, cov)
-        weighted = graph_design(data, cov, trial_weighted=True)
-        lap = np.array([[8.0, -7.0, -1.0], [-7.0, 9.0, -2.0], [-1.0, -2.0, 3.0]])
-        np.testing.assert_allclose(weighted.sigma_g, lap, atol=1e-14)
-        assert weighted.lambda_max > unweighted.lambda_max
 
 
 class TestConnectivity:

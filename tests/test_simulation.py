@@ -27,6 +27,8 @@ from care_rank.simulation import (
     sample_comparisons,
 )
 
+from oracles import win_probability
+
 
 class TestRngStream:
     def test_reproducible(self):
@@ -131,8 +133,6 @@ class TestSampleComparisons:
         cov, truth = generate_truth(SyntheticSpec(n=6, d=1, seed=13))
         data = sample_comparisons(cov, truth, 1.0, 50_000, 13)
         scores = truth.scores(cov)
-        from care_rank.model import win_probability
-
         for i, j, t, w in data.edges:
             expect = win_probability(scores[i], scores[j])
             assert abs(w / t - expect) <= 4 * math.sqrt(expect * (1 - expect) / t)
