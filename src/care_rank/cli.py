@@ -10,7 +10,8 @@ defaults.
 Exit codes: 0 success; 2 malformed input file; 3 disconnected comparison
 graph; 4 fit did not converge, or (without --ridge-alpha) the win graph
 is not strongly connected so the MLE does not exist; 5 invalid
-configuration, an unusable input path or degenerate inputs; 1
+configuration, an unusable input path, degenerate inputs, or too little
+available memory for the variance model of ``infer``/``rank``; 1
 unexpected failure.
 """
 
@@ -37,7 +38,9 @@ from .errors import (
 )
 from .estimation import FitConfig, FitResult, fit_mle, preprocess_covariates
 from .inference import (
+    FACTOR_PEAK_SQUARES,
     InferenceReport,
+    VarianceModel,
     care_ranking_scores,
     full_inference_report,
     plugin_variance_model,
@@ -355,6 +358,51 @@ def _converged_or_report(bundle: ResultBundle, held_back: str | None = None) -> 
     return False
 
 
+def _available_memory(
+    meminfo: str = "/proc/meminfo",
+    proc_cgroup: str = "/proc/self/cgroup",
+    cgroup_root: str = "/sys/fs/cgroup",
+) -> int | None:
+    """Bytes this process may still allocate: the smaller of the kernel's
+    MemAvailable and the room left under its cgroup v2 ``memory.max``,
+    each where it can be read; None when neither can."""
+    found = []
+    try:
+        with open(meminfo, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    found.append(int(line.split()[1]) * 1024)  # the file counts kB
+                    break
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open(proc_cgroup, encoding="ascii") as fh:
+            group = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        base = os.path.join(cgroup_root, group.lstrip("/"))
+        with open(os.path.join(base, "memory.max"), encoding="ascii") as fh:
+            limit = fh.read().strip()
+        if limit != "max":
+            with open(os.path.join(base, "memory.current"), encoding="ascii") as fh:
+                found.append(int(limit) - int(fh.read()))
+    except (OSError, ValueError, StopIteration):
+        pass
+    return min(found) if found else None
+
+
+def _variance_model(fit: FitResult) -> VarianceModel:
+    """``plugin_variance_model``, refused up front when its peak memory
+    would exceed what is available, rather than killed part way."""
+    n = fit.params.n_items
+    need = FACTOR_PEAK_SQUARES * 8 * n * n
+    available = _available_memory()
+    if available is not None and need > available:
+        raise ConfigurationError(
+            f"the variance model for {n} items needs about {need / 2**20:.0f} MiB "
+            f"of memory, but only {available / 2**20:.0f} MiB is available"
+        )
+    return plugin_variance_model(fit)
+
+
 def cmd_fit(config: RunConfig) -> int:
     bundle = _load_and_fit(config)
     _write_fit(config, bundle)
@@ -366,7 +414,7 @@ def cmd_infer(config: RunConfig) -> int:
     _write_fit(config, bundle)
     if not _converged_or_report(bundle, "inference output"):
         return EXIT_CONVERGENCE
-    vm = plugin_variance_model(bundle.fit)
+    vm = _variance_model(bundle.fit)
     if vm.rank_warning:
         print(
             f"warning: {vm.n_zero_eigenvalues} near-zero eigenvalues "
@@ -391,7 +439,7 @@ def cmd_rank(config: RunConfig) -> int:
     _write_fit(config, bundle)
     if not _converged_or_report(bundle, "ranking output"):
         return EXIT_CONVERGENCE
-    vm = plugin_variance_model(bundle.fit)
+    vm = _variance_model(bundle.fit)
     ranking = care_ranking_scores(bundle.fit, vm, config.quantile_level)
     write_ranking_csv(
         os.path.join(config.out, "ranking.csv"),
@@ -440,17 +488,21 @@ def cmd_experiment(config: RunConfig) -> int:
     config.require("out")
     spec = SyntheticSpec(n=config.n, d=config.d, seed=config.seed)
     if config.kind == "rate":
-        pairs = config.pairs or rate_experiment_pairs()
-        stats = config.statistics or "alpha_linf,beta_rel_l2"
-        replications = config.replications or 200
+        pairs, stats, replications = rate_experiment_pairs(), "alpha_linf,beta_rel_l2", 200
     elif config.kind == "distribution":
-        pairs = config.pairs or [
-            (distribution_sampling_probability(spec.n, spec.d), 20)
-        ]
-        stats = config.statistics or "qq_alpha1,hist_A,hist_B,coverage"
-        replications = config.replications or 250
+        pairs = [(distribution_sampling_probability(spec.n, spec.d), 20)]
+        stats, replications = "qq_alpha1,hist_A,hist_B,coverage", 250
     else:
         raise ConfigurationError(f"unknown experiment kind {config.kind!r}")
+    # a given value replaces the default even when it is falsy, so that
+    # ExperimentPlan rejects zero replications instead of running the
+    # default study
+    if config.pairs is not None:
+        pairs = config.pairs
+    if config.statistics is not None:
+        stats = config.statistics
+    if config.replications is not None:
+        replications = config.replications
     plan = ExperimentPlan(
         pl_pairs=pairs,
         replications=replications,

@@ -16,12 +16,15 @@ that shape: with T the linear map from s to its regression split
 [P H P]^+ = T L_w^+ T^T.  T kills the constant vector, so L_w^+ may be
 replaced by A^-1 with A = L_w + 11^T/n, and with the Cholesky factor
 A = L L^T the covariance is G^T G for the n x (n+d) root G = L^-1 T^T.
-Building G costs one Cholesky factorization (about n^3/3 flops), one
-triangular inverse by blocked matrix products (about 2 n^3/3, as the
-products treat the triangular blocks as dense) and O(n^2 (d+1))
-products, against about 8 n^3/3 for a general inverse; every coordinate variance is a column sum of
-G * G and every contrast variance a squared norm, with no dense
-(n+d) x (n+d) matrix.
+R = L^-1 is built in place of A by one recursive 2 x 2 block routine
+(leaves inverted directly, everything else matrix products, about
+7 n^3/6 flops, against about 8 n^3/3 for a general inverse), so A, the
+factor and the root share one n x n buffer; with the blocked products'
+temporaries the variance model peaks at about 1.3 n x n arrays.  The
+root is kept as its two blocks R (I - Q Q^T) and R S^T, so every
+coordinate variance is a column sum of G * G and every contrast
+variance a squared norm, O(n (n+d)) each, with no dense
+(n+d) x (n+d) matrix and no n x (n+d) copy.
 
 Also provided: the minimizer of the quadratic expansion of the loss
 around a known truth (the inferential surrogate used to study how close
@@ -82,11 +85,14 @@ class VarianceModel:
 
     The factor form, built by ``plugin_variance_model`` and
     ``oracle_variance_model``, keeps only the n x (n+d) root
-    G = L^-1 T^T of V = G^T G (see the module docstring): ``diagonal`` is
-    the column sums of G * G and ``variance_of`` a squared norm, both
-    O(n (n+d)), and ``pseudoinverse`` (G^T G) and ``projected_hessian``
-    (rebuilt from the dense Hessian) are O(n^3) and built only on first
-    access.  The dense form, from ``projected_hessian_pinv``, holds both
+    G = L^-1 T^T of V = G^T G (see the module docstring), as its n x n
+    and n x d blocks [R (I - Q Q^T) | R S^T]: ``diagonal`` is the column
+    sums of G * G and ``variance_of`` a squared norm, both O(n (n+d))
+    in time and O(n) in extra memory, and ``pseudoinverse`` (G^T G) and
+    ``projected_hessian`` (rebuilt from the dense Hessian) are O(n^3)
+    and built only on first access.  Building the root peaks at about
+    1.3 n x n arrays (``FACTOR_PEAK_SQUARES``), of which the model keeps
+    one.  The dense form, from ``projected_hessian_pinv``, holds both
     (n+d) x (n+d) matrices.
 
     ``rank_warning`` flags more near-zero eigenvalues than the d+1 the
@@ -99,18 +105,19 @@ class VarianceModel:
         *,
         n_zero_eigenvalues: int,
         expected_zero_eigenvalues: int,
-        root: np.ndarray | None = None,
+        root: tuple[np.ndarray, np.ndarray] | None = None,
         pseudoinverse: np.ndarray | None = None,
         projected_hessian: np.ndarray | Callable[[], np.ndarray],
     ):
-        """Give exactly one of ``root`` (factor form) and ``pseudoinverse``
-        (dense form); ``projected_hessian`` may be a function that builds it."""
+        """Give exactly one of ``root`` (factor form: the alpha and beta
+        blocks of G) and ``pseudoinverse`` (dense form);
+        ``projected_hessian`` may be a function that builds it."""
         if (root is None) == (pseudoinverse is None):
             raise InvalidArgumentError("give exactly one of root and pseudoinverse")
         self.n_zero_eigenvalues = n_zero_eigenvalues
         self.expected_zero_eigenvalues = expected_zero_eigenvalues
         self.rank_warning = n_zero_eigenvalues > expected_zero_eigenvalues
-        self._root = None if root is None else _readonly(root)
+        self._root = None if root is None else tuple(_readonly(block) for block in root)
         self._pinv = None if pseudoinverse is None else _readonly(pseudoinverse)
         self._hessian = projected_hessian
 
@@ -119,14 +126,16 @@ class VarianceModel:
         """The coordinate variances, diag V, stacked (alpha, beta)."""
         if self._root is None:
             return _readonly(np.diagonal(self._pinv))
-        return _readonly(np.einsum("ij,ij->j", self._root, self._root))
+        return _readonly(np.concatenate([np.einsum("ij,ij->j", g, g) for g in self._root]))
 
     def variance_of(self, cbar: np.ndarray) -> float:
         """cbar^T V cbar, clipped at zero."""
         if self._root is None:
             v = float(cbar @ self._pinv @ cbar)
         else:
-            u = self._root @ cbar
+            top, beta = self._root
+            n = top.shape[1]
+            u = top @ cbar[:n] + beta @ cbar[n:]
             v = float(u @ u)
         return max(v, 0.0)
 
@@ -134,7 +143,9 @@ class VarianceModel:
     def pseudoinverse(self) -> np.ndarray:
         if self._pinv is not None:
             return self._pinv
-        return _readonly(_symmetrized(self._root.T @ self._root))
+        top, beta = self._root
+        cross = top.T @ beta
+        return _readonly(_symmetrized(np.block([[top.T @ top, cross], [cross.T, beta.T @ beta]])))
 
     @cached_property
     def projected_hessian(self) -> np.ndarray:
@@ -235,30 +246,50 @@ def projected_hessian_pinv(hess: np.ndarray, proj: ProjectionOperator) -> Varian
     )
 
 
-# Diagonal blocks up to this size are inverted directly by _invert_lower;
-# of 32-256, 64 was fastest at n = 200 and level with the rest at
-# n = 2000 (2-core OpenBLAS).
+# Diagonal blocks up to this size are factored and inverted directly by
+# _cholesky_inverse; of 32-256, 64 was fastest at n = 200 and level with
+# the rest at n = 2000 (2-core OpenBLAS).
 _INVERSE_BLOCK = 64
 
+# Peak of the variance model in n x n float64 arrays beyond what the fit
+# holds: the shifted Laplacian, overwritten by the root, plus the
+# quarter-size temporaries of _cholesky_inverse's top level (traced:
+# 1.26 n^2 at n = 1500, 1.27 at n = 2000).
+FACTOR_PEAK_SQUARES = 1.3
 
-def _invert_lower(low: np.ndarray) -> np.ndarray:
-    """Invert the lower-triangular ``low`` in place and return it.
+# Rows of the root updated per product in the projection step, so its
+# temporary is this many rows rather than n.
+_ROW_CHUNK = 256
 
-    Recursive 2 x 2 blocking,
-    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: after the
-    two diagonal blocks are inverted, the off-diagonal one is two matrix
-    products, so nearly all the work runs as BLAS-3 products.
+
+def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
+    """Overwrite the symmetric positive definite ``a`` with R = L^-1,
+    lower-triangular, for its Cholesky factor a = L L^T, and return it.
+
+    Recursive 2 x 2 blocking: with R11 the result for the top-left
+    block, L21 = A21 R11^T is the factor's off-diagonal block,
+    A22 - L21 L21^T the Schur complement whose result is R22, and
+    R21 = -(R22 L21) R11.  Blocks up to ``_INVERSE_BLOCK`` are factored
+    and inverted directly; everything else is matrix products written
+    into the blocks of ``a``, so the only temporaries are a quarter of
+    the matrix at a time.  A leaf that is not numerically positive
+    definite raises ``np.linalg.LinAlgError``, leaving ``a`` partly
+    overwritten.
     """
-    n = low.shape[0]
+    n = a.shape[0]
     if n <= _INVERSE_BLOCK:
-        low[...] = np.tril(np.linalg.inv(low))
-        return low
+        a[...] = np.tril(np.linalg.inv(np.linalg.cholesky(a)))
+        return a
     h = n // 2
-    top, bottom = _invert_lower(low[:h, :h]), _invert_lower(low[h:, h:])
-    corner = bottom @ low[h:, :h]
-    np.negative(corner, out=corner)
-    low[h:, :h] = corner @ top
-    return low
+    top = _cholesky_inverse(a[:h, :h])
+    low = a[h:, :h]
+    np.matmul(low, top.T, out=low)
+    a[h:, h:] -= low @ low.T
+    bottom = _cholesky_inverse(a[h:, h:])
+    np.matmul(bottom @ low, top, out=low)
+    np.negative(low, out=low)
+    a[:h, h:] = 0.0
+    return a
 
 
 def _shifted_laplacian(data: ComparisonData, weights: np.ndarray) -> np.ndarray:
@@ -310,23 +341,22 @@ def _laplacian_variance_model(
     """
     weights = _hessian_weights(data, cov, params)
     shifted = _shifted_laplacian(data, weights)
+    q = proj._span_q
+    n, k = q.shape
+    # read before the factorization overwrites A
+    hessian_trace = _projected_hessian_trace(shifted, q, cov.scaled)
     try:
-        root = np.linalg.cholesky(shifted)
+        root = _cholesky_inverse(shifted)
     except np.linalg.LinAlgError:
         return projected_hessian_pinv(hessian(data, cov, params), proj)
-    q = proj._span_q
-    k = q.shape[1]
-    # A is freed below; reading tr(P H P) from it first adds only an
-    # n x (2d + 1) product, well under the Cholesky peak
-    hessian_trace = _projected_hessian_trace(shifted, q, cov.scaled)
-    del shifted
-    _invert_lower(root)
     products = root @ np.hstack([q, _score_split(cov).T])
-    root -= products[:, :k] @ q.T
+    for start in range(0, n, _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
+        root[rows] -= products[rows, :k] @ q.T
     vm = VarianceModel(
         n_zero_eigenvalues=proj.n_constraints,
         expected_zero_eigenvalues=proj.n_constraints,
-        root=np.hstack([root, products[:, k:]]),
+        root=(root, products[:, k:]),
         projected_hessian=partial(_dense_projected_hessian, data, cov, params, proj),
     )
     # A NaN bound (a factor that overflowed) falls back as well.
@@ -465,7 +495,8 @@ def quadratic_approx_minimizer(
     In the total scores the expansion is g^T (s - s*) + (s - s*)^T L_w
     (s - s*) / 2 around the true scores s*, so the minimizer is one Newton
     step, s = s* - L_w^+ g = s* - A^-1 g (g sums to zero), solved through
-    the Cholesky factor of A = L_w + 11^T/n; the regression split of s is
+    R = L^-1 for the Cholesky factor L of A = L_w + 11^T/n, built in
+    place of A by ``_cholesky_inverse``; the regression split of s is
     the point of the subspace with those scores.  Simulation-side tool:
     requires the true parameters.
     """
@@ -473,9 +504,9 @@ def quadratic_approx_minimizer(
         raise ConnectivityError("comparison graph is disconnected")
     n = data.n_items
     g = gradient(data, cov, truth)[:n]
-    shifted = _shifted_laplacian(data, _hessian_weights(data, cov, truth))
+    weights = _hessian_weights(data, cov, truth)
     try:
-        root = _invert_lower(np.linalg.cholesky(shifted))
+        root = _cholesky_inverse(_shifted_laplacian(data, weights))
     except np.linalg.LinAlgError:
         raise InvalidArgumentError(
             "L_w + 11^T/n is not numerically positive definite; "
@@ -483,8 +514,10 @@ def quadratic_approx_minimizer(
         ) from None
     step = root.T @ (root @ g)
     # stationarity in (alpha, beta): P M^T (g + L_w (s - s*)), with
-    # L_w v = A v - 1 (1^T v) / n
-    resid = g - shifted @ step + step.sum() / n
+    # L_w v = deg * v - sum_e w_e v[other] over the half-edge layout
+    half = data._half_edges
+    w_half = half.spread(weights, weights)
+    resid = g - (half.sum(w_half) * step - half.sum(w_half * step.take(half.other)))
     residual = float(np.linalg.norm(proj.apply(np.concatenate([resid, cov.scaled.T @ resid]))))
     scale = float(np.linalg.norm(proj.apply(np.concatenate([g, cov.scaled.T @ g]))))
     if not residual <= 1e-8 * max(1.0, scale):

@@ -84,6 +84,10 @@ _STREAM_SAMPLE = 4
 
 _MAX_RESAMPLE_ATTEMPTS = 200
 
+# Candidate pairs per uniform draw in sample_comparisons, which bounds
+# its memory to this many doubles plus the kept pairs.
+_SAMPLE_CHUNK = 1 << 16
+
 ENV_WORKERS = "CARE_RANK_WORKERS"
 
 # Thread-count variables the BLAS libraries numpy links read when they
@@ -208,9 +212,20 @@ def sample_comparisons(
     rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed, _STREAM_SAMPLE)
     n = cov.n_items
     scores = truth.scores(cov)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    ii, jj = iu[mask], ju[mask]
+    # Pair (i, j), i < j, is number starts[i] + j - i - 1 in row-major
+    # order of the upper triangle.  One uniform per pair, drawn in chunks
+    # of pair numbers: successive draws continue one Philox stream, so
+    # the kept pairs are those of a single draw over all n (n - 1) / 2.
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    n_pairs = n * (n - 1) // 2
+    kept = [np.zeros(0, dtype=np.int64)]
+    for first in range(0, n_pairs, _SAMPLE_CHUNK):
+        draws = rng.random(min(_SAMPLE_CHUNK, n_pairs - first))
+        kept.append(np.flatnonzero(draws < p) + first)
+    pairs = np.concatenate(kept)
+    ii = np.searchsorted(starts, pairs, side="right") - 1
+    jj = pairs - starts[ii] + ii + 1
     win_probs = sigmoid(scores[jj] - scores[ii])
     wins = rng.binomial(L, win_probs) if ii.size else np.zeros(0, dtype=np.int64)
     return ComparisonData(n, ii, jj, np.full(ii.size, L, dtype=np.int64), wins)

@@ -480,3 +480,17 @@ def quadratic_minimizer_by_dense_pinv(data, cov, truth, proj):
     t = truth.stacked
     pt = proj.apply(t)
     return proj.apply(pt - pinv @ proj.apply(g + h @ (pt - t)))
+
+
+def sample_comparisons_by_triu(cov, truth, p, L, rng):
+    """Erdos-Renyi draw over ``np.triu_indices`` (the library's former
+    sampler): one uniform per candidate pair in one call, then the
+    binomial wins of the kept pairs."""
+    n = cov.n_items
+    scores = truth.scores(cov)
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(iu.size) < p
+    ii, jj = iu[mask], ju[mask]
+    win_probs = sigmoid_by_masks(scores[jj] - scores[ii])
+    wins = rng.binomial(L, win_probs) if ii.size else np.zeros(0, dtype=np.int64)
+    return ii, jj, wins

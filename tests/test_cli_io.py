@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from care_rank import cli
 from care_rank.cli import (
     EXIT_CONFIG,
     EXIT_CONNECTIVITY,
@@ -751,6 +752,56 @@ class TestExitCodes:
             "--out", str(tmp_path / "e"),
         ])
         assert code == EXIT_CONFIG
+
+    def test_zero_replications_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "e"
+        code = main([
+            "experiment", "--kind", "rate", "--n", "20", "--d", "1",
+            "--replications", "0", "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert "error: replications must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, output", [("infer", "inference.csv"), ("rank", "ranking.csv")])
+    def test_variance_model_refused_when_memory_short(self, tmp_path, monkeypatch, capsys, command, output):
+        sim = simulate_dataset(tmp_path, n=30, d=2, seed=8, p=0.8, trials=12)
+        args = [command, "--comparisons", str(sim / "comparisons.csv"),
+                "--covariates", str(sim / "covariates.csv")]
+        # 30 items need about 1.3 * 30^2 doubles, 9.4 kB
+        monkeypatch.setattr(cli, "_available_memory", lambda: 8 * 1024)
+        out = tmp_path / "short"
+        assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the variance model for 30 items")
+        assert "needs about 0 MiB" in err[0] and "only 0 MiB is available" in err[0]
+        assert (out / "fit.json").exists() and not (out / output).exists()
+        for available in (16 * 1024, None):
+            monkeypatch.setattr(cli, "_available_memory", lambda: available)
+            out = tmp_path / f"room-{available}"
+            assert main(args + ["--out", str(out)]) == EXIT_OK
+            assert (out / output).exists()
+
+    def test_memory_probe_reads_meminfo_and_cgroup(self, tmp_path):
+        meminfo = write(tmp_path / "meminfo", "MemTotal: 8000 kB\nMemAvailable:    5000 kB\n")
+        proc_cgroup = write(tmp_path / "cgroup", "1:memory:/x\n0::/jobs/a\n")
+        group = tmp_path / "fs" / "jobs" / "a"
+        group.mkdir(parents=True)
+
+        def probe():
+            return cli._available_memory(meminfo, proc_cgroup, str(tmp_path / "fs"))
+
+        assert probe() == 5000 * 1024  # no memory.max: MemAvailable alone
+        write(group / "memory.max", "max\n")
+        write(group / "memory.current", "100\n")
+        assert probe() == 5000 * 1024
+        write(group / "memory.max", "3000000\n")
+        assert probe() == 3000000 - 100
+        write(group / "memory.max", "9000000\n")
+        assert probe() == 5000 * 1024
+        missing = str(tmp_path / "missing")
+        assert cli._available_memory(missing, proc_cgroup, str(tmp_path / "fs")) == 9000000 - 100
+        assert cli._available_memory(missing, missing, missing) is None
 
 
 class TestExperimentCommand:

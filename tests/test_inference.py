@@ -221,6 +221,22 @@ class TestLaplacianVarianceModel:
             tracemalloc.stop()
         assert peak < 3.5 * n * n * 8
 
+    def test_memory_stays_near_one_square(self):
+        # the shifted Laplacian is factored and inverted in its own buffer,
+        # with quarter-size temporaries: about 1.27 n^2 doubles traced
+        n = 1500
+        cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=110))
+        data = sample_comparisons(cov, truth, 40.0 / (n - 1), 10, 110)
+        fit = fit_mle(data, cov)
+        tracemalloc.start()
+        try:
+            full_inference_report(fit, plugin_variance_model(fit))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * n * n * 8
+        assert peak <= inference.FACTOR_PEAK_SQUARES * n * n * 8
+
     def test_trace_bound_quiet_at_cli_scale(self, monkeypatch):
         # the size of the cli-n2000 benchmark dataset; the bound reads
         # about 4e-4 of its limit there and grows like n^2
@@ -270,13 +286,27 @@ class TestLaplacianVarianceModel:
         np.testing.assert_array_equal(vm.pseudoinverse, ref.pseudoinverse)
         np.testing.assert_array_equal(vm.diagonal, np.diagonal(ref.pseudoinverse))
 
-    def test_triangular_inverse(self):
+    def test_cholesky_inverse(self):
         rng = np.random.default_rng(113)
         for n in (1, 5, 64, 65, 300):
-            low = np.tril(rng.normal(size=(n, n))) + n * np.eye(n)
-            inv = inference._invert_lower(low.copy())
+            m = rng.normal(size=(n, n))
+            a = m @ m.T / n + np.eye(n)
+            buffer = a.copy()
+            inv = inference._cholesky_inverse(buffer)
+            assert inv is buffer
             assert np.array_equal(inv, np.tril(inv))
-            assert np.abs(inv @ low - np.eye(n)).max() <= 1e-13
+            assert np.abs(inv @ a @ inv.T - np.eye(n)).max() <= 1e-13
+
+    def test_cholesky_inverse_refuses_indefinite(self):
+        # positive definite leading blocks, an indefinite Schur complement:
+        # the failure surfaces in a leaf of the lower half
+        rng = np.random.default_rng(114)
+        n = 200
+        m = rng.normal(size=(n, n))
+        a = m @ m.T / n + np.eye(n)
+        a[150:, 150:] -= 50.0 * np.eye(n - 150)
+        with pytest.raises(np.linalg.LinAlgError):
+            inference._cholesky_inverse(a)
 
     def test_oracle_matches_dense_route(self):
         data, cov = unequal_trials_instance(seed=104)

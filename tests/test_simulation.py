@@ -27,7 +27,7 @@ from care_rank.simulation import (
     sample_comparisons,
 )
 
-from oracles import win_probability
+from oracles import sample_comparisons_by_triu, win_probability
 
 
 class TestRngStream:
@@ -121,6 +121,18 @@ class TestSampleComparisons:
         b = sample_comparisons(cov, truth, 0.4, 5, 11)
         np.testing.assert_array_equal(a.wins_j, b.wins_j)
         np.testing.assert_array_equal(a.item_i, b.item_i)
+
+    @pytest.mark.parametrize("chunk", [7, 1000, 1 << 16])
+    @pytest.mark.parametrize("n, p", [(7, 0.6), (200, 0.3), (301, 0.05), (4, 1.0)])
+    def test_chunked_draw_matches_triu_oracle(self, monkeypatch, chunk, n, p):
+        # chunks of 7 and 1000 end inside rows and span several of them
+        cov, truth = generate_truth(SyntheticSpec(n=n, d=2, seed=14))
+        monkeypatch.setattr(simulation, "_SAMPLE_CHUNK", chunk)
+        data = sample_comparisons(cov, truth, p, 5, rng_stream(14, 9))
+        ii, jj, wins = sample_comparisons_by_triu(cov, truth, p, 5, rng_stream(14, 9))
+        np.testing.assert_array_equal(data.item_i, ii)
+        np.testing.assert_array_equal(data.item_j, jj)
+        np.testing.assert_array_equal(data.wins_j, wins)
 
     def test_validation(self):
         cov, truth = generate_truth(SyntheticSpec(n=10, d=0, seed=12))
