@@ -8,11 +8,11 @@ file via --config; command-line flags win over the file, which wins over
 defaults.
 
 Exit codes: 0 success; 2 malformed input file; 3 disconnected comparison
-graph; 4 fit did not converge, or (without --ridge-alpha) the win graph
-is not strongly connected so the MLE does not exist; 5 invalid
-configuration, an unusable input path, degenerate inputs, or too little
-available memory for the variance model of ``infer``/``rank``; 1
-unexpected failure.
+graph, or at ``infer``/``rank`` Hessian weights that split it; 4 fit did
+not converge, or (without --ridge-alpha) the win graph is not strongly
+connected so the MLE does not exist; 5 invalid configuration, an
+unusable input path, degenerate inputs, or too little available memory
+for the variance model of ``infer``/``rank``; 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -415,12 +415,6 @@ def cmd_infer(config: RunConfig) -> int:
     if not _converged_or_report(bundle, "inference output"):
         return EXIT_CONVERGENCE
     vm = _variance_model(bundle.fit)
-    if vm.rank_warning:
-        print(
-            f"warning: {vm.n_zero_eigenvalues} near-zero eigenvalues "
-            f"(expected {vm.expected_zero_eigenvalues}); variances may be unreliable",
-            file=sys.stderr,
-        )
     report = full_inference_report(
         bundle.fit, vm, config.level, config.quantile_level
     )

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ConnectivityError,
     DegenerateColumnError,
     DimensionError,
     InvalidArgumentError,
@@ -34,10 +33,10 @@ from .model import (
     ParamVector,
     ProjectionOperator,
     _score_split,
+    _refuse_split,
     _score_terms,
     _strongly_connected,
     build_projection,
-    connected_components,
 )
 
 __all__ = [
@@ -226,13 +225,7 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         )
     if data.n_edges == 0:
         raise InvalidArgumentError("comparison data has no edges")
-    comps = connected_components(data)
-    if len(comps) > 1:
-        preview = ", ".join(str(c[:8]) for c in comps[:6])
-        raise ConnectivityError(
-            f"comparison graph has {len(comps)} components: {preview}",
-            components=comps,
-        )
+    _refuse_split("comparison graph", data._component_labels)
 
     proj = build_projection(cov)
     n = data.n_items

@@ -26,6 +26,11 @@ coordinate variance is a column sum of G * G and every contrast
 variance a squared norm, O(n (n+d)) each, with no dense
 (n+d) x (n+d) matrix and no n x (n+d) copy.
 
+The Hessian's only null directions must be the d+1 of the constraint,
+so the graph must stay connected under its weights: edges weighing at
+most ``DEFAULT_EIGEN_CUTOFF`` times the largest count as absent, and a
+split raises ``ConnectivityError``, as no coordinate is then estimable.
+
 Also provided: the minimizer of the quadratic expansion of the loss
 around a known truth (the inferential surrogate used to study how close
 the MLE is to its linearization), and soft-thresholded ranking scores
@@ -40,7 +45,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import ConnectivityError, DegenerateContrastError, InvalidArgumentError
+from .errors import DegenerateContrastError, InvalidArgumentError
 from .estimation import FitResult
 from .model import (
     ComparisonData,
@@ -49,11 +54,12 @@ from .model import (
     ProjectionOperator,
     _hessian_weights,
     _readonly,
+    _refuse_split,
     _score_split,
+    _smallest_reaching,
     _weighted_laplacian,
     gradient,
     hessian,
-    is_connected,
 )
 from .normal import normal_quantile, two_sided_p_value
 
@@ -81,23 +87,19 @@ DEFAULT_EIGEN_CUTOFF = 1e-10
 
 class VarianceModel:
     """The plug-in covariance V = [P H P]^+ of the stacked (alpha, beta)
-    estimate, in one of two forms.
-
-    The factor form, built by ``plugin_variance_model`` and
-    ``oracle_variance_model``, keeps only the n x (n+d) root
-    G = L^-1 T^T of V = G^T G (see the module docstring), as its n x n
-    and n x d blocks [R (I - Q Q^T) | R S^T]: ``diagonal`` is the column
-    sums of G * G and ``variance_of`` a squared norm, both O(n (n+d))
-    in time and O(n) in extra memory, and ``pseudoinverse`` (G^T G) and
-    ``projected_hessian`` (rebuilt from the dense Hessian) are O(n^3)
-    and built only on first access.  Building the root peaks at about
-    1.3 n x n arrays (``FACTOR_PEAK_SQUARES``), of which the model keeps
-    one.  The dense form, from ``projected_hessian_pinv``, holds both
-    (n+d) x (n+d) matrices.
+    estimate as V = G^T G, with the root G kept as its alpha and beta
+    column blocks: the n x (n+d) G = L^-1 T^T = [R (I - Q Q^T) | R S^T]
+    (see the module docstring) from ``plugin_variance_model`` and
+    ``oracle_variance_model``, or Lambda^-1/2 V^T of the kept eigenpairs
+    from ``projected_hessian_pinv``.  ``diagonal`` is the column sums of
+    G * G and ``variance_of`` a squared norm, both O(n (n+d)) in time and
+    O(n) in extra memory; ``pseudoinverse`` (G^T G) and
+    ``projected_hessian`` (from the dense Hessian) are O(n^3), built on
+    first access.  The factor root peaks at ``FACTOR_PEAK_SQUARES`` n^2.
 
     ``rank_warning`` flags more near-zero eigenvalues than the d+1 the
-    constraint accounts for, the signature of a disconnected graph or
-    collinear design.
+    constraint accounts for, which only ``projected_hessian_pinv`` can
+    report: the factor route refuses such a Hessian.
     """
 
     def __init__(
@@ -105,44 +107,31 @@ class VarianceModel:
         *,
         n_zero_eigenvalues: int,
         expected_zero_eigenvalues: int,
-        root: tuple[np.ndarray, np.ndarray] | None = None,
-        pseudoinverse: np.ndarray | None = None,
+        root: tuple[np.ndarray, np.ndarray],
         projected_hessian: np.ndarray | Callable[[], np.ndarray],
     ):
-        """Give exactly one of ``root`` (factor form: the alpha and beta
-        blocks of G) and ``pseudoinverse`` (dense form);
+        """``root`` holds the alpha and beta column blocks of G;
         ``projected_hessian`` may be a function that builds it."""
-        if (root is None) == (pseudoinverse is None):
-            raise InvalidArgumentError("give exactly one of root and pseudoinverse")
         self.n_zero_eigenvalues = n_zero_eigenvalues
         self.expected_zero_eigenvalues = expected_zero_eigenvalues
         self.rank_warning = n_zero_eigenvalues > expected_zero_eigenvalues
-        self._root = None if root is None else tuple(_readonly(block) for block in root)
-        self._pinv = None if pseudoinverse is None else _readonly(pseudoinverse)
+        self._root = tuple(_readonly(block) for block in root)
         self._hessian = projected_hessian
 
     @cached_property
     def diagonal(self) -> np.ndarray:
         """The coordinate variances, diag V, stacked (alpha, beta)."""
-        if self._root is None:
-            return _readonly(np.diagonal(self._pinv))
         return _readonly(np.concatenate([np.einsum("ij,ij->j", g, g) for g in self._root]))
 
     def variance_of(self, cbar: np.ndarray) -> float:
         """cbar^T V cbar, clipped at zero."""
-        if self._root is None:
-            v = float(cbar @ self._pinv @ cbar)
-        else:
-            top, beta = self._root
-            n = top.shape[1]
-            u = top @ cbar[:n] + beta @ cbar[n:]
-            v = float(u @ u)
-        return max(v, 0.0)
+        top, beta = self._root
+        n = top.shape[1]
+        u = top @ cbar[:n] + beta @ cbar[n:]
+        return max(float(u @ u), 0.0)
 
     @cached_property
     def pseudoinverse(self) -> np.ndarray:
-        if self._pinv is not None:
-            return self._pinv
         top, beta = self._root
         cross = top.T @ beta
         return _readonly(_symmetrized(np.block([[top.T @ top, cross], [cross.T, beta.T @ beta]])))
@@ -219,7 +208,8 @@ def _dense_projected_hessian(
 
 
 def projected_hessian_pinv(hess: np.ndarray, proj: ProjectionOperator) -> VarianceModel:
-    """Pseudoinverse of P @ hess @ P via symmetric eigendecomposition.
+    """Pseudoinverse of P @ hess @ P via symmetric eigendecomposition, as
+    the root Lambda^-1/2 V^T of the kept eigenpairs.
 
     Eigenvalues below ``DEFAULT_EIGEN_CUTOFF`` times the largest are treated
     as exact zeros.  On a connected graph with a full-rank design exactly
@@ -237,11 +227,11 @@ def projected_hessian_pinv(hess: np.ndarray, proj: ProjectionOperator) -> Varian
     lam_max = float(eigvals[-1])
     threshold = DEFAULT_EIGEN_CUTOFF * max(lam_max, 0.0)
     keep = eigvals > threshold
-    inv_vals = np.where(keep, 1.0 / np.where(keep, eigvals, 1.0), 0.0)
+    root = (eigvecs[:, keep] / np.sqrt(eigvals[keep])).T
     return VarianceModel(
         n_zero_eigenvalues=int(np.sum(~keep)),
         expected_zero_eigenvalues=proj.n_constraints,
-        pseudoinverse=_symmetrized((eigvecs * inv_vals) @ eigvecs.T),
+        root=(root[:, : proj.n_items], root[:, proj.n_items :]),
         projected_hessian=projected,
     )
 
@@ -301,24 +291,24 @@ def _shifted_laplacian(data: ComparisonData, weights: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _projected_hessian_trace(shifted: np.ndarray, q: np.ndarray, x: np.ndarray) -> float:
-    """tr(P H P) from A = L_w + 11^T/n, in O(n^2 d) by one product A [Q, X].
-
-    P H P = N^T L_w N with N = [I - Q Q^T, X], so
-    tr(P H P) = tr(L_w) - tr(Q^T L_w Q) + tr(X^T L_w X); for any columns
-    Y, tr(Y^T L_w Y) = tr(Y^T A Y) - |1^T Y|^2 / n, and tr(L_w) = tr(A) - 1.
-    """
-    n, k = q.shape
-    cols = np.hstack([q, x])
-    quad = np.einsum("ij,ij->j", cols, shifted @ cols) - cols.sum(axis=0) ** 2 / n
-    return float(np.trace(shifted)) - 1.0 - float(quad[:k].sum()) + float(quad[k:].sum())
-
-
-def _eigen_ratio_bound(hessian_trace: float, diagonal: np.ndarray) -> float:
-    """tr(P H P) tr([P H P]^+), an upper bound on
-    lambda_max(P H P) lambda_max([P H P]^+) since both are positive
-    semidefinite, from ``_projected_hessian_trace`` and the variances."""
-    return hessian_trace * float(diagonal.sum())
+def _factored_laplacian(data: ComparisonData, weights: np.ndarray) -> np.ndarray:
+    """R = L^-1 for the Cholesky factor L of A = L_w + 11^T/n, in place
+    of A.  First, edges weighing at most ``DEFAULT_EIGEN_CUTOFF`` times
+    the largest are dropped and the rest's components found in O(E);
+    more than one raises ``ConnectivityError``, and a factor that still
+    fails raises ``InvalidArgumentError``."""
+    keep = weights > DEFAULT_EIGEN_CUTOFF * weights.max(initial=0.0)
+    if keep.all():
+        graph, labels = "comparison graph", data._component_labels
+    else:
+        half = data._half_edges
+        graph = "comparison graph under its Hessian weights"
+        labels = _smallest_reaching(half, half.spread(keep, keep))
+    _refuse_split(graph, labels)
+    try:
+        return _cholesky_inverse(_shifted_laplacian(data, weights))
+    except np.linalg.LinAlgError:
+        raise InvalidArgumentError("L_w + 11^T/n is not numerically positive definite") from None
 
 
 def _laplacian_variance_model(
@@ -327,43 +317,22 @@ def _laplacian_variance_model(
     params: ParamVector,
     proj: ProjectionOperator,
 ) -> VarianceModel:
-    """Variance model in the factor form: the root G = L^-1 T^T with
-    A = L_w + 11^T/n = L L^T and T stacking I - Q Q^T over the slope rows
-    S of Xbar^+, so G = [R - (R Q) Q^T, R S^T] with R = L^-1.
-
-    When A is not numerically positive definite (edge weights that
-    underflow, a disconnected graph) or the trace bound of
-    ``_eigen_ratio_bound`` reaches 1 / ``DEFAULT_EIGEN_CUTOFF`` (some
-    nonzero eigenvalue might fall below the cutoff, or the factor
-    overflowed), the result falls back to ``projected_hessian_pinv`` on
-    the dense Hessian, whose eigenvalue count reports the extra null
-    directions.
-    """
-    weights = _hessian_weights(data, cov, params)
-    shifted = _shifted_laplacian(data, weights)
+    """The variance model from its root G = L^-1 T^T, with T stacking
+    I - Q Q^T over the slope rows S of Xbar^+, so G = [R - (R Q) Q^T, R S^T]
+    with R = L^-1 from ``_factored_laplacian``."""
+    root = _factored_laplacian(data, _hessian_weights(data, cov, params))
     q = proj._span_q
     n, k = q.shape
-    # read before the factorization overwrites A
-    hessian_trace = _projected_hessian_trace(shifted, q, cov.scaled)
-    try:
-        root = _cholesky_inverse(shifted)
-    except np.linalg.LinAlgError:
-        return projected_hessian_pinv(hessian(data, cov, params), proj)
     products = root @ np.hstack([q, _score_split(cov).T])
     for start in range(0, n, _ROW_CHUNK):
         rows = slice(start, start + _ROW_CHUNK)
         root[rows] -= products[rows, :k] @ q.T
-    vm = VarianceModel(
+    return VarianceModel(
         n_zero_eigenvalues=proj.n_constraints,
         expected_zero_eigenvalues=proj.n_constraints,
         root=(root, products[:, k:]),
         projected_hessian=partial(_dense_projected_hessian, data, cov, params, proj),
     )
-    # A NaN bound (a factor that overflowed) falls back as well.
-    bound = _eigen_ratio_bound(hessian_trace, vm.diagonal)
-    if not bound * DEFAULT_EIGEN_CUTOFF < 1.0:
-        return projected_hessian_pinv(hessian(data, cov, params), proj)
-    return vm
 
 
 def plugin_variance_model(fit: FitResult) -> VarianceModel:
@@ -500,18 +469,10 @@ def quadratic_approx_minimizer(
     the point of the subspace with those scores.  Simulation-side tool:
     requires the true parameters.
     """
-    if not is_connected(data):
-        raise ConnectivityError("comparison graph is disconnected")
     n = data.n_items
     g = gradient(data, cov, truth)[:n]
     weights = _hessian_weights(data, cov, truth)
-    try:
-        root = _cholesky_inverse(_shifted_laplacian(data, weights))
-    except np.linalg.LinAlgError:
-        raise InvalidArgumentError(
-            "L_w + 11^T/n is not numerically positive definite; "
-            "graph may be effectively disconnected"
-        ) from None
+    root = _factored_laplacian(data, weights)
     step = root.T @ (root @ g)
     # stationarity in (alpha, beta): P M^T (g + L_w (s - s*)), with
     # L_w v = deg * v - sum_e w_e v[other] over the half-edge layout

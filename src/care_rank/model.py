@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateDesignError, InvalidArgumentError
+from .errors import ConnectivityError, DegenerateDesignError, InvalidArgumentError
 
 __all__ = [
     "ComparisonData",
@@ -527,13 +527,28 @@ def _smallest_reaching(half: _HalfEdges, keep: np.ndarray | None = None) -> np.n
         label = new
 
 
-def connected_components(data: ComparisonData) -> list[list[int]]:
-    """Connected components of the undirected comparison graph, each
-    sorted, ordered by smallest member."""
-    labels = data._component_labels
+def _components(labels: np.ndarray) -> list[list[int]]:
+    """The items grouped by component label, each group sorted, ordered
+    by smallest member."""
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
     return [comp.tolist() for comp in np.split(order, cuts)]
+
+
+def _refuse_split(graph: str, labels: np.ndarray) -> None:
+    """Raise ``ConnectivityError`` when the component ``labels`` of
+    ``graph`` mark more than one component: the count and a preview (6
+    components, 8 items each) in the message, all components on it."""
+    if labels.any():
+        comps = _components(labels)
+        preview = ", ".join(str(c[:8]) for c in comps[:6])
+        raise ConnectivityError(f"{graph} has {len(comps)} components: {preview}", components=comps)
+
+
+def connected_components(data: ComparisonData) -> list[list[int]]:
+    """Connected components of the undirected comparison graph, each
+    sorted, ordered by smallest member."""
+    return _components(data._component_labels)
 
 
 def is_connected(data: ComparisonData) -> bool:

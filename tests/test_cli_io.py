@@ -689,6 +689,23 @@ class TestExitCodes:
         code = main(["fit", "--comparisons", data, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONNECTIVITY
 
+    @pytest.mark.parametrize("command, output", [("infer", "inference.csv"), ("rank", "ranking.csv")])
+    def test_hessian_weights_that_split_the_graph_exit(self, tmp_path, capsys, command, output):
+        # two triangles whose pairs carry 10^12 trials each, joined by a
+        # pair with 2: the bridge's Hessian weight is 2e-12 of the others'
+        big = "1000000000000,500000000000"
+        rows = [f"{i},{j},{big}" for i, j in ("ab", "ac", "bc", "de", "df", "ef")]
+        data = write(
+            tmp_path / "c.csv",
+            "item_i,item_j,trials,wins_j\n" + "\n".join(rows) + "\nc,d,2,1\n",
+        )
+        out = tmp_path / "o"
+        code = main([command, "--comparisons", data, "--out", str(out)])
+        assert code == EXIT_CONNECTIVITY
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2 components: [0, 1, 2], [3, 4, 5]" in err
+        assert (out / "fit.json").exists() and not (out / output).exists()
+
     def test_non_convergence_exit(self, tmp_path):
         data = write(
             tmp_path / "c.csv",

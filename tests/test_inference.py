@@ -6,11 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from care_rank import inference, simulation
 from care_rank.cli import EXIT_CONFIG, main
-from care_rank.errors import DegenerateContrastError, InvalidArgumentError
+from care_rank.errors import ConnectivityError, DegenerateContrastError, InvalidArgumentError
 from care_rank.estimation import FitConfig, fit_mle, preprocess_covariates
 from care_rank.inference import (
     DEFAULT_EIGEN_CUTOFF,
@@ -31,7 +33,6 @@ from care_rank.model import (
     ComparisonData,
     ParamVector,
     ProjectionOperator,
-    _hessian_weights,
     build_projection,
     gradient,
     hessian,
@@ -46,6 +47,7 @@ from care_rank.simulation import (
 )
 
 from oracles import (
+    components_by_bfs,
     quadratic_minimizer_by_dense_pinv,
     sample_small_instance,
     theta_basis_by_nullspace,
@@ -237,55 +239,6 @@ class TestLaplacianVarianceModel:
         assert peak <= 1.6 * n * n * 8
         assert peak <= inference.FACTOR_PEAK_SQUARES * n * n * 8
 
-    def test_trace_bound_quiet_at_cli_scale(self, monkeypatch):
-        # the size of the cli-n2000 benchmark dataset; the bound reads
-        # about 4e-4 of its limit there and grows like n^2
-        n = 2000
-        cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=20250801))
-        data = sample_comparisons(cov, truth, 0.05, 10, 20250801)
-        fit = fit_mle(data, cov)
-        bounds = []
-        real_bound = inference._eigen_ratio_bound
-
-        def record(*args):
-            bounds.append(real_bound(*args))
-            return bounds[-1]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense Hessian built")
-
-        monkeypatch.setattr(inference, "_eigen_ratio_bound", record)
-        monkeypatch.setattr(inference, "hessian", refuse)
-        vm = plugin_variance_model(fit)
-        assert not vm.rank_warning and vm.n_zero_eigenvalues == 6
-        assert len(bounds) == 1 and bounds[0] * DEFAULT_EIGEN_CUTOFF < 1e-2
-
-    def test_trace_bound_is_product_of_traces(self):
-        data, cov = unequal_trials_instance(seed=111)
-        fit = fit_mle(data, cov)
-        vm = plugin_variance_model(fit)
-        weights = _hessian_weights(data, cov, fit.params)
-        bound = inference._eigen_ratio_bound(
-            inference._projected_hessian_trace(
-                inference._shifted_laplacian(data, weights), fit.projection._span_q, cov.scaled
-            ),
-            vm.diagonal,
-        )
-        want = np.trace(vm.projected_hessian) * np.trace(vm.pseudoinverse)
-        assert bound == pytest.approx(want, rel=1e-12)
-        top = np.linalg.eigvalsh(vm.projected_hessian)[-1] * np.linalg.eigvalsh(vm.pseudoinverse)[-1]
-        assert top <= bound
-
-    @pytest.mark.parametrize("bound", [1.0 / DEFAULT_EIGEN_CUTOFF, math.nan])
-    def test_trace_bound_at_limit_falls_back(self, monkeypatch, bound):
-        data, cov = unequal_trials_instance(seed=112)
-        fit = fit_mle(data, cov)
-        monkeypatch.setattr(inference, "_eigen_ratio_bound", lambda *args: bound)
-        vm = plugin_variance_model(fit)
-        ref = projected_hessian_pinv(hessian(data, cov, fit.params), fit.projection)
-        np.testing.assert_array_equal(vm.pseudoinverse, ref.pseudoinverse)
-        np.testing.assert_array_equal(vm.diagonal, np.diagonal(ref.pseudoinverse))
-
     def test_cholesky_inverse(self):
         rng = np.random.default_rng(113)
         for n in (1, 5, 64, 65, 300):
@@ -339,22 +292,34 @@ class TestLaplacianVarianceModel:
                 )
                 assert row.level == 0.9
 
-    def test_underflowing_weights_fall_back_to_dense_route(self):
+    def test_underflowing_weights_refused(self, monkeypatch):
         # two triangles joined by the bridge (2, 3); scores 800 apart make
         # the bridge weight underflow to exactly zero, so L_w has a second
-        # null vector and the dense route must report it
+        # null vector, no coordinate is estimable, and every caller refuses
+        # before any dense work
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense (n+d) x (n+d) work")
+
         edges = [(0, 1, 4, 2), (0, 2, 4, 1), (1, 2, 4, 3),
                  (3, 4, 4, 2), (3, 5, 4, 1), (4, 5, 4, 3), (2, 3, 4, 2)]
         data = ComparisonData.from_edges(6, edges)
         cov = preprocess_covariates(np.zeros((6, 0)))
         fit = fit_mle(data, cov)
         far = ParamVector(np.repeat([400.0, -400.0], 3), np.zeros(0))
-        vm = plugin_variance_model(dataclasses.replace(fit, params=far))
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for name in ("hessian", "projected_hessian_pinv"):
+            monkeypatch.setattr(inference, name, refuse)
+        for call in (
+            lambda: plugin_variance_model(dataclasses.replace(fit, params=far)),
+            lambda: oracle_variance_model(data, cov, far, fit.projection),
+            lambda: quadratic_approx_minimizer(data, cov, far, fit.projection),
+        ):
+            with pytest.raises(ConnectivityError, match="2 components") as exc:
+                call()
+            assert exc.value.components == [[0, 1, 2], [3, 4, 5]]
+        monkeypatch.undo()
         ref = projected_hessian_pinv(hessian(data, cov, far), fit.projection)
-        np.testing.assert_array_equal(vm.pseudoinverse, ref.pseudoinverse)
-        np.testing.assert_array_equal(vm.projected_hessian, ref.projected_hessian)
-        assert vm.n_zero_eigenvalues == ref.n_zero_eigenvalues == 2
-        assert vm.rank_warning and ref.rank_warning
+        assert ref.n_zero_eigenvalues == 2 and ref.rank_warning
 
     def test_fit_and_report_never_build_dense_projector(self, monkeypatch):
         def refuse(self):
@@ -390,6 +355,50 @@ class TestLaplacianVarianceModel:
         code = main(["infer", "--comparisons", str(comparisons),
                      "--covariates", str(covariates), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+
+@st.composite
+def weighted_connected_graphs(draw, max_items=8):
+    """A connected graph (a random spanning tree plus drawn extra pairs)
+    with weights in [0.5, 2], each multiplied by a drawn 1, 0 or 1e-12."""
+    n = draw(st.integers(2, max_items))
+    pairs = {(draw(st.integers(0, j - 1)), j) for j in range(1, n)}
+    every = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = sorted(pairs | set(draw(st.lists(st.sampled_from(every), unique=True))))
+    data = ComparisonData.from_edges(n, [(i, j, 1, 0) for i, j in pairs])
+    size = dict(min_size=len(pairs), max_size=len(pairs))
+    weights = draw(st.lists(st.floats(0.5, 2.0), **size))
+    factors = draw(st.lists(st.sampled_from([1.0, 0.0, 1e-12]), **size))
+    return data, np.array(weights) * np.array(factors)
+
+
+class TestWeightGraphRefusal:
+    @given(weighted_connected_graphs())
+    def test_refuses_exactly_the_splits(self, drawn):
+        data, weights = drawn
+        kept = weights > DEFAULT_EIGEN_CUTOFF * weights.max()
+        want = components_by_bfs(ComparisonData(
+            data.n_items, data.item_i[kept], data.item_j[kept],
+            data.trials[kept], data.wins_j[kept],
+        ))
+        if len(want) > 1:
+            with pytest.raises(ConnectivityError) as exc:
+                inference._factored_laplacian(data, weights)
+            assert exc.value.components == want
+        else:
+            root = inference._factored_laplacian(data, weights)
+            assert np.all(np.isfinite(root)) and np.array_equal(root, np.tril(root))
+
+    def test_failed_factor_is_invalid_argument(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(inference, "_cholesky_inverse", fail)
+        data, cov, truth, fit = fitted_instance(seed=115)
+        with pytest.raises(InvalidArgumentError, match="positive definite"):
+            plugin_variance_model(fit)
+        with pytest.raises(InvalidArgumentError, match="positive definite"):
+            quadratic_approx_minimizer(data, cov, truth, fit.projection)
 
 
 class TestContrastInference:
