@@ -59,6 +59,7 @@ from .io import (
     write_json,
     write_ranking_csv,
 )
+from .model import _component_preview
 from .simulation import (
     ExperimentPlan,
     SyntheticSpec,
@@ -268,7 +269,6 @@ def build_parser() -> _Parser:
     add_common(sp_infer)
     add_fit_options(sp_infer)
     sp_infer.add_argument("--level", type=float, help="confidence level, default 0.95")
-    sp_infer.add_argument("--quantile-level", dest="quantile_level", type=float)
 
     sp_rank = sub.add_parser("rank", help="fit plus ranking scores")
     add_common(sp_rank)
@@ -295,7 +295,7 @@ def build_parser() -> _Parser:
     sp_exp.add_argument("--replications", type=int)
     sp_exp.add_argument("--workers", type=int,
                         help="worker processes, each with one BLAS thread, at most "
-                             "one per usable CPU; default $CARE_RANK_WORKERS or 1")
+                             "one per usable CPU; default 1")
     sp_exp.add_argument("--statistics", help="comma-separated statistic names")
     return parser
 
@@ -303,6 +303,11 @@ def build_parser() -> _Parser:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Apply precedence: command line > config file > defaults."""
     file_cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_cfg) - set(_CONVERTERS))
+    if unknown:
+        raise ConfigurationError(
+            f"{args.config}: unknown key{'s' if len(unknown) > 1 else ''} {', '.join(unknown)}"
+        )
     resolved = {"command": args.command}
     for key, convert in _CONVERTERS.items():
         value = getattr(args, key, None)
@@ -335,7 +340,10 @@ def _load_and_fit(config: RunConfig) -> ResultBundle:
         raw = np.zeros((parsed.data.n_items, 0))
         feature_names = []
     cov = preprocess_covariates(raw, standardize=config.standardize)
-    fit = fit_mle(parsed.data, cov, config.fit_config())
+    try:
+        fit = fit_mle(parsed.data, cov, config.fit_config())
+    except ConnectivityError as exc:
+        raise _named_components(exc, parsed.item_ids) from None
     return ResultBundle(parsed, fit, feature_names, config.provenance())
 
 
@@ -389,10 +397,18 @@ def _available_memory(
     return min(found) if found else None
 
 
-def _variance_model(fit: FitResult) -> VarianceModel:
+def _named_components(exc: ConnectivityError, item_ids: list[str]) -> ConnectivityError:
+    """``exc`` with the components in its message named by item id; its
+    ``components`` stay indices."""
+    named = [[item_ids[k] for k in comp] for comp in exc.components]
+    head = str(exc).removesuffix(_component_preview(exc.components))
+    return ConnectivityError(head + _component_preview(named), components=exc.components)
+
+
+def _variance_model(bundle: ResultBundle) -> VarianceModel:
     """``plugin_variance_model``, refused up front when its peak memory
     would exceed what is available, rather than killed part way."""
-    n = fit.params.n_items
+    n = bundle.fit.params.n_items
     need = FACTOR_PEAK_SQUARES * 8 * n * n
     available = _available_memory()
     if available is not None and need > available:
@@ -400,7 +416,10 @@ def _variance_model(fit: FitResult) -> VarianceModel:
             f"the variance model for {n} items needs about {need / 2**20:.0f} MiB "
             f"of memory, but only {available / 2**20:.0f} MiB is available"
         )
-    return plugin_variance_model(fit)
+    try:
+        return plugin_variance_model(bundle.fit)
+    except ConnectivityError as exc:
+        raise _named_components(exc, bundle.parsed.item_ids) from None
 
 
 def cmd_fit(config: RunConfig) -> int:
@@ -414,13 +433,9 @@ def cmd_infer(config: RunConfig) -> int:
     _write_fit(config, bundle)
     if not _converged_or_report(bundle, "inference output"):
         return EXIT_CONVERGENCE
-    vm = _variance_model(bundle.fit)
-    report = full_inference_report(
-        bundle.fit, vm, config.level, config.quantile_level
-    )
     write_inference_csv(
         os.path.join(config.out, "inference.csv"),
-        report,
+        full_inference_report(bundle.fit, _variance_model(bundle), config.level),
         bundle.parsed.item_ids,
         bundle.feature_names,
         bundle.provenance,
@@ -433,8 +448,7 @@ def cmd_rank(config: RunConfig) -> int:
     _write_fit(config, bundle)
     if not _converged_or_report(bundle, "ranking output"):
         return EXIT_CONVERGENCE
-    vm = _variance_model(bundle.fit)
-    ranking = care_ranking_scores(bundle.fit, vm, config.quantile_level)
+    ranking = care_ranking_scores(bundle.fit, _variance_model(bundle), config.quantile_level)
     write_ranking_csv(
         os.path.join(config.out, "ranking.csv"),
         ranking,
@@ -482,7 +496,9 @@ def cmd_experiment(config: RunConfig) -> int:
     config.require("out")
     spec = SyntheticSpec(n=config.n, d=config.d, seed=config.seed)
     if config.kind == "rate":
-        pairs, stats, replications = rate_experiment_pairs(), "alpha_linf,beta_rel_l2", 200
+        # beta_rel_l2 is undefined without covariates
+        stats = "alpha_linf,beta_rel_l2" if spec.d else "alpha_linf"
+        pairs, replications = rate_experiment_pairs(), 200
     elif config.kind == "distribution":
         pairs = [(distribution_sampling_probability(spec.n, spec.d), 20)]
         stats, replications = "qq_alpha1,hist_A,hist_B,coverage", 250

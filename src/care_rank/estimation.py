@@ -160,9 +160,7 @@ def project_to_theta(params: ParamVector, proj: ProjectionOperator) -> ParamVect
             f"parameter shape ({params.n_items}, {params.n_features}) does not "
             f"match projector ({proj.n_items}, {proj.n_features})"
         )
-    return ParamVector.from_stacked(
-        proj.apply(params.stacked), params.n_items, identified=True
-    )
+    return ParamVector.from_stacked(proj.apply(params.stacked), params.n_items)
 
 
 def _pcg(apply, b: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, int]:
@@ -289,7 +287,7 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         iterations += 1
 
     stacked = proj.apply(np.concatenate([s, _score_split(cov) @ s]))
-    params = ParamVector.from_stacked(stacked, n, identified=True)
+    params = ParamVector.from_stacked(stacked, n)
     scores = params.scores(cov)
     diagnostics = FitDiagnostics(
         kappa1=float(np.exp(scores.max() - scores.min())),

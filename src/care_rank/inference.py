@@ -180,13 +180,7 @@ class RankingScores:
 class InferenceReport:
     alpha_rows: list[CoefficientEstimate]
     beta_rows: list[CoefficientEstimate]
-    care_scores_1: np.ndarray
-    care_scores_2: np.ndarray
-    thresholds_tau: np.ndarray
-    ranks_1: np.ndarray
-    ranks_2: np.ndarray
     level: float
-    quantile_level: float
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
@@ -488,7 +482,7 @@ def quadratic_approx_minimizer(
         )
     s = truth.scores(cov) - step
     stacked = proj.apply(np.concatenate([s, _score_split(cov) @ s]))
-    return ParamVector.from_stacked(stacked, n, identified=True)
+    return ParamVector.from_stacked(stacked, n)
 
 
 def soft_threshold(x, tau):
@@ -541,24 +535,12 @@ def _dense_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def full_inference_report(
-    fit: FitResult,
-    vm: VarianceModel,
-    level: float = 0.95,
-    quantile_level: float = 0.995,
-) -> InferenceReport:
-    """All per-coefficient rows plus ranking scores in one bundle."""
-    ranking = care_ranking_scores(fit, vm, quantile_level)
+def full_inference_report(fit: FitResult, vm: VarianceModel, level: float = 0.95) -> InferenceReport:
+    """All per-coefficient rows in one bundle."""
     return InferenceReport(
         alpha_rows=alpha_inference(fit, vm, level),
         beta_rows=beta_inference(fit, vm, level),
-        care_scores_1=ranking.scores1,
-        care_scores_2=ranking.scores2,
-        thresholds_tau=ranking.taus,
-        ranks_1=ranking.ranks1,
-        ranks_2=ranking.ranks2,
         level=level,
-        quantile_level=quantile_level,
     )
 
 

@@ -255,12 +255,10 @@ class CovariateMatrix:
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Joint parameters (alpha, beta); ``identified`` marks membership in
-    the subspace where the augmented design annihilates alpha."""
+    """Joint parameters (alpha, beta)."""
 
     alpha: np.ndarray
     beta: np.ndarray
-    identified: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=float).ravel()
@@ -269,9 +267,9 @@ class ParamVector:
         object.__setattr__(self, "beta", _readonly(b))
 
     @classmethod
-    def from_stacked(cls, stacked: np.ndarray, n_items: int, identified: bool = False) -> "ParamVector":
+    def from_stacked(cls, stacked: np.ndarray, n_items: int) -> "ParamVector":
         stacked = np.asarray(stacked, dtype=float).ravel()
-        return cls(stacked[:n_items], stacked[n_items:], identified)
+        return cls(stacked[:n_items], stacked[n_items:])
 
     @property
     def n_items(self) -> int:
@@ -535,14 +533,19 @@ def _components(labels: np.ndarray) -> list[list[int]]:
     return [comp.tolist() for comp in np.split(order, cuts)]
 
 
+def _component_preview(comps: list[list]) -> str:
+    """The count of ``comps`` and their first 6, with the first 8 items
+    of each."""
+    return f"{len(comps)} components: " + ", ".join(str(c[:8]) for c in comps[:6])
+
+
 def _refuse_split(graph: str, labels: np.ndarray) -> None:
     """Raise ``ConnectivityError`` when the component ``labels`` of
-    ``graph`` mark more than one component: the count and a preview (6
-    components, 8 items each) in the message, all components on it."""
+    ``graph`` mark more than one component: ``_component_preview`` in
+    the message, all components on it."""
     if labels.any():
         comps = _components(labels)
-        preview = ", ".join(str(c[:8]) for c in comps[:6])
-        raise ConnectivityError(f"{graph} has {len(comps)} components: {preview}", components=comps)
+        raise ConnectivityError(f"{graph} has {_component_preview(comps)}", components=comps)
 
 
 def connected_components(data: ComparisonData) -> list[list[int]]:

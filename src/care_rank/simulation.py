@@ -40,7 +40,6 @@ from .model import (
     ComparisonData,
     CovariateMatrix,
     ParamVector,
-    ProjectionOperator,
     build_projection,
     is_connected,
     sigmoid,
@@ -88,8 +87,6 @@ _MAX_RESAMPLE_ATTEMPTS = 200
 # its memory to this many doubles plus the kept pairs.
 _SAMPLE_CHUNK = 1 << 16
 
-ENV_WORKERS = "CARE_RANK_WORKERS"
-
 # Thread-count variables the BLAS libraries numpy links read when they
 # load; every worker process starts with each set to 1.
 _BLAS_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -124,25 +121,10 @@ class SyntheticSpec:
     n: int = 200
     d: int = 5
     seed: int = 0
-    alpha_range: tuple[float, float] = (0.5, log(5.0) - 0.5)
-    beta_radius: float | None = None  # None -> 0.5 * sqrt(n / (d + 1))
-    covariate_range: tuple[float, float] = (-0.5, 0.5)
 
     def __post_init__(self):
         if self.n < 2 or self.d < 0:
             raise InvalidArgumentError(f"need n >= 2 and d >= 0, got n={self.n}, d={self.d}")
-        if not self.alpha_range[0] <= self.alpha_range[1]:
-            raise InvalidArgumentError("alpha_range must be ordered")
-        if not self.covariate_range[0] < self.covariate_range[1]:
-            raise InvalidArgumentError("covariate_range must be ordered")
-        if self.beta_radius is not None and self.beta_radius < 0:
-            raise InvalidArgumentError("beta_radius must be nonnegative")
-
-    @property
-    def resolved_beta_radius(self) -> float:
-        if self.beta_radius is not None:
-            return float(self.beta_radius)
-        return 0.5 * sqrt(self.n / (self.d + 1))
 
 
 def effective_sample_size(n: int, d: int) -> float:
@@ -150,9 +132,9 @@ def effective_sample_size(n: int, d: int) -> float:
     return n / ((d + 1) * log(n))
 
 
-def distribution_sampling_probability(n: int, d: int, multiplier: float = 2.0) -> float:
-    """multiplier / effective_sample_size, the p used in the normality studies."""
-    return multiplier / effective_sample_size(n, d)
+def distribution_sampling_probability(n: int, d: int) -> float:
+    """2 / effective_sample_size, the p used in the normality studies."""
+    return 2.0 / effective_sample_size(n, d)
 
 
 def rate_experiment_pairs() -> list[tuple[float, int]]:
@@ -161,23 +143,22 @@ def rate_experiment_pairs() -> list[tuple[float, int]]:
 
 
 def draw_covariates(spec: SyntheticSpec) -> np.ndarray:
-    """Raw feature matrix, entrywise uniform on the spec's range."""
-    lo, hi = spec.covariate_range
-    return rng_stream(spec.seed, _STREAM_COVARIATES).uniform(lo, hi, size=(spec.n, spec.d))
+    """Raw feature matrix, entrywise uniform on [-0.5, 0.5]."""
+    return rng_stream(spec.seed, _STREAM_COVARIATES).uniform(-0.5, 0.5, size=(spec.n, spec.d))
 
 
 def draw_alpha(spec: SyntheticSpec) -> np.ndarray:
-    """Pre-projection intrinsic scores, i.i.d. uniform on the spec's range."""
-    a_lo, a_hi = spec.alpha_range
-    return rng_stream(spec.seed, _STREAM_ALPHA).uniform(a_lo, a_hi, size=spec.n)
+    """Pre-projection intrinsic scores, i.i.d. uniform on [0.5, log(5) - 0.5]."""
+    return rng_stream(spec.seed, _STREAM_ALPHA).uniform(0.5, log(5.0) - 0.5, size=spec.n)
 
 
 def draw_beta(spec: SyntheticSpec) -> np.ndarray:
-    """Covariate effect drawn uniformly from the sphere of the spec radius."""
+    """Covariate effect drawn uniformly from the sphere of radius
+    0.5 * sqrt(n / (d + 1))."""
     if spec.d == 0:
         return np.zeros(0)
     g = rng_stream(spec.seed, _STREAM_BETA).normal(size=spec.d)
-    return g * (spec.resolved_beta_radius / np.linalg.norm(g))
+    return g * (0.5 * sqrt(spec.n / (spec.d + 1)) / np.linalg.norm(g))
 
 
 def generate_truth(spec: SyntheticSpec) -> tuple[CovariateMatrix, ParamVector]:
@@ -308,18 +289,6 @@ class ExperimentResult:
                     yield (s.p, s.L, rep, key, value)
 
 
-def _resolve_workers(plan: ExperimentPlan) -> int:
-    if plan.workers is not None:
-        return plan.workers
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"{ENV_WORKERS} must be an integer, got {env!r}")
-    return 1
-
-
 def _usable_cores() -> int:
     """CPUs this process may run on: its affinity set where the platform
     reports one, else the machine's count."""
@@ -372,11 +341,6 @@ class _StudyContext:
     plan: ExperimentPlan
     cov: CovariateMatrix
     truth: ParamVector
-    beta_norm: float = 1.0
-    proj: ProjectionOperator | None = None
-    contrast: np.ndarray | None = None
-    cbar: np.ndarray | None = None
-    zq: float = 0.0
 
 
 # The replication function and shared context of the study this worker
@@ -427,7 +391,7 @@ def _run_study(context: _StudyContext, replication_fn) -> list[SettingResult]:
         for pair_index, (p, L) in enumerate(plan.pl_pairs)
         for rep in range(plan.replications)
     ]
-    workers = min(_resolve_workers(plan), len(tasks), _usable_cores())
+    workers = min(plan.workers or 1, len(tasks), _usable_cores())
     with _start_pool(workers, replication_fn, context) as pool:
         records = pool.imap(_run_task, tasks)
         return [
@@ -489,10 +453,7 @@ def run_rate_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Experiment
         )
     if "beta_rel_l2" in plan.statistics and spec.d == 0:
         raise InvalidArgumentError("beta_rel_l2 is undefined without covariates")
-    cov, truth = generate_truth(spec)
-    beta_norm = float(np.linalg.norm(truth.beta)) if spec.d else 1.0
-    context = _StudyContext(spec, plan, cov, truth, beta_norm=beta_norm)
-    settings = _run_study(context, _rate_replication)
+    settings = _run_study(_StudyContext(spec, plan, *generate_truth(spec)), _rate_replication)
     return ExperimentResult("rate", settings, _provenance(spec, plan, "rate"))
 
 
@@ -509,7 +470,7 @@ def _rate_replication(context: _StudyContext, task: tuple) -> dict:
         rec["alpha_linf"] = float(np.abs(fit.params.alpha - truth.alpha).max())
     if "beta_rel_l2" in statistics:
         rec["beta_rel_l2"] = float(
-            np.linalg.norm(fit.params.beta - truth.beta) / context.beta_norm
+            np.linalg.norm(fit.params.beta - truth.beta) / np.linalg.norm(truth.beta)
         )
     return rec
 
@@ -547,27 +508,17 @@ def _hist_block(values: np.ndarray) -> dict:
     }
 
 
-def _distribution_context(spec: SyntheticSpec, plan: ExperimentPlan) -> _StudyContext:
-    cov, truth = generate_truth(spec)
-    proj = build_projection(cov)
-    contrast = _default_contrast(spec.n, spec.d)
-    return _StudyContext(
-        spec, plan, cov, truth, proj=proj, contrast=contrast, cbar=proj.apply(contrast),
-        zq=normal_quantile(1.0 - (1.0 - plan.level) / 2.0),
-    )
-
-
 def _distribution_replication(context: _StudyContext, task: tuple) -> dict:
     p, L, pair_index, rep = task
-    cov, truth, contrast, cbar, zq = (
-        context.cov, context.truth, context.contrast, context.cbar, context.zq
-    )
-    n = context.spec.n
-    data, resamples, stream = _sample_connected(
-        context.spec, cov, truth, p, L, 2, pair_index, rep
-    )
+    spec, cov, truth = context.spec, context.cov, context.truth
+    n = spec.n
+    proj = build_projection(cov)
+    contrast = _default_contrast(n, spec.d)
+    cbar = proj.apply(contrast)
+    zq = normal_quantile(1.0 - (1.0 - context.plan.level) / 2.0)
+    data, resamples, stream = _sample_connected(spec, cov, truth, p, L, 2, pair_index, rep)
     fit = fit_mle(data, cov)
-    vm_true = oracle_variance_model(data, cov, truth, context.proj)
+    vm_true = oracle_variance_model(data, cov, truth, proj)
     vm_plugin = plugin_variance_model(fit)
     a_stat, b_stat = standardized_stats(fit, vm_true, vm_plugin, contrast, truth)
     alpha1_err = float(fit.params.alpha[0] - truth.alpha[0])
@@ -589,7 +540,7 @@ def _distribution_replication(context: _StudyContext, task: tuple) -> dict:
         "var_c_plugin": vm_plugin.variance_of(cbar),
         "cover_alpha1": int(abs(alpha1_err) <= zq * se1_plugin),
     }
-    if context.spec.d > 0:
+    if spec.d > 0:
         beta1_err = float(fit.params.beta[0] - truth.beta[0])
         se_beta1 = float(np.sqrt(max(vm_plugin.diagonal[n], 0.0)))
         rec["beta1_err"] = beta1_err
@@ -612,9 +563,9 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
         raise InvalidArgumentError(
             f"distribution experiment needs one of {sorted(DISTRIBUTION_STATISTICS)}"
         )
-    context = _distribution_context(spec, plan)
+    context = _StudyContext(spec, plan, *generate_truth(spec))
     d = spec.d
-    c_dot_truth = float(context.contrast @ context.truth.stacked)
+    c_dot_truth = float(_default_contrast(spec.n, d) @ context.truth.stacked)
 
     settings = _run_study(context, _distribution_replication)
     for setting in settings:

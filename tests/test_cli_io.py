@@ -681,13 +681,15 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "row 3:" in capsys.readouterr().err
 
-    def test_disconnected_graph_exit(self, tmp_path):
+    def test_disconnected_graph_exit(self, tmp_path, capsys):
         data = write(
             tmp_path / "c.csv",
-            "item_i,item_j,trials,wins_j\na,b,2,1\nc,d,2,1\n",
+            "item_i,item_j,trials,wins_j\nx1,x2,2,1\ny1,y2,2,1\n",
         )
         code = main(["fit", "--comparisons", data, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONNECTIVITY
+        err = capsys.readouterr().err
+        assert err == "error: comparison graph has 2 components: ['x1', 'x2'], ['y1', 'y2']\n"
 
     @pytest.mark.parametrize("command, output", [("infer", "inference.csv"), ("rank", "ranking.csv")])
     def test_hessian_weights_that_split_the_graph_exit(self, tmp_path, capsys, command, output):
@@ -703,7 +705,7 @@ class TestExitCodes:
         code = main([command, "--comparisons", data, "--out", str(out)])
         assert code == EXIT_CONNECTIVITY
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "2 components: [0, 1, 2], [3, 4, 5]" in err
+        assert err.startswith("error: ") and "2 components: ['a', 'b', 'c'], ['d', 'e', 'f']" in err
         assert (out / "fit.json").exists() and not (out / output).exists()
 
     def test_non_convergence_exit(self, tmp_path):
@@ -761,6 +763,22 @@ class TestExitCodes:
         for path in (str(tmp_path), data + "/x"):
             assert main(["fit", "--comparisons", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
             assert "error:" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        data = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\na,b,9,4\nb,c,9,5\na,c,9,3\n")
+        args = ["fit", "--comparisons", data, "--out", str(tmp_path / "o")]
+        cfg = write(tmp_path / "run.cfg", "ridge_alfa = 0.1\nmax_iter = 3\n")
+        assert main(args + ["--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: unknown keys max_iter, ridge_alfa\n"
+        # a key that another command reads stays accepted
+        cfg = write(tmp_path / "other.cfg", "n = 30\nquantile-level = 0.9\n")
+        assert main(args + ["--config", cfg]) == EXIT_OK
+
+    def test_quantile_level_is_a_rank_option(self, tmp_path):
+        data = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\na,b,9,4\nb,c,9,5\na,c,9,3\n")
+        args = ["--comparisons", data, "--quantile-level", "0.9", "--out", str(tmp_path / "o")]
+        assert main(["infer", *args]) == EXIT_CONFIG
+        assert main(["rank", *args]) == EXIT_OK
 
     def test_unknown_statistic_is_config_error(self, tmp_path):
         code = main([
@@ -836,6 +854,17 @@ class TestExperimentCommand:
         rows = read_csv_dicts(out / "experiment" / "records.csv")
         assert {r["statistic"] for r in rows} >= {"alpha_linf", "beta_rel_l2"}
         assert (out / "experiment" / "summary.csv").exists()
+
+    def test_rate_without_covariates(self, tmp_path, capsys):
+        args = ["experiment", "--kind", "rate", "--n", "30", "--d", "0",
+                "--seed", "3", "--pairs", "0.8:4", "--replications", "2"]
+        out = tmp_path / "exp"
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        stats = {r["statistic"] for r in read_csv_dicts(out / "experiment" / "records.csv")}
+        assert "alpha_linf" in stats and "beta_rel_l2" not in stats
+        out = tmp_path / "beta"
+        assert main(args + ["--statistics", "beta_rel_l2", "--out", str(out)]) == EXIT_CONFIG
+        assert "error: beta_rel_l2 is undefined without covariates" in capsys.readouterr().err
 
     def test_solver_trace_stays_out_of_experiment_files(self, tmp_path):
         out = tmp_path / "exp"

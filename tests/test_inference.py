@@ -202,7 +202,8 @@ class TestLaplacianVarianceModel:
             pl_pairs=((0.5, 6),), replications=1,
             statistics=frozenset({"qq_alpha1", "coverage"}), workers=1,
         )
-        context = simulation._distribution_context(SyntheticSpec(n=40, d=2, seed=109), plan)
+        spec = SyntheticSpec(n=40, d=2, seed=109)
+        context = simulation._StudyContext(spec, plan, *generate_truth(spec))
         record = simulation._distribution_replication(context, (0.5, 6, 0, 0))
         assert record["replication"] == 0 and record["var_c_plugin"] > 0
 
@@ -492,12 +493,9 @@ class TestCoefficientInference:
     def test_full_report_bundle(self):
         data, cov, _, fit = fitted_instance(seed=81)
         vm = plugin_variance_model(fit)
-        report = full_inference_report(fit, vm, level=0.9, quantile_level=0.99)
+        report = full_inference_report(fit, vm, level=0.9)
         assert len(report.alpha_rows) == 5
         assert len(report.beta_rows) == 2
-        assert report.care_scores_1.shape == (5,)
-        assert report.thresholds_tau.shape == (5,)
-        assert sorted(report.ranks_1.tolist()) == [1, 2, 3, 4, 5]
 
 
 class TestQuadraticApproxMinimizer:
@@ -515,7 +513,7 @@ class TestQuadraticApproxMinimizer:
     def test_matches_basis_reduction_oracle(self):
         data, cov, truth = sample_small_instance(seed=82, n=5, d=2, trials=25)
         proj = build_projection(cov)
-        truth_in = ParamVector.from_stacked(proj.apply(truth.stacked), 5, identified=True)
+        truth_in = ParamVector.from_stacked(proj.apply(truth.stacked), 5)
         approx = quadratic_approx_minimizer(data, cov, truth_in, proj)
         basis = theta_basis_by_nullspace(np.asarray(proj.z_pad))
         g = gradient(data, cov, truth_in)
@@ -542,13 +540,12 @@ class TestQuadraticApproxMinimizer:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(inference, "hessian", refuse)
         data, cov, truth = sample_small_instance(seed=84, n=6, d=2, trials=20)
-        approx = quadratic_approx_minimizer(data, cov, truth, build_projection(cov))
-        assert approx.identified
+        quadratic_approx_minimizer(data, cov, truth, build_projection(cov))
 
     def test_stationarity_residual(self):
         data, cov, truth = sample_small_instance(seed=83, n=6, d=2, trials=20)
         proj = build_projection(cov)
-        truth_in = ParamVector.from_stacked(proj.apply(truth.stacked), 6, identified=True)
+        truth_in = ParamVector.from_stacked(proj.apply(truth.stacked), 6)
         approx = quadratic_approx_minimizer(data, cov, truth_in, proj)
         g = gradient(data, cov, truth_in)
         h = hessian(data, cov, truth_in)
@@ -633,7 +630,7 @@ class TestStandardizedStats:
     def test_zero_at_truth(self):
         data, cov, truth, fit = fitted_instance(seed=91)
         proj = fit.projection
-        truth_in = ParamVector.from_stacked(proj.apply(truth.stacked), 5, identified=True)
+        truth_in = ParamVector.from_stacked(proj.apply(truth.stacked), 5)
         vm_true = projected_hessian_pinv(hessian(data, cov, truth_in), proj)
         vm_plugin = plugin_variance_model(fit)
         at_truth = dataclasses.replace(fit, params=truth_in)
@@ -645,7 +642,7 @@ class TestStandardizedStats:
     def test_finite_for_default_contrast(self):
         data, cov, truth, fit = fitted_instance(seed=92)
         proj = fit.projection
-        truth_in = ParamVector.from_stacked(proj.apply(truth.stacked), 5, identified=True)
+        truth_in = ParamVector.from_stacked(proj.apply(truth.stacked), 5)
         vm_true = projected_hessian_pinv(hessian(data, cov, truth_in), proj)
         vm_plugin = plugin_variance_model(fit)
         c = np.zeros(7)

@@ -12,7 +12,8 @@ import pytest
 import care_rank
 from care_rank import simulation
 from care_rank.errors import ConfigurationError, InvalidArgumentError
-from care_rank.model import build_projection, is_connected
+from care_rank.estimation import preprocess_covariates
+from care_rank.model import ParamVector, build_projection, is_connected
 from care_rank.simulation import (
     ExperimentPlan,
     SyntheticSpec,
@@ -102,8 +103,8 @@ class TestSampleComparisons:
         assert data.n_edges == 25 * 24 // 2
 
     def test_equal_scores_balanced(self):
-        cov, truth = generate_truth(SyntheticSpec(n=12, d=0, seed=8,
-                                                  alpha_range=(0.0, 0.0)))
+        cov = preprocess_covariates(np.zeros((12, 0)))
+        truth = ParamVector(np.zeros(12), np.zeros(0))
         data = sample_comparisons(cov, truth, 1.0, 10_000, 8)
         pooled = data.wins_j.sum() / data.trials.sum()
         assert abs(pooled - 0.5) <= 0.02
@@ -231,18 +232,6 @@ class TestRateExperiment:
         for rec in setting.records:
             assert rec["stream"] % (1 << 12) == rec["resamples"]
 
-    def test_workers_env_default(self, monkeypatch):
-        from care_rank.simulation import ENV_WORKERS, _resolve_workers
-
-        plan = ExperimentPlan(pl_pairs=[(0.5, 2)], replications=1)
-        monkeypatch.delenv(ENV_WORKERS, raising=False)
-        assert _resolve_workers(plan) == 1
-        monkeypatch.setenv(ENV_WORKERS, "6")
-        assert _resolve_workers(plan) == 6
-        monkeypatch.setenv(ENV_WORKERS, "nope")
-        with pytest.raises(ConfigurationError):
-            _resolve_workers(plan)
-
 
 class TestDistributionExperiment:
     def test_fields_and_blocks(self):
@@ -359,6 +348,10 @@ class TestWorkerPool:
         one = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
         assert started == [(3, one)]
         assert self.blas_env() == before
+
+    def test_no_worker_count_is_one_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert [size for size, _ in self.pools_started(monkeypatch, workers=None)] == [1]
 
     def test_never_more_processes_than_cores(self, monkeypatch):
         # one usable core: by affinity where the platform has it, else

@@ -24,7 +24,7 @@ class TestGeneratorLaws:
     def test_alpha_law_moments(self):
         spec = SyntheticSpec(n=200, d=5, seed=88)
         alpha = draw_alpha(spec)
-        lo, hi = spec.alpha_range
+        lo, hi = 0.5, math.log(5.0) - 0.5
         assert lo <= alpha.min() and alpha.max() <= hi
         midpoint = (lo + hi) / 2.0
         se = (hi - lo) / math.sqrt(12.0) / math.sqrt(spec.n)
@@ -33,15 +33,14 @@ class TestGeneratorLaws:
     def test_beta_law_norm(self):
         spec = SyntheticSpec(n=200, d=5, seed=89)
         beta = draw_beta(spec)
-        assert np.linalg.norm(beta) == np.float64(spec.resolved_beta_radius) or (
-            abs(np.linalg.norm(beta) - spec.resolved_beta_radius) <= 1e-12
-        )
+        radius = 0.5 * math.sqrt(spec.n / (spec.d + 1))
+        assert abs(np.linalg.norm(beta) - radius) <= 1e-12
 
     def test_covariate_law_range(self):
         spec = SyntheticSpec(n=200, d=5, seed=90)
         raw = draw_covariates(spec)
-        assert raw.min() >= spec.covariate_range[0]
-        assert raw.max() <= spec.covariate_range[1]
+        assert raw.min() >= -0.5
+        assert raw.max() <= 0.5
 
 
 class TestSizeUnderNull:
