@@ -39,7 +39,6 @@ from .errors import (
 from .estimation import FitConfig, FitResult, fit_mle, preprocess_covariates
 from .inference import (
     FACTOR_PEAK_SQUARES,
-    InferenceReport,
     VarianceModel,
     care_ranking_scores,
     full_inference_report,
@@ -137,9 +136,11 @@ class RunConfig:
     statistics: str | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.level < 1.0):
+        # each level is checked only for the commands that read it, so a
+        # shared config file may carry values meant for another command
+        if self.command in ("infer", "experiment") and not (0.0 < self.level < 1.0):
             raise ConfigurationError(f"level must be in (0, 1), got {self.level}")
-        if not (0.5 < self.quantile_level < 1.0):
+        if self.command == "rank" and not (0.5 < self.quantile_level < 1.0):
             raise ConfigurationError(
                 f"quantile-level must be in (0.5, 1), got {self.quantile_level}"
             )
@@ -210,7 +211,6 @@ class ResultBundle:
     fit: FitResult
     feature_names: list[str]
     provenance: dict
-    report: InferenceReport | None = None
 
     def fit_payload(self) -> dict:
         fit, cov = self.fit, self.fit.covariates

@@ -32,8 +32,8 @@ from .model import (
     FitDiagnostics,
     ParamVector,
     ProjectionOperator,
-    _score_split,
     _refuse_split,
+    _regression_split,
     _score_terms,
     _strongly_connected,
     build_projection,
@@ -102,9 +102,13 @@ class FitResult:
     stop_reason: str
     data: ComparisonData = field(repr=False, default=None)
     covariates: CovariateMatrix = field(repr=False, default=None)
-    projection: ProjectionOperator = field(repr=False, default=None)
     config: FitConfig = field(repr=False, default=None)
     likelihood_scale: float = 1.0
+
+    @property
+    def projection(self) -> ProjectionOperator:
+        """The projector of ``covariates``, cached on them."""
+        return build_projection(self.covariates)
 
 
 def preprocess_covariates(raw: np.ndarray, standardize: bool = True) -> CovariateMatrix:
@@ -286,8 +290,7 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         trace.append(val)
         iterations += 1
 
-    stacked = proj.apply(np.concatenate([s, _score_split(cov) @ s]))
-    params = ParamVector.from_stacked(stacked, n)
+    params = _regression_split(cov, s)
     scores = params.scores(cov)
     diagnostics = FitDiagnostics(
         kappa1=float(np.exp(scores.max() - scores.min())),
@@ -305,7 +308,6 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         stop_reason=stop_reason,
         data=data,
         covariates=cov,
-        projection=proj,
         config=config,
         likelihood_scale=scale,
     )

@@ -24,7 +24,11 @@ temporaries the variance model peaks at about 1.3 n x n arrays.  The
 root is kept as its two blocks R (I - Q Q^T) and R S^T, so every
 coordinate variance is a column sum of G * G and every contrast
 variance a squared norm, O(n (n+d)) each, with no dense
-(n+d) x (n+d) matrix and no n x (n+d) copy.
+(n+d) x (n+d) matrix and no n x (n+d) copy.  The variance model holds
+those two blocks and nothing else; the projector and S come from the
+covariates alone, so no caller passes them.  ``projected_hessian_pinv``
+builds the same kind of root from a dense eigendecomposition of P H P,
+as a reference: no command or study runs it.
 
 The Hessian's only null directions must be the d+1 of the constraint,
 so the graph must stay connected under its weights: edges weighing at
@@ -39,9 +43,8 @@ that zero out statistically insignificant intrinsic effects.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -55,11 +58,11 @@ from .model import (
     _hessian_weights,
     _readonly,
     _refuse_split,
-    _score_split,
+    _regression_split,
     _smallest_reaching,
     _weighted_laplacian,
+    build_projection,
     gradient,
-    hessian,
 )
 from .normal import normal_quantile, two_sided_p_value
 
@@ -87,36 +90,24 @@ DEFAULT_EIGEN_CUTOFF = 1e-10
 
 class VarianceModel:
     """The plug-in covariance V = [P H P]^+ of the stacked (alpha, beta)
-    estimate as V = G^T G, with the root G kept as its alpha and beta
-    column blocks: the n x (n+d) G = L^-1 T^T = [R (I - Q Q^T) | R S^T]
+    estimate as V = G^T G, held only as the alpha and beta column blocks
+    of the root G: the n x (n+d) G = L^-1 T^T = [R (I - Q Q^T) | R S^T]
     (see the module docstring) from ``plugin_variance_model`` and
     ``oracle_variance_model``, or Lambda^-1/2 V^T of the kept eigenpairs
     from ``projected_hessian_pinv``.  ``diagonal`` is the column sums of
     G * G and ``variance_of`` a squared norm, both O(n (n+d)) in time and
-    O(n) in extra memory; ``pseudoinverse`` (G^T G) and
-    ``projected_hessian`` (from the dense Hessian) are O(n^3), built on
-    first access.  The factor root peaks at ``FACTOR_PEAK_SQUARES`` n^2.
+    O(n) in extra memory; no dense (n+d) x (n+d) matrix is kept.  The
+    factor root peaks at ``FACTOR_PEAK_SQUARES`` n^2.
 
     ``rank_warning`` flags more near-zero eigenvalues than the d+1 the
     constraint accounts for, which only ``projected_hessian_pinv`` can
     report: the factor route refuses such a Hessian.
     """
 
-    def __init__(
-        self,
-        *,
-        n_zero_eigenvalues: int,
-        expected_zero_eigenvalues: int,
-        root: tuple[np.ndarray, np.ndarray],
-        projected_hessian: np.ndarray | Callable[[], np.ndarray],
-    ):
-        """``root`` holds the alpha and beta column blocks of G;
-        ``projected_hessian`` may be a function that builds it."""
-        self.n_zero_eigenvalues = n_zero_eigenvalues
-        self.expected_zero_eigenvalues = expected_zero_eigenvalues
-        self.rank_warning = n_zero_eigenvalues > expected_zero_eigenvalues
+    def __init__(self, *, root: tuple[np.ndarray, np.ndarray], rank_warning: bool = False):
+        """``root`` holds the alpha and beta column blocks of G."""
+        self.rank_warning = rank_warning
         self._root = tuple(_readonly(block) for block in root)
-        self._hessian = projected_hessian
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -129,17 +120,6 @@ class VarianceModel:
         n = top.shape[1]
         u = top @ cbar[:n] + beta @ cbar[n:]
         return max(float(u @ u), 0.0)
-
-    @cached_property
-    def pseudoinverse(self) -> np.ndarray:
-        top, beta = self._root
-        cross = top.T @ beta
-        return _readonly(_symmetrized(np.block([[top.T @ top, cross], [cross.T, beta.T @ beta]])))
-
-    @cached_property
-    def projected_hessian(self) -> np.ndarray:
-        hess = self._hessian
-        return _readonly(hess() if callable(hess) else hess)
 
 
 @dataclass(frozen=True)
@@ -180,25 +160,15 @@ class RankingScores:
 class InferenceReport:
     alpha_rows: list[CoefficientEstimate]
     beta_rows: list[CoefficientEstimate]
-    level: float
-
-
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    a += a.T
-    a *= 0.5
-    return a
 
 
 def _projected(hess: np.ndarray, proj: ProjectionOperator) -> np.ndarray:
     # P is symmetric, so projecting every row and then every column
     # gives P @ hess @ P without the dense projector.
-    return _symmetrized(proj.apply(proj.apply(hess).T))
-
-
-def _dense_projected_hessian(
-    data: ComparisonData, cov: CovariateMatrix, params: ParamVector, proj: ProjectionOperator
-) -> np.ndarray:
-    return _projected(hessian(data, cov, params), proj)
+    out = proj.apply(proj.apply(hess).T)
+    out += out.T
+    out *= 0.5
+    return out
 
 
 def projected_hessian_pinv(hess: np.ndarray, proj: ProjectionOperator) -> VarianceModel:
@@ -223,10 +193,8 @@ def projected_hessian_pinv(hess: np.ndarray, proj: ProjectionOperator) -> Varian
     keep = eigvals > threshold
     root = (eigvecs[:, keep] / np.sqrt(eigvals[keep])).T
     return VarianceModel(
-        n_zero_eigenvalues=int(np.sum(~keep)),
-        expected_zero_eigenvalues=proj.n_constraints,
         root=(root[:, : proj.n_items], root[:, proj.n_items :]),
-        projected_hessian=projected,
+        rank_warning=int(np.sum(~keep)) > proj.n_constraints,
     )
 
 
@@ -306,42 +274,31 @@ def _factored_laplacian(data: ComparisonData, weights: np.ndarray) -> np.ndarray
 
 
 def _laplacian_variance_model(
-    data: ComparisonData,
-    cov: CovariateMatrix,
-    params: ParamVector,
-    proj: ProjectionOperator,
+    data: ComparisonData, cov: CovariateMatrix, params: ParamVector
 ) -> VarianceModel:
     """The variance model from its root G = L^-1 T^T, with T stacking
     I - Q Q^T over the slope rows S of Xbar^+, so G = [R - (R Q) Q^T, R S^T]
     with R = L^-1 from ``_factored_laplacian``."""
     root = _factored_laplacian(data, _hessian_weights(data, cov, params))
-    q = proj._span_q
+    q = build_projection(cov)._span_q
     n, k = q.shape
-    products = root @ np.hstack([q, _score_split(cov).T])
+    products = root @ np.hstack([q, cov._score_split.T])
     for start in range(0, n, _ROW_CHUNK):
         rows = slice(start, start + _ROW_CHUNK)
         root[rows] -= products[rows, :k] @ q.T
-    return VarianceModel(
-        n_zero_eigenvalues=proj.n_constraints,
-        expected_zero_eigenvalues=proj.n_constraints,
-        root=(root, products[:, k:]),
-        projected_hessian=partial(_dense_projected_hessian, data, cov, params, proj),
-    )
+    return VarianceModel(root=(root, products[:, k:]))
 
 
 def plugin_variance_model(fit: FitResult) -> VarianceModel:
     """Variance model with the Hessian evaluated at the fitted parameters."""
-    return _laplacian_variance_model(fit.data, fit.covariates, fit.params, fit.projection)
+    return _laplacian_variance_model(fit.data, fit.covariates, fit.params)
 
 
 def oracle_variance_model(
-    data: ComparisonData,
-    cov: CovariateMatrix,
-    truth: ParamVector,
-    proj: ProjectionOperator,
+    data: ComparisonData, cov: CovariateMatrix, truth: ParamVector
 ) -> VarianceModel:
     """Variance model at known true parameters (simulation use)."""
-    return _laplacian_variance_model(data, cov, truth, proj)
+    return _laplacian_variance_model(data, cov, truth)
 
 
 def _project_contrast(c: np.ndarray, proj: ProjectionOperator) -> np.ndarray:
@@ -447,10 +404,7 @@ def alpha_inference(fit: FitResult, vm: VarianceModel, level: float = 0.95) -> l
 
 
 def quadratic_approx_minimizer(
-    data: ComparisonData,
-    cov: CovariateMatrix,
-    truth: ParamVector,
-    proj: ProjectionOperator,
+    data: ComparisonData, cov: CovariateMatrix, truth: ParamVector
 ) -> ParamVector:
     """Minimizer of the quadratic expansion of the loss around ``truth``,
     constrained to the identifiable subspace.
@@ -464,6 +418,7 @@ def quadratic_approx_minimizer(
     requires the true parameters.
     """
     n = data.n_items
+    proj = build_projection(cov)
     g = gradient(data, cov, truth)[:n]
     weights = _hessian_weights(data, cov, truth)
     root = _factored_laplacian(data, weights)
@@ -480,9 +435,7 @@ def quadratic_approx_minimizer(
             f"quadratic stationarity residual {residual:.3e} too large; "
             "graph may be effectively disconnected"
         )
-    s = truth.scores(cov) - step
-    stacked = proj.apply(np.concatenate([s, _score_split(cov) @ s]))
-    return ParamVector.from_stacked(stacked, n)
+    return _regression_split(cov, truth.scores(cov) - step)
 
 
 def soft_threshold(x, tau):
@@ -540,7 +493,6 @@ def full_inference_report(fit: FitResult, vm: VarianceModel, level: float = 0.95
     return InferenceReport(
         alpha_rows=alpha_inference(fit, vm, level),
         beta_rows=beta_inference(fit, vm, level),
-        level=level,
     )
 
 

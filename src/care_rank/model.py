@@ -218,8 +218,9 @@ class CovariateMatrix:
     ``scaled`` is the standardized feature matrix divided by ``scale_k`` so
     that the largest row norm equals sqrt((d+1)/n); ``augmented`` prepends
     an all-ones intercept column to ``scaled``.  The projector and the
-    score split that depend on the covariates alone are built on first
-    use and cached (``build_projection``, ``_score_split``).
+    slope rows of the score split, which depend on the covariates alone,
+    are built on first use and cached (``build_projection``,
+    ``_regression_split``).
     """
 
     raw: np.ndarray
@@ -246,7 +247,7 @@ class CovariateMatrix:
 
     @cached_property
     def _projection(self) -> ProjectionOperator:
-        return ProjectionOperator(self.augmented, _svd_basis(self.augmented))
+        return ProjectionOperator(_svd_basis(self.augmented))
 
     @cached_property
     def _score_split(self) -> np.ndarray:
@@ -295,30 +296,26 @@ class ProjectionOperator:
     The projector is P = blockdiag(I - Q Q^T, I_d) with ``_span_q`` = Q an
     orthonormal basis of the column span of the augmented design, so it
     centers the alpha block against the covariate span and leaves beta
-    untouched.  ``apply`` costs O(n d).  The dense ``matrix_p`` and the
-    constraint matrix ``z_pad`` (the augmented design stacked over a zero
-    block, so P = I - Z (Z^T Z)^-1 Z^T) are built on first access and
-    cached; the fit and inference paths never need them.
+    untouched.  Q is all it holds: the dimensions are read off its
+    n x (d+1) shape, and ``apply`` costs O(n d).
     """
 
-    augmented: np.ndarray = field(repr=False)
     _span_q: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "augmented", _readonly(self.augmented))
         object.__setattr__(self, "_span_q", _readonly(self._span_q))
 
     @property
     def n_items(self) -> int:
-        return self.augmented.shape[0]
+        return self._span_q.shape[0]
 
     @property
     def n_features(self) -> int:
-        return self.augmented.shape[1] - 1
+        return self._span_q.shape[1] - 1
 
     @property
     def n_constraints(self) -> int:
-        return self.augmented.shape[1]
+        return self._span_q.shape[1]
 
     def apply(self, stacked: np.ndarray) -> np.ndarray:
         """Project a stacked (alpha, beta) vector onto the subspace."""
@@ -332,23 +329,6 @@ class ProjectionOperator:
         a = out[..., :n]
         a -= (a @ self._span_q) @ self._span_q.T
         return out
-
-    @cached_property
-    def matrix_p(self) -> np.ndarray:
-        """The dense (n+d) x (n+d) projector."""
-        n, d = self.n_items, self.n_features
-        p = np.zeros((n + d, n + d))
-        top = np.eye(n) - self._span_q @ self._span_q.T
-        p[:n, :n] = 0.5 * (top + top.T)
-        p[n:, n:] = np.eye(d)
-        return _readonly(p)
-
-    @cached_property
-    def z_pad(self) -> np.ndarray:
-        """Constraint matrix whose columns P annihilates."""
-        z = np.zeros((self.n_items + self.n_features, self.n_constraints))
-        z[: self.n_items] = self.augmented
-        return _readonly(z)
 
 
 @dataclass(frozen=True)
@@ -490,12 +470,13 @@ def build_projection(cov: CovariateMatrix) -> ProjectionOperator:
     return cov._projection
 
 
-def _score_split(cov: CovariateMatrix) -> np.ndarray:
-    """The d x n map from total scores s to beta: the slope rows of
-    Xbar^+, built once per covariate matrix and cached on it.  The rest
-    of the regression split of s on Xbar is alpha = (I - Q Q^T) s; the
-    intercept is dropped, as the likelihood ignores constant shifts of s."""
-    return cov._score_split
+def _regression_split(cov: CovariateMatrix, s: np.ndarray) -> ParamVector:
+    """The point of the identifiable subspace with total scores ``s``:
+    the regression split of s on Xbar, with beta the slope rows of
+    Xbar^+ s and alpha = (I - Q Q^T) s.  The intercept is dropped, as
+    the likelihood ignores constant shifts of s."""
+    stacked = build_projection(cov).apply(np.concatenate([s, cov._score_split @ s]))
+    return ParamVector.from_stacked(stacked, cov.n_items)
 
 
 def _smallest_reaching(half: _HalfEdges, keep: np.ndarray | None = None) -> np.ndarray:

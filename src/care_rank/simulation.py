@@ -518,7 +518,7 @@ def _distribution_replication(context: _StudyContext, task: tuple) -> dict:
     zq = normal_quantile(1.0 - (1.0 - context.plan.level) / 2.0)
     data, resamples, stream = _sample_connected(spec, cov, truth, p, L, 2, pair_index, rep)
     fit = fit_mle(data, cov)
-    vm_true = oracle_variance_model(data, cov, truth, proj)
+    vm_true = oracle_variance_model(data, cov, truth)
     vm_plugin = plugin_variance_model(fit)
     a_stat, b_stat = standardized_stats(fit, vm_true, vm_plugin, contrast, truth)
     alpha1_err = float(fit.params.alpha[0] - truth.alpha[0])

@@ -140,14 +140,59 @@ def projector_by_nullspace(z_pad):
     return basis @ basis.T
 
 
+def constraint_matrix(cov):
+    """The (n+d) x (d+1) constraint matrix: the augmented design stacked
+    over a zero block, so the identifiable subspace is its null space."""
+    n = cov.n_items
+    z_pad = np.zeros((n + cov.n_features, cov.augmented.shape[1]))
+    z_pad[:n] = cov.augmented
+    return z_pad
+
+
+def projected_hessian_by_nullspace(hess, cov):
+    """P H P with the dense P from ``projector_by_nullspace``."""
+    p = projector_by_nullspace(constraint_matrix(cov))
+    return p @ hess @ p
+
+
+def covariance_from_root(vm):
+    """The dense V = G^T G from the variance model's root blocks."""
+    g = np.hstack(vm._root)
+    v = g.T @ g
+    return 0.5 * (v + v.T)
+
+
+def satisfies_penrose(m, plus):
+    """Whether ``plus`` is the Moore-Penrose pseudoinverse of ``m`` by
+    the four Penrose conditions, to a relative 1e-8."""
+    mp, pm = m @ plus, plus @ m
+    return (
+        np.linalg.norm(mp @ m - m) <= 1e-8 * np.linalg.norm(m)
+        and np.linalg.norm(pm @ plus - plus) <= 1e-8 * np.linalg.norm(plus)
+        and np.linalg.norm(mp.T - mp) <= 1e-8
+        and np.linalg.norm(pm.T - pm) <= 1e-8
+    )
+
+
+def pinv_by_svd(m, cutoff=1e-10):
+    """The pseudoinverse of the symmetric ``m`` by ``np.linalg.pinv``,
+    singular values at most ``cutoff`` times the largest taken as zero."""
+    return np.linalg.pinv(m, rtol=cutoff, hermitian=True)
+
+
+def null_dimension(m, cutoff=1e-10):
+    """The count of eigenvalues of the symmetric ``m`` at most ``cutoff``
+    times the largest in magnitude."""
+    eigs = np.linalg.eigvalsh(m)
+    return int(np.sum(np.abs(eigs) <= cutoff * np.abs(eigs).max()))
+
+
 def grid_search_mle(data, cov, span=4.0, final_spacing=1e-4):
     """Brute-force constrained MLE on a 2-dof problem (n - d - 1 = 1
     intrinsic direction plus one covariate effect) by iterated grid
     refinement.  Returns the stacked parameter vector."""
     n = data.n_items
-    z_pad = np.zeros((n + cov.n_features, cov.augmented.shape[1]))
-    z_pad[:n] = cov.augmented
-    basis = theta_basis_by_nullspace(z_pad)
+    basis = theta_basis_by_nullspace(constraint_matrix(cov))
     assert basis.shape[1] == 2, "oracle only handles 2 free dimensions"
 
     def objective(coords):
@@ -433,7 +478,7 @@ def fit_by_dense_newton(data, cov, ridge_alpha=0.0, grad_tol=1e-8, max_iters=100
     """The damped Newton fit of ``fit_mle`` with each step solved densely
     on the assembled n x n Hessian.  Returns the stacked parameters and
     the Newton step count."""
-    from care_rank.model import _score_split, _score_terms, _weighted_laplacian, build_projection
+    from care_rank.model import _score_terms, _weighted_laplacian, build_projection
 
     proj = build_projection(cov)
     n, q = data.n_items, proj._span_q
@@ -462,24 +507,24 @@ def fit_by_dense_newton(data, cov, ridge_alpha=0.0, grad_tol=1e-8, max_iters=100
             t *= 0.5
         s, val, g, weights = s + t * newton, cand_val, cand_g, cand_weights
         iterations += 1
-    return proj.apply(np.concatenate([s, _score_split(cov) @ s])), iterations
+    return proj.apply(np.concatenate([s, cov._score_split @ s])), iterations
 
 
-def quadratic_minimizer_by_dense_pinv(data, cov, truth, proj):
+def quadratic_minimizer_by_dense_pinv(data, cov, truth):
     """The minimizer of the quadratic expansion of the loss around
     ``truth`` on the identifiable subspace, in (alpha, beta) with the
     dense Hessian: out = P truth - [P H P]^+ P (g + H (P truth - truth)),
-    the pseudoinverse from the eigendecomposition.  Returns the stacked
-    parameters."""
-    from care_rank.inference import projected_hessian_pinv
+    with P from ``projector_by_nullspace`` and the pseudoinverse from
+    ``pinv_by_svd``.  Returns the stacked parameters."""
     from care_rank.model import gradient, hessian
 
     g = gradient(data, cov, truth)
     h = hessian(data, cov, truth)
-    pinv = projected_hessian_pinv(h, proj).pseudoinverse
+    p = projector_by_nullspace(constraint_matrix(cov))
+    pinv = pinv_by_svd(p @ h @ p)
     t = truth.stacked
-    pt = proj.apply(t)
-    return proj.apply(pt - pinv @ proj.apply(g + h @ (pt - t)))
+    pt = p @ t
+    return p @ (pt - pinv @ (p @ (g + h @ (pt - t))))
 
 
 def sample_comparisons_by_triu(cov, truth, p, L, rng):

@@ -774,6 +774,24 @@ class TestExitCodes:
         cfg = write(tmp_path / "other.cfg", "n = 30\nquantile-level = 0.9\n")
         assert main(args + ["--config", cfg]) == EXIT_OK
 
+    @pytest.mark.parametrize("command, line, code", [
+        ("fit", "quantile_level = 2", EXIT_OK),
+        ("simulate", "level = 7", EXIT_OK),
+        ("rank", "level = 7", EXIT_OK),
+        ("infer", "level = 7", EXIT_CONFIG),
+        ("rank", "quantile_level = 2", EXIT_CONFIG),
+    ])
+    def test_levels_checked_only_where_read(self, tmp_path, capsys, command, line, code):
+        # a shared config file may hold a value that only another command reads
+        data = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\na,b,9,4\nb,c,9,5\na,c,9,3\n")
+        cfg = write(tmp_path / "run.cfg", line + "\n")
+        out = tmp_path / "o"
+        inputs = ["--n", "10", "--d", "1"] if command == "simulate" else ["--comparisons", data]
+        assert main([command, *inputs, "--config", cfg, "--out", str(out)]) == code
+        if code == EXIT_CONFIG:
+            assert "level must be in" in capsys.readouterr().err
+            assert not (out / "fit.json").exists()
+
     def test_quantile_level_is_a_rank_option(self, tmp_path):
         data = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\na,b,9,4\nb,c,9,5\na,c,9,3\n")
         args = ["--comparisons", data, "--quantile-level", "0.9", "--out", str(tmp_path / "o")]

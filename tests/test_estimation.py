@@ -200,7 +200,7 @@ class TestFitMLE:
         rng = np.random.default_rng(100)
         n = data.n_items
         for _ in range(20):
-            delta = proj.apply(rng.normal(size=proj.matrix_p.shape[0]))
+            delta = proj.apply(rng.normal(size=n + cov.n_features))
             delta *= 1e-3 / np.linalg.norm(delta)
             perturbed = ParamVector.from_stacked(fit.params.stacked + delta, n)
             assert neg_log_likelihood(data, cov, perturbed) >= best - 1e-8

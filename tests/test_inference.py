@@ -10,13 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from care_rank import inference, simulation
+from care_rank import inference, model, simulation
 from care_rank.cli import EXIT_CONFIG, main
 from care_rank.errors import ConnectivityError, DegenerateContrastError, InvalidArgumentError
 from care_rank.estimation import FitConfig, fit_mle, preprocess_covariates
 from care_rank.inference import (
     DEFAULT_EIGEN_CUTOFF,
-    VarianceModel,
     alpha_inference,
     beta_inference,
     care_ranking_scores,
@@ -32,7 +31,6 @@ from care_rank.inference import (
 from care_rank.model import (
     ComparisonData,
     ParamVector,
-    ProjectionOperator,
     build_projection,
     gradient,
     hessian,
@@ -48,8 +46,13 @@ from care_rank.simulation import (
 
 from oracles import (
     components_by_bfs,
+    constraint_matrix,
+    covariance_from_root,
+    null_dimension,
+    projected_hessian_by_nullspace,
     quadratic_minimizer_by_dense_pinv,
     sample_small_instance,
+    satisfies_penrose,
     theta_basis_by_nullspace,
 )
 
@@ -70,18 +73,17 @@ class TestProjectedHessianPinv:
         proj = build_projection(cov)
         h = hessian(data, cov, ParamVector(np.zeros(3), np.zeros(0)))
         vm = projected_hessian_pinv(h, proj)
-        eigs = np.sort(np.linalg.eigvalsh(vm.pseudoinverse))
+        eigs = np.sort(np.linalg.eigvalsh(covariance_from_root(vm)))
         np.testing.assert_allclose(eigs, [0.0, 4.0 / 3.0, 4.0 / 3.0], atol=1e-10)
-        assert vm.n_zero_eigenvalues == 1
         assert not vm.rank_warning
 
     def test_involution_on_retained_spectrum(self):
         data, cov, _, fit = fitted_instance(seed=71)
         vm = plugin_variance_model(fit)
-        back = projected_hessian_pinv(vm.pseudoinverse, fit.projection)
+        back = projected_hessian_pinv(covariance_from_root(vm), fit.projection)
+        m = projected_hessian_by_nullspace(hessian(data, cov, fit.params), cov)
         np.testing.assert_allclose(
-            back.pseudoinverse, vm.projected_hessian,
-            atol=1e-8 * np.linalg.norm(vm.projected_hessian),
+            covariance_from_root(back), m, atol=1e-8 * np.linalg.norm(m),
         )
 
     def test_penrose_conditions(self):
@@ -91,19 +93,18 @@ class TestProjectedHessianPinv:
         a = rng.normal(size=(8, 8))
         spd = a @ a.T
         vm = projected_hessian_pinv(spd, proj)
-        m = vm.projected_hessian
-        plus = vm.pseudoinverse
-        scale = np.linalg.norm(m)
-        assert np.linalg.norm(m @ plus @ m - m) <= 1e-8 * scale
-        assert np.linalg.norm(plus @ m @ plus - plus) <= 1e-8 * np.linalg.norm(plus)
-        assert np.linalg.norm((m @ plus).T - m @ plus) <= 1e-8
-        assert np.linalg.norm((plus @ m).T - plus @ m) <= 1e-8
+        m = projected_hessian_by_nullspace(spd, cov)
+        assert satisfies_penrose(m, covariance_from_root(vm))
 
     def test_expected_null_dimension(self):
+        # the factor root's G^T G is [P H P]^+ with P from the null-space
+        # oracle, and both have exactly the d + 1 = 3 null directions
         data, cov, _, fit = fitted_instance(seed=73)
         vm = plugin_variance_model(fit)
-        assert vm.expected_zero_eigenvalues == 3  # d + 1
-        assert vm.n_zero_eigenvalues == 3
+        m = projected_hessian_by_nullspace(hessian(data, cov, fit.params), cov)
+        plus = covariance_from_root(vm)
+        assert satisfies_penrose(m, plus)
+        assert null_dimension(m) == null_dimension(plus) == 3
         assert not vm.rank_warning
 
     def test_rank_warning_on_disconnected(self):
@@ -112,7 +113,7 @@ class TestProjectedHessianPinv:
         proj = build_projection(cov)
         h = hessian(data, cov, ParamVector(np.zeros(4), np.zeros(0)))
         vm = projected_hessian_pinv(h, proj)
-        assert vm.n_zero_eigenvalues == 2
+        assert null_dimension(projected_hessian_by_nullspace(h, cov)) == 2
         assert vm.rank_warning
 
 
@@ -138,14 +139,13 @@ class TestLaplacianVarianceModel:
         data, cov = unequal_trials_instance(seed=100 + d, d=d, standardize=standardize)
         fit = fit_mle(data, cov, FitConfig(ridge_alpha=ridge))
         vm = plugin_variance_model(fit)
-        ref = projected_hessian_pinv(hessian(data, cov, fit.params), fit.projection)
-        for got, want in (
-            (vm.pseudoinverse, ref.pseudoinverse),
-            (vm.projected_hessian, ref.projected_hessian),
-        ):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert vm.n_zero_eigenvalues == ref.n_zero_eigenvalues == d + 1
-        assert vm.expected_zero_eigenvalues == ref.expected_zero_eigenvalues
+        hess = hessian(data, cov, fit.params)
+        ref = projected_hessian_pinv(hess, fit.projection)
+        got, want = covariance_from_root(vm), covariance_from_root(ref)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        m = projected_hessian_by_nullspace(hess, cov)
+        assert satisfies_penrose(m, got)
+        assert null_dimension(m) == null_dimension(got) == d + 1
         assert not vm.rank_warning and not ref.rank_warning
 
     @pytest.mark.parametrize(
@@ -169,12 +169,13 @@ class TestLaplacianVarianceModel:
         vm = plugin_variance_model(fit)
         ref = projected_hessian_pinv(hessian(data, cov, fit.params), fit.projection)
         n = data.n_items
-        np.testing.assert_allclose(vm.diagonal, np.diagonal(ref.pseudoinverse), rtol=1e-12, atol=0)
+        dense = covariance_from_root(ref)
+        np.testing.assert_allclose(vm.diagonal, np.diagonal(dense), rtol=1e-12, atol=0)
         rng = np.random.default_rng(len(design))
         for _ in range(5):
             cbar = fit.projection.apply(rng.normal(size=n + cov.n_features))
             assert vm.variance_of(cbar) == pytest.approx(ref.variance_of(cbar), rel=1e-12)
-        beta_block, want = vm.pseudoinverse[n:, n:], ref.pseudoinverse[n:, n:]
+        beta_block, want = covariance_from_root(vm)[n:, n:], dense[n:, n:]
         if want.size:
             assert np.abs(beta_block - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -182,10 +183,8 @@ class TestLaplacianVarianceModel:
         def refuse(*args, **kwargs):
             raise AssertionError("dense (n+d) x (n+d) work")
 
-        for name in ("pseudoinverse", "projected_hessian"):
-            monkeypatch.setattr(VarianceModel, name, property(refuse))
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(inference, "hessian", refuse)
+        monkeypatch.setattr(model, "hessian", refuse)
         data, cov = unequal_trials_instance(seed=109)
         fit = fit_mle(data, cov)
         vm = plugin_variance_model(fit)
@@ -266,12 +265,10 @@ class TestLaplacianVarianceModel:
         data, cov = unequal_trials_instance(seed=104)
         rng = np.random.default_rng(104)
         truth = ParamVector(rng.normal(size=12), rng.normal(size=2))
-        proj = build_projection(cov)
-        vm = oracle_variance_model(data, cov, truth, proj)
-        ref = projected_hessian_pinv(hessian(data, cov, truth), proj)
-        assert np.abs(vm.pseudoinverse - ref.pseudoinverse).max() <= 1e-12 * np.abs(
-            ref.pseudoinverse
-        ).max()
+        vm = oracle_variance_model(data, cov, truth)
+        ref = projected_hessian_pinv(hessian(data, cov, truth), build_projection(cov))
+        want = covariance_from_root(ref)
+        assert np.abs(covariance_from_root(vm) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_report_rows_match_contrast_inference(self):
         data, cov = unequal_trials_instance(seed=105)
@@ -308,30 +305,20 @@ class TestLaplacianVarianceModel:
         fit = fit_mle(data, cov)
         far = ParamVector(np.repeat([400.0, -400.0], 3), np.zeros(0))
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        for name in ("hessian", "projected_hessian_pinv"):
-            monkeypatch.setattr(inference, name, refuse)
+        monkeypatch.setattr(model, "hessian", refuse)
+        monkeypatch.setattr(inference, "projected_hessian_pinv", refuse)
         for call in (
             lambda: plugin_variance_model(dataclasses.replace(fit, params=far)),
-            lambda: oracle_variance_model(data, cov, far, fit.projection),
-            lambda: quadratic_approx_minimizer(data, cov, far, fit.projection),
+            lambda: oracle_variance_model(data, cov, far),
+            lambda: quadratic_approx_minimizer(data, cov, far),
         ):
             with pytest.raises(ConnectivityError, match="2 components") as exc:
                 call()
             assert exc.value.components == [[0, 1, 2], [3, 4, 5]]
         monkeypatch.undo()
-        ref = projected_hessian_pinv(hessian(data, cov, far), fit.projection)
-        assert ref.n_zero_eigenvalues == 2 and ref.rank_warning
-
-    def test_fit_and_report_never_build_dense_projector(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("dense projector built")
-
-        for name in ("matrix_p", "z_pad"):
-            monkeypatch.setattr(ProjectionOperator, name, property(refuse))
-        data, cov = unequal_trials_instance(seed=106)
-        fit = fit_mle(data, cov)
-        report = full_inference_report(fit, plugin_variance_model(fit))
-        assert len(report.alpha_rows) == 12 and len(report.beta_rows) == 2
+        hess = hessian(data, cov, far)
+        assert projected_hessian_pinv(hess, fit.projection).rank_warning
+        assert null_dimension(projected_hessian_by_nullspace(hess, cov)) == 2
 
     def test_one_hot_covariate_is_degenerate(self, tmp_path):
         # a one-hot column puts e_0 in the covariate span, so P e_0 = 0
@@ -399,7 +386,7 @@ class TestWeightGraphRefusal:
         with pytest.raises(InvalidArgumentError, match="positive definite"):
             plugin_variance_model(fit)
         with pytest.raises(InvalidArgumentError, match="positive definite"):
-            quadratic_approx_minimizer(data, cov, truth, fit.projection)
+            quadratic_approx_minimizer(data, cov, truth)
 
 
 class TestContrastInference:
@@ -506,16 +493,15 @@ class TestQuadraticApproxMinimizer:
         truth = ParamVector(alpha, np.zeros(0))
         data = ComparisonData.from_edges(3, [(0, 1, 3, 1), (0, 2, 5, 1), (1, 2, 3, 1)])
         cov = preprocess_covariates(np.zeros((3, 0)))
-        proj = build_projection(cov)
-        approx = quadratic_approx_minimizer(data, cov, truth, proj)
+        approx = quadratic_approx_minimizer(data, cov, truth)
         np.testing.assert_allclose(approx.stacked, truth.stacked, atol=1e-12)
 
     def test_matches_basis_reduction_oracle(self):
         data, cov, truth = sample_small_instance(seed=82, n=5, d=2, trials=25)
         proj = build_projection(cov)
         truth_in = ParamVector.from_stacked(proj.apply(truth.stacked), 5)
-        approx = quadratic_approx_minimizer(data, cov, truth_in, proj)
-        basis = theta_basis_by_nullspace(np.asarray(proj.z_pad))
+        approx = quadratic_approx_minimizer(data, cov, truth_in)
+        basis = theta_basis_by_nullspace(constraint_matrix(cov))
         g = gradient(data, cov, truth_in)
         h = hessian(data, cov, truth_in)
         z = np.linalg.solve(basis.T @ h @ basis, -basis.T @ g)
@@ -529,8 +515,8 @@ class TestQuadraticApproxMinimizer:
         data = sample_comparisons(cov, truth, 0.5, 25, 120 + seed)
         proj = build_projection(cov)
         for t in (truth, ParamVector.from_stacked(proj.apply(truth.stacked), cov.n_items)):
-            got = quadratic_approx_minimizer(data, cov, t, proj).stacked
-            want = quadratic_minimizer_by_dense_pinv(data, cov, t, proj)
+            got = quadratic_approx_minimizer(data, cov, t).stacked
+            want = quadratic_minimizer_by_dense_pinv(data, cov, t)
             assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
     def test_builds_no_dense_hessian(self, monkeypatch):
@@ -538,15 +524,15 @@ class TestQuadraticApproxMinimizer:
             raise AssertionError("dense Hessian work")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(inference, "hessian", refuse)
+        monkeypatch.setattr(model, "hessian", refuse)
         data, cov, truth = sample_small_instance(seed=84, n=6, d=2, trials=20)
-        quadratic_approx_minimizer(data, cov, truth, build_projection(cov))
+        quadratic_approx_minimizer(data, cov, truth)
 
     def test_stationarity_residual(self):
         data, cov, truth = sample_small_instance(seed=83, n=6, d=2, trials=20)
         proj = build_projection(cov)
         truth_in = ParamVector.from_stacked(proj.apply(truth.stacked), 6)
-        approx = quadratic_approx_minimizer(data, cov, truth_in, proj)
+        approx = quadratic_approx_minimizer(data, cov, truth_in)
         g = gradient(data, cov, truth_in)
         h = hessian(data, cov, truth_in)
         residual = proj.apply(g + h @ (approx.stacked - truth_in.stacked))
@@ -607,7 +593,7 @@ class TestCareRankingScores:
         data, cov, _, fit = fitted_instance(seed=89)
         vm = plugin_variance_model(fit)
         base = care_ranking_scores(fit, vm)
-        shift = fit.projection.z_pad @ np.array([0.7, -0.3, 1.1])
+        shift = constraint_matrix(cov) @ np.array([0.7, -0.3, 1.1])
         shifted_params = ParamVector.from_stacked(
             fit.params.stacked + shift, data.n_items
         )

@@ -29,6 +29,7 @@ from oracles import (
     central_difference_gradient,
     central_difference_hessian,
     components_by_bfs,
+    constraint_matrix,
     degree_by_bincount,
     design_by_outer_products,
     minima_by_minimum_at,
@@ -232,8 +233,8 @@ class TestNegLogLikelihood:
         rng = np.random.default_rng(9)
         n = data.n_items
         for _ in range(10):
-            a = proj.apply(rng.normal(size=proj.matrix_p.shape[0]))
-            b = proj.apply(rng.normal(size=proj.matrix_p.shape[0]))
+            a = proj.apply(rng.normal(size=n + cov.n_features))
+            b = proj.apply(rng.normal(size=n + cov.n_features))
             la = neg_log_likelihood(data, cov, ParamVector.from_stacked(a, n))
             lb = neg_log_likelihood(data, cov, ParamVector.from_stacked(b, n))
             mid = neg_log_likelihood(data, cov, ParamVector.from_stacked((a + b) / 2, n))
@@ -292,58 +293,59 @@ class TestHessian:
 class TestProjection:
     def test_covariate_factors_built_once(self):
         _, cov, _ = sample_small_instance(seed=24, n=6, d=2)
-        proj, split = build_projection(cov), model._score_split(cov)
-        assert build_projection(cov) is proj and model._score_split(cov) is split
+        proj, split = build_projection(cov), cov._score_split
+        assert build_projection(cov) is proj and cov._score_split is split
         assert not (proj._span_q.flags.writeable or split.flags.writeable)
 
     def test_btl_block_is_centering(self):
         cov = btl_cov(5)
         proj = build_projection(cov)
         expected = np.eye(5) - np.ones((5, 5)) / 5.0
-        np.testing.assert_allclose(proj.matrix_p, expected, atol=1e-12)
+        np.testing.assert_allclose(proj.apply(np.eye(5)), expected, atol=1e-12)
 
     def test_idempotent_symmetric_annihilating(self):
         rng = np.random.default_rng(14)
         cov = preprocess_covariates(rng.normal(size=(6, 2)))
-        proj = build_projection(cov)
-        p = proj.matrix_p
+        # P symmetric: projecting the rows of the identity gives P itself
+        p = build_projection(cov).apply(np.eye(8))
         assert np.linalg.norm(p @ p - p) <= 1e-10
         assert np.linalg.norm(p - p.T) <= 1e-10
-        assert np.linalg.norm(p @ proj.z_pad) <= 1e-10
+        assert np.linalg.norm(p @ constraint_matrix(cov)) <= 1e-10
 
     def test_rank_is_n_minus_one(self):
         rng = np.random.default_rng(15)
         cov = preprocess_covariates(rng.normal(size=(7, 3)))
         proj = build_projection(cov)
-        assert round(np.trace(proj.matrix_p)) == 6
+        assert round(np.trace(proj.apply(np.eye(10)))) == 6
 
     def test_annihilates_padded_span(self):
         rng = np.random.default_rng(16)
         cov = preprocess_covariates(rng.normal(size=(5, 2)))
         proj = build_projection(cov)
         c = rng.normal(size=3)
-        np.testing.assert_allclose(proj.matrix_p @ (proj.z_pad @ c), 0.0, atol=1e-10)
+        np.testing.assert_allclose(proj.apply(constraint_matrix(cov) @ c), 0.0, atol=1e-10)
 
     def test_matches_nullspace_oracle(self):
         rng = np.random.default_rng(17)
         cov = preprocess_covariates(rng.normal(size=(5, 2)))
         proj = build_projection(cov)
-        ref = projector_by_nullspace(np.asarray(proj.z_pad))
-        assert np.linalg.norm(proj.matrix_p - ref) <= 1e-10
+        ref = projector_by_nullspace(constraint_matrix(cov))
+        assert np.linalg.norm(proj.apply(np.eye(7)) - ref) <= 1e-10
 
     def test_apply_agrees_with_matrix(self):
         rng = np.random.default_rng(18)
         cov = preprocess_covariates(rng.normal(size=(6, 2)))
         proj = build_projection(cov)
         v = rng.normal(size=8)
-        np.testing.assert_allclose(proj.apply(v), proj.matrix_p @ v, atol=1e-12)
+        ref = projector_by_nullspace(constraint_matrix(cov))
+        np.testing.assert_allclose(proj.apply(v), ref @ v, atol=1e-12)
 
     def test_projected_vector_satisfies_constraint(self):
         rng = np.random.default_rng(19)
         cov = preprocess_covariates(rng.normal(size=(6, 2)))
         proj = build_projection(cov)
         out = proj.apply(rng.normal(size=8))
-        assert np.abs(proj.z_pad.T @ out).max() <= 1e-8
+        assert np.abs(constraint_matrix(cov).T @ out).max() <= 1e-8
 
     def test_rank_deficient_design_rejected(self):
         # Second column proportional to the first makes the augmented

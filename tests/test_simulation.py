@@ -13,7 +13,7 @@ import care_rank
 from care_rank import simulation
 from care_rank.errors import ConfigurationError, InvalidArgumentError
 from care_rank.estimation import preprocess_covariates
-from care_rank.model import ParamVector, build_projection, is_connected
+from care_rank.model import ParamVector, is_connected
 from care_rank.simulation import (
     ExperimentPlan,
     SyntheticSpec,
@@ -28,7 +28,7 @@ from care_rank.simulation import (
     sample_comparisons,
 )
 
-from oracles import sample_comparisons_by_triu, win_probability
+from oracles import constraint_matrix, sample_comparisons_by_triu, win_probability
 
 
 class TestRngStream:
@@ -63,8 +63,7 @@ class TestGenerateTruth:
     def test_truth_in_subspace(self):
         spec = SyntheticSpec(n=50, d=3, seed=2)
         cov, truth = generate_truth(spec)
-        proj = build_projection(cov)
-        assert np.abs(proj.z_pad.T @ truth.stacked).max() <= 1e-8
+        assert np.abs(constraint_matrix(cov).T @ truth.stacked).max() <= 1e-8
 
     def test_alpha_law(self):
         # pre-projection the law is Uniform[0.5, log 5 - 0.5]; the mean of
