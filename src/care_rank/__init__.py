@@ -44,13 +44,10 @@ from .estimation import (
     project_to_theta,
 )
 from .inference import (
-    CoefficientEstimate,
     ContrastResult,
     InferenceReport,
     RankingScores,
     VarianceModel,
-    alpha_inference,
-    beta_inference,
     care_ranking_scores,
     contrast_inference,
     full_inference_report,

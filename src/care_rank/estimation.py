@@ -75,10 +75,14 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be at least 1")
-        if not self.grad_tol > 0:
-            raise InvalidArgumentError("grad_tol must be positive")
-        if self.ridge_alpha < 0:
-            raise InvalidArgumentError("ridge_alpha must be nonnegative")
+        if not 0.0 < self.grad_tol < np.inf:
+            raise InvalidArgumentError(
+                f"grad_tol must be positive and finite, got {self.grad_tol}"
+            )
+        if not 0.0 <= self.ridge_alpha < np.inf:
+            raise InvalidArgumentError(
+                f"ridge_alpha must be nonnegative and finite, got {self.ridge_alpha}"
+            )
 
 
 @dataclass
@@ -100,9 +104,8 @@ class FitResult:
     converged: bool
     objective_trace: list[float]
     stop_reason: str
-    data: ComparisonData = field(repr=False, default=None)
-    covariates: CovariateMatrix = field(repr=False, default=None)
-    config: FitConfig = field(repr=False, default=None)
+    data: ComparisonData = field(repr=False)
+    covariates: CovariateMatrix = field(repr=False)
     likelihood_scale: float = 1.0
 
     @property
@@ -308,7 +311,6 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         stop_reason=stop_reason,
         data=data,
         covariates=cov,
-        config=config,
         likelihood_scale=scale,
     )
 

@@ -35,6 +35,13 @@ so the graph must stay connected under its weights: edges weighing at
 most ``DEFAULT_EIGEN_CUTOFF`` times the largest count as absent, and a
 split raises ``ConnectivityError``, as no coordinate is then estimable.
 
+Per-coefficient inference is one z-test and interval for each stacked
+(alpha, beta) coordinate, with the variance read off diag V.
+``full_inference_report`` returns it as an ``InferenceReport`` of
+columns, alpha first.  ``contrast_inference`` tests a single linear
+combination c, refused unless it has n + d entries, all finite, and
+P c != 0.
+
 Also provided: the minimizer of the quadratic expansion of the loss
 around a known truth (the inferential surrogate used to study how close
 the MLE is to its linearization), and soft-thresholded ranking scores
@@ -55,29 +62,26 @@ from .model import (
     CovariateMatrix,
     ParamVector,
     ProjectionOperator,
-    _hessian_weights,
+    _check_dims,
     _readonly,
     _refuse_split,
     _regression_split,
+    _score_terms,
     _smallest_reaching,
     _weighted_laplacian,
     build_projection,
-    gradient,
 )
 from .normal import normal_quantile, two_sided_p_value
 
 __all__ = [
     "VarianceModel",
     "ContrastResult",
-    "CoefficientEstimate",
     "RankingScores",
     "InferenceReport",
     "projected_hessian_pinv",
     "plugin_variance_model",
     "oracle_variance_model",
     "contrast_inference",
-    "beta_inference",
-    "alpha_inference",
     "full_inference_report",
     "quadratic_approx_minimizer",
     "soft_threshold",
@@ -134,18 +138,6 @@ class ContrastResult:
 
 
 @dataclass(frozen=True)
-class CoefficientEstimate:
-    index: int
-    estimate: float
-    std_error: float
-    z_stat: float
-    p_value: float
-    ci_low: float
-    ci_high: float
-    level: float
-
-
-@dataclass(frozen=True)
 class RankingScores:
     """Covariate-only and soft-thresholded ranking scores with ranks."""
 
@@ -158,8 +150,16 @@ class RankingScores:
 
 @dataclass(frozen=True)
 class InferenceReport:
-    alpha_rows: list[CoefficientEstimate]
-    beta_rows: list[CoefficientEstimate]
+    """One z-test and interval per stacked (alpha, beta) coordinate, alpha
+    first as in ``ParamVector.stacked``, held as columns, all at ``level``."""
+
+    estimate: np.ndarray
+    std_error: np.ndarray
+    z_stat: np.ndarray
+    p_value: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
+    level: float
 
 
 def _projected(hess: np.ndarray, proj: ProjectionOperator) -> np.ndarray:
@@ -279,7 +279,8 @@ def _laplacian_variance_model(
     """The variance model from its root G = L^-1 T^T, with T stacking
     I - Q Q^T over the slope rows S of Xbar^+, so G = [R - (R Q) Q^T, R S^T]
     with R = L^-1 from ``_factored_laplacian``."""
-    root = _factored_laplacian(data, _hessian_weights(data, cov, params))
+    _check_dims(data, cov, params)
+    root = _factored_laplacian(data, _score_terms(data, params.scores(cov))[2])
     q = build_projection(cov)._span_q
     n, k = q.shape
     products = root @ np.hstack([q, cov._score_split.T])
@@ -301,15 +302,22 @@ def oracle_variance_model(
     return _laplacian_variance_model(data, cov, truth)
 
 
-def _project_contrast(c: np.ndarray, proj: ProjectionOperator) -> np.ndarray:
+def _project_contrast(c: np.ndarray, fit: FitResult) -> tuple[np.ndarray, np.ndarray]:
+    """The contrast as a flat float vector and its projection P c, after
+    checking that it has n + d entries, all finite, and that P c != 0."""
     c = np.asarray(c, dtype=float).ravel()
-    cbar = proj.apply(c)
+    dim = fit.params.n_items + fit.params.n_features
+    if c.size != dim:
+        raise InvalidArgumentError(f"contrast length {c.size}, expected {dim}")
+    if not np.isfinite(c).all():
+        raise InvalidArgumentError("contrast has non-finite entries")
+    cbar = fit.projection.apply(c)
     norm_c = float(np.linalg.norm(c))
     if float(np.linalg.norm(cbar)) <= 1e-12 * max(norm_c, 1.0):
         raise DegenerateContrastError(
             "contrast lies in the unidentifiable space (P c = 0)"
         )
-    return cbar
+    return c, cbar
 
 
 def _z_tests(est: np.ndarray, se: np.ndarray, level: float):
@@ -340,11 +348,7 @@ def contrast_inference(
     estimate +- z_{(1-level)/2} * std_error with the plug-in standard
     error from ``vm``.
     """
-    n, d = fit.params.n_items, fit.params.n_features
-    c = np.asarray(c, dtype=float).ravel()
-    if c.size != n + d:
-        raise InvalidArgumentError(f"contrast length {c.size}, expected {n + d}")
-    cbar = _project_contrast(c, fit.projection)
+    c, cbar = _project_contrast(c, fit)
     variance = vm.variance_of(cbar)
     se = float(np.sqrt(variance))
     estimate = float(c @ fit.params.stacked)
@@ -358,49 +362,6 @@ def contrast_inference(
         ci_high=hi,
         level=level,
     )
-
-
-def _basis_contrast(k: int, dim: int) -> np.ndarray:
-    c = np.zeros(dim)
-    c[k] = 1.0
-    return c
-
-
-def _coefficient_rows(
-    fit: FitResult, vm: VarianceModel, start: int, stop: int, level: float
-) -> list[CoefficientEstimate]:
-    """Rows of ``contrast_inference`` on the basis contrasts e_k for the
-    stacked indices start <= k < stop, numbered from 0, vectorised: for
-    e_k the variance cbar^T V cbar is the diagonal entry V[k, k], since V
-    already lives on the subspace."""
-    n, d = fit.params.n_items, fit.params.n_features
-    q = fit.projection._span_q
-    indices = np.arange(start, stop)
-    alpha_idx = indices[indices < n]
-    # ||P e_k||^2 = 1 - ||q_k||^2 for an alpha coordinate (beta coordinates
-    # are left alone by P).  The difference cancels near zero, so any
-    # coordinate close to the span is rechecked the way contrast_inference
-    # checks it, which raises DegenerateContrastError for P e_k = 0.
-    for k in alpha_idx[(q[alpha_idx] ** 2).sum(axis=1) > 1.0 - 1e-6]:
-        _project_contrast(_basis_contrast(int(k), n + d), fit.projection)
-    se = np.sqrt(np.maximum(vm.diagonal[indices], 0.0))
-    est = fit.params.stacked[indices]
-    z, p, lo, hi = _z_tests(est, se, level)
-    return [
-        CoefficientEstimate(k, *map(float, row), level)
-        for k, row in enumerate(zip(est, se, z, p, lo, hi))
-    ]
-
-
-def beta_inference(fit: FitResult, vm: VarianceModel, level: float = 0.95) -> list[CoefficientEstimate]:
-    """Per-covariate-effect tests: one row per beta coordinate."""
-    n, d = fit.params.n_items, fit.params.n_features
-    return _coefficient_rows(fit, vm, n, n + d, level)
-
-
-def alpha_inference(fit: FitResult, vm: VarianceModel, level: float = 0.95) -> list[CoefficientEstimate]:
-    """Per-item intrinsic-score tests: one row per alpha coordinate."""
-    return _coefficient_rows(fit, vm, 0, fit.params.n_items, level)
 
 
 def quadratic_approx_minimizer(
@@ -417,10 +378,10 @@ def quadratic_approx_minimizer(
     the point of the subspace with those scores.  Simulation-side tool:
     requires the true parameters.
     """
-    n = data.n_items
+    _check_dims(data, cov, truth)
     proj = build_projection(cov)
-    g = gradient(data, cov, truth)[:n]
-    weights = _hessian_weights(data, cov, truth)
+    s = truth.scores(cov)
+    _, g, weights = _score_terms(data, s)
     root = _factored_laplacian(data, weights)
     step = root.T @ (root @ g)
     # stationarity in (alpha, beta): P M^T (g + L_w (s - s*)), with
@@ -435,7 +396,7 @@ def quadratic_approx_minimizer(
             f"quadratic stationarity residual {residual:.3e} too large; "
             "graph may be effectively disconnected"
         )
-    return _regression_split(cov, truth.scores(cov) - step)
+    return _regression_split(cov, s - step)
 
 
 def soft_threshold(x, tau):
@@ -489,11 +450,21 @@ def _dense_ranks(scores: np.ndarray) -> np.ndarray:
 
 
 def full_inference_report(fit: FitResult, vm: VarianceModel, level: float = 0.95) -> InferenceReport:
-    """All per-coefficient rows in one bundle."""
-    return InferenceReport(
-        alpha_rows=alpha_inference(fit, vm, level),
-        beta_rows=beta_inference(fit, vm, level),
-    )
+    """``contrast_inference`` on every basis contrast e_k of the stacked
+    coordinates, vectorised: for e_k the variance cbar^T V cbar is the
+    diagonal entry V[k, k], since V already lives on the subspace."""
+    est = fit.params.stacked
+    q = fit.projection._span_q
+    # ||P e_k||^2 = 1 - ||q_k||^2 for an alpha coordinate (beta coordinates
+    # are left alone by P).  The difference cancels near zero, so any
+    # coordinate close to the span is rechecked the way contrast_inference
+    # checks it, which raises DegenerateContrastError for P e_k = 0.
+    for k in np.flatnonzero((q * q).sum(axis=1) > 1.0 - 1e-6):
+        basis = np.zeros(est.size)
+        basis[k] = 1.0
+        _project_contrast(basis, fit)
+    se = np.sqrt(np.maximum(vm.diagonal, 0.0))
+    return InferenceReport(est, se, *_z_tests(est, se, level), level)
 
 
 def standardized_stats(
@@ -506,11 +477,7 @@ def standardized_stats(
     """The two standardized errors of c . fit: denominator at the truth
     (first) and at the fitted parameters (second).  Both are approximately
     standard normal when the model holds."""
-    n, d = fit.params.n_items, fit.params.n_features
-    c = np.asarray(c, dtype=float).ravel()
-    if c.size != n + d:
-        raise InvalidArgumentError(f"contrast length {c.size}, expected {n + d}")
-    cbar = _project_contrast(c, fit.projection)
+    c, cbar = _project_contrast(c, fit)
     err = float(c @ fit.params.stacked) - float(c @ truth.stacked)
     se_true = float(np.sqrt(vm_true.variance_of(cbar)))
     se_plugin = float(np.sqrt(vm_plugin.variance_of(cbar)))

@@ -21,13 +21,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import io as _io
+import itertools
 import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidArgumentError, ParseError
 from .model import ComparisonData
 from .simulation import ExperimentResult
 
@@ -412,25 +413,29 @@ def write_inference_csv(
     feature_names: list[str],
     provenance: dict | None = None,
 ) -> None:
-    """One row per coefficient: intrinsic scores first, then covariate effects."""
+    """One row per coefficient: intrinsic scores first, then covariate
+    effects, named by ``item_ids`` and then ``feature_names``."""
+    n, d = len(item_ids), len(feature_names)
+    if n + d != report.estimate.size:
+        raise InvalidArgumentError(
+            f"{n} item ids and {d} feature names for {report.estimate.size} coefficients"
+        )
     header = [
         "kind", "index", "name", "estimate", "std_error", "z_stat",
         "p_value", "ci_low", "ci_high", "level",
     ]
-    rows = []
-    for row in report.alpha_rows:
-        rows.append([
-            "alpha", row.index, item_ids[row.index], fmt17(row.estimate),
-            fmt17(row.std_error), fmt17(row.z_stat), fmt17(row.p_value),
-            fmt17(row.ci_low), fmt17(row.ci_high), fmt17(row.level),
-        ])
-    for row in report.beta_rows:
-        name = feature_names[row.index] if row.index < len(feature_names) else f"f{row.index + 1}"
-        rows.append([
-            "beta", row.index, name, fmt17(row.estimate), fmt17(row.std_error),
-            fmt17(row.z_stat), fmt17(row.p_value), fmt17(row.ci_low),
-            fmt17(row.ci_high), fmt17(row.level),
-        ])
+    rows = zip(
+        ["alpha"] * n + ["beta"] * d,
+        [*range(n), *range(d)],
+        [*item_ids, *feature_names],
+        map(fmt17, report.estimate.tolist()),
+        map(fmt17, report.std_error.tolist()),
+        map(fmt17, report.z_stat.tolist()),
+        map(fmt17, report.p_value.tolist()),
+        map(fmt17, report.ci_low.tolist()),
+        map(fmt17, report.ci_high.tolist()),
+        itertools.repeat(fmt17(report.level)),
+    )
     atomic_write_text(path, _csv_text(header, rows, provenance_comment(provenance)))
 
 

@@ -422,21 +422,13 @@ def _weighted_laplacian(n: int, item_i: np.ndarray, item_j: np.ndarray, w: np.nd
     return lap
 
 
-def _hessian_weights(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:
-    """Per-edge logistic-variance weights trials * sigma * (1 - sigma),
-    the third output of ``_score_terms`` without the likelihood."""
-    _check_dims(data, cov, params)
-    s = params.scores(cov)
-    sig = sigmoid(s[data.item_i] - s[data.item_j])
-    return data.trials * sig * (1.0 - sig)
-
-
 def hessian(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:
     """Hessian of the negative log-likelihood: a trial-weighted sum of
     outer products of feature differences with logistic-variance weights
     in (0, 1/4].  Assembled from the weighted Laplacian of the alpha
     block by the block identities H_ab = H_aa X and H_bb = X^T H_aa X."""
-    w = _hessian_weights(data, cov, params)
+    _check_dims(data, cov, params)
+    w = _score_terms(data, params.scores(cov))[2]
     lap = _weighted_laplacian(data.n_items, data.item_i, data.item_j, w)
     x = cov.scaled
     n, d = x.shape

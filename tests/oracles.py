@@ -446,19 +446,17 @@ def inference_text_by_rows(report, item_ids, feature_names, comment=None):
         "kind", "index", "name", "estimate", "std_error", "z_stat",
         "p_value", "ci_low", "ci_high", "level",
     ]
+    n = len(item_ids)
     rows = []
-    for row in report.alpha_rows:
+    for k in range(report.estimate.size):
+        if k < n:
+            kind, index, name = "alpha", k, item_ids[k]
+        else:
+            kind, index, name = "beta", k - n, feature_names[k - n]
         rows.append([
-            "alpha", row.index, item_ids[row.index], fmt17(row.estimate),
-            fmt17(row.std_error), fmt17(row.z_stat), fmt17(row.p_value),
-            fmt17(row.ci_low), fmt17(row.ci_high), fmt17(row.level),
-        ])
-    for row in report.beta_rows:
-        name = feature_names[row.index] if row.index < len(feature_names) else f"f{row.index + 1}"
-        rows.append([
-            "beta", row.index, name, fmt17(row.estimate), fmt17(row.std_error),
-            fmt17(row.z_stat), fmt17(row.p_value), fmt17(row.ci_low),
-            fmt17(row.ci_high), fmt17(row.level),
+            kind, index, name, fmt17(report.estimate[k]), fmt17(report.std_error[k]),
+            fmt17(report.z_stat[k]), fmt17(report.p_value[k]), fmt17(report.ci_low[k]),
+            fmt17(report.ci_high[k]), fmt17(report.level),
         ])
     return _csv_text_by_rows(header, rows, comment)
 

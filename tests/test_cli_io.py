@@ -5,7 +5,6 @@ import io
 import json
 import shutil
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +20,8 @@ from care_rank.cli import (
     EXIT_PARSE,
     main,
 )
-from care_rank.errors import ParseError
-from care_rank.inference import CoefficientEstimate, RankingScores
+from care_rank.errors import InvalidArgumentError, ParseError
+from care_rank.inference import InferenceReport, RankingScores
 from care_rank.io import (
     AGGREGATED_HEADER,
     PER_TRIAL_HEADER,
@@ -408,21 +407,24 @@ class TestWriters:
 
     def test_inference(self, tmp_path):
         rng = np.random.default_rng(3)
-        n = len(QUOTED_IDS)
-
-        def rows(count):
-            values = special_doubles(rng, (count, 7))
-            return [CoefficientEstimate(k, *map(float, values[k])) for k in range(count)]
-
-        # three effects, two names: the third falls back to "f3"
-        report = SimpleNamespace(alpha_rows=rows(n), beta_rows=rows(3))
-        names = ["w,x", '"y"']
+        names = ["w,x", '"y"', "z"]
+        columns = special_doubles(rng, (6, len(QUOTED_IDS) + len(names)))
+        report = InferenceReport(*columns, level=0.9)
         path = tmp_path / "inference.csv"
         write_inference_csv(str(path), report, QUOTED_IDS, names, PROVENANCE)
         expected = inference_text_by_rows(
             report, QUOTED_IDS, names, provenance_comment(PROVENANCE)
         )
         assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_inference_names_every_coefficient(self, tmp_path):
+        # a missing feature name is an error, not a made-up "f3"
+        columns = np.zeros((6, len(QUOTED_IDS) + 3))
+        report = InferenceReport(*columns, level=0.95)
+        path = tmp_path / "inference.csv"
+        with pytest.raises(InvalidArgumentError, match="2 feature names for"):
+            write_inference_csv(str(path), report, QUOTED_IDS, ["w", "x"])
+        assert not path.exists()
 
     def test_ranking(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -566,18 +568,13 @@ class TestCliPipelines:
         pc = parse_covariates_csv(str(sim / "covariates.csv"), parsed.item_ids)
         fit = fit_mle(parsed.data, preprocess_covariates(pc.matrix))
         report = full_inference_report(fit, plugin_variance_model(fit))
-        expected = {("alpha", r.index): r for r in report.alpha_rows}
-        expected.update({("beta", r.index): r for r in report.beta_rows})
+        n = fit.params.n_items
         rows = read_csv_dicts(out / "inference.csv")
-        assert len(rows) == len(expected)
+        assert len(rows) == report.estimate.size
         for row in rows:
-            ref = expected[(row["kind"], int(row["index"]))]
-            assert float(row["estimate"]) == ref.estimate
-            assert float(row["std_error"]) == ref.std_error
-            assert float(row["z_stat"]) == ref.z_stat
-            assert float(row["p_value"]) == ref.p_value
-            assert float(row["ci_low"]) == ref.ci_low
-            assert float(row["ci_high"]) == ref.ci_high
+            k = int(row["index"]) + (n if row["kind"] == "beta" else 0)
+            for column in ("estimate", "std_error", "z_stat", "p_value", "ci_low", "ci_high"):
+                assert float(row[column]) == getattr(report, column)[k]
 
     def test_byte_identical_reruns_modulo_timestamp(self, tmp_path):
         sim = simulate_dataset(tmp_path, n=25, d=1, seed=10, p=0.9, trials=9)
@@ -736,6 +733,22 @@ class TestExitCodes:
         assert payload["stop_reason"] == "no_mle"
         assert main(["fit", "--comparisons", data, "--out", str(out),
                      "--ridge-alpha", "0.1"]) == EXIT_OK
+
+    @pytest.mark.parametrize("option, value", [
+        ("--grad-tol", "inf"), ("--grad-tol", "nan"),
+        ("--ridge-alpha", "inf"), ("--ridge-alpha", "nan"),
+    ])
+    def test_non_finite_fit_option_is_config_error(self, tmp_path, capsys, option, value):
+        sim = simulate_dataset(tmp_path, n=30, d=2, p=0.5, trials=5)
+        out = tmp_path / "o"
+        code = main([
+            "fit", "--comparisons", str(sim / "comparisons.csv"),
+            "--covariates", str(sim / "covariates.csv"), "--out", str(out), option, value,
+        ])
+        assert code == EXIT_CONFIG
+        name = option[2:].replace("-", "_")
+        assert f"error: {name} must be" in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
 
     def test_missing_required_option(self):
         assert main(["fit"]) == EXIT_CONFIG

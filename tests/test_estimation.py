@@ -129,6 +129,11 @@ class TestFitConfig:
             FitConfig(grad_tol=0.0)
         with pytest.raises(InvalidArgumentError):
             FitConfig(ridge_alpha=-0.1)
+        for value in (np.inf, np.nan):
+            with pytest.raises(InvalidArgumentError):
+                FitConfig(grad_tol=value)
+            with pytest.raises(InvalidArgumentError):
+                FitConfig(ridge_alpha=value)
         with pytest.raises(InvalidArgumentError):
             FitConfig(max_iters=0)
 
@@ -243,13 +248,14 @@ class TestFitMLE:
 
     def test_newton_converges_in_few_steps(self):
         designs = [(200, p, L) for p, L in rate_experiment_pairs()] + [(2000, 0.05, 10)]
+        config = FitConfig()
         for n, p, L in designs:
             cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=20250801))
             data = sample_comparisons(cov, truth, p, L, 1)
-            fit = fit_mle(data, cov)
+            fit = fit_mle(data, cov, config)
             assert fit.converged, (n, p, L)
             assert fit.diagnostics.iterations <= 10, (n, p, L)
-            assert fit.diagnostics.final_grad_norm <= fit.config.grad_tol
+            assert fit.diagnostics.final_grad_norm <= config.grad_tol
 
     def test_no_mle_stops_at_once(self):
         # item 2 beats items 0 and 1 in every trial: its score has no

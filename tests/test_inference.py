@@ -16,8 +16,6 @@ from care_rank.errors import ConnectivityError, DegenerateContrastError, Invalid
 from care_rank.estimation import FitConfig, fit_mle, preprocess_covariates
 from care_rank.inference import (
     DEFAULT_EIGEN_CUTOFF,
-    alpha_inference,
-    beta_inference,
     care_ranking_scores,
     contrast_inference,
     full_inference_report,
@@ -189,7 +187,7 @@ class TestLaplacianVarianceModel:
         fit = fit_mle(data, cov)
         vm = plugin_variance_model(fit)
         report = full_inference_report(fit, vm)
-        assert len(report.alpha_rows) == 12 and len(report.beta_rows) == 2
+        assert report.estimate.size == 14
         care_ranking_scores(fit, vm)
         c = np.zeros(14)
         c[0], c[12] = 1.0, 1.0
@@ -275,20 +273,17 @@ class TestLaplacianVarianceModel:
         fit = fit_mle(data, cov)
         vm = plugin_variance_model(fit)
         report = full_inference_report(fit, vm, level=0.9)
-        n, d = 12, 2
-        for rows, offset in ((report.alpha_rows, 0), (report.beta_rows, n)):
-            for row in rows:
-                c = np.zeros(n + d)
-                c[row.index + offset] = 1.0
-                ref = contrast_inference(c, fit, vm, level=0.9)
-                np.testing.assert_allclose(
-                    [row.estimate, row.std_error, row.z_stat, row.p_value,
-                     row.ci_low, row.ci_high],
-                    [ref.estimate, ref.std_error, ref.z_stat, ref.p_value,
-                     ref.ci_low, ref.ci_high],
-                    rtol=1e-10, atol=1e-14,
-                )
-                assert row.level == 0.9
+        columns = ("estimate", "std_error", "z_stat", "p_value", "ci_low", "ci_high")
+        for k in range(12 + 2):
+            c = np.zeros(12 + 2)
+            c[k] = 1.0
+            ref = contrast_inference(c, fit, vm, level=0.9)
+            np.testing.assert_allclose(
+                [getattr(report, name)[k] for name in columns],
+                [getattr(ref, name) for name in columns],
+                rtol=1e-10, atol=1e-14,
+            )
+        assert report.level == 0.9
 
     def test_underflowing_weights_refused(self, monkeypatch):
         # two triangles joined by the bridge (2, 3); scores 800 apart make
@@ -417,6 +412,17 @@ class TestContrastInference:
         with pytest.raises(DegenerateContrastError):
             contrast_inference(c, fit, vm)
 
+    def test_invalid_contrast_rejected(self):
+        # a wrong length or a non-finite entry is refused before it can
+        # read as a significant z-test
+        data, cov, truth, fit = fitted_instance(seed=77)
+        vm = plugin_variance_model(fit)
+        for c in ([1.0, 0.0, 0.0], [np.nan] + [0.0] * 6, [0.0] * 6 + [np.inf]):
+            with pytest.raises(InvalidArgumentError, match="contrast"):
+                contrast_inference(np.array(c), fit, vm)
+            with pytest.raises(InvalidArgumentError, match="contrast"):
+                standardized_stats(fit, vm, vm, np.array(c), truth)
+
     def test_level_validation(self):
         data, cov, _, fit = fitted_instance(seed=77)
         vm = plugin_variance_model(fit)
@@ -434,11 +440,10 @@ class TestContrastInference:
             cov = preprocess_covariates(raw * factor)
             fit = fit_mle(data, cov, FitConfig(grad_tol=1e-11))
             fits.append((fit, plugin_variance_model(fit)))
-        rows_a = beta_inference(*fits[0])
-        rows_b = beta_inference(*fits[1])
-        for ra, rb in zip(rows_a, rows_b):
-            assert ra.z_stat == pytest.approx(rb.z_stat, abs=1e-8)
-            assert ra.p_value == pytest.approx(rb.p_value, abs=1e-8)
+        report_a = full_inference_report(*fits[0])
+        report_b = full_inference_report(*fits[1])
+        np.testing.assert_allclose(report_a.z_stat[5:], report_b.z_stat[5:], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(report_a.p_value[5:], report_b.p_value[5:], rtol=0, atol=1e-8)
 
 
 class TestCoefficientInference:
@@ -447,22 +452,22 @@ class TestCoefficientInference:
         cov = preprocess_covariates(np.zeros((2, 0)))
         fit = fit_mle(data, cov)
         vm = plugin_variance_model(fit)
-        rows = alpha_inference(fit, vm)
-        for row in rows:
-            assert row.z_stat == pytest.approx(0.0, abs=1e-7)
-            assert row.p_value == pytest.approx(1.0, abs=1e-6)
+        report = full_inference_report(fit, vm)
+        np.testing.assert_allclose(report.z_stat, 0.0, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(report.p_value, 1.0, rtol=0, atol=1e-6)
 
     def test_positive_diagonal_variances(self):
         data, cov, _, fit = fitted_instance(seed=79)
         vm = plugin_variance_model(fit)
-        for row in alpha_inference(fit, vm) + beta_inference(fit, vm):
-            assert row.std_error > 0.0
+        assert (full_inference_report(fit, vm).std_error > 0.0).all()
 
     def test_row_shapes(self):
         data, cov, _, fit = fitted_instance(seed=80)
-        vm = plugin_variance_model(fit)
-        assert [r.index for r in alpha_inference(fit, vm)] == list(range(5))
-        assert [r.index for r in beta_inference(fit, vm)] == [0, 1]
+        report = full_inference_report(fit, plugin_variance_model(fit))
+        for column in (report.estimate, report.std_error, report.z_stat,
+                       report.p_value, report.ci_low, report.ci_high):
+            assert column.shape == (5 + 2,)
+        np.testing.assert_array_equal(report.estimate, fit.params.stacked)
 
     def test_strong_effects_detected(self):
         # strong true covariate effects on a well-sampled graph produce
@@ -473,16 +478,15 @@ class TestCoefficientInference:
         data = sample_comparisons(cov, truth, 0.5, 25, 301)
         fit = fit_mle(data, cov)
         vm = plugin_variance_model(fit)
-        rows = beta_inference(fit, vm)
-        significant = sum(r.p_value < 0.01 for r in rows)
-        assert significant >= 4
+        beta_p = full_inference_report(fit, vm).p_value[120:]
+        assert (beta_p < 0.01).sum() >= 4
 
     def test_full_report_bundle(self):
         data, cov, _, fit = fitted_instance(seed=81)
         vm = plugin_variance_model(fit)
         report = full_inference_report(fit, vm, level=0.9)
-        assert len(report.alpha_rows) == 5
-        assert len(report.beta_rows) == 2
+        assert report.estimate.size == 5 + 2
+        assert report.level == 0.9
 
 
 class TestQuadraticApproxMinimizer:

@@ -13,7 +13,6 @@ from care_rank.estimation import preprocess_covariates, project_to_theta
 from care_rank.model import (
     ComparisonData,
     ParamVector,
-    _hessian_weights,
     _score_terms,
     _strongly_connected,
     build_projection,
@@ -117,7 +116,7 @@ class TestLikelihoodKernel:
     def test_hessian_weights_equal_former_formulas(self):
         data, cov, params = self.instance()
         want = score_terms_by_bincount(data, params.scores(cov))[2]
-        np.testing.assert_array_equal(_hessian_weights(data, cov, params), want)
+        np.testing.assert_array_equal(_score_terms(data, params.scores(cov))[2], want)
 
 
 @st.composite

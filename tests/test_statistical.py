@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from care_rank.estimation import fit_mle, preprocess_covariates, project_to_theta
-from care_rank.inference import beta_inference, plugin_variance_model
+from care_rank.inference import full_inference_report, plugin_variance_model
 from care_rank.model import ParamVector, build_projection
 from care_rank.simulation import (
     SyntheticSpec,
@@ -60,8 +60,8 @@ class TestSizeUnderNull:
             data = sample_comparisons(cov, truth, p, L, rng_stream(spec.seed, 10_000 + rep))
             fit = fit_mle(data, cov)
             vm = plugin_variance_model(fit)
-            row = beta_inference(fit, vm, level=0.95)[null_index]
-            return int(row.p_value < 0.05)
+            report = full_inference_report(fit, vm, level=0.95)
+            return int(report.p_value[n + null_index] < 0.05)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             rejections = sum(pool.map(one_rep, range(reps)))
