@@ -9,10 +9,11 @@ defaults.
 
 Exit codes: 0 success; 2 malformed input file; 3 disconnected comparison
 graph, or at ``infer``/``rank`` Hessian weights that split it; 4 fit did
-not converge, or (without --ridge-alpha) the win graph is not strongly
-connected so the MLE does not exist; 5 invalid configuration, an
-unusable input path, degenerate inputs, or too little available memory
-for the variance model of ``infer``/``rank``; 1 unexpected failure.
+not converge, or the win graph is not strongly connected so the MLE does
+not exist (``fit`` can then take --ridge-alpha; ``infer`` and ``rank``
+need the MLE); 5 invalid configuration, an unusable input path,
+degenerate inputs, or too little available memory for the variance
+model of ``infer``/``rank``; 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import datetime
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,7 +60,6 @@ from .io import (
     write_json,
     write_ranking_csv,
 )
-from .model import _component_preview
 from .simulation import (
     ExperimentPlan,
     SyntheticSpec,
@@ -84,7 +85,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = str(text).strip().lower()
+    lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -94,7 +95,7 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_pairs(text: str) -> tuple[tuple[float, int], ...]:
     pairs = []
-    for chunk in str(text).split(","):
+    for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -105,6 +106,45 @@ def _parse_pairs(text: str) -> tuple[tuple[float, int], ...]:
     if not pairs:
         raise ConfigurationError("no (p, L) pairs given")
     return tuple(pairs)
+
+
+class _Option(NamedTuple):
+    convert: Callable  # from the text of a flag or of a config-file value
+    commands: tuple[str, ...]  # the commands that read it
+    help: str | None
+
+
+# the table that each inference command writes from a converged fit
+_TABLES = {"infer": "inference", "rank": "ranking"}
+_FITTING = ("fit", *_TABLES)
+_SYNTHETIC = ("simulate", "experiment")
+
+# every option, in --help order; each command's flags are the options
+# that list it
+_OPTIONS = {
+    "out": _Option(str, _FITTING + _SYNTHETIC, "output directory"),
+    "comparisons": _Option(str, _FITTING, "comparisons CSV path"),
+    "covariates": _Option(str, _FITTING, "covariates CSV path (omit for none)"),
+    "max_iters": _Option(int, _FITTING, "Newton step limit, default 100"),
+    "grad_tol": _Option(float, _FITTING, None),
+    "ridge_alpha": _Option(float, ("fit",), "l2 penalty on intrinsic scores only"),
+    "standardize": _Option(_parse_bool, _FITTING, None),
+    "level": _Option(float, ("infer", "experiment"), "confidence level, default 0.95"),
+    "quantile_level": _Option(float, ("rank",), "soft-threshold quantile, default 0.995"),
+    "n": _Option(int, _SYNTHETIC, "number of items, default 200"),
+    "d": _Option(int, _SYNTHETIC, "number of covariates, default 5"),
+    "seed": _Option(int, _SYNTHETIC, None),
+    "p": _Option(float, ("simulate",), "pair sampling probability"),
+    "trials": _Option(int, ("simulate",), "trials per compared pair"),
+    "kind": _Option(str, ("experiment",), "rate or distribution, default rate"),
+    "pairs": _Option(_parse_pairs, ("experiment",),
+                     "comma-separated p:L pairs, e.g. 1:50,0.5:25"),
+    "replications": _Option(int, ("experiment",), "replications per (p, L) pair"),
+    "workers": _Option(int, ("experiment",),
+                       "worker processes, each with one BLAS thread, at most "
+                       "one per usable CPU; default 1"),
+    "statistics": _Option(str, ("experiment",), "comma-separated statistic names"),
+}
 
 
 @dataclass(frozen=True)
@@ -138,24 +178,27 @@ class RunConfig:
     def __post_init__(self):
         # each level is checked only for the commands that read it, so a
         # shared config file may carry values meant for another command
-        if self.command in ("infer", "experiment") and not (0.0 < self.level < 1.0):
+        if self._reads("level") and not (0.0 < self.level < 1.0):
             raise ConfigurationError(f"level must be in (0, 1), got {self.level}")
-        if self.command == "rank" and not (0.5 < self.quantile_level < 1.0):
+        if self._reads("quantile_level") and not (0.5 < self.quantile_level < 1.0):
             raise ConfigurationError(
                 f"quantile-level must be in (0.5, 1), got {self.quantile_level}"
             )
+        # the variance model is that of the unpenalized MLE, so a ridge
+        # meant for fit must not reach the inference commands
+        if self.command in _TABLES and self.ridge_alpha:
+            raise ConfigurationError(
+                f"ridge_alpha is a fit option: {self.command} needs the "
+                f"maximum-likelihood estimate, got ridge_alpha = {self.ridge_alpha}"
+            )
+
+    def _reads(self, key: str) -> bool:
+        return self.command in _OPTIONS[key].commands
 
     def require(self, *fields: str) -> None:
         for name in fields:
             if getattr(self, name) is None:
                 raise ConfigurationError(f"--{name.replace('_', '-')} is required")
-
-    def fit_config(self) -> FitConfig:
-        return FitConfig(
-            max_iters=self.max_iters,
-            grad_tol=self.grad_tol,
-            ridge_alpha=self.ridge_alpha,
-        )
 
     def provenance(self) -> dict:
         # Hash only what defines the computation: input files by their
@@ -166,41 +209,15 @@ class RunConfig:
             k: v for k, v in dataclasses.asdict(self).items()
             if k not in ("out", "workers")
         }
-        reads_inputs = self.command in ("fit", "infer", "rank")
         for key in ("comparisons", "covariates"):
             path = hashable[key]
-            hashable[key] = file_sha256(path) if path and reads_inputs else None
+            hashable[key] = file_sha256(path) if path and self._reads(key) else None
         return {
             "version": __version__,
             "config_hash": config_hash(hashable),
             "seed": self.seed,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
-
-
-# converter applied to config-file strings (command-line values arrive
-# already typed through argparse, except the string-typed options below)
-_CONVERTERS = {
-    "comparisons": str,
-    "covariates": str,
-    "out": str,
-    "max_iters": int,
-    "grad_tol": float,
-    "ridge_alpha": float,
-    "standardize": _parse_bool,
-    "level": float,
-    "quantile_level": float,
-    "n": int,
-    "d": int,
-    "seed": int,
-    "p": float,
-    "trials": int,
-    "kind": str,
-    "pairs": _parse_pairs,
-    "replications": int,
-    "workers": int,
-    "statistics": str,
-}
 
 
 @dataclass(frozen=True)
@@ -245,77 +262,36 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="care-rank", description=__doc__)
     parser.add_argument("--version", action="version", version=f"care-rank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for command, (_, summary) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
         sp.add_argument("--config", help="flat key=value options file")
-        sp.add_argument("--out", help="output directory")
-
-    def add_fit_options(sp):
-        sp.add_argument("--comparisons", help="comparisons CSV path")
-        sp.add_argument("--covariates", help="covariates CSV path (omit for none)")
-        sp.add_argument("--max-iters", dest="max_iters", type=int,
-                        help="Newton step limit, default 100")
-        sp.add_argument("--grad-tol", dest="grad_tol", type=float)
-        sp.add_argument("--ridge-alpha", dest="ridge_alpha", type=float,
-                        help="l2 penalty on intrinsic scores only")
-        sp.add_argument("--standardize", dest="standardize",
-                        action=argparse.BooleanOptionalAction, default=None)
-
-    sp_fit = sub.add_parser("fit", help="estimate scores from CSV data")
-    add_common(sp_fit)
-    add_fit_options(sp_fit)
-
-    sp_infer = sub.add_parser("infer", help="fit plus coefficient tests and intervals")
-    add_common(sp_infer)
-    add_fit_options(sp_infer)
-    sp_infer.add_argument("--level", type=float, help="confidence level, default 0.95")
-
-    sp_rank = sub.add_parser("rank", help="fit plus ranking scores")
-    add_common(sp_rank)
-    add_fit_options(sp_rank)
-    sp_rank.add_argument("--quantile-level", dest="quantile_level", type=float,
-                         help="soft-threshold quantile, default 0.995")
-
-    sp_sim = sub.add_parser("simulate", help="write a synthetic dataset")
-    add_common(sp_sim)
-    sp_sim.add_argument("--n", type=int, help="number of items, default 200")
-    sp_sim.add_argument("--d", type=int, help="number of covariates, default 5")
-    sp_sim.add_argument("--seed", type=int)
-    sp_sim.add_argument("--p", type=float, help="pair sampling probability")
-    sp_sim.add_argument("--trials", type=int, help="trials per compared pair")
-
-    sp_exp = sub.add_parser("experiment", help="run a Monte Carlo study")
-    add_common(sp_exp)
-    sp_exp.add_argument("--kind", choices=["rate", "distribution"])
-    sp_exp.add_argument("--n", type=int)
-    sp_exp.add_argument("--d", type=int)
-    sp_exp.add_argument("--seed", type=int)
-    sp_exp.add_argument("--level", type=float)
-    sp_exp.add_argument("--pairs", help="comma-separated p:L pairs, e.g. 1:50,0.5:25")
-    sp_exp.add_argument("--replications", type=int)
-    sp_exp.add_argument("--workers", type=int,
-                        help="worker processes, each with one BLAS thread, at most "
-                             "one per usable CPU; default 1")
-    sp_exp.add_argument("--statistics", help="comma-separated statistic names")
+        for key, option in _OPTIONS.items():
+            if command not in option.commands:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if option.convert is _parse_bool:
+                sp.add_argument(flag, action=argparse.BooleanOptionalAction, help=option.help)
+            else:
+                sp.add_argument(flag, help=option.help)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Apply precedence: command line > config file > defaults."""
-    file_cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(file_cfg) - set(_CONVERTERS))
+    file_cfg = read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_cfg) - set(_OPTIONS))
     if unknown:
         raise ConfigurationError(
             f"{args.config}: unknown key{'s' if len(unknown) > 1 else ''} {', '.join(unknown)}"
         )
     resolved = {"command": args.command}
-    for key, convert in _CONVERTERS.items():
+    for key, option in _OPTIONS.items():
         value = getattr(args, key, None)
         if value is None:
             value = file_cfg.get(key)
         if isinstance(value, str):
             try:
-                value = convert(value)
+                value = option.convert(value)
             except ValueError as exc:
                 raise ConfigurationError(f"{key}: {exc}") from None
         if value is not None:
@@ -341,29 +317,12 @@ def _load_and_fit(config: RunConfig) -> ResultBundle:
         feature_names = []
     cov = preprocess_covariates(raw, standardize=config.standardize)
     try:
-        fit = fit_mle(parsed.data, cov, config.fit_config())
+        fit = fit_mle(parsed.data, cov, FitConfig(
+            max_iters=config.max_iters, grad_tol=config.grad_tol, ridge_alpha=config.ridge_alpha,
+        ))
     except ConnectivityError as exc:
-        raise _named_components(exc, parsed.item_ids) from None
+        raise exc.named(parsed.item_ids) from None
     return ResultBundle(parsed, fit, feature_names, config.provenance())
-
-
-def _write_fit(config: RunConfig, bundle: ResultBundle) -> None:
-    write_json(os.path.join(config.out, "fit.json"), bundle.fit_payload())
-
-
-def _converged_or_report(bundle: ResultBundle, held_back: str | None = None) -> bool:
-    if bundle.fit.converged:
-        return True
-    suffix = f"; not writing {held_back}" if held_back else ""
-    if bundle.fit.stop_reason == "no_mle":
-        message = (
-            "the maximum-likelihood estimate does not exist: some items won or "
-            "lost every comparison against the rest; try --ridge-alpha 0.1"
-        )
-    else:
-        message = f"fit stopped without convergence ({bundle.fit.stop_reason})"
-    print(f"{message}{suffix}", file=sys.stderr)
-    return False
 
 
 def _available_memory(
@@ -397,14 +356,6 @@ def _available_memory(
     return min(found) if found else None
 
 
-def _named_components(exc: ConnectivityError, item_ids: list[str]) -> ConnectivityError:
-    """``exc`` with the components in its message named by item id; its
-    ``components`` stay indices."""
-    named = [[item_ids[k] for k in comp] for comp in exc.components]
-    head = str(exc).removesuffix(_component_preview(exc.components))
-    return ConnectivityError(head + _component_preview(named), components=exc.components)
-
-
 def _variance_model(bundle: ResultBundle) -> VarianceModel:
     """``plugin_variance_model``, refused up front when its peak memory
     would exceed what is available, rather than killed part way."""
@@ -419,42 +370,36 @@ def _variance_model(bundle: ResultBundle) -> VarianceModel:
     try:
         return plugin_variance_model(bundle.fit)
     except ConnectivityError as exc:
-        raise _named_components(exc, bundle.parsed.item_ids) from None
+        raise exc.named(bundle.parsed.item_ids) from None
 
 
 def cmd_fit(config: RunConfig) -> int:
+    """``fit``, ``infer`` and ``rank``: write ``fit.json``, then, from a
+    converged fit, the inference or ranking table that the command names."""
     bundle = _load_and_fit(config)
-    _write_fit(config, bundle)
-    return EXIT_OK if _converged_or_report(bundle) else EXIT_CONVERGENCE
-
-
-def cmd_infer(config: RunConfig) -> int:
-    bundle = _load_and_fit(config)
-    _write_fit(config, bundle)
-    if not _converged_or_report(bundle, "inference output"):
+    write_json(os.path.join(config.out, "fit.json"), bundle.fit_payload())
+    fit, table = bundle.fit, _TABLES.get(config.command)
+    if not fit.converged:
+        if fit.stop_reason == "no_mle":
+            message = (
+                "the maximum-likelihood estimate does not exist: some items won or "
+                "lost every comparison against the rest; "
+                + ("inference needs the MLE" if table else "try --ridge-alpha 0.1")
+            )
+        else:
+            message = f"fit stopped without convergence ({fit.stop_reason})"
+        print(message + (f"; not writing {table} output" if table else ""), file=sys.stderr)
         return EXIT_CONVERGENCE
-    write_inference_csv(
-        os.path.join(config.out, "inference.csv"),
-        full_inference_report(bundle.fit, _variance_model(bundle), config.level),
-        bundle.parsed.item_ids,
-        bundle.feature_names,
-        bundle.provenance,
-    )
-    return EXIT_OK
-
-
-def cmd_rank(config: RunConfig) -> int:
-    bundle = _load_and_fit(config)
-    _write_fit(config, bundle)
-    if not _converged_or_report(bundle, "ranking output"):
-        return EXIT_CONVERGENCE
-    ranking = care_ranking_scores(bundle.fit, _variance_model(bundle), config.quantile_level)
-    write_ranking_csv(
-        os.path.join(config.out, "ranking.csv"),
-        ranking,
-        bundle.parsed.item_ids,
-        bundle.provenance,
-    )
+    if table is None:
+        return EXIT_OK
+    vm, ids = _variance_model(bundle), bundle.parsed.item_ids
+    path = os.path.join(config.out, f"{table}.csv")
+    if table == "inference":
+        report = full_inference_report(fit, vm, config.level)
+        write_inference_csv(path, report, ids, bundle.feature_names, bundle.provenance)
+    else:
+        write_ranking_csv(path, care_ranking_scores(fit, vm, config.quantile_level), ids,
+                          bundle.provenance)
     return EXIT_OK
 
 
@@ -498,10 +443,11 @@ def cmd_experiment(config: RunConfig) -> int:
     if config.kind == "rate":
         # beta_rel_l2 is undefined without covariates
         stats = "alpha_linf,beta_rel_l2" if spec.d else "alpha_linf"
-        pairs, replications = rate_experiment_pairs(), 200
+        pairs, replications, runner = rate_experiment_pairs(), 200, run_rate_experiment
     elif config.kind == "distribution":
         pairs = [(distribution_sampling_probability(spec.n, spec.d), 20)]
         stats, replications = "qq_alpha1,hist_A,hist_B,coverage", 250
+        runner = run_distribution_experiment
     else:
         raise ConfigurationError(f"unknown experiment kind {config.kind!r}")
     # a given value replaces the default even when it is falsy, so that
@@ -520,44 +466,39 @@ def cmd_experiment(config: RunConfig) -> int:
         level=config.level,
         workers=config.workers,
     )
-    runner = run_rate_experiment if config.kind == "rate" else run_distribution_experiment
-    result = runner(spec, plan)
     write_experiment_files(
-        os.path.join(config.out, "experiment"), result, config.provenance()
+        os.path.join(config.out, "experiment"), runner(spec, plan), config.provenance()
     )
     return EXIT_OK
 
 
 _COMMANDS = {
-    "fit": cmd_fit,
-    "infer": cmd_infer,
-    "rank": cmd_rank,
-    "simulate": cmd_simulate,
-    "experiment": cmd_experiment,
+    "fit": (cmd_fit, "estimate scores from CSV data"),
+    "infer": (cmd_fit, "fit plus coefficient tests and intervals"),
+    "rank": (cmd_fit, "fit plus ranking scores"),
+    "simulate": (cmd_simulate, "write a synthetic dataset"),
+    "experiment": (cmd_experiment, "run a Monte Carlo study"),
 }
+
+_PATH_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
+
+# the exit code of each caught exception type, most specific first
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (ConnectivityError, EXIT_CONNECTIVITY),
+    ((ConfigurationError, InvalidArgumentError, DegenerateDesignError,
+      DegenerateContrastError, *_PATH_ERRORS), EXIT_CONFIG),
+    (CareRankError, EXIT_INTERNAL),
+)
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = resolve_config(args)
-        return _COMMANDS[args.command](config)
-    except ParseError as exc:
+        return _COMMANDS[args.command][0](resolve_config(args))
+    except (CareRankError, *_PATH_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConnectivityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONNECTIVITY
-    except (ConfigurationError, InvalidArgumentError, DegenerateDesignError,
-            DegenerateContrastError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CareRankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

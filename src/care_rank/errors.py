@@ -31,11 +31,29 @@ class DegenerateColumnError(DegenerateDesignError):
 
 
 class ConnectivityError(CareRankError):
-    """The comparison graph is disconnected; consistent ranking is impossible."""
+    """The comparison graph is disconnected; consistent ranking is impossible.
 
-    def __init__(self, message: str, components: list[list[int]] | None = None):
-        super().__init__(message)
-        self.components = components or []
+    ``components`` holds the item indices of each component.  The message
+    gives their count and the first 6, with the first 8 items of each,
+    shown as indices or, given ``names`` (the item ids by index), as ids.
+    """
+
+    def __init__(self, graph: str, components: list[list[int]], names: list[str] | None = None):
+        # args are the constructor's, so the error unpickles when a study
+        # worker raises it
+        super().__init__(graph, components, names)
+        self.graph, self.components, self.names = graph, components, names
+
+    def __str__(self) -> str:
+        shown = [
+            comp[:8] if self.names is None else [self.names[k] for k in comp[:8]]
+            for comp in self.components[:6]
+        ]
+        return f"{self.graph} has {len(self.components)} components: " + ", ".join(map(str, shown))
+
+    def named(self, item_ids) -> "ConnectivityError":
+        """This error with its components shown by item id."""
+        return ConnectivityError(self.graph, self.components, item_ids)
 
 
 class DegenerateContrastError(CareRankError):

@@ -17,6 +17,7 @@ with ``stop_reason == "no_mle"``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +74,14 @@ class FitConfig:
     ridge_alpha: float = 0.0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvalidArgumentError("max_iters must be at least 1")
+        try:
+            max_iters = operator.index(self.max_iters)
+        except TypeError:
+            max_iters = 0
+        if max_iters < 1:
+            raise InvalidArgumentError(
+                f"max_iters must be an integer of at least 1, got {self.max_iters!r}"
+            )
         if not 0.0 < self.grad_tol < np.inf:
             raise InvalidArgumentError(
                 f"grad_tol must be positive and finite, got {self.grad_tol}"

@@ -506,19 +506,11 @@ def _components(labels: np.ndarray) -> list[list[int]]:
     return [comp.tolist() for comp in np.split(order, cuts)]
 
 
-def _component_preview(comps: list[list]) -> str:
-    """The count of ``comps`` and their first 6, with the first 8 items
-    of each."""
-    return f"{len(comps)} components: " + ", ".join(str(c[:8]) for c in comps[:6])
-
-
 def _refuse_split(graph: str, labels: np.ndarray) -> None:
-    """Raise ``ConnectivityError`` when the component ``labels`` of
-    ``graph`` mark more than one component: ``_component_preview`` in
-    the message, all components on it."""
+    """Raise ``ConnectivityError`` with every component when the
+    component ``labels`` of ``graph`` mark more than one."""
     if labels.any():
-        comps = _components(labels)
-        raise ConnectivityError(f"{graph} has {_component_preview(comps)}", components=comps)
+        raise ConnectivityError(graph, _components(labels))
 
 
 def connected_components(data: ComparisonData) -> list[list[int]]:

@@ -65,11 +65,9 @@ __all__ = [
     "ks_distance_to_normal",
 ]
 
-KNOWN_STATISTICS = frozenset(
-    {"alpha_linf", "beta_rel_l2", "qq_alpha1", "hist_A", "hist_B", "coverage"}
-)
 RATE_STATISTICS = frozenset({"alpha_linf", "beta_rel_l2"})
 DISTRIBUTION_STATISTICS = frozenset({"qq_alpha1", "hist_A", "hist_B", "coverage"})
+KNOWN_STATISTICS = RATE_STATISTICS | DISTRIBUTION_STATISTICS
 
 HIST_RANGE = (-4.0, 4.0)
 HIST_BINS = 30
@@ -422,6 +420,16 @@ def _setting_result(plan: ExperimentPlan, p: float, L: int, records: list[dict])
     return SettingResult(p, L, records, aggregates, {}, resamples)
 
 
+def _check_statistics(plan: ExperimentPlan, kind: str, own: frozenset) -> None:
+    """Refuse a plan that asks the ``kind`` study for none of its ``own``
+    statistics, or for any it does not record."""
+    if not plan.statistics & own:
+        raise InvalidArgumentError(f"{kind} experiment needs one of {sorted(own)}")
+    foreign = sorted(plan.statistics - own)
+    if foreign:
+        raise InvalidArgumentError(f"{kind} experiment does not record {foreign}")
+
+
 def _provenance(spec: SyntheticSpec, plan: ExperimentPlan, kind: str) -> dict:
     # Worker count deliberately not recorded: results are identical for
     # any split of replications across worker processes.
@@ -447,10 +455,7 @@ def run_rate_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Experiment
     draws with fresh sub-streams), fit, and record the max intrinsic-score
     error and/or the relative covariate-effect error.
     """
-    if not (plan.statistics & RATE_STATISTICS):
-        raise InvalidArgumentError(
-            f"rate experiment needs one of {sorted(RATE_STATISTICS)}"
-        )
+    _check_statistics(plan, "rate", RATE_STATISTICS)
     if "beta_rel_l2" in plan.statistics and spec.d == 0:
         raise InvalidArgumentError("beta_rel_l2 is undefined without covariates")
     settings = _run_study(_StudyContext(spec, plan, *generate_truth(spec)), _rate_replication)
@@ -559,10 +564,7 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
     per-coordinate CI coverage indicators, and the oracle contrast
     variance.  Emits QQ and histogram summaries per setting.
     """
-    if not (plan.statistics & DISTRIBUTION_STATISTICS):
-        raise InvalidArgumentError(
-            f"distribution experiment needs one of {sorted(DISTRIBUTION_STATISTICS)}"
-        )
+    _check_statistics(plan, "distribution", DISTRIBUTION_STATISTICS)
     context = _StudyContext(spec, plan, *generate_truth(spec))
     d = spec.d
     c_dot_truth = float(_default_contrast(spec.n, d) @ context.truth.stacked)

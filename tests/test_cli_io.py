@@ -1,5 +1,6 @@
 """CSV ingestion, serialization, CLI commands, and exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -658,6 +659,28 @@ class TestCliPipelines:
         assert payload["n_features"] == 3
 
 
+class TestParser:
+    def test_flags_of_each_command(self):
+        expected = {
+            "fit": ["--config", "--out", "--comparisons", "--covariates", "--max-iters",
+                    "--grad-tol", "--ridge-alpha", "--standardize", "--no-standardize"],
+            "infer": ["--config", "--out", "--comparisons", "--covariates", "--max-iters",
+                      "--grad-tol", "--standardize", "--no-standardize", "--level"],
+            "rank": ["--config", "--out", "--comparisons", "--covariates", "--max-iters",
+                     "--grad-tol", "--standardize", "--no-standardize", "--quantile-level"],
+            "simulate": ["--config", "--out", "--n", "--d", "--seed", "--p", "--trials"],
+            "experiment": ["--config", "--out", "--level", "--n", "--d", "--seed", "--kind",
+                           "--pairs", "--replications", "--workers", "--statistics"],
+        }
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            command: [f for a in sub._actions for f in a.option_strings if f not in ("-h", "--help")]
+            for command, sub in commands.choices.items()
+        }
+        assert flags == expected
+
+
 class TestExitCodes:
     def test_missing_file_is_config_error(self, tmp_path):
         code = main(["fit", "--comparisons", str(tmp_path / "nope.csv"),
@@ -734,6 +757,36 @@ class TestExitCodes:
         assert main(["fit", "--comparisons", data, "--out", str(out),
                      "--ridge-alpha", "0.1"]) == EXIT_OK
 
+    @pytest.mark.parametrize("command, output", [("infer", "inference.csv"), ("rank", "ranking.csv")])
+    def test_no_mle_at_inference_needs_the_mle(self, tmp_path, capsys, command, output):
+        data = write(
+            tmp_path / "c.csv",
+            "item_i,item_j,trials,wins_j\na,b,6,2\na,c,6,6\nb,c,6,6\n",
+        )
+        out = tmp_path / "o"
+        assert main([command, "--comparisons", data, "--out", str(out)]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "does not exist" in err and "inference needs the MLE" in err
+        assert "--ridge-alpha" not in err
+        assert (out / "fit.json").exists() and not (out / output).exists()
+
+    @pytest.mark.parametrize("command", ["infer", "rank"])
+    def test_inference_refuses_a_ridge(self, tmp_path, capsys, command):
+        # the variance model is that of the unpenalized MLE, not of a ridge fit
+        data = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\na,b,9,4\nb,c,9,5\na,c,9,3\n")
+        out = tmp_path / "o"
+        args = [command, "--comparisons", data, "--out", str(out)]
+        assert main(args + ["--ridge-alpha", "0.1"]) == EXIT_CONFIG
+        assert "unrecognized arguments: --ridge-alpha 0.1" in capsys.readouterr().err
+        cfg = write(tmp_path / "run.cfg", "ridge_alpha = 0.1\n")
+        assert main(args + ["--config", cfg]) == EXIT_CONFIG
+        assert "error: ridge_alpha is a fit option" in capsys.readouterr().err
+        assert not out.exists()
+        # fit still reads the shared file's ridge, and a zero ridge is the MLE
+        assert main(["fit", "--comparisons", data, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        zero = write(tmp_path / "zero.cfg", "ridge_alpha = 0\n")
+        assert main(args + ["--config", zero]) == EXIT_OK
+
     @pytest.mark.parametrize("option, value", [
         ("--grad-tol", "inf"), ("--grad-tol", "nan"),
         ("--ridge-alpha", "inf"), ("--ridge-alpha", "nan"),
@@ -760,6 +813,19 @@ class TestExitCodes:
         cfg = write(tmp_path / "run.cfg", "n = ten\n")
         assert main(["experiment", "--config", cfg, "--out", out]) == EXIT_CONFIG
         assert "error: n:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "n", "x"), ("fit", "max_iters", "2.5"), ("fit", "grad_tol", "tiny"),
+        ("infer", "level", "high"), ("experiment", "pairs", "abc:5"),
+    ])
+    def test_bad_value_reads_the_same_from_flag_and_file(self, tmp_path, capsys, command, key, value):
+        args = [command, "--out", str(tmp_path / "o")]
+        assert main(args + ["--" + key.replace("_", "-"), value]) == EXIT_CONFIG
+        from_flag = capsys.readouterr().err
+        cfg = write(tmp_path / "run.cfg", f"{key} = {value}\n")
+        assert main(args + ["--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == from_flag
+        assert from_flag.startswith(f"error: {key}: ") and from_flag.count("\n") == 1
 
     def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "c.csv"
@@ -818,6 +884,22 @@ class TestExitCodes:
             "--out", str(tmp_path / "e"),
         ])
         assert code == EXIT_CONFIG
+
+    def test_statistic_of_the_other_study_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "e"
+        code = main([
+            "experiment", "--kind", "rate", "--n", "20", "--d", "1",
+            "--replications", "2", "--statistics", "alpha_linf,coverage",
+            "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert "error: rate experiment does not record ['coverage']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_kind_is_config_error(self, tmp_path, capsys):
+        code = main(["experiment", "--kind", "bogus", "--out", str(tmp_path / "e")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: unknown experiment kind 'bogus'\n"
 
     def test_zero_replications_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "e"

@@ -137,6 +137,15 @@ class TestFitConfig:
         with pytest.raises(InvalidArgumentError):
             FitConfig(max_iters=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 3.0, "3", None])
+    def test_max_iters_must_be_an_integer(self, value):
+        # a NaN cap never binds, since iterations >= nan is always false
+        with pytest.raises(InvalidArgumentError, match="max_iters must be an integer"):
+            FitConfig(max_iters=value)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        assert FitConfig(max_iters=np.int64(3)).max_iters == 3
+
 
 class TestFitMLE:
     def test_symmetric_pair_gives_equal_scores(self):

@@ -1,6 +1,7 @@
 """Core model: likelihood, derivatives, projection, graph diagnostics."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from care_rank import model
-from care_rank.errors import DegenerateDesignError, InvalidArgumentError
+from care_rank.errors import ConnectivityError, DegenerateDesignError, InvalidArgumentError
 from care_rank.estimation import preprocess_covariates, project_to_theta
 from care_rank.model import (
     ComparisonData,
@@ -358,6 +359,22 @@ class TestProjection:
 
 
 class TestConnectivity:
+    def test_error_names_components_within_preview_limits(self):
+        # the message shows the count, the first 6 components and the
+        # first 8 items of each; the components themselves stay whole
+        comps = [list(range(10 * c, 10 * c + 10)) for c in range(7)]
+        err = ConnectivityError("comparison graph", comps)
+        ids = [f"i{k}" for k in range(70)]
+        named = err.named(ids)
+        assert named.components == err.components == comps
+        assert str(err) == "comparison graph has 7 components: " + ", ".join(
+            str(list(range(10 * c, 10 * c + 8))) for c in range(6)
+        )
+        assert str(named) == "comparison graph has 7 components: " + ", ".join(
+            str([f"i{k}" for k in range(10 * c, 10 * c + 8)]) for c in range(6)
+        )
+        assert str(pickle.loads(pickle.dumps(named))) == str(named)
+
     def test_path_is_connected(self):
         data = ComparisonData.from_edges(3, [(0, 1, 1, 0), (1, 2, 1, 0)])
         assert is_connected(data)

@@ -203,6 +203,15 @@ class TestRateExperiment:
         with pytest.raises(InvalidArgumentError):
             run_rate_experiment(spec, plan)
 
+    def test_refuses_distribution_statistics(self):
+        # a study would run without recording them while its provenance
+        # listed them
+        spec = SyntheticSpec(n=20, d=1, seed=22)
+        plan = ExperimentPlan(pl_pairs=[(0.9, 4)], replications=2,
+                              statistics=frozenset({"alpha_linf", "coverage", "hist_A"}))
+        with pytest.raises(InvalidArgumentError, match=r"\['coverage', 'hist_A'\]"):
+            run_rate_experiment(spec, plan)
+
     def test_beta_statistic_needs_covariates(self):
         spec = SyntheticSpec(n=20, d=0, seed=23)
         plan = ExperimentPlan(pl_pairs=[(0.9, 4)], replications=2)
@@ -268,6 +277,13 @@ class TestDistributionExperiment:
         spec = SyntheticSpec(n=20, d=1, seed=28)
         plan = ExperimentPlan(pl_pairs=[(0.9, 4)], replications=2)
         with pytest.raises(InvalidArgumentError):
+            run_distribution_experiment(spec, plan)
+
+    def test_refuses_rate_statistics(self):
+        spec = SyntheticSpec(n=20, d=1, seed=28)
+        plan = ExperimentPlan(pl_pairs=[(0.9, 4)], replications=2,
+                              statistics=frozenset({"coverage", "alpha_linf"}))
+        with pytest.raises(InvalidArgumentError, match=r"\['alpha_linf'\]"):
             run_distribution_experiment(spec, plan)
 
     def test_json_serializable(self):
