@@ -90,7 +90,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigurationError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_pairs(text: str) -> tuple[tuple[float, int], ...]:
@@ -100,11 +100,11 @@ def _parse_pairs(text: str) -> tuple[tuple[float, int], ...]:
         if not chunk:
             continue
         if ":" not in chunk:
-            raise ConfigurationError(f"expected p:L, got {chunk!r}")
+            raise ValueError(f"expected p:L, got {chunk!r}")
         p_str, l_str = chunk.split(":", 1)
         pairs.append((float(p_str), int(l_str)))
     if not pairs:
-        raise ConfigurationError("no (p, L) pairs given")
+        raise ValueError("no (p, L) pairs given")
     return tuple(pairs)
 
 

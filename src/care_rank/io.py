@@ -4,16 +4,26 @@ Comparison data arrives as CSV in either aggregated form
 (``item_i,item_j,trials,wins_j``) or per-trial form
 (``item_i,item_j,winner``); item ids are arbitrary strings mapped to
 dense indices in sorted id order, so row order does not matter, and the
-mapping travels with every output.  ``csv.reader`` splits the records
-into one Python list of stripped cells per column; the ids become
-integer codes through one dict and the counts become numpy arrays a
-column at a time, the checks and the pair sums run on those arrays, and
-a malformed file raises the error of its first bad record with that
-record's 1-based number.  The writers turn each numpy column into a
-Python list once and hand the rows to ``csv.writer``.  All writes go
-through a temp file plus atomic rename so a failing command never leaves
-partial output, and every float written to CSV uses 17 significant
-digits so it re-parses to the identical double.
+mapping travels with every output.
+
+A comparison file is first read as bytes.  A plain aggregated file
+(ASCII, no quotes, unpadded cells, counts of ASCII digits; see
+``_plain_columns``), such as ``care-rank simulate`` writes, is tokenized
+with numpy: record and cell bounds come from the positions of its
+newlines and commas, the ids become codes by one sort of integer keys,
+and the counts are read digit by digit.  Every other file (quoted or
+padded cells, per-trial form, counts that ``int()`` reads some other
+way, a ragged record), and any plain file whose records fail a check,
+is read again by ``csv.reader`` into one Python list of stripped cells
+per column, as covariate files are.  So every error comes from that
+reading and names the first bad record by its 1-based number.  Both
+readings share the checks and the pair sums.
+
+The writers turn each numpy column into a Python list once and hand the
+rows to ``csv.writer``.  All writes go through a temp file plus atomic
+rename so a failing command never leaves partial output, and every float
+written to CSV uses 17 significant digits so it re-parses to the
+identical double.
 """
 
 from __future__ import annotations
@@ -99,11 +109,14 @@ def _read_table(path: str) -> tuple[list[str], list[int], list[list[str]], Parse
 
     ``csv.reader`` splits the records, so quoting works as usual; blank
     records and '#' comment records (such as the provenance line our
-    writers emit) are skipped.  Returns the stripped header, the 1-based
-    record numbers of the body records, one list of stripped cells per
-    header column, and the error for the first record whose width
-    differs from the header's (or None).  The body stops before that
-    record; its error stands only if no earlier record fails.
+    writers emit) are skipped.  This reads every covariate file, and
+    every comparison file that ``_plain_columns`` does not take or whose
+    records fail a check, so all parse errors come from here.  Returns
+    the stripped header, the 1-based record numbers of the body records,
+    one list of stripped cells per header column, and the error for the
+    first record whose width differs from the header's (or None).  The
+    body stops before that record; its error stands only if no earlier
+    record fails.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -133,20 +146,28 @@ def _read_table(path: str) -> tuple[list[str], list[int], list[list[str]], Parse
     return header, numbers[1 : len(body) + 1], columns, width_error
 
 
-def _raise_first(numbers: list[int], checks, width_error: ParseError | None) -> None:
-    """Raise the error a record-by-record reading would meet first.
+def _first_failure(checks) -> tuple[int, object] | None:
+    """The position of the earliest record failing any check and, at
+    that record, the message of its earliest check; None if all pass.
 
     ``checks`` are (mask, message) pairs in the order a record is
-    checked; ``message`` builds the text from a record's position.  The
-    earliest record failing any check wins, and at that record the
-    earliest check.  The body stops before the width error's record, so
-    that error is raised only when no check fails.
+    checked; ``message`` builds the text from a record's position.
     """
     first = None
     for mask, message in checks:
         hits = np.flatnonzero(mask)
         if hits.size and (first is None or hits[0] < first[0]):
             first = (int(hits[0]), message)
+    return first
+
+
+def _raise_first(numbers: list[int], checks, width_error: ParseError | None) -> None:
+    """Raise the error a record-by-record reading would meet first.
+
+    The body stops before the width error's record, so that error is
+    raised only when no check fails.
+    """
+    first = _first_failure(checks)
     if first is not None:
         k, message = first
         raise ParseError(message(k), row=numbers[k])
@@ -183,18 +204,142 @@ def _convert(cells: list[str], kind: type) -> tuple[np.ndarray, np.ndarray, np.n
     return values, rejected, wide
 
 
-def parse_comparisons_csv(path: str) -> ParsedComparisons:
-    """Load comparisons from CSV in aggregated or per-trial form.
+def _id_checks(ids: list[str], code_i: np.ndarray, code_j: np.ndarray) -> list:
+    """The checks of a record's two ids, given as codes into the sorted ids."""
+    empty = 0 if ids[:1] == [""] else -1
+    return [
+        ((code_i == empty) | (code_j == empty), lambda k: "empty item id"),
+        (code_i == code_j, lambda k: f"self-comparison of item {ids[code_i[k]]!r}"),
+    ]
 
-    Item ids map to dense indices in sorted id order, so the result does
-    not depend on row order and a write/parse round trip is exact.
-    Duplicate pairs are summed, orientation is canonicalized to i < j in
-    mapping order, and per-trial rows whose winner column is the tie
-    marker are dropped (counted in the result) -- the model cannot
-    represent ties.  The records are checked and aggregated as columns;
-    a malformed file raises the error of its first bad record, with that
-    record's number.
+
+def _count_checks(trials: np.ndarray, wins_j: np.ndarray) -> list:
+    """The checks of an aggregated record's counts, once they are integers."""
+    return [
+        (trials < 1, lambda k: f"trials must be positive, got {trials[k]}"),
+        ((wins_j < 0) | (wins_j > trials),
+         lambda k: f"wins_j {wins_j[k]} outside [0, {trials[k]}]"),
+    ]
+
+
+# An aggregated file is plain when csv.reader and str.strip would leave
+# its bytes as they are: see _plain_columns.
+_PLAIN_HEADER = ",".join(AGGREGATED_HEADER).encode()
+_MAX_ID_BYTES = 64  # so an id's sort key is at most eight 64-bit words
+_MAX_DIGITS = 18  # every count of 18 digits is below 2**63
+
+
+def _digit_values(body: np.ndarray, last: np.ndarray, width: np.ndarray) -> np.ndarray | None:
+    """The integers spelled by the cells of ``width`` bytes ending at
+    ``last``, or None if a cell has a byte other than an ASCII digit."""
+    value = np.zeros(last.size, dtype=np.int64)
+    for w in range(int(width.max())):
+        inside = width > w
+        digit = body.take(last - w, mode="clip") - np.uint8(48)  # other bytes wrap past 9
+        if (inside & (digit > 9)).any():
+            return None
+        value += np.where(inside, digit, 0).astype(np.int64) * 10**w
+    return value
+
+
+def _sorted_codes(body: np.ndarray, first: np.ndarray, size: np.ndarray):
+    """The distinct ids spelled by the cells of ``size`` bytes at
+    ``first``, in sorted order, and each cell's code into them.
+
+    Each id is a big-endian number of its bytes, NUL-padded, split into
+    64-bit words; with no NUL inside an id these numbers sort as the ids
+    do.  Bytes that are the same in every id change neither the order
+    nor which ids are equal, so they are left out.
     """
+    longest = int(size.max())
+    words, kept = [], 0
+    for w in range(longest):
+        byte = np.where(size > w, body.take(first + w, mode="clip"), np.uint8(0))
+        if (byte == byte[0]).all():
+            continue
+        if kept % 8 == 0:
+            words.append(np.zeros(first.size, dtype=np.uint64))
+        words[-1] = (words[-1] << np.uint64(8)) | byte
+        kept += 1
+    if not words:  # a single id
+        words.append(np.zeros(first.size, dtype=np.uint64))
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
+    new = np.zeros(first.size, dtype=bool)
+    new[0] = True
+    for word in words:
+        ranked = word[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    codes = np.empty(first.size, dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    chosen = order[new]
+    ids = [body[a:a + n].tobytes().decode()
+           for a, n in zip(first[chosen].tolist(), size[chosen].tolist())]
+    return ids, codes
+
+
+def _plain_columns(raw: bytes):
+    """What ``_read_comparisons`` would return for a plain aggregated
+    file, tokenized from its bytes (the caller checks the records); None
+    for a file that is not plain.
+
+    Plain means: ASCII with no '"' or NUL byte and no line longer than
+    csv's field limit, line ends '\\n' or '\\r\\n', and, after any blank
+    or '#' lines, exactly the aggregated header; every later line that
+    is neither blank nor starts with '#' holds four non-empty cells with
+    no byte at or below the space, ids of at most 64 bytes and counts of
+    1-18 ASCII digits.  On such a file ``csv.reader`` and ``str.strip``
+    change nothing, so the cells are the bytes between the separators,
+    the ids sort as their bytes do and ``int()`` reads each count as its
+    digits spell it.
+    """
+    # (csv.reader before Python 3.11 refuses a NUL even in a comment.)
+    if not raw.isascii() or b'"' in raw or b"\0" in raw:
+        return None
+    if b"\r" in raw:
+        if raw.count(b"\r") != raw.count(b"\r\n"):
+            return None
+        raw = raw.replace(b"\r\n", b"\n")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
+    lines = np.flatnonzero((starts < ends) & (buf[starts] != ord("#")))
+    if lines.size < 2 or raw[starts[lines[0]]:ends[lines[0]]] != _PLAIN_HEADER:
+        return None
+    # The body: the records after the header, each ending in '\n'.
+    lines = lines[1:]
+    if lines.size == ends.size - lines[0]:
+        body = buf[starts[lines[0]]:]
+    else:  # blank or '#' lines among the records
+        keep = np.zeros(ends.size, dtype=bool)
+        keep[lines] = True
+        body = buf[np.repeat(keep, ends - starts + 1)]
+    ends = np.flatnonzero(body == ord("\n"))
+    m = ends.size
+    commas = np.flatnonzero(body == ord(","))
+    if np.count_nonzero(body <= ord(" ")) != m or commas.size != 3 * m:
+        return None
+    # Each record's separators, from the '\n' before it to its own.
+    bounds = np.column_stack((np.concatenate(([-1], ends[:-1])), commas.reshape(m, 3), ends))
+    width = np.diff(bounds, axis=1) - 1
+    if width.min() < 1 or width[:, :2].max() > _MAX_ID_BYTES or width[:, 2:].max() > _MAX_DIGITS:
+        return None
+    trials = _digit_values(body, bounds[:, 3] - 1, width[:, 2])
+    wins_j = _digit_values(body, bounds[:, 4] - 1, width[:, 3])
+    if trials is None or wins_j is None:
+        return None
+
+    ids, codes = _sorted_codes(body, bounds[:, :2].ravel() + 1, width[:, :2].ravel())
+    return ids, codes[0::2], codes[1::2], trials, wins_j, 0
+
+
+def _read_comparisons(path: str):
+    """A comparison file read by ``_read_table``: the sorted ids, each
+    usable record's id codes and counts, and the number of tie records
+    dropped.  Raises the error of the first bad record, with its number."""
     header, numbers, columns, width_error = _read_table(path)
     if header == AGGREGATED_HEADER:
         aggregated = True
@@ -214,11 +359,7 @@ def parse_comparisons_csv(path: str) -> ParsedComparisons:
     code = {name: k for k, name in enumerate(ids)}
     code_i = np.fromiter(map(code.__getitem__, first), dtype=np.int64, count=m)
     code_j = np.fromiter(map(code.__getitem__, second), dtype=np.int64, count=m)
-    empty = code.get("", -1)
-    checks = [
-        ((code_i == empty) | (code_j == empty), lambda k: "empty item id"),
-        (code_i == code_j, lambda k: f"self-comparison of item {first[k]!r}"),
-    ]
+    checks = _id_checks(ids, code_i, code_j)
     if aggregated:
         (trials, bad_t, wide_t), (wins_j, bad_w, wide_w) = (
             _convert(column, int) for column in columns[2:]
@@ -230,9 +371,7 @@ def parse_comparisons_csv(path: str) -> ParsedComparisons:
             (wide_t | wide_w, lambda k: (
                 f"trials/wins {columns[2][k]!r},{columns[3][k]!r} outside the 64-bit range"
             )),
-            (trials < 1, lambda k: f"trials must be positive, got {trials[k]}"),
-            ((wins_j < 0) | (wins_j > trials),
-             lambda k: f"wins_j {wins_j[k]} outside [0, {trials[k]}]"),
+            *_count_checks(trials, wins_j),
         ]
         ties = 0
     else:
@@ -248,14 +387,36 @@ def parse_comparisons_csv(path: str) -> ParsedComparisons:
         trials = np.ones(wins_j.size, dtype=np.int64)
         code_i, code_j = code_i[keep], code_j[keep]
     _raise_first(numbers, checks, width_error)
-    del columns, first, second, checks, code  # free the cells before copying ids below
+    return ids, code_i, code_j, trials, wins_j, ties
+
+
+def parse_comparisons_csv(path: str) -> ParsedComparisons:
+    """Load comparisons from CSV in aggregated or per-trial form.
+
+    Item ids map to dense indices in sorted id order, so the result does
+    not depend on row order and a write/parse round trip is exact.
+    Duplicate pairs are summed, orientation is canonicalized to i < j in
+    mapping order, and per-trial rows whose winner column is the tie
+    marker are dropped (counted in the result) -- the model cannot
+    represent ties.  A plain aggregated file whose records all pass the
+    checks is tokenized from its bytes (``_plain_columns``); any other
+    file is read by ``_read_comparisons``, which raises the error of the
+    first bad record with that record's number.
+    """
+    with open(path, "rb") as fh:
+        columns = _plain_columns(fh.read())
+    if columns is None or _first_failure(
+        _id_checks(*columns[:3]) + _count_checks(*columns[3:5])
+    ):
+        columns = _read_comparisons(path)
+    ids, code_i, code_j, trials, wins_j, ties = columns
 
     if not code_i.size:
         raise ParseError(f"{path}: no usable comparison rows")
     if trials.sum(dtype=np.float64) >= 2.0**63:  # int64 sums below would wrap
         raise ParseError(f"{path}: trial counts sum past the 64-bit range")
     # Keep the ids the usable rows name, renumbered densely.  The kept
-    # ids are fresh string objects: the parsed cells they came from are
+    # ids are fresh string objects: cells parsed by csv.reader are
     # scattered over the heap the records filled, and would keep it all
     # mapped for as long as the ids live.
     used = np.zeros(len(ids), dtype=bool)

@@ -6,6 +6,7 @@ import io
 import json
 import shutil
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from care_rank.inference import InferenceReport, RankingScores
 from care_rank.io import (
     AGGREGATED_HEADER,
     PER_TRIAL_HEADER,
+    _plain_columns,
     fmt17,
     parse_comparisons_csv,
     parse_covariates_csv,
@@ -305,6 +307,110 @@ class TestParseComparisons:
         outcome = parse_outcome(parse_comparisons_csv, path)
         assert outcome[0] == "error" and outcome[2] == row
         assert outcome == parse_outcome(parse_comparisons_by_rows, path)
+
+
+# Printable ASCII but the comma and the quote: what a plain file's ids
+# may hold.  An id starting with '#' makes a record a comment.
+PLAIN_ID_CHARS = "".join(c for c in map(chr, range(0x21, 0x7F)) if c not in ',"')
+
+
+@st.composite
+def plain_files(draw):
+    """Small aggregated files that take the byte path: unpadded ASCII
+    ids, counts of 1-18 digits (some with leading zeros, some failing a
+    check), leading blank and '#' lines, '\\n' or '\\r\\n' line ends and
+    maybe no final line end."""
+    ids = draw(st.lists(
+        st.text(PLAIN_ID_CHARS, min_size=1, max_size=10), min_size=2, max_size=5, unique=True
+    ))
+    lines = draw(st.lists(st.sampled_from(["", "#", "# care-rank 0.1.0 seed=1, a b"]), max_size=2))
+    lines.append(",".join(AGGREGATED_HEADER))
+    for _ in range(draw(st.integers(1, 12))):
+        first, second = draw(st.permutations(ids))[:2]
+        trials = draw(st.integers(0, 12) | st.integers(1, 10**18 - 1))
+        wins_j = draw(st.integers(0, trials + 1))
+        counts = [f"{value:0{draw(st.integers(1, 3))}d}" for value in (trials, wins_j)]
+        lines.append(",".join([first, second, *counts]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def parse_without_csv_reader(path):
+    """``parse_comparisons_csv`` with ``csv.reader`` made to fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    with mock.patch.object(csv, "reader", refuse):
+        return parse_comparisons_csv(path)
+
+
+class TestPlainComparisons:
+    """Plain aggregated files are tokenized from their bytes; the result
+    and every error are those of the row oracle."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(plain_files())
+    def test_matches_row_oracle(self, tmp_path, text):
+        path = str(tmp_path / "c.csv")
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        expected = parse_outcome(parse_comparisons_by_rows, path)
+        assert parse_outcome(parse_comparisons_csv, path) == expected
+        if expected[0] == "ok":
+            assert parse_outcome(parse_without_csv_reader, path) == expected
+
+    def test_simulated_file_never_reaches_csv_reader(self, tmp_path):
+        sim = simulate_dataset(tmp_path, n=40, d=2, seed=3, p=0.5, trials=7)
+        path = str(sim / "comparisons.csv")
+        assert parse_outcome(parse_without_csv_reader, path) == parse_outcome(
+            parse_comparisons_by_rows, path
+        )
+
+    @pytest.mark.parametrize("text, plain", [
+        ("item_i,item_j,trials,wins_j\na,b,2,1\na\x00,b,3,1\n", False),
+        ("item_i,item_j,trials,wins_j\na,b,2,1\n\u2003a,c,3,1\n", False),
+        ("item_i,item_j,trials,wins_j\na,b,2,1\n#h,b,3,1\nb,#h,1,1\n", True),
+        ('# a "quoted" note\nitem_i,item_j,trials,wins_j\na,b,2,1\n', False),
+        ('#c,"\nitem_i,item_j,trials,wins_j\na,b,2,1\n"\n'
+         "item_i,item_j,trials,wins_j\nb,c,3,1\n", False),
+        ("item_i,item_j,trials,wins_j\r\na,b,2,1\r\nb,c,3,1\r\n", True),
+        ("item_i,item_j,trials,wins_j\na,b,2,1\rb,c,3,1\n", False),
+        ("item_i,item_j,trials,wins_j\na,b,2,1\n# note\rb,c,3,1\n", False),
+        ("item_i,item_j,trials,wins_j\na, b,2,1\nb,c,3,1\n", False),
+        ("item_i,item_j,trials,wins_j\na,b,1000000000000000000,7\n", False),
+        ("item_i,item_j,trials,wins_j\na,b,0000000000000000009,7\n", False),
+        ("item_i,item_j,trials,wins_j\na,b,999999999999999999,007\n", True),
+        ("item_i,item_j,trials,wins_j\na,b,+3,1\n", False),
+        ("item_i,item_j,trials,wins_j\na,b,1_0,3\n", False),
+        ("item_i,item_j,trials,wins_j\na,b,\u0661\u0662,\u0663\n", False),
+        ("\n# note\nitem_i,item_j,trials,wins_j\n\na,b,2,1\n# more\nb,c,3,1", True),
+        ("item_i,item_j,trials,wins_j\na,b,2,1\n , ,\nb,c,3,1\n", False),
+        ("item_i,item_j,trials,wins_j\na,b,2,1\n,,,\nb,c,3,1\n", False),
+        ("item_i,item_j,trials,wins_j\n" + "x" * 65 + ",b,2,1\n", False),
+        ("item_i,item_j,trials,wins_j\n~,}~,2,1\n}~,~},3,1\n", True),
+    ], ids=[
+        "nul-suffixed-id", "unicode-space-id", "hash-first-cell", "quote-in-comment",
+        "comment-opens-quoted-field", "crlf", "bare-cr", "bare-cr-in-comment", "padded-id",
+        "19-digits", "19-digits-leading-zeros", "18-digits", "plus-sign", "underscore",
+        "arabic-indic-digits", "blank-and-comment-lines", "blank-cells", "empty-cells",
+        "long-id", "high-ascii-order",
+    ])
+    def test_traps_match_row_oracle(self, tmp_path, text, plain):
+        path = str(tmp_path / "c.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        expected = parse_outcome(parse_comparisons_by_rows, path)
+        assert expected[0] == "ok"
+        assert parse_outcome(parse_comparisons_csv, path) == expected
+        with open(path, "rb") as fh:
+            assert (_plain_columns(fh.read()) is not None) == plain
+
+    def test_overlong_comment_fails_as_in_csv_reader(self, tmp_path):
+        text = "#" + "x" * csv.field_size_limit() + "\nitem_i,item_j,trials,wins_j\na,b,2,1\n"
+        path = write(tmp_path / "c.csv", text)
+        for parse in (parse_comparisons_by_rows, parse_comparisons_csv):
+            with pytest.raises(csv.Error, match="field limit"):
+                parse(path)
 
 
 class TestParseCovariates:
@@ -817,6 +923,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, key, value", [
         ("simulate", "n", "x"), ("fit", "max_iters", "2.5"), ("fit", "grad_tol", "tiny"),
         ("infer", "level", "high"), ("experiment", "pairs", "abc:5"),
+        ("experiment", "pairs", "0.5"), ("experiment", "pairs", ","),
     ])
     def test_bad_value_reads_the_same_from_flag_and_file(self, tmp_path, capsys, command, key, value):
         args = [command, "--out", str(tmp_path / "o")]
@@ -826,6 +933,12 @@ class TestExitCodes:
         assert main(args + ["--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == from_flag
         assert from_flag.startswith(f"error: {key}: ") and from_flag.count("\n") == 1
+
+    def test_bad_boolean_in_config_file_names_its_key(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", "standardize = maybe\n")
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: standardize: ") and err.count("\n") == 1
 
     def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "c.csv"

@@ -1,6 +1,7 @@
 """Replication-based statistical checks beyond the acceptance criteria:
-test size under a null coefficient, generator laws, and the oracle-
-standardized statistic's calibration."""
+test size under a null coefficient, generator laws, the oracle-
+standardized statistic's calibration, and the intrinsic-score error
+rate in n."""
 
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -11,11 +12,13 @@ from care_rank.estimation import fit_mle, preprocess_covariates, project_to_thet
 from care_rank.inference import full_inference_report, plugin_variance_model
 from care_rank.model import ParamVector, build_projection
 from care_rank.simulation import (
+    ExperimentPlan,
     SyntheticSpec,
     draw_alpha,
     draw_beta,
     draw_covariates,
     rng_stream,
+    run_rate_experiment,
     sample_comparisons,
 )
 
@@ -93,3 +96,24 @@ class TestRateMagnitudes:
         plan, result = rate_study
         by_pl = {(s.p, s.L): s.aggregates["alpha_linf"]["mean"] for s in result.settings}
         assert by_pl[(1.0, 50)] < by_pl[(0.278, 5)]
+
+
+class TestRateInN:
+    def test_alpha_error_follows_the_paper_rate_in_n(self):
+        """The paper's l-infinity rate: at fixed (p, L) the mean
+        max-error of the intrinsic scores scales as sqrt(log n / n).
+        The bounds are criterion 1's, fixed before the run."""
+        plan = ExperimentPlan(
+            pl_pairs=[(0.2, 5)], replications=20, statistics={"alpha_linf"}, workers=2
+        )
+        sizes = (200, 400, 800, 1600)
+        means = [
+            run_rate_experiment(SyntheticSpec(n=n, d=5, seed=11), plan)
+            .settings[0].aggregates["alpha_linf"]["mean"]
+            for n in sizes
+        ]
+        x = np.log([math.sqrt(math.log(n) / n) for n in sizes])
+        y = np.log(means)
+        slope = float(np.polyfit(x, y, 1)[0])
+        r2 = float(np.corrcoef(x, y)[0, 1] ** 2)
+        assert 0.8 <= slope <= 1.2 and r2 >= 0.9, (means, slope, r2)
