@@ -19,11 +19,12 @@ per column, as covariate files are.  So every error comes from that
 reading and names the first bad record by its 1-based number.  Both
 readings share the checks and the pair sums.
 
-The writers turn each numpy column into a Python list once and hand the
-rows to ``csv.writer``.  All writes go through a temp file plus atomic
-rename so a failing command never leaves partial output, and every float
-written to CSV uses 17 significant digits so it re-parses to the
-identical double.
+Every CSV output is one table written by ``_write_table``: the
+provenance '#' line, the header, then the rows zipped from one column
+per header cell.  A float numpy column is written with 17 significant
+digits (``fmt17``), so it re-parses to the identical double; each writer
+only names its header and columns.  All writes go through a temp file
+plus atomic rename, so a failing command never leaves partial output.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io as _io
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -118,11 +118,14 @@ def _read_table(path: str) -> tuple[list[str], list[int], list[list[str]], Parse
     body stops before that record; its error stands only if no earlier
     record fails.
     """
+    records = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            records = list(csv.reader(fh))
+            records.extend(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # such as a cell past csv.field_size_limit()
+        raise ParseError(str(exc), row=len(records) + 1) from None
     numbers = [
         k for k, row in enumerate(records, start=1)
         if row and ((first := row[0].lstrip()) and first[0] != "#"
@@ -282,7 +285,7 @@ def _plain_columns(raw: bytes):
     file, tokenized from its bytes (the caller checks the records); None
     for a file that is not plain.
 
-    Plain means: ASCII with no '"' or NUL byte and no line longer than
+    Plain means: ASCII with no '"' byte and no line longer than
     csv's field limit, line ends '\\n' or '\\r\\n', and, after any blank
     or '#' lines, exactly the aggregated header; every later line that
     is neither blank nor starts with '#' holds four non-empty cells with
@@ -292,8 +295,7 @@ def _plain_columns(raw: bytes):
     the ids sort as their bytes do and ``int()`` reads each count as its
     digits spell it.
     """
-    # (csv.reader before Python 3.11 refuses a NUL even in a comment.)
-    if not raw.isascii() or b'"' in raw or b"\0" in raw:
+    if not raw.isascii() or b'"' in raw:
         return None
     if b"\r" in raw:
         if raw.count(b"\r") != raw.count(b"\r\n"):
@@ -529,28 +531,33 @@ def provenance_comment(provenance: dict | None) -> str | None:
     )
 
 
-def _csv_text(header: list[str], rows, comment: str | None = None) -> str:
+def _write_table(path: str, header: list[str], columns, provenance: dict | None) -> None:
+    """Write the provenance line, the header and one row per position of
+    ``columns``, one column per header cell: a float numpy array through
+    ``fmt17``, any other numpy array as its ``tolist()``, anything else
+    as given."""
+    cells = [
+        column if not isinstance(column, np.ndarray)
+        else map(fmt17, column.tolist()) if column.dtype.kind == "f" else column.tolist()
+        for column in columns
+    ]
     buf = _io.StringIO()
-    if comment:
+    if comment := provenance_comment(provenance):
         buf.write(comment + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    writer.writerows(zip(*cells))
+    atomic_write_text(path, buf.getvalue())
 
 
 def write_comparisons_csv(
     path: str, data: ComparisonData, item_ids: list[str], provenance: dict | None = None
 ) -> None:
-    rows = zip(
+    _write_table(path, AGGREGATED_HEADER, [
         map(item_ids.__getitem__, data.item_i.tolist()),
         map(item_ids.__getitem__, data.item_j.tolist()),
-        data.trials.tolist(),
-        data.wins_j.tolist(),
-    )
-    atomic_write_text(
-        path, _csv_text(AGGREGATED_HEADER, rows, provenance_comment(provenance))
-    )
+        data.trials, data.wins_j,
+    ], provenance)
 
 
 def write_covariates_csv(
@@ -560,11 +567,7 @@ def write_covariates_csv(
     feature_names: list[str],
     provenance: dict | None = None,
 ) -> None:
-    rows = ([name, *map(fmt17, values)] for name, values in zip(item_ids, matrix.tolist()))
-    atomic_write_text(
-        path,
-        _csv_text(["item"] + list(feature_names), rows, provenance_comment(provenance)),
-    )
+    _write_table(path, ["item", *feature_names], [item_ids, *matrix.T], provenance)
 
 
 def write_inference_csv(
@@ -585,70 +588,42 @@ def write_inference_csv(
         "kind", "index", "name", "estimate", "std_error", "z_stat",
         "p_value", "ci_low", "ci_high", "level",
     ]
-    rows = zip(
-        ["alpha"] * n + ["beta"] * d,
-        [*range(n), *range(d)],
-        [*item_ids, *feature_names],
-        map(fmt17, report.estimate.tolist()),
-        map(fmt17, report.std_error.tolist()),
-        map(fmt17, report.z_stat.tolist()),
-        map(fmt17, report.p_value.tolist()),
-        map(fmt17, report.ci_low.tolist()),
-        map(fmt17, report.ci_high.tolist()),
-        itertools.repeat(fmt17(report.level)),
-    )
-    atomic_write_text(path, _csv_text(header, rows, provenance_comment(provenance)))
+    _write_table(path, header, [
+        ["alpha"] * n + ["beta"] * d, [*range(n), *range(d)], [*item_ids, *feature_names],
+        report.estimate, report.std_error, report.z_stat, report.p_value,
+        report.ci_low, report.ci_high, np.full(n + d, report.level),
+    ], provenance)
 
 
 def write_ranking_csv(
     path: str, ranking, item_ids: list[str], provenance: dict | None = None
 ) -> None:
-    header = ["item", "score1", "score2", "tau", "rank1", "rank2"]
-    rows = zip(
-        item_ids,
-        map(fmt17, ranking.scores1.tolist()),
-        map(fmt17, ranking.scores2.tolist()),
-        map(fmt17, ranking.taus.tolist()),
-        ranking.ranks1.tolist(),
-        ranking.ranks2.tolist(),
-    )
-    atomic_write_text(path, _csv_text(header, rows, provenance_comment(provenance)))
+    _write_table(path, ["item", "score1", "score2", "tau", "rank1", "rank2"], [
+        item_ids, ranking.scores1, ranking.scores2, ranking.taus, ranking.ranks1, ranking.ranks2,
+    ], provenance)
 
 
 def _tidy_value(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return fmt17(value)
+    """An integer (a bool is one) as its digits, anything else by ``fmt17``."""
+    return str(int(value)) if isinstance(value, (int, np.integer)) else fmt17(value)
 
 
 def write_experiment_files(out_dir: str, result: ExperimentResult, provenance: dict) -> None:
     """result.json with everything, records.csv tidy per-replication rows,
     and summary.csv with per-setting means and standard deviations."""
-    os.makedirs(out_dir, exist_ok=True)
     payload = result.to_dict()
     payload["provenance"] = {**payload["provenance"], **provenance}
     write_json(os.path.join(out_dir, "result.json"), payload)
-    comment = provenance_comment(payload["provenance"])
-
-    records = (
-        [fmt17(p), int(L), int(rep), stat, _tidy_value(value)]
-        for (p, L, rep, stat, value) in result.tidy_rows()
+    p, L, rep, stat, value = ([row[c] for row in result.tidy_rows()] for c in range(5))
+    _write_table(
+        os.path.join(out_dir, "records.csv"), ["p", "L", "replication", "statistic", "value"],
+        [np.array(p, dtype=float), L, rep, stat, map(_tidy_value, value)], payload["provenance"],
     )
-    atomic_write_text(
-        os.path.join(out_dir, "records.csv"),
-        _csv_text(["p", "L", "replication", "statistic", "value"], records, comment),
-    )
-
-    summary_rows = []
-    for s in result.settings:
-        for stat in sorted(s.aggregates):
-            agg = s.aggregates[stat]
-            summary_rows.append(
-                [fmt17(s.p), int(s.L), stat, fmt17(agg["mean"]), fmt17(agg["sd"])]
-            )
-    atomic_write_text(
-        os.path.join(out_dir, "summary.csv"),
-        _csv_text(["p", "L", "statistic", "mean", "sd"], summary_rows, comment),
+    summary = [(s.p, s.L, stat, agg["mean"], agg["sd"])
+               for s in result.settings for stat, agg in sorted(s.aggregates.items())]
+    p, L, stat, mean, sd = ([row[c] for row in summary] for c in range(5))
+    _write_table(
+        os.path.join(out_dir, "summary.csv"), ["p", "L", "statistic", "mean", "sd"],
+        [np.array(p, dtype=float), L, stat, *np.array([mean, sd], dtype=float)],
+        payload["provenance"],
     )

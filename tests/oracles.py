@@ -22,6 +22,7 @@ from care_rank.io import (
     ParsedComparisons,
     ParsedCovariates,
     fmt17,
+    provenance_comment,
 )
 from care_rank.model import ComparisonData, ParamVector, neg_log_likelihood
 
@@ -293,18 +294,22 @@ def strongly_connected_by_bfs(data):
 def _records_by_rows(path):
     """The stripped header of a CSV file and its body records, each with
     its 1-based record number and stripped cells; blank records and
-    records whose first cell starts with '#' are skipped."""
-    header, rows = None, []
+    records whose first cell starts with '#' are skipped.  A record
+    ``csv.reader`` cannot read is a ParseError at its number."""
+    header, rows, lineno = None, [], 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [h.strip() for h in row]
-                continue
-            rows.append((lineno, [cell.strip() for cell in row]))
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if row[0].lstrip().startswith("#"):
+                    continue
+                if header is None:
+                    header = [h.strip() for h in row]
+                    continue
+                rows.append((lineno, [cell.strip() for cell in row]))
+        except csv.Error as exc:
+            raise ParseError(str(exc), row=lineno + 1) from None
     if header is None:
         raise ParseError(f"{path}: empty file")
     return header, rows
@@ -470,6 +475,33 @@ def ranking_text_by_rows(ranking, item_ids, comment=None):
         for k in range(len(item_ids))
     )
     return _csv_text_by_rows(["item", "score1", "score2", "tau", "rank1", "rank2"], rows, comment)
+
+
+def experiment_texts_by_rows(result, provenance):
+    """The texts of ``records.csv`` and ``summary.csv`` that
+    ``write_experiment_files`` writes, built one record at a time from
+    ``result.settings``."""
+    comment = provenance_comment({**result.provenance, **provenance})
+    records, summary = [], []
+    for s in result.settings:
+        for rec in s.records:
+            for key, value in rec.items():
+                if key == "replication":
+                    continue
+                if isinstance(value, bool):
+                    cell = "1" if value else "0"
+                elif isinstance(value, (int, np.integer)):
+                    cell = str(value)
+                else:
+                    cell = fmt17(value)
+                records.append([fmt17(s.p), s.L, rec["replication"], key, cell])
+        for stat in sorted(s.aggregates):
+            agg = s.aggregates[stat]
+            summary.append([fmt17(s.p), s.L, stat, fmt17(agg["mean"]), fmt17(agg["sd"])])
+    return (
+        _csv_text_by_rows(["p", "L", "replication", "statistic", "value"], records, comment),
+        _csv_text_by_rows(["p", "L", "statistic", "mean", "sd"], summary, comment),
+    )
 
 
 def fit_by_dense_newton(data, cov, ridge_alpha=0.0, grad_tol=1e-8, max_iters=100):

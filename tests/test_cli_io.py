@@ -35,14 +35,23 @@ from care_rank.io import (
     read_config_file,
     write_comparisons_csv,
     write_covariates_csv,
+    write_experiment_files,
     write_inference_csv,
     write_ranking_csv,
 )
 from care_rank.model import ComparisonData
+from care_rank.simulation import (
+    DISTRIBUTION_STATISTICS,
+    ExperimentPlan,
+    SyntheticSpec,
+    run_distribution_experiment,
+    run_rate_experiment,
+)
 
 from oracles import (
     comparisons_text_by_rows,
     covariates_text_by_rows,
+    experiment_texts_by_rows,
     inference_text_by_rows,
     parse_comparisons_by_rows,
     parse_covariates_by_rows,
@@ -294,13 +303,16 @@ class TestParseComparisons:
         ("item_i,item_j,trials,wins_j\na,b,99999999999999999999,x\n", 2),
         # a quoted line break keeps one record: numbers count records
         ('item_i,item_j,trials,wins_j\n"a\nb",c,2,1\na,c,3,4\n', 3),
+        # cells and '#' lines past csv.field_size_limit()
+        ("item_i,item_j,trials,wins_j\na,b,2,1\n" + "x" * 200_000 + ",b,2,1\n", 3),
+        ("#" + "x" * 200_000 + "\nitem_i,item_j,trials,wins_j\na,b,2,1\n", 1),
     ], ids=[
         "wrong-width", "empty-id", "self-comparison", "non-integer", "non-integer-empty",
         "trials-below-one", "wins-above-trials", "wins-negative", "unknown-winner",
         "no-usable-rows", "empty-file", "comments-only", "bad-header",
         "value-before-width", "width-before-value", "non-integer-before-self",
         "non-integer-before-range", "non-ascii-digits", "past-int64", "below-int64",
-        "non-integer-before-int64", "quoted-line-break",
+        "non-integer-before-int64", "quoted-line-break", "long-id", "long-comment",
     ])
     def test_errors_match_row_oracle(self, tmp_path, text, row):
         path = write(tmp_path / "c.csv", text)
@@ -388,12 +400,13 @@ class TestPlainComparisons:
         ("item_i,item_j,trials,wins_j\na,b,2,1\n,,,\nb,c,3,1\n", False),
         ("item_i,item_j,trials,wins_j\n" + "x" * 65 + ",b,2,1\n", False),
         ("item_i,item_j,trials,wins_j\n~,}~,2,1\n}~,~},3,1\n", True),
+        ("# a\x00 note\nitem_i,item_j,trials,wins_j\na,b,2,1\n#\x00\nb,c,3,1\n", True),
     ], ids=[
         "nul-suffixed-id", "unicode-space-id", "hash-first-cell", "quote-in-comment",
         "comment-opens-quoted-field", "crlf", "bare-cr", "bare-cr-in-comment", "padded-id",
         "19-digits", "19-digits-leading-zeros", "18-digits", "plus-sign", "underscore",
         "arabic-indic-digits", "blank-and-comment-lines", "blank-cells", "empty-cells",
-        "long-id", "high-ascii-order",
+        "long-id", "high-ascii-order", "nul-in-comments",
     ])
     def test_traps_match_row_oracle(self, tmp_path, text, plain):
         path = str(tmp_path / "c.csv")
@@ -409,7 +422,7 @@ class TestPlainComparisons:
         text = "#" + "x" * csv.field_size_limit() + "\nitem_i,item_j,trials,wins_j\na,b,2,1\n"
         path = write(tmp_path / "c.csv", text)
         for parse in (parse_comparisons_by_rows, parse_comparisons_csv):
-            with pytest.raises(csv.Error, match="field limit"):
+            with pytest.raises(ParseError, match="^row 1: field larger than field limit"):
                 parse(path)
 
 
@@ -454,6 +467,12 @@ class TestParseCovariates:
         parsed = parse_covariates_csv(path, ["a", "b"])
         assert parsed.extra_items == ["zz"]
         assert parsed.matrix.shape == (2, 1)
+
+    def test_cell_past_field_limit_is_a_parse_error(self, tmp_path):
+        path = write(tmp_path / "x.csv", "item,f1\na,1.0\nb," + "9" * 200_000 + "\n")
+        outcome = covariates_outcome(parse_covariates_csv, path, ["a", "b"])
+        assert outcome[0] == "error" and outcome[2] == 3 and "field limit" in outcome[1]
+        assert outcome == covariates_outcome(parse_covariates_by_rows, path, ["a", "b"])
 
     def test_nul_suffixed_id_is_its_own_item(self, tmp_path):
         path = write(tmp_path / "x.csv", "item,f1\na,1.0\na\x00,2.0\n")
@@ -545,6 +564,24 @@ class TestWriters:
         write_ranking_csv(str(path), ranking, QUOTED_IDS, PROVENANCE)
         expected = ranking_text_by_rows(ranking, QUOTED_IDS, provenance_comment(PROVENANCE))
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("kind", ["rate", "distribution"])
+    def test_experiment_tables(self, tmp_path, kind):
+        spec = SyntheticSpec(n=20, d=1, seed=7)
+        if kind == "rate":
+            plan = ExperimentPlan(pl_pairs=[(1.0, 5), (0.7, 3)], replications=3, workers=1)
+            result = run_rate_experiment(spec, plan)
+        else:
+            plan = ExperimentPlan(
+                pl_pairs=[(0.8, 10)], replications=4, statistics=DISTRIBUTION_STATISTICS,
+                workers=1,
+            )
+            result = run_distribution_experiment(spec, plan)
+        provenance = {"version": "0.0", "config_hash": "abc"}
+        write_experiment_files(str(tmp_path / "study"), result, provenance)
+        records, summary = experiment_texts_by_rows(result, provenance)
+        assert (tmp_path / "study" / "records.csv").read_bytes() == records.encode("utf-8")
+        assert (tmp_path / "study" / "summary.csv").read_bytes() == summary.encode("utf-8")
 
 
 class TestConfigFile:
@@ -806,6 +843,15 @@ class TestExitCodes:
         code = main(["fit", "--comparisons", bad, "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
         assert "row 3:" in capsys.readouterr().err
+
+    def test_id_past_field_limit_is_parse_error(self, tmp_path, capsys):
+        text = "item_i,item_j,trials,wins_j\n" + "x" * 200_000 + ",b,2,1\n"
+        bad = write(tmp_path / "long.csv", text)
+        code = main(["fit", "--comparisons", bad, "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: row 2: field larger than field limit ({csv.field_size_limit()})\n"
+        )
 
     def test_disconnected_graph_exit(self, tmp_path, capsys):
         data = write(
