@@ -603,27 +603,32 @@ def write_ranking_csv(
     ], provenance)
 
 
-def _tidy_value(value) -> str:
-    """An integer (a bool is one) as its digits, anything else by ``fmt17``."""
-    return str(int(value)) if isinstance(value, (int, np.integer)) else fmt17(value)
+def _cells(column: np.ndarray):
+    """A record column as records.csv writes it: floats by ``fmt17``,
+    integers and flags as digits."""
+    return map(fmt17, column.tolist()) if column.dtype.kind == "f" else column.astype(int).tolist()
 
 
 def write_experiment_files(out_dir: str, result: ExperimentResult, provenance: dict) -> None:
-    """result.json with everything, records.csv tidy per-replication rows,
-    and summary.csv with per-setting means and standard deviations."""
+    """result.json with everything, records.csv with one (p, L, replication,
+    statistic, value) row per recorded number, and summary.csv with
+    per-setting means and standard deviations."""
     payload = result.to_dict()
     payload["provenance"] = {**payload["provenance"], **provenance}
     write_json(os.path.join(out_dir, "result.json"), payload)
-    p, L, rep, stat, value = ([row[c] for row in result.tidy_rows()] for c in range(5))
-    _write_table(
-        os.path.join(out_dir, "records.csv"), ["p", "L", "replication", "statistic", "value"],
-        [np.array(p, dtype=float), L, rep, stat, map(_tidy_value, value)], payload["provenance"],
-    )
-    summary = [(s.p, s.L, stat, agg["mean"], agg["sd"])
-               for s in result.settings for stat, agg in sorted(s.aggregates.items())]
-    p, L, stat, mean, sd = ([row[c] for row in summary] for c in range(5))
-    _write_table(
-        os.path.join(out_dir, "summary.csv"), ["p", "L", "statistic", "mean", "sd"],
-        [np.array(p, dtype=float), L, stat, *np.array([mean, sd], dtype=float)],
-        payload["provenance"],
-    )
+    records = [
+        (fmt17(s.p), s.L, rep, name, cell)
+        for s in result.settings
+        for rep, row in zip(s.records["replication"].tolist(),
+                            zip(*map(_cells, s.records.values())))
+        for name, cell in zip(s.records, row) if name != "replication"
+    ]
+    summary = [
+        (fmt17(s.p), s.L, stat, fmt17(agg["mean"]), fmt17(agg["sd"]))
+        for s in result.settings for stat, agg in sorted(s.aggregates.items())
+    ]
+    for name, header, rows in (
+        ("records.csv", ["p", "L", "replication", "statistic", "value"], records),
+        ("summary.csv", ["p", "L", "statistic", "mean", "sd"], summary),
+    ):
+        _write_table(os.path.join(out_dir, name), header, zip(*rows), payload["provenance"])

@@ -29,13 +29,9 @@ from math import log, sqrt
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidArgumentError
+from .errors import ConfigurationError, DegenerateContrastError, InvalidArgumentError
 from .estimation import fit_mle, preprocess_covariates, project_to_theta
-from .inference import (
-    oracle_variance_model,
-    plugin_variance_model,
-    standardized_stats,
-)
+from .inference import oracle_variance_model, plugin_variance_model
 from .model import (
     ComparisonData,
     CovariateMatrix,
@@ -247,10 +243,10 @@ class ExperimentPlan:
 class SettingResult:
     p: float
     L: int
-    records: list[dict]
+    resamples: int
     aggregates: dict
     extras: dict
-    resamples: int
+    records: dict[str, np.ndarray]  # one column per recorded quantity, in replication order
 
 
 @dataclass
@@ -264,27 +260,11 @@ class ExperimentResult:
             "kind": self.kind,
             "provenance": self.provenance,
             "settings": [
-                {
-                    "p": s.p,
-                    "L": s.L,
-                    "resamples": s.resamples,
-                    "aggregates": s.aggregates,
-                    "extras": s.extras,
-                    "records": s.records,
-                }
+                {**vars(s), "records": [dict(zip(s.records, row)) for row in
+                                        zip(*(column.tolist() for column in s.records.values()))]}
                 for s in self.settings
             ],
         }
-
-    def tidy_rows(self):
-        """One (p, L, replication, statistic, value) row per recorded number."""
-        for s in self.settings:
-            for rec in s.records:
-                rep = rec["replication"]
-                for key, value in rec.items():
-                    if key == "replication":
-                        continue
-                    yield (s.p, s.L, rep, key, value)
 
 
 def _usable_cores() -> int:
@@ -391,33 +371,35 @@ def _run_study(context: _StudyContext, replication_fn) -> list[SettingResult]:
     ]
     workers = min(plan.workers or 1, len(tasks), _usable_cores())
     with _start_pool(workers, replication_fn, context) as pool:
-        records = pool.imap(_run_task, tasks)
+        rows = pool.imap(_run_task, tasks)
         return [
-            _setting_result(plan, p, L, list(islice(records, plan.replications)))
+            _setting_result(plan, p, L, list(islice(rows, plan.replications)))
             for p, L in plan.pl_pairs
         ]
 
 
-def _setting_result(plan: ExperimentPlan, p: float, L: int, records: list[dict]) -> SettingResult:
-    resamples = int(sum(r["resamples"] for r in records))
+def _mean_sd(values: np.ndarray) -> dict:
+    values = values.astype(float)
+    return {
+        "mean": float(values.mean()),
+        "sd": float(values.std(ddof=1)) if values.size > 1 else 0.0,
+    }
+
+
+def _setting_result(plan: ExperimentPlan, p: float, L: int, rows: list[dict]) -> SettingResult:
+    records = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    resamples = int(records["resamples"].sum())
     draws = plan.replications + resamples
     if resamples / draws > 0.5:
         raise ConfigurationError(
             f"more than half of the draws at (p={p}, L={L}) were "
             f"disconnected ({resamples} of {draws}); increase p"
         )
-    numeric_keys = sorted(
-        k for k in records[0]
-        if k not in ("replication", "stream") and np.isscalar(records[0][k])
-    )
-    aggregates = {}
-    for key in numeric_keys:
-        vals = np.array([float(r[key]) for r in records])
-        aggregates[key] = {
-            "mean": float(vals.mean()),
-            "sd": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-        }
-    return SettingResult(p, L, records, aggregates, {}, resamples)
+    aggregates = {
+        key: _mean_sd(records[key])
+        for key in sorted(records) if key not in ("replication", "stream")
+    }
+    return SettingResult(p, L, resamples, aggregates, {}, records)
 
 
 def _check_statistics(plan: ExperimentPlan, kind: str, own: frozenset) -> None:
@@ -497,7 +479,7 @@ def _qq_block(values: np.ndarray) -> dict:
     probs = (np.arange(1, m + 1) - 0.5) / m
     return {
         "sorted_values": np.sort(values).tolist(),
-        "normal_quantiles": [float(normal_quantile(q)) for q in probs],
+        "normal_quantiles": normal_quantile(probs).tolist(),
         "ks_distance": ks_distance_to_normal(values),
     }
 
@@ -507,8 +489,7 @@ def _hist_block(values: np.ndarray) -> dict:
     return {
         "bin_edges": edges.tolist(),
         "counts": counts.tolist(),
-        "mean": float(values.mean()),
-        "sd": float(values.std(ddof=1)) if values.size > 1 else 0.0,
+        **_mean_sd(values),
         "ks_distance": ks_distance_to_normal(values),
     }
 
@@ -517,15 +498,18 @@ def _distribution_replication(context: _StudyContext, task: tuple) -> dict:
     p, L, pair_index, rep = task
     spec, cov, truth = context.spec, context.cov, context.truth
     n = spec.n
-    proj = build_projection(cov)
     contrast = _default_contrast(n, spec.d)
-    cbar = proj.apply(contrast)
+    cbar = build_projection(cov).apply(contrast)
     zq = normal_quantile(1.0 - (1.0 - context.plan.level) / 2.0)
     data, resamples, stream = _sample_connected(spec, cov, truth, p, L, 2, pair_index, rep)
     fit = fit_mle(data, cov)
     vm_true = oracle_variance_model(data, cov, truth)
     vm_plugin = plugin_variance_model(fit)
-    a_stat, b_stat = standardized_stats(fit, vm_true, vm_plugin, contrast, truth)
+    var_c_oracle, var_c_plugin = vm_true.variance_of(cbar), vm_plugin.variance_of(cbar)
+    if min(var_c_oracle, var_c_plugin) <= 0:
+        raise DegenerateContrastError("contrast has zero plug-in variance")
+    c_dot_fit = float(contrast @ fit.params.stacked)
+    c_err = c_dot_fit - float(contrast @ truth.stacked)
     alpha1_err = float(fit.params.alpha[0] - truth.alpha[0])
     se1_true = float(np.sqrt(max(vm_true.diagonal[0], 0.0)))
     se1_plugin = float(np.sqrt(max(vm_plugin.diagonal[0], 0.0)))
@@ -538,11 +522,11 @@ def _distribution_replication(context: _StudyContext, task: tuple) -> dict:
         "alpha1_std_oracle": alpha1_err / se1_true,
         "alpha1_std_plugin": alpha1_err / se1_plugin,
         "var_alpha1_oracle": se1_true**2,
-        "a_stat": float(a_stat),
-        "b_stat": float(b_stat),
-        "c_dot_fit": float(contrast @ fit.params.stacked),
-        "var_c_oracle": vm_true.variance_of(cbar),
-        "var_c_plugin": vm_plugin.variance_of(cbar),
+        "a_stat": c_err / sqrt(var_c_oracle),
+        "b_stat": c_err / sqrt(var_c_plugin),
+        "c_dot_fit": c_dot_fit,
+        "var_c_oracle": var_c_oracle,
+        "var_c_plugin": var_c_plugin,
         "cover_alpha1": int(abs(alpha1_err) <= zq * se1_plugin),
     }
     if spec.d > 0:
@@ -571,30 +555,23 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
 
     settings = _run_study(context, _distribution_replication)
     for setting in settings:
-        recs = setting.records
-        extras: dict = {"c_dot_truth": c_dot_truth}
+        col = setting.records
+        extras = setting.extras = {"c_dot_truth": c_dot_truth}
         if "qq_alpha1" in plan.statistics:
-            vals = np.array([r["alpha1_std_plugin"] for r in recs])
-            extras["qq_alpha1"] = _qq_block(vals)
+            extras["qq_alpha1"] = _qq_block(col["alpha1_std_plugin"])
         if "hist_A" in plan.statistics:
-            extras["hist_A"] = _hist_block(np.array([r["a_stat"] for r in recs]))
+            extras["hist_A"] = _hist_block(col["a_stat"])
         if "hist_B" in plan.statistics:
-            extras["hist_B"] = _hist_block(np.array([r["b_stat"] for r in recs]))
+            extras["hist_B"] = _hist_block(col["b_stat"])
         if "coverage" in plan.statistics:
-            cov_block = {
-                "level": plan.level,
-                "alpha1": float(np.mean([r["cover_alpha1"] for r in recs])),
-            }
+            extras["coverage"] = {"level": plan.level, "alpha1": float(col["cover_alpha1"].mean())}
             if d > 0:
-                cov_block["beta1"] = float(np.mean([r["cover_beta1"] for r in recs]))
-            extras["coverage"] = cov_block
-        c_fit = np.array([r["c_dot_fit"] for r in recs])
+                extras["coverage"]["beta1"] = float(col["cover_beta1"].mean())
         extras["contrast_variance"] = {
-            "mc_var": float(c_fit.var(ddof=1)) if c_fit.size > 1 else 0.0,
-            "mean_oracle_var": float(np.mean([r["var_c_oracle"] for r in recs])),
-            "mean_plugin_var": float(np.mean([r["var_c_plugin"] for r in recs])),
+            "mc_var": float(col["c_dot_fit"].var(ddof=1)) if len(col["c_dot_fit"]) > 1 else 0.0,
+            "mean_oracle_var": float(col["var_c_oracle"].mean()),
+            "mean_plugin_var": float(col["var_c_plugin"].mean()),
         }
-        setting.extras = extras
     return ExperimentResult(
         "distribution", settings, _provenance(spec, plan, "distribution")
     )

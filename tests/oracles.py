@@ -477,14 +477,14 @@ def ranking_text_by_rows(ranking, item_ids, comment=None):
     return _csv_text_by_rows(["item", "score1", "score2", "tau", "rank1", "rank2"], rows, comment)
 
 
-def experiment_texts_by_rows(result, provenance):
+def experiment_texts_by_rows(payload):
     """The texts of ``records.csv`` and ``summary.csv`` that
     ``write_experiment_files`` writes, built one record at a time from
-    ``result.settings``."""
-    comment = provenance_comment({**result.provenance, **provenance})
+    ``payload``, the parsed ``result.json`` it writes beside them."""
+    comment = provenance_comment(payload["provenance"])
     records, summary = [], []
-    for s in result.settings:
-        for rec in s.records:
+    for s in payload["settings"]:
+        for rec in s["records"]:
             for key, value in rec.items():
                 if key == "replication":
                     continue
@@ -494,10 +494,10 @@ def experiment_texts_by_rows(result, provenance):
                     cell = str(value)
                 else:
                     cell = fmt17(value)
-                records.append([fmt17(s.p), s.L, rec["replication"], key, cell])
-        for stat in sorted(s.aggregates):
-            agg = s.aggregates[stat]
-            summary.append([fmt17(s.p), s.L, stat, fmt17(agg["mean"]), fmt17(agg["sd"])])
+                records.append([fmt17(s["p"]), s["L"], rec["replication"], key, cell])
+        for stat in sorted(s["aggregates"]):
+            agg = s["aggregates"][stat]
+            summary.append([fmt17(s["p"]), s["L"], stat, fmt17(agg["mean"]), fmt17(agg["sd"])])
     return (
         _csv_text_by_rows(["p", "L", "replication", "statistic", "value"], records, comment),
         _csv_text_by_rows(["p", "L", "statistic", "mean", "sd"], summary, comment),

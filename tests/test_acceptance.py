@@ -88,8 +88,8 @@ def test_criterion_4_plugin_variance(distribution_study):
         ("alpha1_err", "var_alpha1_oracle", "e_1"),
         ("beta1_err", "var_beta1_oracle", "e_n+1"),
     ):
-        mc = float(np.var([r[err_key] for r in records], ddof=1))
-        oracle = float(np.mean([r[var_key] for r in records]))
+        mc = float(np.var(records[err_key], ddof=1))
+        oracle = float(np.mean(records[var_key]))
         ratio = mc / oracle
         details.append(f"{label}: mc/oracle={ratio:.3f}")
         ok = ok and abs(ratio - 1.0) <= 0.2

@@ -578,10 +578,12 @@ class TestWriters:
             )
             result = run_distribution_experiment(spec, plan)
         provenance = {"version": "0.0", "config_hash": "abc"}
-        write_experiment_files(str(tmp_path / "study"), result, provenance)
-        records, summary = experiment_texts_by_rows(result, provenance)
-        assert (tmp_path / "study" / "records.csv").read_bytes() == records.encode("utf-8")
-        assert (tmp_path / "study" / "summary.csv").read_bytes() == summary.encode("utf-8")
+        study = tmp_path / "study"
+        write_experiment_files(str(study), result, provenance)
+        payload = json.loads((study / "result.json").read_text())
+        records, summary = experiment_texts_by_rows(payload)
+        assert (study / "records.csv").read_bytes() == records.encode("utf-8")
+        assert (study / "summary.csv").read_bytes() == summary.encode("utf-8")
 
 
 class TestConfigFile:

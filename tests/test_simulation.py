@@ -185,7 +185,7 @@ class TestRateExperiment:
         res_threaded = run_rate_experiment(spec, plan8)
         assert res_serial.to_dict() == res_threaded.to_dict()
         for setting in res_serial.settings:
-            assert len(setting.records) == 6
+            assert len(setting.records["replication"]) == 6
             assert {"alpha_linf", "beta_rel_l2"} <= set(setting.aggregates)
 
     def test_more_information_less_error(self):
@@ -232,13 +232,13 @@ class TestRateExperiment:
                               statistics=frozenset({"alpha_linf"}))
         res = run_rate_experiment(spec, plan)
         setting = res.settings[0]
-        assert len(setting.records) == 12
+        assert setting.records["replication"].tolist() == list(range(12))
         assert setting.resamples >= 1
-        assert [r["replication"] for r in setting.records] == list(range(12))
         # the stream that produced each kept draw is recorded; resampled
         # replications advanced past their base stream
-        for rec in setting.records:
-            assert rec["stream"] % (1 << 12) == rec["resamples"]
+        np.testing.assert_array_equal(
+            setting.records["stream"] % (1 << 12), setting.records["resamples"]
+        )
 
 
 class TestDistributionExperiment:
@@ -250,11 +250,10 @@ class TestDistributionExperiment:
         )
         res = run_distribution_experiment(spec, plan)
         setting = res.settings[0]
-        record = setting.records[0]
         for key in ("alpha1_err", "alpha1_std_plugin", "a_stat", "b_stat",
                     "var_c_oracle", "cover_alpha1", "cover_beta1",
                     "var_alpha1_oracle", "var_beta1_oracle"):
-            assert key in record
+            assert setting.records[key].shape == (8,)
         assert "qq_alpha1" in setting.extras
         assert "hist_A" in setting.extras and "hist_B" in setting.extras
         assert len(setting.extras["hist_A"]["counts"]) == 30
@@ -351,7 +350,7 @@ class TestWorkerPool:
         monkeypatch.setattr(simulation, "_worker_state", None)
         plan = ExperimentPlan(pl_pairs=[(0.9, 4)], replications=3, workers=workers)
         res = run_rate_experiment(SyntheticSpec(n=20, d=1, seed=30), plan)
-        assert [r["replication"] for r in res.settings[0].records] == [0, 1, 2]
+        assert res.settings[0].records["replication"].tolist() == [0, 1, 2]
         return started
 
     def test_never_more_processes_than_replications(self, monkeypatch):
