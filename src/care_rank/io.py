@@ -34,6 +34,7 @@ import hashlib
 import io as _io
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -612,7 +613,12 @@ def _cells(column: np.ndarray):
 def write_experiment_files(out_dir: str, result: ExperimentResult, provenance: dict) -> None:
     """result.json with everything, records.csv with one (p, L, replication,
     statistic, value) row per recorded number, and summary.csv with
-    per-setting means and standard deviations."""
+    per-setting means and standard deviations.  A setting with no
+    converged fit has no other means, which a stderr note says."""
+    for s in result.settings:
+        if not s.records["converged"].any():
+            print(f"note: no fit converged at (p={s.p}, L={s.L}); "
+                  "summary.csv gives only its converged and resamples rows", file=sys.stderr)
     payload = result.to_dict()
     payload["provenance"] = {**payload["provenance"], **provenance}
     write_json(os.path.join(out_dir, "result.json"), payload)

@@ -22,6 +22,7 @@ BLAS environment.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from itertools import islice
@@ -86,6 +87,18 @@ _SAMPLE_CHUNK = 1 << 16
 _BLAS_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``; a float or any other
+    non-integer is refused, not truncated."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+    if number < least:
+        raise InvalidArgumentError(f"{name} must be at least {least}, got {number}")
+    return number
+
+
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     """Independent reproducible generator for (seed, stream_id).
 
@@ -94,9 +107,8 @@ def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     streams and the output is identical across platforms and thread
     counts.
     """
-    seed = int(seed)
-    stream_id = int(stream_id)
-    if not (0 <= seed < 2**64 and 0 <= stream_id < 2**64):
+    seed, stream_id = _integer("seed", seed, 0), _integer("stream_id", stream_id, 0)
+    if not (seed < 2**64 and stream_id < 2**64):
         raise InvalidArgumentError("seed and stream_id must fit in 64 bits")
     key = np.array([seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -117,8 +129,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2 or self.d < 0:
-            raise InvalidArgumentError(f"need n >= 2 and d >= 0, got n={self.n}, d={self.d}")
+        for name, least in (("n", 2), ("d", 0), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
 
 
 def effective_sample_size(n: int, d: int) -> float:
@@ -182,8 +194,7 @@ def sample_comparisons(
     """
     if not (0.0 < p <= 1.0):
         raise InvalidArgumentError(f"p must be in (0, 1], got {p}")
-    if L < 1:
-        raise InvalidArgumentError(f"L must be at least 1, got {L}")
+    L = _integer("L", L, 1)
     rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed, _STREAM_SAMPLE)
     n = cov.n_items
     scores = truth.scores(cov)
@@ -217,17 +228,14 @@ class ExperimentPlan:
     workers: int | None = None
 
     def __post_init__(self):
-        pairs = tuple((float(p), int(L)) for p, L in self.pl_pairs)
+        pairs = tuple((float(p), _integer("L", L, 1)) for p, L in self.pl_pairs)
         if not pairs:
             raise InvalidArgumentError("pl_pairs must be nonempty")
-        for p, L in pairs:
+        for p, _ in pairs:
             if not (0.0 < p <= 1.0):
                 raise InvalidArgumentError(f"p must be in (0, 1], got {p}")
-            if L < 1:
-                raise InvalidArgumentError(f"L must be at least 1, got {L}")
         object.__setattr__(self, "pl_pairs", pairs)
-        if self.replications < 1:
-            raise InvalidArgumentError("replications must be at least 1")
+        object.__setattr__(self, "replications", _integer("replications", self.replications, 1))
         stats = frozenset(self.statistics)
         unknown = stats - KNOWN_STATISTICS
         if unknown:
@@ -235,8 +243,8 @@ class ExperimentPlan:
         object.__setattr__(self, "statistics", stats)
         if not (0.0 < self.level < 1.0):
             raise InvalidArgumentError("level must be in (0, 1)")
-        if self.workers is not None and self.workers < 1:
-            raise InvalidArgumentError("workers must be at least 1")
+        if self.workers is not None:
+            object.__setattr__(self, "workers", _integer("workers", self.workers, 1))
 
 
 @dataclass
@@ -386,6 +394,12 @@ def _mean_sd(values: np.ndarray) -> dict:
     }
 
 
+def _converged(records: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The records of the replications whose fit converged."""
+    kept = records["converged"]
+    return {key: column[kept] for key, column in records.items()}
+
+
 def _setting_result(plan: ExperimentPlan, p: float, L: int, rows: list[dict]) -> SettingResult:
     records = {key: np.array([row[key] for row in rows]) for key in rows[0]}
     resamples = int(records["resamples"].sum())
@@ -395,9 +409,13 @@ def _setting_result(plan: ExperimentPlan, p: float, L: int, rows: list[dict]) ->
             f"more than half of the draws at (p={p}, L={L}) were "
             f"disconnected ({resamples} of {draws}); increase p"
         )
+    # converged and resamples describe the draws, so their means are over
+    # every replication; every other mean is over the converged fits only
+    columns = _converged(records) if records["converged"].any() else {}
+    columns.update((key, records[key]) for key in ("converged", "resamples"))
     aggregates = {
-        key: _mean_sd(records[key])
-        for key in sorted(records) if key not in ("replication", "stream")
+        key: _mean_sd(columns[key])
+        for key in sorted(columns) if key not in ("replication", "stream")
     }
     return SettingResult(p, L, resamples, aggregates, {}, records)
 
@@ -546,7 +564,8 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
     alpha_1 + beta_1 (alpha_1 alone when d = 0) standardized at the
     truth (statistic named a_stat) and at the fit (b_stat),
     per-coordinate CI coverage indicators, and the oracle contrast
-    variance.  Emits QQ and histogram summaries per setting.
+    variance.  Emits QQ and histogram summaries per setting.  These, the
+    coverage and the contrast variance are over the converged fits.
     """
     _check_statistics(plan, "distribution", DISTRIBUTION_STATISTICS)
     context = _StudyContext(spec, plan, *generate_truth(spec))
@@ -555,8 +574,10 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
 
     settings = _run_study(context, _distribution_replication)
     for setting in settings:
-        col = setting.records
+        col = _converged(setting.records)
         extras = setting.extras = {"c_dot_truth": c_dot_truth}
+        if not col["converged"].size:
+            continue
         if "qq_alpha1" in plan.statistics:
             extras["qq_alpha1"] = _qq_block(col["alpha1_std_plugin"])
         if "hist_A" in plan.statistics:

@@ -1151,6 +1151,24 @@ class TestExperimentCommand:
             text = (out / "experiment" / name).read_text()
             assert "halvings" not in text and "cg_iterations" not in text
 
+    def test_note_for_setting_without_converged_fit(self, tmp_path, capsys):
+        # every fit at this sparse single-trial design stops with no MLE
+        out = tmp_path / "exp"
+        assert main([
+            "experiment", "--kind", "distribution", "--n", "200", "--d", "5",
+            "--seed", "7", "--pairs", "0.04:1", "--replications", "20", "--out", str(out),
+        ]) == EXIT_OK
+        notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+        assert len(notes) == 1 and "(p=0.04, L=1)" in notes[0]
+        rows = read_csv_dicts(out / "experiment" / "records.csv")
+        assert {r["replication"] for r in rows} == {str(k) for k in range(20)}
+        assert {r["value"] for r in rows if r["statistic"] == "converged"} == {"0"}
+        summary = read_csv_dicts(out / "experiment" / "summary.csv")
+        assert [r["statistic"] for r in summary] == ["converged", "resamples"]
+        result = json.loads((out / "experiment" / "result.json").read_text())
+        assert list(result["settings"][0]["extras"]) == ["c_dot_truth"]
+        assert len(result["settings"][0]["records"]) == 20
+
     def test_worker_thread_determinism(self, tmp_path):
         payloads = []
         for name, workers in (("w1", "1"), ("w8", "8")):

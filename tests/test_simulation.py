@@ -46,10 +46,10 @@ class TestRngStream:
         assert len(union) == sum(len(s) for s in draws.values())
 
     def test_seed_bounds(self):
-        with pytest.raises(InvalidArgumentError):
-            rng_stream(-1, 0)
-        with pytest.raises(InvalidArgumentError):
-            rng_stream(0, 2**64)
+        # integers only: a float seed is refused, not truncated
+        for seed, stream_id in ((-1, 0), (0, 2**64), (1.7, 0), (0, 2.0)):
+            with pytest.raises(InvalidArgumentError):
+                rng_stream(seed, stream_id)
 
 
 class TestGenerateTruth:
@@ -88,6 +88,15 @@ class TestGenerateTruth:
         b_cov, b_truth = generate_truth(SyntheticSpec(n=40, d=2, seed=5))
         np.testing.assert_array_equal(a_cov.scaled, b_cov.scaled)
         np.testing.assert_array_equal(a_truth.stacked, b_truth.stacked)
+
+    def test_spec_validation(self):
+        # counts and seeds are integers, never truncated
+        for kwargs in ({"n": 1}, {"d": -1}, {"seed": -1},
+                       {"n": 20.5}, {"d": 1.0}, {"seed": 1.7}, {"seed": "1"}):
+            with pytest.raises(InvalidArgumentError):
+                SyntheticSpec(**kwargs)
+        spec = SyntheticSpec(n=np.int64(30), d=np.int32(2), seed=np.uint64(5))
+        assert [type(v) for v in (spec.n, spec.d, spec.seed)] == [int, int, int]
 
     def test_btl_case(self):
         cov, truth = generate_truth(SyntheticSpec(n=30, d=0, seed=6))
@@ -140,6 +149,8 @@ class TestSampleComparisons:
             sample_comparisons(cov, truth, 0.0, 5, 1)
         with pytest.raises(InvalidArgumentError):
             sample_comparisons(cov, truth, 0.5, 0, 1)
+        with pytest.raises(InvalidArgumentError):
+            sample_comparisons(cov, truth, 0.5, 2.5, 1)
 
     def test_win_rates_track_probabilities(self):
         cov, truth = generate_truth(SyntheticSpec(n=6, d=1, seed=13))
@@ -152,12 +163,15 @@ class TestSampleComparisons:
 
 class TestPlans:
     def test_pair_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            ExperimentPlan(pl_pairs=[(1.5, 5)])
-        with pytest.raises(InvalidArgumentError):
-            ExperimentPlan(pl_pairs=[(0.5, 0)])
-        with pytest.raises(InvalidArgumentError):
-            ExperimentPlan(pl_pairs=[])
+        for kwargs in (
+            {"pl_pairs": [(1.5, 5)]}, {"pl_pairs": [(0.5, 0)]}, {"pl_pairs": []},
+            # counts are integers, never truncated
+            {"pl_pairs": [(0.5, 2.5)]},
+            {"pl_pairs": [(0.5, 5)], "replications": 2.5},
+            {"pl_pairs": [(0.5, 5)], "workers": 1.5},
+        ):
+            with pytest.raises(InvalidArgumentError):
+                ExperimentPlan(**kwargs)
 
     def test_statistic_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -261,6 +275,43 @@ class TestDistributionExperiment:
         qq = setting.extras["qq_alpha1"]
         assert len(qq["sorted_values"]) == 8
         assert qq["sorted_values"] == sorted(qq["sorted_values"])
+
+    def test_aggregates_cover_converged_fits_only(self):
+        # sparse designs where many fits stop with no MLE, and at
+        # (0.04, 1) every one does
+        plan = ExperimentPlan(
+            pl_pairs=[(0.05, 1), (0.03, 5), (0.04, 1)], replications=60,
+            statistics=simulation.DISTRIBUTION_STATISTICS, workers=2,
+        )
+        res = run_distribution_experiment(SyntheticSpec(n=200, d=5, seed=7), plan)
+        counts = []
+        for setting in res.settings:
+            records, aggregates, extras = setting.records, setting.aggregates, setting.extras
+            kept = records["converged"]
+            counts.append(int(kept.sum()))
+            assert all(column.shape == (60,) for column in records.values())
+            # the draws' bookkeeping is over every replication
+            assert aggregates["converged"]["mean"] == pytest.approx(kept.mean())
+            assert aggregates["resamples"]["mean"] == pytest.approx(records["resamples"].mean())
+            if not kept.any():
+                assert set(aggregates) == {"converged", "resamples"}
+                assert set(extras) == {"c_dot_truth"}
+                continue
+            for name in ("alpha1", "beta1"):
+                expected = records[f"cover_{name}"][kept].mean()
+                assert extras["coverage"][name] == pytest.approx(expected)
+                assert aggregates[f"cover_{name}"]["mean"] == pytest.approx(expected)
+            assert aggregates["b_stat"]["mean"] == pytest.approx(records["b_stat"][kept].mean())
+            assert extras["hist_B"]["mean"] == pytest.approx(records["b_stat"][kept].mean())
+            assert len(extras["qq_alpha1"]["sorted_values"]) == kept.sum()
+            mc_var = records["c_dot_fit"][kept].var(ddof=1) if kept.sum() > 1 else 0.0
+            assert extras["contrast_variance"]["mc_var"] == pytest.approx(mc_var)
+        assert 0 < counts[0] < counts[1] < 60 and counts[2] == 0
+        # a no_mle fit returns the zero vector, whose wide plug-in
+        # interval skews coverage taken over every replication
+        sparse = res.settings[1].records
+        assert (res.settings[1].extras["coverage"]["beta1"]
+                > sparse["cover_beta1"].mean())
 
     def test_worker_independence(self):
         spec = SyntheticSpec(n=36, d=2, seed=27)
