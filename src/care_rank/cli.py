@@ -330,9 +330,13 @@ def _available_memory(
     proc_cgroup: str = "/proc/self/cgroup",
     cgroup_root: str = "/sys/fs/cgroup",
 ) -> int | None:
-    """Bytes this process may still allocate: the smaller of the kernel's
-    MemAvailable and the room left under its cgroup v2 ``memory.max``,
-    each where it can be read; None when neither can."""
+    """Bytes this process may still allocate: the smallest of the
+    kernel's MemAvailable and the room left under each memory limit on
+    the process's cgroup and on every ancestor of it (a limit applies to
+    all groups below it), for the cgroup v2 group (``memory.max`` less
+    ``memory.current``) and the cgroup v1 memory controller's group
+    (``memory.limit_in_bytes`` less ``memory.usage_in_bytes``), each where
+    it can be read; None when none can."""
     found = []
     try:
         with open(meminfo, encoding="ascii") as fh:
@@ -344,15 +348,32 @@ def _available_memory(
         pass
     try:
         with open(proc_cgroup, encoding="ascii") as fh:
-            group = next(line[3:].strip() for line in fh if line.startswith("0::"))
-        base = os.path.join(cgroup_root, group.lstrip("/"))
-        with open(os.path.join(base, "memory.max"), encoding="ascii") as fh:
-            limit = fh.read().strip()
-        if limit != "max":
-            with open(os.path.join(base, "memory.current"), encoding="ascii") as fh:
-                found.append(int(limit) - int(fh.read()))
-    except (OSError, ValueError, StopIteration):
-        pass
+            lines = fh.read().splitlines()
+    except OSError:
+        lines = []
+    for line in lines:
+        hierarchy, controllers, group = (line.split(":", 2) + ["", ""])[:3]
+        if hierarchy == "0" and not controllers:
+            # cgroup v2, mounted at the root or, beside v1, under "unified"
+            mounts, limit_file, usage_file = ("", "unified"), "memory.max", "memory.current"
+        elif "memory" in controllers.split(","):
+            mounts, limit_file, usage_file = (
+                ("memory",), "memory.limit_in_bytes", "memory.usage_in_bytes"
+            )
+        else:
+            continue
+        parts = [part for part in group.split("/") if part]
+        for mount in mounts:
+            for depth in range(len(parts), -1, -1):
+                base = os.path.join(cgroup_root, mount, *parts[:depth])
+                try:
+                    with open(os.path.join(base, limit_file), encoding="ascii") as fh:
+                        limit = fh.read().strip()
+                    if limit != "max":
+                        with open(os.path.join(base, usage_file), encoding="ascii") as fh:
+                            found.append(int(limit) - int(fh.read()))
+                except (OSError, ValueError):
+                    pass
     return min(found) if found else None
 
 

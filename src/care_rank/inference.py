@@ -16,19 +16,21 @@ that shape: with T the linear map from s to its regression split
 [P H P]^+ = T L_w^+ T^T.  T kills the constant vector, so L_w^+ may be
 replaced by A^-1 with A = L_w + 11^T/n, and with the Cholesky factor
 A = L L^T the covariance is G^T G for the n x (n+d) root G = L^-1 T^T.
-R = L^-1 is built in place of A by one recursive 2 x 2 block routine
-(leaves inverted directly, everything else matrix products, about
-7 n^3/6 flops, against about 8 n^3/3 for a general inverse), so A, the
-factor and the root share one n x n buffer; with the blocked products'
-temporaries the variance model peaks at about 1.3 n x n arrays.  The
-root is kept as its two blocks R (I - Q Q^T) and R S^T, so every
-coordinate variance is a column sum of G * G and every contrast
-variance a squared norm, O(n (n+d)) each, with no dense
-(n+d) x (n+d) matrix and no n x (n+d) copy.  The variance model holds
-those two blocks and nothing else; the projector and S come from the
+A is stored, and R = L^-1 built in its place, as a recursive 2 x 2
+block tree of the lower triangle: dense leaves of at most a few hundred
+rows, inverted directly, and below each diagonal split one dense block.
+The tree is built from the edges and the factor-invert step is matrix
+products on it that skip the zero upper halves (about 2 n^3/3 flops),
+so no n x n array is ever allocated and the variance model peaks at
+``FACTOR_PEAK_SQUARES`` n^2 doubles, the tree and small temporaries.
+The variance model keeps the tree with R Q and R S^T: a contrast
+variance is ||G cbar||^2, one pass over the tree, and the coordinate
+variances are the squared column norms of G, computed leaf by leaf
+from R's columns less (R Q) Q^T, so neither a dense (n+d) x (n+d)
+matrix nor G itself is formed.  The projector and S come from the
 covariates alone, so no caller passes them.  ``projected_hessian_pinv``
-builds the same kind of root from a dense eigendecomposition of P H P,
-as a reference: no command or study runs it.
+builds a dense root from an eigendecomposition of P H P, as a
+reference: no command or study runs it.
 
 The Hessian's only null directions must be the d+1 of the constraint,
 so the graph must stay connected under its weights: edges weighing at
@@ -50,6 +52,7 @@ that zero out statistically insignificant intrinsic effects.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,7 +71,7 @@ from .model import (
     _regression_split,
     _score_terms,
     _smallest_reaching,
-    _weighted_laplacian,
+    _weighted_degrees,
     build_projection,
 )
 from .normal import normal_quantile, two_sided_p_value
@@ -94,36 +97,58 @@ DEFAULT_EIGEN_CUTOFF = 1e-10
 
 class VarianceModel:
     """The plug-in covariance V = [P H P]^+ of the stacked (alpha, beta)
-    estimate as V = G^T G, held only as the alpha and beta column blocks
-    of the root G: the n x (n+d) G = L^-1 T^T = [R (I - Q Q^T) | R S^T]
-    (see the module docstring) from ``plugin_variance_model`` and
-    ``oracle_variance_model``, or Lambda^-1/2 V^T of the kept eigenpairs
-    from ``projected_hessian_pinv``.  ``diagonal`` is the column sums of
-    G * G and ``variance_of`` a squared norm, both O(n (n+d)) in time and
-    O(n) in extra memory; no dense (n+d) x (n+d) matrix is kept.  The
-    factor root peaks at ``FACTOR_PEAK_SQUARES`` n^2.
+    estimate as V = G^T G for a root G, which is never formed as a dense
+    matrix.  From ``plugin_variance_model`` and ``oracle_variance_model``
+    G = L^-1 T^T = [R (I - Q Q^T) | R S^T] (see the module docstring),
+    held as the block tree of R's lower triangle with R Q and R S^T;
+    from ``projected_hessian_pinv`` G = Lambda^-1/2 V^T of the kept
+    eigenpairs, held as its alpha and beta column blocks.
+    ``variance_of`` is the squared norm of G cbar and ``diagonal`` the
+    squared column norms of G, computed on first use; no dense
+    (n+d) x (n+d) matrix is kept.  The factor route peaks at
+    ``FACTOR_PEAK_SQUARES`` n^2 doubles.
 
     ``rank_warning`` flags more near-zero eigenvalues than the d+1 the
     constraint accounts for, which only ``projected_hessian_pinv`` can
     report: the factor route refuses such a Hessian.
     """
 
-    def __init__(self, *, root: tuple[np.ndarray, np.ndarray], rank_warning: bool = False):
-        """``root`` holds the alpha and beta column blocks of G."""
+    def __init__(self, *, root, rank_warning: bool = False):
+        """``root`` holds the alpha and beta column blocks of G, or the
+        factor route's ``_FactorRoot``."""
         self.rank_warning = rank_warning
-        self._root = tuple(_readonly(block) for block in root)
+        self._root = root if isinstance(root, _FactorRoot) else _DenseRoot(*root)
 
     @cached_property
     def diagonal(self) -> np.ndarray:
         """The coordinate variances, diag V, stacked (alpha, beta)."""
-        return _readonly(np.concatenate([np.einsum("ij,ij->j", g, g) for g in self._root]))
+        return _readonly(self._root.column_norms())
 
     def variance_of(self, cbar: np.ndarray) -> float:
         """cbar^T V cbar, clipped at zero."""
-        top, beta = self._root
-        n = top.shape[1]
-        u = top @ cbar[:n] + beta @ cbar[n:]
+        u = self._root.times(cbar)
         return max(float(u @ u), 0.0)
+
+
+@dataclass(frozen=True)
+class _DenseRoot:
+    """G held as its alpha and beta column blocks."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _readonly(self.alpha))
+        object.__setattr__(self, "beta", _readonly(self.beta))
+
+    def times(self, c: np.ndarray) -> np.ndarray:
+        """G c, for one stacked vector or the columns of a matrix."""
+        n = self.alpha.shape[1]
+        return self.alpha @ c[:n] + self.beta @ c[n:]
+
+    def column_norms(self) -> np.ndarray:
+        """The squared column norms of G."""
+        return np.concatenate([np.einsum("ij,ij->j", g, g) for g in (self.alpha, self.beta)])
 
 
 @dataclass(frozen=True)
@@ -203,15 +228,30 @@ def projected_hessian_pinv(hess: np.ndarray, proj: ProjectionOperator) -> Varian
 # the rest at n = 2000 (2-core OpenBLAS).
 _INVERSE_BLOCK = 64
 
-# Peak of the variance model in n x n float64 arrays beyond what the fit
-# holds: the shifted Laplacian, overwritten by the root, plus the
-# quarter-size temporaries of _cholesky_inverse's top level (traced:
-# 1.26 n^2 at n = 1500, 1.27 at n = 2000).
-FACTOR_PEAK_SQUARES = 1.3
+# Rows of the block tree's leaves: a node of more rows is split in half.
+# Each leaf is one dense square, its zero upper half included, so the
+# leaves cost up to n * _LEAF_ROWS doubles.  At n = 2000 (2-core
+# OpenBLAS), 64, 128, 256 and 512 gave ``infer`` a peak RSS of 65.0,
+# 65.4, 67.0 and 73.8 MB, and the variance model 173, 155, 153 and
+# 168 ms.
+_LEAF_ROWS = 256
 
-# Rows of the root updated per product in the projection step, so its
-# temporary is this many rows rather than n.
+# Peak of the variance model and report in n x n float64 arrays beyond
+# what the fit holds: the block tree of the lower triangle, 0.5 n^2 plus
+# n * _LEAF_ROWS / 2 for the leaves' zero halves, and temporaries of
+# O(n * _LEAF_ROWS) (traced with the report, mean degree 40: 0.55 n^2 at
+# n = 4000, 0.61 at 2000, 0.63 at 1500 and 0.73 at 1000; below that the
+# O(n) terms lead, 1.05 n^2 at n = 500, a few MB).
+FACTOR_PEAK_SQUARES = 0.7
+
+# Rows of each product's temporary: the tree products work through
+# their left operand this many rows at a time.
 _ROW_CHUNK = 256
+
+# Rows per step of the diagonal, whose temporaries are this many rows by
+# a leaf's width: against 256 rows, 64 cut the traced peak at n = 500
+# from 1.28 to 1.05 n^2 and cost the report 0.7 ms at n = 2000.
+_DIAGONAL_ROWS = 64
 
 
 def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
@@ -244,21 +284,138 @@ def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _shifted_laplacian(data: ComparisonData, weights: np.ndarray) -> np.ndarray:
-    """A = L_w + 11^T/n, positive definite when the weighted graph is
-    connected; A^-1 = L_w^+ + 11^T/n."""
+# The lower triangle of a symmetric (or lower-triangular) n x n matrix
+# as a recursive 2 x 2 block tree.  A node is a dense square leaf of at
+# most _LEAF_ROWS rows, or a triple (top, low, bottom): the trees of the
+# two diagonal blocks, of n // 2 and n - n // 2 rows, and the dense
+# block below the diagonal.  The upper off-diagonal blocks are never
+# stored, so the tree holds about half of the n x n square.
+
+
+def _rows_times(out: np.ndarray, a: np.ndarray, b: np.ndarray, combine) -> None:
+    """``combine(out, a @ b)`` in place, ``_ROW_CHUNK`` rows at a time,
+    with ``combine`` one of np.copyto, operator.iadd and operator.isub.
+    Row r of the product needs row r of ``a`` only, so ``a`` may be
+    ``out`` itself."""
+    for start in range(0, out.shape[0], _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
+        combine(out[rows], a[rows] @ b)
+
+
+def _times_transpose(x: np.ndarray, node) -> None:
+    """x <- x R^T in place, for R the lower-triangular tree ``node``;
+    ``_times_transpose(x.T, node)`` is x <- R x."""
+    if isinstance(node, np.ndarray):
+        _rows_times(x, x, node.T, np.copyto)
+        return
+    top, low, bottom = node
+    h = low.shape[1]
+    _times_transpose(x[:, h:], bottom)
+    _rows_times(x[:, h:], x[:, :h], low.T, operator.iadd)
+    _times_transpose(x[:, :h], top)
+
+
+def _times(x: np.ndarray, node) -> None:
+    """x <- x R in place, for R the lower-triangular tree ``node``;
+    ``_times(x.T, node)`` is x <- R^T x."""
+    if isinstance(node, np.ndarray):
+        _rows_times(x, x, node, np.copyto)
+        return
+    top, low, bottom = node
+    h = low.shape[1]
+    _times(x[:, :h], top)
+    _rows_times(x[:, :h], x[:, h:], low, operator.iadd)
+    _times(x[:, h:], bottom)
+
+
+def _subtract_gram(node, y: np.ndarray) -> None:
+    """B <- B - y y^T on the stored lower triangle of the symmetric
+    tree ``node``; a leaf gets the whole symmetric square."""
+    if isinstance(node, np.ndarray):
+        node -= y @ y.T
+        return
+    top, low, bottom = node
+    h = low.shape[1]
+    _subtract_gram(top, y[:h])
+    _rows_times(low, y[h:], y[:h].T, operator.isub)
+    _subtract_gram(bottom, y[h:])
+
+
+def _invert_tree(node) -> None:
+    """Overwrite the tree of a symmetric positive definite A with that
+    of R = L^-1 for its Cholesky factor A = L L^T: ``_cholesky_inverse``'s
+    recursion, with the block products done by the tree products, which
+    skip the zero upper halves (about 2 n^3/3 flops)."""
+    if isinstance(node, np.ndarray):
+        _cholesky_inverse(node)
+        return
+    top, low, bottom = node
+    _invert_tree(top)
+    _times_transpose(low, top)  # L21 = A21 R11^T
+    _subtract_gram(bottom, low)  # the Schur complement A22 - L21 L21^T
+    _invert_tree(bottom)
+    _times_transpose(low.T, bottom)  # R22 L21
+    _times(low, top)  # (R22 L21) R11
+    np.negative(low, out=low)
+
+
+def _column_strips(node, start: int = 0):
+    """For each leaf of the tree, its first column c and the stored
+    blocks of its columns, top to bottom, as (c, [(first_row, block),
+    ...]): the leaf, then the part of each enclosing ``low`` below it.
+    Above row c the columns are zero."""
+    if isinstance(node, np.ndarray):
+        yield start, [(start, node)]
+        return
+    top, low, bottom = node
+    h = low.shape[1]
+    for col, blocks in _column_strips(top, start):
+        cols = slice(col - start, col - start + blocks[0][1].shape[1])
+        yield col, blocks + [(start + h, low[:, cols])]
+    yield from _column_strips(bottom, start + h)
+
+
+def _shifted_laplacian_tree(data: ComparisonData, weights: np.ndarray):
+    """The tree of A = L_w + 11^T/n, built from the edges block by block:
+    each level splits the edges between its two diagonal blocks and the
+    block below the diagonal, and the leaves add the degrees.  A is
+    positive definite when the weighted graph is connected, and
+    A^-1 = L_w^+ + 11^T/n."""
     n = data.n_items
-    shifted = _weighted_laplacian(n, data.item_i, data.item_j, weights)
-    shifted += 1.0 / n
-    return shifted
+    shift = 1.0 / n
+    deg = _weighted_degrees(n, data.item_i, data.item_j, weights)
+
+    def build(start, size, lo, hi, w):
+        # the edges (lo < hi) with both ends in rows start .. start + size
+        if size <= _LEAF_ROWS:
+            block = np.zeros((size, size))
+            block[hi - start, lo - start] = -w
+            block[lo - start, hi - start] = -w
+            block[np.diag_indices(size)] += deg[start : start + size]
+            block += shift
+            return block
+        h = size // 2
+        mid = start + h
+        upper, lower = hi < mid, lo >= mid
+        cross = ~(upper | lower)
+        low = np.zeros((size - h, h))
+        low[hi[cross] - mid, lo[cross] - start] = -w[cross]
+        low += shift
+        return (
+            build(start, h, lo[upper], hi[upper], w[upper]),
+            low,
+            build(mid, size - h, lo[lower], hi[lower], w[lower]),
+        )
+
+    return build(0, n, data.item_i, data.item_j, weights)
 
 
-def _factored_laplacian(data: ComparisonData, weights: np.ndarray) -> np.ndarray:
-    """R = L^-1 for the Cholesky factor L of A = L_w + 11^T/n, in place
-    of A.  First, edges weighing at most ``DEFAULT_EIGEN_CUTOFF`` times
-    the largest are dropped and the rest's components found in O(E);
-    more than one raises ``ConnectivityError``, and a factor that still
-    fails raises ``InvalidArgumentError``."""
+def _factored_laplacian(data: ComparisonData, weights: np.ndarray):
+    """The block tree of R = L^-1 for the Cholesky factor L of
+    A = L_w + 11^T/n.  First, edges weighing at most
+    ``DEFAULT_EIGEN_CUTOFF`` times the largest are dropped and the rest's
+    components found in O(E); more than one raises ``ConnectivityError``,
+    and a factor that still fails raises ``InvalidArgumentError``."""
     keep = weights > DEFAULT_EIGEN_CUTOFF * weights.max(initial=0.0)
     if keep.all():
         graph, labels = "comparison graph", data._component_labels
@@ -267,27 +424,74 @@ def _factored_laplacian(data: ComparisonData, weights: np.ndarray) -> np.ndarray
         graph = "comparison graph under its Hessian weights"
         labels = _smallest_reaching(half, half.spread(keep, keep))
     _refuse_split(graph, labels)
+    tree = _shifted_laplacian_tree(data, weights)
     try:
-        return _cholesky_inverse(_shifted_laplacian(data, weights))
+        _invert_tree(tree)
     except np.linalg.LinAlgError:
         raise InvalidArgumentError("L_w + 11^T/n is not numerically positive definite") from None
+    return tree
+
+
+@dataclass(frozen=True)
+class _FactorRoot:
+    """The root G = R T^T = [R (I - Q Q^T) | R S^T] of the factor route,
+    held as the tree of R with Q, R Q and R S^T; G itself is never
+    formed."""
+
+    tree: object
+    q: np.ndarray
+    rq: np.ndarray
+    rs: np.ndarray
+
+    def times(self, c: np.ndarray) -> np.ndarray:
+        """G c = R (c_alpha - Q Q^T c_alpha) + R S^T c_beta, for one
+        stacked vector or the columns of a matrix."""
+        n = self.q.shape[0]
+        u = np.array(c[:n], dtype=float)
+        _times_transpose(u.reshape(n, -1).T, self.tree)
+        u -= self.rq @ (self.q.T @ c[:n])
+        u += self.rs @ c[n:]
+        return u
+
+    def column_norms(self) -> np.ndarray:
+        """The squared column norms of G.  Those of R (I - Q Q^T) come
+        leaf by leaf: R's stored blocks in the leaf's columns less
+        (R Q) Q^T, squared and summed ``_DIAGONAL_ROWS`` rows at a
+        time.  The subtraction comes before the squares: a diagonal
+        taken as diag A^-1 less projection terms cancels when the 1/n
+        shift dominates A^-1."""
+        n = self.q.shape[0]
+        alpha = np.empty(n)
+        for col, blocks in _column_strips(self.tree):
+            width = blocks[0][1].shape[1]
+            qt = self.q[col : col + width].T
+            total = np.zeros(width)
+            # above row col, R is zero in these columns: only -(R Q) Q^T
+            spans = [(0, col, None)] + [(row, row + b.shape[0], b) for row, b in blocks]
+            for first, stop, block in spans:
+                for start in range(first, stop, _DIAGONAL_ROWS):
+                    end = min(start + _DIAGONAL_ROWS, stop)
+                    t = self.rq[start:end] @ qt
+                    if block is not None:
+                        np.subtract(block[start - first : end - first], t, out=t)
+                    total += np.einsum("ij,ij->j", t, t)
+            alpha[col : col + width] = total
+        return np.concatenate([alpha, np.einsum("ij,ij->j", self.rs, self.rs)])
 
 
 def _laplacian_variance_model(
     data: ComparisonData, cov: CovariateMatrix, params: ParamVector
 ) -> VarianceModel:
     """The variance model from its root G = L^-1 T^T, with T stacking
-    I - Q Q^T over the slope rows S of Xbar^+, so G = [R - (R Q) Q^T, R S^T]
-    with R = L^-1 from ``_factored_laplacian``."""
+    I - Q Q^T over the slope rows S of Xbar^+, and R = L^-1 from
+    ``_factored_laplacian``."""
     _check_dims(data, cov, params)
-    root = _factored_laplacian(data, _score_terms(data, params.scores(cov))[2])
+    tree = _factored_laplacian(data, _score_terms(data, params.scores(cov))[2])
     q = build_projection(cov)._span_q
-    n, k = q.shape
-    products = root @ np.hstack([q, cov._score_split.T])
-    for start in range(0, n, _ROW_CHUNK):
-        rows = slice(start, start + _ROW_CHUNK)
-        root[rows] -= products[rows, :k] @ q.T
-    return VarianceModel(root=(root, products[:, k:]))
+    k = q.shape[1]
+    products = np.hstack([q, cov._score_split.T])
+    _times_transpose(products.T, tree)
+    return VarianceModel(root=_FactorRoot(tree, q, products[:, :k], products[:, k:]))
 
 
 def plugin_variance_model(fit: FitResult) -> VarianceModel:
@@ -373,8 +577,8 @@ def quadratic_approx_minimizer(
     In the total scores the expansion is g^T (s - s*) + (s - s*)^T L_w
     (s - s*) / 2 around the true scores s*, so the minimizer is one Newton
     step, s = s* - L_w^+ g = s* - A^-1 g (g sums to zero), solved through
-    R = L^-1 for the Cholesky factor L of A = L_w + 11^T/n, built in
-    place of A by ``_cholesky_inverse``; the regression split of s is
+    R = L^-1 for the Cholesky factor L of A = L_w + 11^T/n, held as the
+    block tree of ``_factored_laplacian``; the regression split of s is
     the point of the subspace with those scores.  Simulation-side tool:
     requires the true parameters.
     """
@@ -382,8 +586,11 @@ def quadratic_approx_minimizer(
     proj = build_projection(cov)
     s = truth.scores(cov)
     _, g, weights = _score_terms(data, s)
-    root = _factored_laplacian(data, weights)
-    step = root.T @ (root @ g)
+    step = g[np.newaxis].copy()
+    tree = _factored_laplacian(data, weights)
+    _times_transpose(step, tree)  # (R g)^T
+    _times(step, tree)  # (R^T R g)^T
+    step = step[0]
     # stationarity in (alpha, beta): P M^T (g + L_w (s - s*)), with
     # L_w v = deg * v - sum_e w_e v[other] over the half-edge layout
     half = data._half_edges

@@ -409,16 +409,18 @@ def gradient(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) ->
     return np.concatenate([g_alpha, cov.scaled.T @ g_alpha])
 
 
+def _weighted_degrees(n: int, item_i: np.ndarray, item_j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-item sums of the weights of the edges at each item."""
+    return np.bincount(item_i, weights=w, minlength=n) + np.bincount(item_j, weights=w, minlength=n)
+
+
 def _weighted_laplacian(n: int, item_i: np.ndarray, item_j: np.ndarray, w: np.ndarray) -> np.ndarray:
     lap = np.zeros((n, n))
     # ComparisonData holds each pair once as a canonical i < j edge, so
     # plain assignment places every weight; no scatter-add is needed.
     lap[item_i, item_j] = -w
     lap[item_j, item_i] = -w
-    deg = np.bincount(item_i, weights=w, minlength=n) + np.bincount(
-        item_j, weights=w, minlength=n
-    )
-    lap[np.diag_indices(n)] += deg
+    lap[np.diag_indices(n)] += _weighted_degrees(n, item_i, item_j, w)
     return lap
 
 

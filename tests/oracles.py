@@ -157,10 +157,26 @@ def projected_hessian_by_nullspace(hess, cov):
 
 
 def covariance_from_root(vm):
-    """The dense V = G^T G from the variance model's root blocks."""
-    g = np.hstack(vm._root)
+    """The dense V = G^T G, with G read off the variance model's root
+    column by column."""
+    g = vm._root.times(np.eye(vm.diagonal.size))
     v = g.T @ g
     return 0.5 * (v + v.T)
+
+
+def dense_from_tree(node):
+    """The n x n lower-triangular matrix a lower-triangle block tree
+    stores: a leaf is its dense square, a (top, low, bottom) triple puts
+    ``low`` below the diagonal and zeros above it."""
+    if isinstance(node, np.ndarray):
+        return node.copy()
+    top, low, bottom = node
+    h = low.shape[1]
+    out = np.zeros((h + low.shape[0],) * 2)
+    out[:h, :h] = dense_from_tree(top)
+    out[h:, :h] = low
+    out[h:, h:] = dense_from_tree(bottom)
+    return out
 
 
 def satisfies_penrose(m, plus):

@@ -23,7 +23,7 @@ from care_rank.cli import (
     main,
 )
 from care_rank.errors import InvalidArgumentError, ParseError
-from care_rank.inference import InferenceReport, RankingScores
+from care_rank.inference import FACTOR_PEAK_SQUARES, InferenceReport, RankingScores
 from care_rank.io import (
     AGGREGATED_HEADER,
     PER_TRIAL_HEADER,
@@ -1077,8 +1077,8 @@ class TestExitCodes:
         sim = simulate_dataset(tmp_path, n=30, d=2, seed=8, p=0.8, trials=12)
         args = [command, "--comparisons", str(sim / "comparisons.csv"),
                 "--covariates", str(sim / "covariates.csv")]
-        # 30 items need about 1.3 * 30^2 doubles, 9.4 kB
-        monkeypatch.setattr(cli, "_available_memory", lambda: 8 * 1024)
+        # 30 items need about 0.7 * 30^2 doubles, 5.0 kB
+        monkeypatch.setattr(cli, "_available_memory", lambda: 4 * 1024)
         out = tmp_path / "short"
         assert main(args + ["--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
@@ -1090,6 +1090,23 @@ class TestExitCodes:
             out = tmp_path / f"room-{available}"
             assert main(args + ["--out", str(out)]) == EXIT_OK
             assert (out / output).exists()
+
+    def test_memory_guard_admits_the_tree_need(self, tmp_path, monkeypatch, capsys):
+        # n = 500: between the block tree's need and the 1.3 n^2 doubles
+        # the dense buffer needed, infer runs; just below the tree's
+        # need, it stops with exit 5 after writing fit.json
+        sim = simulate_dataset(tmp_path, n=500, d=2, seed=9, p=0.08, trials=10)
+        args = ["infer", "--comparisons", str(sim / "comparisons.csv"),
+                "--covariates", str(sim / "covariates.csv")]
+        need, old_need = FACTOR_PEAK_SQUARES * 8 * 500**2, 1.3 * 8 * 500**2
+        assert need < old_need
+        for available, code in (((need + old_need) / 2, EXIT_OK), (0.99 * need, EXIT_CONFIG)):
+            monkeypatch.setattr(cli, "_available_memory", lambda: int(available))
+            out = tmp_path / f"room-{code}"
+            assert main(args + ["--out", str(out)]) == code
+            assert (out / "fit.json").exists()
+            assert (out / "inference.csv").exists() == (code == EXIT_OK)
+        assert "error: the variance model for 500 items" in capsys.readouterr().err
 
     def test_memory_probe_reads_meminfo_and_cgroup(self, tmp_path):
         meminfo = write(tmp_path / "meminfo", "MemTotal: 8000 kB\nMemAvailable:    5000 kB\n")
@@ -1111,6 +1128,49 @@ class TestExitCodes:
         missing = str(tmp_path / "missing")
         assert cli._available_memory(missing, proc_cgroup, str(tmp_path / "fs")) == 9000000 - 100
         assert cli._available_memory(missing, missing, missing) is None
+
+    def test_memory_probe_reads_ancestors_and_cgroup_v1(self, tmp_path):
+        meminfo = write(tmp_path / "meminfo", "MemAvailable:    5000 kB\n")
+        fs = tmp_path / "fs"
+
+        def limit(group, version, value, usage):
+            names = {"v1": ("memory.limit_in_bytes", "memory.usage_in_bytes"),
+                     "v2": ("memory.max", "memory.current")}[version]
+            group.mkdir(parents=True, exist_ok=True)
+            write(group / names[0], f"{value}\n")
+            write(group / names[1], f"{usage}\n")
+
+        def probe(cgroup_lines):
+            return cli._available_memory(
+                meminfo, write(tmp_path / "cgroup", cgroup_lines), str(fs)
+            )
+
+        # cgroup v2: a limit on an ancestor binds when the group's own is looser
+        v2 = "0::/jobs/a/b\n"
+        limit(fs / "jobs" / "a" / "b", "v2", "max", 10)
+        assert probe(v2) == 5000 * 1024
+        limit(fs / "jobs" / "a", "v2", 3000000, 500)
+        assert probe(v2) == 3000000 - 500
+        limit(fs / "jobs" / "a" / "b", "v2", 2000000, 100)
+        assert probe(v2) == 2000000 - 100
+        limit(fs, "v2", 1000000, 900)  # the namespace root's own limit
+        assert probe(v2) == 1000000 - 900
+        # the v2 hierarchy mounted under "unified", beside v1 controllers
+        limit(fs / "unified" / "jobs" / "a" / "b", "v2", 900000, 1000)
+        assert probe(v2) == 900000 - 1000
+        # cgroup v1: the memory controller's group and its ancestors, also
+        # when the memory controller shares its hierarchy with another
+        v1 = "4:memory:/process_api/x\n"
+        limit(fs / "memory" / "process_api" / "x", "v1", 9223372036854771712, 50)
+        assert probe(v1) == 5000 * 1024
+        limit(fs / "memory" / "process_api", "v1", 800000, 2000)
+        assert probe(v1) == 800000 - 2000
+        assert probe("4:cpu,memory:/process_api/x\n") == 800000 - 2000
+        assert probe("4:cpu:/process_api/x\n0::/\n") == 1000000 - 900
+        # both versions named: the smallest room of all
+        assert probe("4:memory:/process_api/x\n0::/jobs/a/b\n") == 800000 - 2000
+        write(fs / "memory" / "process_api" / "memory.usage_in_bytes", "junk\n")
+        assert probe(v1) == 5000 * 1024  # an unreadable group is skipped
 
 
 class TestExperimentCommand:

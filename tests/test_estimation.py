@@ -1,10 +1,14 @@
 """Preprocessing and the constrained MLE by Newton on the total scores."""
 
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from care_rank.errors import (
     ConnectivityError,
@@ -19,6 +23,7 @@ from care_rank.estimation import (
     preprocess_covariates,
     project_to_theta,
 )
+from care_rank.io import parse_comparisons_csv
 from care_rank.model import (
     ComparisonData,
     ParamVector,
@@ -34,6 +39,26 @@ from care_rank.simulation import (
 )
 
 from oracles import fit_by_dense_newton, grid_search_mle, sample_small_instance
+
+
+@st.composite
+def comparison_instances(draw, max_items=7):
+    """A connected comparison graph (a random spanning tree plus drawn
+    extra pairs) with drawn trial and win counts, and a full-rank raw
+    covariate matrix of up to two columns."""
+    n = draw(st.integers(3, max_items))
+    pairs = {(draw(st.integers(0, j - 1)), j) for j in range(1, n)}
+    every = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = sorted(pairs | set(draw(st.lists(st.sampled_from(every), unique=True))))
+    edges = []
+    for i, j in pairs:
+        trials = draw(st.integers(2, 12))
+        # mostly split counts, so that most draws have an MLE
+        wins = draw(st.one_of(st.integers(1, trials - 1), st.sampled_from([0, trials])))
+        edges.append((i, j, trials, wins))
+    d = draw(st.integers(0, min(2, n - 2)))
+    raw = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, d))
+    return ComparisonData.from_edges(n, edges), raw
 
 
 class TestPreprocess:
@@ -234,6 +259,49 @@ class TestFitMLE:
         )
         fit_b = fit_mle(shuffled, cov)
         assert np.abs(fit_a.params.stacked - fit_b.params.stacked).max() <= 1e-6
+
+    @given(st.data())
+    def test_relabelling_invariance(self, drawn):
+        # item k becomes item perm[k], with its covariate row; an edge
+        # whose ends swap order counts the wins of its other end
+        data, raw = drawn.draw(comparison_instances())
+        n = data.n_items
+        perm = np.array(drawn.draw(st.permutations(range(n))))
+        i, j = perm[data.item_i], perm[data.item_j]
+        flip = i > j
+        relabelled = ComparisonData(
+            n, np.minimum(i, j), np.maximum(i, j), data.trials,
+            np.where(flip, data.trials - data.wins_j, data.wins_j),
+        )
+        moved = np.empty_like(raw)
+        moved[perm] = raw
+        fit_a = fit_mle(data, preprocess_covariates(raw))
+        fit_b = fit_mle(relabelled, preprocess_covariates(moved))
+        assert fit_a.stop_reason == fit_b.stop_reason
+        if fit_a.converged:
+            np.testing.assert_allclose(fit_b.params.alpha[perm], fit_a.params.alpha, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(fit_b.params.beta, fit_a.params.beta, rtol=0, atol=1e-6)
+
+    @given(st.data())
+    def test_orientation_invariance(self, drawn):
+        # an edge listed as (j, i) with wins_j -> trials - wins_j, in the
+        # comparisons file, the one input that takes either orientation
+        data, raw = drawn.draw(comparison_instances())
+        flips = drawn.draw(st.lists(st.booleans(), min_size=data.n_edges, max_size=data.n_edges))
+        ids = [f"item{k}" for k in range(data.n_items)]
+        fits = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for flipped in ([False] * data.n_edges, flips):
+                rows = [
+                    f"{ids[j]},{ids[i]},{t},{t - w}" if swap else f"{ids[i]},{ids[j]},{t},{w}"
+                    for (i, j, t, w), swap in zip(data.edges, flipped)
+                ]
+                path = os.path.join(tmp, "comparisons.csv")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write("item_i,item_j,trials,wins_j\n" + "\n".join(rows) + "\n")
+                fits.append(fit_mle(parse_comparisons_csv(path).data, preprocess_covariates(raw)))
+        assert fits[0].stop_reason == fits[1].stop_reason
+        np.testing.assert_array_equal(fits[0].params.stacked, fits[1].params.stacked)
 
     def test_deterministic(self):
         data, cov, _ = sample_small_instance(seed=38)

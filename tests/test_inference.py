@@ -46,6 +46,7 @@ from oracles import (
     components_by_bfs,
     constraint_matrix,
     covariance_from_root,
+    dense_from_tree,
     null_dimension,
     projected_hessian_by_nullspace,
     quadratic_minimizer_by_dense_pinv,
@@ -222,20 +223,27 @@ class TestLaplacianVarianceModel:
         assert peak < 3.5 * n * n * 8
 
     def test_memory_stays_near_one_square(self):
-        # the shifted Laplacian is factored and inverted in its own buffer,
-        # with quarter-size temporaries: about 1.27 n^2 doubles traced
+        # the block tree of the lower triangle, factored and inverted in
+        # place, with row-chunked temporaries: about 0.63 n^2 doubles
+        # traced.  Below one n x n array, so none is ever allocated.
         n = 1500
         cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=110))
         data = sample_comparisons(cov, truth, 40.0 / (n - 1), 10, 110)
         fit = fit_mle(data, cov)
-        tracemalloc.start()
-        try:
-            full_inference_report(fit, plugin_variance_model(fit))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.6 * n * n * 8
-        assert peak <= inference.FACTOR_PEAK_SQUARES * n * n * 8
+        for call in (
+            lambda: full_inference_report(fit, plugin_variance_model(fit)),
+            lambda: oracle_variance_model(data, cov, truth).diagonal,
+            lambda: quadratic_approx_minimizer(data, cov, truth),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.0 * n * n * 8
+            assert peak <= inference.FACTOR_PEAK_SQUARES * n * n * 8
+        assert inference.FACTOR_PEAK_SQUARES <= 0.8
 
     def test_cholesky_inverse(self):
         rng = np.random.default_rng(113)
@@ -247,6 +255,55 @@ class TestLaplacianVarianceModel:
             assert inv is buffer
             assert np.array_equal(inv, np.tril(inv))
             assert np.abs(inv @ a @ inv.T - np.eye(n)).max() <= 1e-13
+
+    @pytest.mark.parametrize("leaf, n", [(256, 256), (256, 257), (256, 513), (4, 9), (4, 37)])
+    def test_tree_factor_matches_dense(self, monkeypatch, leaf, n):
+        # a leaf alone, one split with a leaf of 128 rows and one of 129,
+        # two levels, and with 4-row leaves a deep uneven tree
+        monkeypatch.setattr(inference, "_LEAF_ROWS", leaf)
+        data, _ = unequal_trials_instance(seed=116, n=n, d=0)
+        weights = np.random.default_rng(n).uniform(0.1, 2.0, size=data.n_edges)
+        tree = inference._shifted_laplacian_tree(data, weights)
+        a = dense_from_tree(tree)
+        lap = model._weighted_laplacian(n, data.item_i, data.item_j, weights) + 1.0 / n
+        assert np.array_equal(np.tril(a), np.tril(lap))
+        inference._invert_tree(tree)
+        r = dense_from_tree(tree)
+        assert np.array_equal(r, np.tril(r))
+        assert np.abs(r @ lap @ r.T - np.eye(n)).max() <= 1e-12
+        # the tree products against their dense counterparts: x R^T,
+        # x R, and R X, R^T X on a column-major X through x = X^T
+        x = np.random.default_rng(n + 1).normal(size=(3, n))
+        for product, want in (
+            (inference._times_transpose, x @ r.T),
+            (inference._times, x @ r),
+        ):
+            for y in (x.copy(), x.T.copy().T):
+                product(y, tree)
+                np.testing.assert_allclose(y, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize(
+        "n, d, trials",
+        [(60, 2, 10**6), (60, 2, 10**8), (60, 2, None), (40, 0, None), (256, 3, None),
+         (257, 3, None), (513, 3, 10**8)],
+    )
+    def test_diagonal_matches_dense_reference(self, n, d, trials):
+        # with a million trials a pair the 1/n shift dominates A^-1_ii,
+        # so a diagonal read as diag A^-1 less projection terms cancels:
+        # it is off by 8e-11 there and by 1e-8 at 10^8 trials, where the
+        # column route stays within 4e-15.  None draws unequal counts.
+        rng = np.random.default_rng(n + d)
+        cov = preprocess_covariates(rng.normal(size=(n, d)))
+        truth = ParamVector(rng.normal(scale=0.5, size=n), rng.normal(size=d))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if j == i + 1 or rng.random() < 12.0 / n]
+        counts = rng.integers(1, 30, size=len(pairs)) if trials is None else [trials] * len(pairs)
+        data = ComparisonData.from_edges(n, [(i, j, int(t), 0) for (i, j), t in zip(pairs, counts)])
+        vm = oracle_variance_model(data, cov, truth)
+        ref = projected_hessian_pinv(hessian(data, cov, truth), build_projection(cov))
+        np.testing.assert_allclose(vm.diagonal, ref.diagonal, rtol=1e-10, atol=0)
+        cbar = build_projection(cov).apply(rng.normal(size=n + d))
+        assert vm.variance_of(cbar) == pytest.approx(ref.variance_of(cbar), rel=1e-10)
 
     def test_cholesky_inverse_refuses_indefinite(self):
         # positive definite leading blocks, an indefinite Schur complement:
@@ -369,7 +426,7 @@ class TestWeightGraphRefusal:
                 inference._factored_laplacian(data, weights)
             assert exc.value.components == want
         else:
-            root = inference._factored_laplacian(data, weights)
+            root = dense_from_tree(inference._factored_laplacian(data, weights))
             assert np.all(np.isfinite(root)) and np.array_equal(root, np.tril(root))
 
     def test_failed_factor_is_invalid_argument(self, monkeypatch):
