@@ -10,9 +10,9 @@ defaults.
 Exit codes: 0 success; 2 malformed input file; 3 disconnected comparison
 graph, or at ``infer``/``rank`` Hessian weights that split it; 4 fit did
 not converge, or the win graph is not strongly connected so the MLE does
-not exist (``fit`` can then take --ridge-alpha; ``infer`` and ``rank``
-need the MLE); 5 invalid configuration, an unusable input path,
-degenerate inputs, or too little available memory for the variance
+not exist (the message names a group of items that won or lost every
+comparison against the rest); 5 invalid configuration, an unusable input
+path, degenerate inputs, or too little available memory for the variance
 model of ``infer``/``rank``; 1 unexpected failure.
 """
 
@@ -40,9 +40,9 @@ from .errors import (
 )
 from .estimation import FitConfig, FitResult, fit_mle, preprocess_covariates
 from .inference import (
-    FACTOR_PEAK_SQUARES,
     VarianceModel,
     care_ranking_scores,
+    factor_peak_bytes,
     full_inference_report,
     plugin_variance_model,
 )
@@ -127,7 +127,6 @@ _OPTIONS = {
     "covariates": _Option(str, _FITTING, "covariates CSV path (omit for none)"),
     "max_iters": _Option(int, _FITTING, "Newton step limit, default 100"),
     "grad_tol": _Option(float, _FITTING, None),
-    "ridge_alpha": _Option(float, ("fit",), "l2 penalty on intrinsic scores only"),
     "standardize": _Option(_parse_bool, _FITTING, None),
     "level": _Option(float, ("infer", "experiment"), "confidence level, default 0.95"),
     "quantile_level": _Option(float, ("rank",), "soft-threshold quantile, default 0.995"),
@@ -158,7 +157,6 @@ class RunConfig:
     # fit options
     max_iters: int = 100
     grad_tol: float = 1e-8
-    ridge_alpha: float = 0.0
     standardize: bool = True
     # inference options
     level: float = 0.95
@@ -183,13 +181,6 @@ class RunConfig:
         if self._reads("quantile_level") and not (0.5 < self.quantile_level < 1.0):
             raise ConfigurationError(
                 f"quantile-level must be in (0.5, 1), got {self.quantile_level}"
-            )
-        # the variance model is that of the unpenalized MLE, so a ridge
-        # meant for fit must not reach the inference commands
-        if self.command in _TABLES and self.ridge_alpha:
-            raise ConfigurationError(
-                f"ridge_alpha is a fit option: {self.command} needs the "
-                f"maximum-likelihood estimate, got ridge_alpha = {self.ridge_alpha}"
             )
 
     def _reads(self, key: str) -> bool:
@@ -317,9 +308,7 @@ def _load_and_fit(config: RunConfig) -> ResultBundle:
         feature_names = []
     cov = preprocess_covariates(raw, standardize=config.standardize)
     try:
-        fit = fit_mle(parsed.data, cov, FitConfig(
-            max_iters=config.max_iters, grad_tol=config.grad_tol, ridge_alpha=config.ridge_alpha,
-        ))
+        fit = fit_mle(parsed.data, cov, FitConfig(max_iters=config.max_iters, grad_tol=config.grad_tol))
     except ConnectivityError as exc:
         raise exc.named(parsed.item_ids) from None
     return ResultBundle(parsed, fit, feature_names, config.provenance())
@@ -381,7 +370,7 @@ def _variance_model(bundle: ResultBundle) -> VarianceModel:
     """``plugin_variance_model``, refused up front when its peak memory
     would exceed what is available, rather than killed part way."""
     n = bundle.fit.params.n_items
-    need = FACTOR_PEAK_SQUARES * 8 * n * n
+    need = factor_peak_bytes(n)
     available = _available_memory()
     if available is not None and need > available:
         raise ConfigurationError(
@@ -402,10 +391,17 @@ def cmd_fit(config: RunConfig) -> int:
     fit, table = bundle.fit, _TABLES.get(config.command)
     if not fit.converged:
         if fit.stop_reason == "no_mle":
+            # the group by its size and first 8 ids
+            group, won = fit.data._closed_group
+            rest = fit.params.n_items - len(group)
+            shown = ", ".join(bundle.parsed.item_ids[k] for k in group[:8])
             message = (
-                "the maximum-likelihood estimate does not exist: some items won or "
-                "lost every comparison against the rest; "
-                + ("inference needs the MLE" if table else "try --ridge-alpha 0.1")
+                "the maximum-likelihood estimate does not exist: "
+                + (f"item {shown}" if len(group) == 1 else f"{len(group)} items {shown}")
+                + (", ..." if len(group) > 8 else "")
+                + f" {'won' if won else 'lost'} every comparison against the other {rest} "
+                + ("item" if rest == 1 else "items")
+                + ("; inference needs the MLE" if table else "")
             )
         else:
             message = f"fit stopped without convergence ({fit.stop_reason})"

@@ -8,11 +8,9 @@ split of s on the augmented design: beta is the slope and alpha the
 residual, which lies in the identifiable subspace.  Each Newton step is
 solved by Jacobi-preconditioned conjugate gradients with Laplacian
 matvecs over the half-edge layout of the comparisons, so a step costs
-O(E) per inner iteration and the fit builds no n x n array.  An
-optional ridge penalty on the intrinsic scores (alpha only) stabilizes
-sparse real-world datasets.  Without it the MLE exists only when the directed
-win graph is strongly connected (Ford 1957); other data stops at once
-with ``stop_reason == "no_mle"``.
+O(E) per inner iteration and the fit builds no n x n array.  The MLE
+exists only when the directed win graph is strongly connected (Ford
+1957); other data stops at once with ``stop_reason == "no_mle"``.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from .model import (
     _refuse_split,
     _regression_split,
     _score_terms,
-    _strongly_connected,
     build_projection,
 )
 
@@ -64,14 +61,12 @@ class FitConfig:
 
     ``max_iters`` caps the Newton steps.  The fit converges when the
     projected gradient norm of the objective (the negative
-    log-likelihood divided by the total trial count, plus the ridge) is
-    at most ``grad_tol``.  ``ridge_alpha`` penalizes 0.5 * ||alpha||^2
-    only, leaving the covariate effects unpenalized.
+    log-likelihood divided by the total trial count) is at most
+    ``grad_tol``.
     """
 
     max_iters: int = 100
     grad_tol: float = 1e-8
-    ridge_alpha: float = 0.0
 
     def __post_init__(self):
         try:
@@ -86,10 +81,6 @@ class FitConfig:
             raise InvalidArgumentError(
                 f"grad_tol must be positive and finite, got {self.grad_tol}"
             )
-        if not 0.0 <= self.ridge_alpha < np.inf:
-            raise InvalidArgumentError(
-                f"ridge_alpha must be nonnegative and finite, got {self.ridge_alpha}"
-            )
 
 
 @dataclass
@@ -99,11 +90,11 @@ class FitResult:
     ``converged`` is True only when the projected gradient norm met
     ``grad_tol``.  Any other stop is reported via ``stop_reason`` instead
     of an exception: ``"max_iters"``, ``"stalled"`` (no step length
-    decreased the objective) or ``"no_mle"`` (no ridge and a win graph
-    that is not strongly connected, so the MLE does not exist; the fit
-    stops before iterating).  ``objective_trace`` holds the (scaled,
-    ridge-inclusive) objective at the start and after every accepted
-    step; ``likelihood_scale`` is the total trial count that scales it.
+    decreased the objective) or ``"no_mle"`` (a win graph that is not
+    strongly connected, so the MLE does not exist; the fit stops before
+    iterating).  ``objective_trace`` holds the scaled objective at the
+    start and after every accepted step; ``likelihood_scale`` is the
+    total trial count that scales it.
     """
 
     params: ParamVector
@@ -211,18 +202,17 @@ def _pcg(apply, b: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, int]:
 def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None = None) -> FitResult:
     """Constrained MLE of (alpha, beta) by damped Newton on the total scores.
 
-    Minimizes the negative log-likelihood over the total trial count plus
-    0.5 * ridge * ||(I - Q Q^T) s||^2 from s = 0.  Each step solves with
-    the Hessian L_w / scale + ridge (I - Q Q^T) + 11^T / n (the last term
-    pins the constant shift the objective ignores) by Jacobi-preconditioned
-    conjugate gradients, applying L_w v = deg * v - sum_e w_e v[other] as
+    Minimizes the negative log-likelihood over the total trial count
+    from s = 0.  Each step solves with the Hessian L_w / scale + 11^T / n
+    (the last term pins the constant shift the objective ignores) by
+    Jacobi-preconditioned conjugate gradients, applying L_w v = deg * v - sum_e w_e v[other] as
     one segment sum over the half-edge layout of the comparisons (every
     edge once from each end, grouped by item); the step is halved while
     it would increase the objective, so the objective trace is
     nonincreasing.  The fit converges when the projected gradient in
     (alpha, beta), ||[(I - Q Q^T) G; X^T G]||, meets ``grad_tol``.  Memory and time per inner iteration are O(n d + E).
-    Requires a connected comparison graph; without a ridge, a win graph
-    that is not strongly connected stops at once with ``"no_mle"``.
+    Requires a connected comparison graph; a win graph that is not
+    strongly connected stops at once with ``"no_mle"``.
 
     Raises
     ------
@@ -244,25 +234,19 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
     half = data._half_edges
     x, q = cov.scaled, proj._span_q
     scale = float(data.total_trials)
-    lam = float(config.ridge_alpha)
-    # diagonal of ridge (I - Q Q^T) + 11^T / n
-    fixed_diag = lam * (1.0 - (q * q).sum(axis=1)) + 1.0 / n
 
     def objective(s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         value, grad, weights = _score_terms(data, s)
-        alpha = s - q @ (q.T @ s)
-        return value / scale + 0.5 * lam * float(alpha @ alpha), grad / scale + lam * alpha, weights
+        return value / scale, grad / scale, weights
 
     def projected_norm(g: np.ndarray) -> float:
         return float(np.linalg.norm(proj.apply(np.concatenate([g, x.T @ g]))))
 
     def hess_apply(v: np.ndarray) -> np.ndarray:
-        # (L_w / scale + ridge (I - Q Q^T) + 11^T / n) v, with the edge
-        # weights w / scale of the current step on both half-edges
+        # (L_w / scale + 11^T / n) v, with the edge weights w / scale of
+        # the current step on both half-edges
         out = degree * v
         out -= half.sum(w_half * v.take(half.other))
-        if lam:
-            out += lam * (v - q @ (q.T @ v))
         out += v.sum() / n
         return out
 
@@ -271,7 +255,7 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
     pg_norm = projected_norm(g)
     trace = [val]
     iterations = halvings = cg_iterations = 0
-    stop_reason = "no_mle" if lam == 0.0 and not _strongly_connected(data) else None
+    stop_reason = None if data._closed_group is None else "no_mle"
     while stop_reason is None:
         if pg_norm <= config.grad_tol:
             stop_reason = "grad_tol"
@@ -282,7 +266,7 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         w = weights / scale
         w_half = half.spread(w, w)
         degree = half.sum(w_half)
-        newton, inner = _pcg(hess_apply, -g, degree + fixed_diag)
+        newton, inner = _pcg(hess_apply, -g, degree + 1.0 / n)
         cg_iterations += inner
         t = 1.0
         for _ in range(_MAX_HALVINGS):

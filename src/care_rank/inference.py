@@ -22,7 +22,8 @@ rows, inverted directly, and below each diagonal split one dense block.
 The tree is built from the edges and the factor-invert step is matrix
 products on it that skip the zero upper halves (about 2 n^3/3 flops),
 so no n x n array is ever allocated and the variance model peaks at
-``FACTOR_PEAK_SQUARES`` n^2 doubles, the tree and small temporaries.
+``factor_peak_bytes(n)``: the tree, about 0.5 n^2 doubles, and O(n)
+rows of leaves and temporaries.
 The variance model keeps the tree with R Q and R S^T: a contrast
 variance is ||G cbar||^2, one pass over the tree, and the coordinate
 variances are the squared column norms of G, computed leaf by leaf
@@ -106,7 +107,7 @@ class VarianceModel:
     ``variance_of`` is the squared norm of G cbar and ``diagonal`` the
     squared column norms of G, computed on first use; no dense
     (n+d) x (n+d) matrix is kept.  The factor route peaks at
-    ``FACTOR_PEAK_SQUARES`` n^2 doubles.
+    ``factor_peak_bytes(n)``.
 
     ``rank_warning`` flags more near-zero eigenvalues than the d+1 the
     constraint accounts for, which only ``projected_hessian_pinv`` can
@@ -236,13 +237,15 @@ _INVERSE_BLOCK = 64
 # 168 ms.
 _LEAF_ROWS = 256
 
-# Peak of the variance model and report in n x n float64 arrays beyond
-# what the fit holds: the block tree of the lower triangle, 0.5 n^2 plus
-# n * _LEAF_ROWS / 2 for the leaves' zero halves, and temporaries of
-# O(n * _LEAF_ROWS) (traced with the report, mean degree 40: 0.55 n^2 at
-# n = 4000, 0.61 at 2000, 0.63 at 1500 and 0.73 at 1000; below that the
-# O(n) terms lead, 1.05 n^2 at n = 500, a few MB).
-FACTOR_PEAK_SQUARES = 0.7
+# The variance model and report peak, beyond what the fit holds, at the
+# block tree's 0.5 n^2 doubles plus O(n * _LEAF_ROWS): the leaves' zero
+# halves and temporaries.  Traced with the report at mean degree 40, that
+# term was at most 280 n doubles from n = 20 to 4000 (at n = 256, one
+# leaf), so 400 n bounds it.
+def factor_peak_bytes(n: int) -> int:
+    """Bytes that bound the factor route's peak for ``n`` items."""
+    return 4 * n * n + 3200 * n  # 8 (0.5 n^2 + 400 n)
+
 
 # Rows of each product's temporary: the tree products work through
 # their left operand this many rows at a time.

@@ -69,7 +69,8 @@ class ComparisonData:
     fraction ``wins_j / trials`` is the sufficient statistic: the
     likelihood depends on the raw outcomes only through it.  The arrays
     are read-only, so the half-edge layout that every per-item reduction
-    runs over and the component labels are built on first use and cached.
+    runs over, the component labels and the win graph's closed group are
+    built on first use and cached.
     """
 
     n_items: int
@@ -148,6 +149,39 @@ class ComparisonData:
         label propagation over the half-edge layout; cached, so
         ``is_connected`` and ``connected_components`` share one pass."""
         return _readonly(_smallest_reaching(self._half_edges))
+
+    @cached_property
+    def _closed_group(self) -> tuple[list[int], bool] | None:
+        """Ford's (1957) condition for the unpenalized MLE to exist, and
+        the items that break it; cached, so the fit and the message of a
+        fit without an MLE share one pass.
+
+        In the win graph each item points to every item that beat it at
+        least once.  Unless item 0 reaches every item along it and along
+        its reversal, some group of items won (or lost) every comparison
+        against the rest, and the likelihood keeps rising as their scores
+        move apart.  Both reachabilities are label propagations over the
+        half-edge layout, one keeping the half-edges whose far end beat
+        their start at least once, the other those whose start beat their
+        far end.  The items that item 0 does not reach won every
+        comparison against the rest; those that do not reach item 0 lost
+        every one.  Returns None when there are none, else the smaller of
+        the first such group and the rest, sorted, with True when it won
+        and False when it lost.
+        """
+        half = self._half_edges
+        beat_j = self.wins_j > 0  # item_j won at least once
+        beat_i = self.wins_j < self.trials  # item_i won at least once
+        far_won = half.spread(beat_j, beat_i)
+        near_won = half.spread(beat_i, beat_j)
+        for won, keep in ((True, far_won), (False, near_won)):
+            apart = _smallest_reaching(half, keep).astype(bool)
+            if apart.any():
+                if 2 * np.count_nonzero(apart) > self.n_items:
+                    # the rest did the opposite against the group
+                    apart, won = ~apart, not won
+                return np.flatnonzero(apart).tolist(), won
+        return None
 
 
 @dataclass(frozen=True)
@@ -525,21 +559,3 @@ def is_connected(data: ComparisonData) -> bool:
     """True when every item is reachable from every other through compared pairs."""
     return not data._component_labels.any()
 
-
-def _strongly_connected(data: ComparisonData) -> bool:
-    """Ford's (1957) condition for the unpenalized MLE to exist.
-
-    In the win graph each item points to every item that beat it at
-    least once.  Unless item 0 reaches every item along it and along its
-    reversal, some group of items won (or lost) every comparison against
-    the rest, and the likelihood keeps rising as their scores move apart.
-    Both reachabilities are label propagations over the half-edge layout,
-    one keeping the half-edges whose far end beat their start at least
-    once, the other those whose start beat their far end.
-    """
-    half = data._half_edges
-    beat_j = data.wins_j > 0  # item_j won at least once
-    beat_i = data.wins_j < data.trials  # item_i won at least once
-    far_won = half.spread(beat_j, beat_i)
-    near_won = half.spread(beat_i, beat_j)
-    return not (_smallest_reaching(half, far_won).any() or _smallest_reaching(half, near_won).any())

@@ -520,20 +520,18 @@ def experiment_texts_by_rows(payload):
     )
 
 
-def fit_by_dense_newton(data, cov, ridge_alpha=0.0, grad_tol=1e-8, max_iters=100):
+def fit_by_dense_newton(data, cov, grad_tol=1e-8, max_iters=100):
     """The damped Newton fit of ``fit_mle`` with each step solved densely
     on the assembled n x n Hessian.  Returns the stacked parameters and
     the Newton step count."""
     from care_rank.model import _score_terms, _weighted_laplacian, build_projection
 
     proj = build_projection(cov)
-    n, q = data.n_items, proj._span_q
-    scale, lam = float(data.total_trials), float(ridge_alpha)
+    n, scale = data.n_items, float(data.total_trials)
 
     def objective(s):
         value, grad, weights = _score_terms(data, s)
-        alpha = s - q @ (q.T @ s)
-        return value / scale + 0.5 * lam * float(alpha @ alpha), grad / scale + lam * alpha, weights
+        return value / scale, grad / scale, weights
 
     def projected_norm(g):
         return float(np.linalg.norm(proj.apply(np.concatenate([g, cov.scaled.T @ g]))))
@@ -543,7 +541,7 @@ def fit_by_dense_newton(data, cov, ridge_alpha=0.0, grad_tol=1e-8, max_iters=100
     iterations = 0
     while projected_norm(g) > grad_tol and iterations < max_iters:
         hess = _weighted_laplacian(n, data.item_i, data.item_j, weights / scale)
-        hess += lam * (np.eye(n) - q @ q.T) + 1.0 / n
+        hess += 1.0 / n
         newton = np.linalg.solve(hess, -g)
         t = 1.0
         while True:

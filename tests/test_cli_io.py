@@ -23,7 +23,7 @@ from care_rank.cli import (
     main,
 )
 from care_rank.errors import InvalidArgumentError, ParseError
-from care_rank.inference import FACTOR_PEAK_SQUARES, InferenceReport, RankingScores
+from care_rank.inference import InferenceReport, RankingScores, factor_peak_bytes
 from care_rank.io import (
     AGGREGATED_HEADER,
     PER_TRIAL_HEADER,
@@ -590,10 +590,10 @@ class TestConfigFile:
     def test_parse(self, tmp_path):
         path = write(
             tmp_path / "run.cfg",
-            "# comment\nmax-iters = 50\nridge_alpha=0.5\n\nstep_size = auto # inline\n",
+            "# comment\nmax-iters = 50\ngrad_tol=1e-6\n\nstep_size = auto # inline\n",
         )
         cfg = read_config_file(path)
-        assert cfg == {"max_iters": "50", "ridge_alpha": "0.5", "step_size": "auto"}
+        assert cfg == {"max_iters": "50", "grad_tol": "1e-6", "step_size": "auto"}
 
     def test_bad_line(self, tmp_path):
         path = write(tmp_path / "run.cfg", "just a line\n")
@@ -778,17 +778,17 @@ class TestCliPipelines:
 
     def test_config_file_precedence(self, tmp_path):
         sim = simulate_dataset(tmp_path, n=20, d=1, seed=11, p=0.9, trials=6)
-        cfg = write(tmp_path / "run.cfg", "grad-tol = 1e-4\nridge-alpha = 0.25\n")
+        cfg = write(tmp_path / "run.cfg", "grad-tol = 1e-4\nmax-iters = 1\n")
         out = tmp_path / "fit"
         code = main([
             "fit", "--comparisons", str(sim / "comparisons.csv"),
             "--covariates", str(sim / "covariates.csv"),
-            "--config", cfg, "--ridge-alpha", "0.5", "--out", str(out),
+            "--config", cfg, "--max-iters", "50", "--out", str(out),
         ])
         assert code == EXIT_OK
-        # file's grad_tol loosens convergence; CLI ridge overrides file
+        # file's grad_tol loosens convergence; CLI max-iters overrides file
         payload = json.loads((out / "fit.json").read_text())
-        assert payload["final_grad_norm"] <= 1e-4
+        assert payload["final_grad_norm"] <= 1e-4 and payload["iterations"] > 1
 
     def test_stock_scale_shape(self, tmp_path):
         # hundreds of items with three features parse and fit end to end
@@ -808,7 +808,7 @@ class TestParser:
     def test_flags_of_each_command(self):
         expected = {
             "fit": ["--config", "--out", "--comparisons", "--covariates", "--max-iters",
-                    "--grad-tol", "--ridge-alpha", "--standardize", "--no-standardize"],
+                    "--grad-tol", "--standardize", "--no-standardize"],
             "infer": ["--config", "--out", "--comparisons", "--covariates", "--max-iters",
                       "--grad-tol", "--standardize", "--no-standardize", "--level"],
             "rank": ["--config", "--out", "--comparisons", "--covariates", "--max-iters",
@@ -903,13 +903,42 @@ class TestExitCodes:
         out = tmp_path / "o"
         code = main(["fit", "--comparisons", data, "--out", str(out)])
         assert code == EXIT_CONVERGENCE
-        err = capsys.readouterr().err
-        assert "does not exist" in err and "--ridge-alpha" in err
+        assert capsys.readouterr().err == (
+            "the maximum-likelihood estimate does not exist: "
+            "item c won every comparison against the other 2 items\n"
+        )
         payload = json.loads((out / "fit.json").read_text())
         assert payload["converged"] is False
         assert payload["stop_reason"] == "no_mle"
-        assert main(["fit", "--comparisons", data, "--out", str(out),
-                     "--ridge-alpha", "0.1"]) == EXIT_OK
+
+    def test_covariate_separation_exits_without_an_mle(self, tmp_path, capsys):
+        # the item with the larger covariate wins all 5 trials of every pair
+        ids = [f"x{k}" for k in range(5)]
+        data = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\n" + "".join(
+            f"{ids[i]},{ids[j]},5,5\n" for i in range(5) for j in range(i + 1, 5)))
+        cov = write(tmp_path / "x.csv", "item,f1\n" + "".join(f"{k},{i}\n" for i, k in enumerate(ids)))
+        named = "item x0 lost every comparison against the other 4 items"
+        for command in ("fit", "infer"):
+            out = tmp_path / command
+            code = main([command, "--comparisons", data, "--covariates", cov, "--out", str(out)])
+            assert code == EXIT_CONVERGENCE
+            assert named in capsys.readouterr().err
+            payload = json.loads((out / "fit.json").read_text())
+            assert payload["stop_reason"] == "no_mle" and payload["iterations"] == 0
+        assert not (out / "inference.csv").exists()
+
+    def test_no_mle_group_preview(self, tmp_path, capsys):
+        # ten leaders won every trial against twelve others; each side
+        # splits the pairs of a chain: the smaller side is named by its
+        # count and first 8 ids
+        rows = ([f"w{k},w{k + 1},4,2" for k in range(9)] + [f"z{k},z{k + 1},4,2" for k in range(11)]
+                + [f"w{a},z{b},3,0" for a in range(10) for b in range(12)])
+        data = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\n" + "\n".join(rows) + "\n")
+        assert main(["fit", "--comparisons", data, "--out", str(tmp_path / "o")]) == EXIT_CONVERGENCE
+        assert capsys.readouterr().err.endswith(
+            "does not exist: 10 items w0, w1, w2, w3, w4, w5, w6, w7, ... won every "
+            "comparison against the other 12 items\n"
+        )
 
     @pytest.mark.parametrize("command, output", [("infer", "inference.csv"), ("rank", "ranking.csv")])
     def test_no_mle_at_inference_needs_the_mle(self, tmp_path, capsys, command, output):
@@ -920,30 +949,28 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([command, "--comparisons", data, "--out", str(out)]) == EXIT_CONVERGENCE
         err = capsys.readouterr().err
-        assert "does not exist" in err and "inference needs the MLE" in err
-        assert "--ridge-alpha" not in err
+        assert "does not exist: item c won every comparison" in err
+        assert "inference needs the MLE" in err
         assert (out / "fit.json").exists() and not (out / output).exists()
 
     @pytest.mark.parametrize("command", ["infer", "rank"])
     def test_inference_refuses_a_ridge(self, tmp_path, capsys, command):
-        # the variance model is that of the unpenalized MLE, not of a ridge fit
+        # every command estimates the unpenalized MLE: a ridge is an
+        # unknown flag and an unknown config-file key, for fit as well
         data = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\na,b,9,4\nb,c,9,5\na,c,9,3\n")
         out = tmp_path / "o"
-        args = [command, "--comparisons", data, "--out", str(out)]
-        assert main(args + ["--ridge-alpha", "0.1"]) == EXIT_CONFIG
-        assert "unrecognized arguments: --ridge-alpha 0.1" in capsys.readouterr().err
         cfg = write(tmp_path / "run.cfg", "ridge_alpha = 0.1\n")
-        assert main(args + ["--config", cfg]) == EXIT_CONFIG
-        assert "error: ridge_alpha is a fit option" in capsys.readouterr().err
+        for name in (command, "fit"):
+            args = [name, "--comparisons", data, "--out", str(out)]
+            assert main(args + ["--ridge-alpha", "0.1"]) == EXIT_CONFIG
+            assert "unrecognized arguments: --ridge-alpha 0.1" in capsys.readouterr().err
+            assert main(args + ["--config", cfg]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {cfg}: unknown key ridge_alpha\n"
         assert not out.exists()
-        # fit still reads the shared file's ridge, and a zero ridge is the MLE
-        assert main(["fit", "--comparisons", data, "--config", cfg, "--out", str(out)]) == EXIT_OK
-        zero = write(tmp_path / "zero.cfg", "ridge_alpha = 0\n")
-        assert main(args + ["--config", zero]) == EXIT_OK
+        assert main([command, "--comparisons", data, "--out", str(out)]) == EXIT_OK
 
     @pytest.mark.parametrize("option, value", [
         ("--grad-tol", "inf"), ("--grad-tol", "nan"),
-        ("--ridge-alpha", "inf"), ("--ridge-alpha", "nan"),
     ])
     def test_non_finite_fit_option_is_config_error(self, tmp_path, capsys, option, value):
         sim = simulate_dataset(tmp_path, n=30, d=2, p=0.5, trials=5)
@@ -1077,7 +1104,8 @@ class TestExitCodes:
         sim = simulate_dataset(tmp_path, n=30, d=2, seed=8, p=0.8, trials=12)
         args = [command, "--comparisons", str(sim / "comparisons.csv"),
                 "--covariates", str(sim / "covariates.csv")]
-        # 30 items need about 0.7 * 30^2 doubles, 5.0 kB
+        # 30 items need 8 (0.5 * 30^2 + 400 * 30) bytes, 97 kB
+        assert factor_peak_bytes(30) == 99600
         monkeypatch.setattr(cli, "_available_memory", lambda: 4 * 1024)
         out = tmp_path / "short"
         assert main(args + ["--out", str(out)]) == EXIT_CONFIG
@@ -1085,20 +1113,20 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: the variance model for 30 items")
         assert "needs about 0 MiB" in err[0] and "only 0 MiB is available" in err[0]
         assert (out / "fit.json").exists() and not (out / output).exists()
-        for available in (16 * 1024, None):
+        for available in (128 * 1024, None):
             monkeypatch.setattr(cli, "_available_memory", lambda: available)
             out = tmp_path / f"room-{available}"
             assert main(args + ["--out", str(out)]) == EXIT_OK
             assert (out / output).exists()
 
     def test_memory_guard_admits_the_tree_need(self, tmp_path, monkeypatch, capsys):
-        # n = 500: between the block tree's need and the 1.3 n^2 doubles
+        # n = 600: between the block tree's need and the 1.3 n^2 doubles
         # the dense buffer needed, infer runs; just below the tree's
         # need, it stops with exit 5 after writing fit.json
-        sim = simulate_dataset(tmp_path, n=500, d=2, seed=9, p=0.08, trials=10)
+        sim = simulate_dataset(tmp_path, n=600, d=2, seed=9, p=0.07, trials=10)
         args = ["infer", "--comparisons", str(sim / "comparisons.csv"),
                 "--covariates", str(sim / "covariates.csv")]
-        need, old_need = FACTOR_PEAK_SQUARES * 8 * 500**2, 1.3 * 8 * 500**2
+        need, old_need = factor_peak_bytes(600), 1.3 * 8 * 600**2
         assert need < old_need
         for available, code in (((need + old_need) / 2, EXIT_OK), (0.99 * need, EXIT_CONFIG)):
             monkeypatch.setattr(cli, "_available_memory", lambda: int(available))
@@ -1106,7 +1134,7 @@ class TestExitCodes:
             assert main(args + ["--out", str(out)]) == code
             assert (out / "fit.json").exists()
             assert (out / "inference.csv").exists() == (code == EXIT_OK)
-        assert "error: the variance model for 500 items" in capsys.readouterr().err
+        assert "error: the variance model for 600 items" in capsys.readouterr().err
 
     def test_memory_probe_reads_meminfo_and_cgroup(self, tmp_path):
         meminfo = write(tmp_path / "meminfo", "MemTotal: 8000 kB\nMemAvailable:    5000 kB\n")

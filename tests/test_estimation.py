@@ -152,15 +152,13 @@ class TestFitConfig:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             FitConfig(grad_tol=0.0)
-        with pytest.raises(InvalidArgumentError):
-            FitConfig(ridge_alpha=-0.1)
         for value in (np.inf, np.nan):
             with pytest.raises(InvalidArgumentError):
                 FitConfig(grad_tol=value)
-            with pytest.raises(InvalidArgumentError):
-                FitConfig(ridge_alpha=value)
         with pytest.raises(InvalidArgumentError):
             FitConfig(max_iters=0)
+        with pytest.raises(TypeError):  # the fit is the MLE, with no penalty
+            FitConfig(ridge_alpha=0.1)
 
     @pytest.mark.parametrize("value", [float("nan"), 2.5, 3.0, "3", None])
     def test_max_iters_must_be_an_integer(self, value):
@@ -336,28 +334,31 @@ class TestFitMLE:
 
     def test_no_mle_stops_at_once(self):
         # item 2 beats items 0 and 1 in every trial: its score has no
-        # finite maximizer, though the graph is connected
-        data = ComparisonData.from_edges(3, [(0, 1, 6, 2), (0, 2, 6, 6), (1, 2, 6, 6)])
-        cov = preprocess_covariates(np.zeros((3, 0)))
-        fit = fit_mle(data, cov)
-        assert not fit.converged
-        assert fit.stop_reason == "no_mle"
-        assert fit.diagnostics.iterations == 0
-        assert fit.objective_trace == [fit.objective_trace[0]]
-        ridged = fit_mle(data, cov, FitConfig(ridge_alpha=0.1))
-        assert ridged.converged
-        assert ridged.params.alpha[2] == ridged.params.alpha.max()
+        # finite maximizer, though the graph is connected.  Under
+        # covariate separation (the item with the larger covariate wins
+        # all 5 trials of every pair) beta has none either.
+        separated = [(i, j, 5, 5) for i in range(5) for j in range(i + 1, 5)]
+        for data, raw, closed in (
+            (ComparisonData.from_edges(3, [(0, 1, 6, 2), (0, 2, 6, 6), (1, 2, 6, 6)]),
+             np.zeros((3, 0)), ([2], True)),
+            (ComparisonData.from_edges(5, separated), np.arange(5.0)[:, None], ([0], False)),
+        ):
+            fit = fit_mle(data, preprocess_covariates(raw))
+            assert not fit.converged
+            assert fit.stop_reason == "no_mle"
+            assert fit.diagnostics.iterations == fit.diagnostics.cg_iterations == 0
+            assert fit.objective_trace == [fit.objective_trace[0]]
+            assert data._closed_group == closed
 
     def test_sparse_single_trial_draw_has_no_mle(self):
         # one trial per pair at mean degree 6: some items lose every
-        # comparison, so only the ridge fit has a finite optimum
+        # comparison, so the likelihood has no finite optimum
         n = 500
         cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=3))
         data = next(d for d in (sample_comparisons(cov, truth, 6 / (n - 1), 1, seed)
                                 for seed in range(20)) if is_connected(d))
         fit = fit_mle(data, cov)
         assert fit.stop_reason == "no_mle" and fit.diagnostics.iterations == 0
-        assert fit_mle(data, cov, FitConfig(ridge_alpha=0.1)).converged
 
     def test_fit_needs_no_eigendecomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -366,18 +367,29 @@ class TestFitMLE:
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, refuse)
         data, cov, _ = sample_small_instance(seed=42)
-        assert fit_mle(data, cov, FitConfig(ridge_alpha=0.1)).converged
         assert fit_mle(data, cov).converged
 
+    def test_real_data_recipe_runs(self):
+        # an item that lost every comparison leaves no MLE; fitting
+        # without the group that the fit names gives the MLE of the rest
+        core, cov, _ = sample_small_instance(seed=53)
+        n = core.n_items
+        data = ComparisonData.from_edges(n + 1, core.edges + [(k, n, 3, 0) for k in range(n)])
+        wide = preprocess_covariates(np.vstack([cov.raw, np.zeros((1, cov.n_features))]))
+        assert fit_mle(data, wide).stop_reason == "no_mle"
+        assert data._closed_group == ([n], False)
+        kept = np.setdiff1d(np.arange(n + 1), data._closed_group[0])
+        refit = fit_mle(core, preprocess_covariates(wide.raw[kept]))
+        assert refit.converged
+        np.testing.assert_array_equal(refit.params.stacked, fit_mle(core, cov).params.stacked)
 
-    @pytest.mark.parametrize("ridge_alpha", [0.0, 0.1])
-    def test_matches_dense_newton(self, ridge_alpha):
+    def test_matches_dense_newton(self):
         designs = [(200, p, L) for p, L in rate_experiment_pairs()] + [(2000, 0.05, 10)]
         for n, p, L in designs:
             cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=20250801))
             data = sample_comparisons(cov, truth, p, L, 1)
-            fit = fit_mle(data, cov, FitConfig(ridge_alpha=ridge_alpha))
-            stacked, iterations = fit_by_dense_newton(data, cov, ridge_alpha)
+            fit = fit_mle(data, cov)
+            stacked, iterations = fit_by_dense_newton(data, cov)
             assert fit.converged, (n, p, L)
             assert fit.diagnostics.iterations == iterations, (n, p, L)
             assert np.abs(fit.params.stacked - stacked).max() <= 1e-10, (n, p, L)
@@ -392,7 +404,6 @@ class TestFitMLE:
         monkeypatch.setattr(np.linalg, "inv", refuse)
         monkeypatch.setattr(model, "_weighted_laplacian", refuse)
         data, cov, _ = sample_small_instance(seed=42)
-        assert fit_mle(data, cov, FitConfig(ridge_alpha=0.1)).converged
         assert fit_mle(data, cov).converged
 
     def test_fit_memory_is_linear_in_edges(self):
@@ -401,7 +412,7 @@ class TestFitMLE:
         data = sample_comparisons(cov, truth, 0.02, 5, 1)
         tracemalloc.start()
         try:
-            fit = fit_mle(data, cov, FitConfig(ridge_alpha=0.1))
+            fit = fit_mle(data, cov)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -430,32 +441,6 @@ class TestFitMLE:
         plain = fit_mle(data, cov)
         assert plain.diagnostics.halvings == 0
         assert np.abs(fit.params.stacked - plain.params.stacked).max() <= 1e-6
-
-class TestRidge:
-    def test_zero_ridge_matches_plain(self):
-        data, cov, _ = sample_small_instance(seed=50)
-        plain = fit_mle(data, cov, FitConfig(grad_tol=1e-10))
-        ridged = fit_mle(data, cov, FitConfig(grad_tol=1e-10, ridge_alpha=0.0))
-        np.testing.assert_array_equal(plain.params.stacked, ridged.params.stacked)
-
-    def test_alpha_norm_monotone_in_ridge(self):
-        data, cov, _ = sample_small_instance(seed=51)
-        norms = []
-        for lam in [0.0, 0.01, 0.1, 1.0, 10.0]:
-            fit = fit_mle(data, cov, FitConfig(grad_tol=1e-10, ridge_alpha=lam))
-            norms.append(np.linalg.norm(fit.params.alpha))
-        assert all(b <= a + 1e-9 for a, b in zip(norms, norms[1:]))
-
-    def test_ridge_leaves_subspace_constraint(self):
-        data, cov, _ = sample_small_instance(seed=52)
-        fit = fit_mle(data, cov, FitConfig(ridge_alpha=0.5))
-        assert np.abs(cov.augmented.T @ fit.params.alpha).max() <= 1e-8
-
-    def test_real_data_recipe_runs(self):
-        data, cov, _ = sample_small_instance(seed=53)
-        fit = fit_mle(data, cov, FitConfig(ridge_alpha=0.1))
-        assert fit.converged
-
 
 class TestPipeline:
     def test_balanced_cycle_gives_zero_scores(self):

@@ -15,7 +15,6 @@ from care_rank.model import (
     ComparisonData,
     ParamVector,
     _score_terms,
-    _strongly_connected,
     build_projection,
     connected_components,
     gradient,
@@ -46,6 +45,24 @@ from oracles import (
 def btl_cov(n):
     """Covariate-free design (d = 0)."""
     return preprocess_covariates(np.zeros((n, 0)))
+
+
+def assert_names_a_closed_group(data):
+    """``_closed_group`` is None exactly when the win graph is strongly
+    connected, and otherwise names at most half of the items, which won
+    (or lost) every trial against the rest."""
+    closed = data._closed_group
+    assert (closed is None) == strongly_connected_by_bfs(data)
+    if closed is None:
+        return
+    group, won = closed
+    assert group == sorted(set(group)) and 0 < 2 * len(group) <= data.n_items
+    inside = np.zeros(data.n_items, dtype=bool)
+    inside[group] = True
+    for i, j, t, w in data.edges:
+        if inside[i] != inside[j]:
+            group_wins = w if inside[j] else t - w
+            assert group_wins == (t if won else 0)
 
 
 class TestSigmoid:
@@ -174,7 +191,7 @@ class TestHalfEdgeLayout:
         )
         assert connected_components(data) == components_by_bfs(data)
         assert is_connected(data) == (len(components_by_bfs(data)) == 1)
-        assert _strongly_connected(data) == strongly_connected_by_bfs(data)
+        assert_names_a_closed_group(data)
 
 
 class TestNegLogLikelihood:
@@ -390,6 +407,26 @@ class TestConnectivity:
         data = ComparisonData.from_edges(3, [(0, 1, 1, 0), (1, 2, 1, 0)])
         assert is_connected(data) and connected_components(data) == [[0, 1, 2]]
         assert is_connected(data) and undirected == [True]
+        # item 0 beat 1 and 1 beat 2: the win graph's two propagations,
+        # run once however often the group is read
+        assert data._closed_group == data._closed_group == ([0], True)
+        assert undirected == [True, False, False]
+
+    @pytest.mark.parametrize("edges, closed", [
+        # item 2 won all its trials; item 3 lost all its trials
+        ([(0, 1, 6, 2), (0, 2, 6, 6), (1, 2, 6, 6)], ([2], True)),
+        ([(0, 1, 4, 2), (1, 2, 4, 2), (0, 2, 4, 2), (0, 3, 4, 0), (1, 3, 4, 0), (2, 3, 4, 0)],
+         ([3], False)),
+        # item 0 won all: the losers {1, 2} are named by the smaller side
+        ([(0, 1, 3, 0), (0, 2, 3, 0), (1, 2, 4, 2)], ([0], True)),
+        # separated by a covariate: the larger index wins every trial
+        ([(i, j, 5, 5) for i in range(5) for j in range(i + 1, 5)], ([0], False)),
+        ([(0, 1, 6, 2), (1, 2, 6, 3), (0, 2, 6, 1)], None),
+    ])
+    def test_closed_group_names_the_smaller_side(self, edges, closed):
+        data = ComparisonData.from_edges(1 + max(j for _, j, _, _ in edges), edges)
+        assert data._closed_group == closed
+        assert_names_a_closed_group(data)
 
     def test_isolated_item_disconnects(self):
         data = ComparisonData.from_edges(3, [(0, 1, 1, 0)])
@@ -434,4 +471,4 @@ class TestConnectivity:
             data = ComparisonData.from_edges(n, edges)
             assert connected_components(data) == components_by_bfs(data)
             assert is_connected(data) == (len(components_by_bfs(data)) == 1)
-            assert _strongly_connected(data) == strongly_connected_by_bfs(data)
+            assert_names_a_closed_group(data)
