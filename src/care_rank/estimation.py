@@ -31,6 +31,7 @@ from .model import (
     FitDiagnostics,
     ParamVector,
     ProjectionOperator,
+    _laplacian_times,
     _refuse_split,
     _regression_split,
     _score_terms,
@@ -245,8 +246,7 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
     def hess_apply(v: np.ndarray) -> np.ndarray:
         # (L_w / scale + 11^T / n) v, with the edge weights w / scale of
         # the current step on both half-edges
-        out = degree * v
-        out -= half.sum(w_half * v.take(half.other))
+        out = _laplacian_times(half, w_half, degree, v)
         out += v.sum() / n
         return out
 

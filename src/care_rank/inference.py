@@ -18,10 +18,12 @@ replaced by A^-1 with A = L_w + 11^T/n, and with the Cholesky factor
 A = L L^T the covariance is G^T G for the n x (n+d) root G = L^-1 T^T.
 A is stored, and R = L^-1 built in its place, as a recursive 2 x 2
 block tree of the lower triangle: dense leaves of at most a few hundred
-rows, inverted directly, and below each diagonal split one dense block.
-The tree is built from the edges and the factor-invert step is matrix
-products on it that skip the zero upper halves (about 2 n^3/3 flops),
-so no n x n array is ever allocated and the variance model peaks at
+rows, and below each diagonal split one dense block.  The tree is built
+from the edges, and the factor-invert step is one recursion over it,
+which splits each leaf the same way as views down to small blocks that
+LAPACK factors and inverts; above those it is matrix products that
+skip the zero upper halves (about 2 n^3/3 flops).  So no n x n array
+is ever allocated, and the variance model peaks at
 ``factor_peak_bytes(n)``: the tree, about 0.5 n^2 doubles, and O(n)
 rows of leaves and temporaries.
 The variance model keeps the tree with R Q and R S^T: a contrast
@@ -67,6 +69,7 @@ from .model import (
     ParamVector,
     ProjectionOperator,
     _check_dims,
+    _laplacian_times,
     _readonly,
     _refuse_split,
     _regression_split,
@@ -98,12 +101,11 @@ DEFAULT_EIGEN_CUTOFF = 1e-10
 
 class VarianceModel:
     """The plug-in covariance V = [P H P]^+ of the stacked (alpha, beta)
-    estimate as V = G^T G for a root G, which is never formed as a dense
-    matrix.  From ``plugin_variance_model`` and ``oracle_variance_model``
-    G = L^-1 T^T = [R (I - Q Q^T) | R S^T] (see the module docstring),
-    held as the block tree of R's lower triangle with R Q and R S^T;
-    from ``projected_hessian_pinv`` G = Lambda^-1/2 V^T of the kept
-    eigenpairs, held as its alpha and beta column blocks.
+    estimate as V = G^T G for a root G.  From ``plugin_variance_model``
+    and ``oracle_variance_model`` G = L^-1 T^T = [R (I - Q Q^T) | R S^T]
+    (see the module docstring), held as the block tree of R's lower
+    triangle with R Q and R S^T; from ``projected_hessian_pinv``
+    G = Lambda^-1/2 V^T of the kept eigenpairs, held whole.
     ``variance_of`` is the squared norm of G cbar and ``diagonal`` the
     squared column norms of G, computed on first use; no dense
     (n+d) x (n+d) matrix is kept.  The factor route peaks at
@@ -115,10 +117,10 @@ class VarianceModel:
     """
 
     def __init__(self, *, root, rank_warning: bool = False):
-        """``root`` holds the alpha and beta column blocks of G, or the
-        factor route's ``_FactorRoot``."""
+        """``root`` is a ``_DenseRoot`` or the factor route's
+        ``_FactorRoot``."""
         self.rank_warning = rank_warning
-        self._root = root if isinstance(root, _FactorRoot) else _DenseRoot(*root)
+        self._root = root
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -133,23 +135,20 @@ class VarianceModel:
 
 @dataclass(frozen=True)
 class _DenseRoot:
-    """G held as its alpha and beta column blocks."""
+    """G held as one dense matrix."""
 
-    alpha: np.ndarray
-    beta: np.ndarray
+    g: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _readonly(self.alpha))
-        object.__setattr__(self, "beta", _readonly(self.beta))
+        object.__setattr__(self, "g", _readonly(self.g))
 
     def times(self, c: np.ndarray) -> np.ndarray:
         """G c, for one stacked vector or the columns of a matrix."""
-        n = self.alpha.shape[1]
-        return self.alpha @ c[:n] + self.beta @ c[n:]
+        return self.g @ c
 
     def column_norms(self) -> np.ndarray:
         """The squared column norms of G."""
-        return np.concatenate([np.einsum("ij,ij->j", g, g) for g in (self.alpha, self.beta)])
+        return np.einsum("ij,ij->j", self.g, self.g)
 
 
 @dataclass(frozen=True)
@@ -217,16 +216,15 @@ def projected_hessian_pinv(hess: np.ndarray, proj: ProjectionOperator) -> Varian
     lam_max = float(eigvals[-1])
     threshold = DEFAULT_EIGEN_CUTOFF * max(lam_max, 0.0)
     keep = eigvals > threshold
-    root = (eigvecs[:, keep] / np.sqrt(eigvals[keep])).T
     return VarianceModel(
-        root=(root[:, : proj.n_items], root[:, proj.n_items :]),
+        root=_DenseRoot((eigvecs[:, keep] / np.sqrt(eigvals[keep])).T),
         rank_warning=int(np.sum(~keep)) > proj.n_constraints,
     )
 
 
 # Diagonal blocks up to this size are factored and inverted directly by
-# _cholesky_inverse; of 32-256, 64 was fastest at n = 200 and level with
-# the rest at n = 2000 (2-core OpenBLAS).
+# _invert_tree; of 32-256, 64 was fastest at n = 200 and level with the
+# rest at n = 2000 (2-core OpenBLAS).
 _INVERSE_BLOCK = 64
 
 # Rows of the block tree's leaves: a node of more rows is split in half.
@@ -255,36 +253,6 @@ _ROW_CHUNK = 256
 # a leaf's width: against 256 rows, 64 cut the traced peak at n = 500
 # from 1.28 to 1.05 n^2 and cost the report 0.7 ms at n = 2000.
 _DIAGONAL_ROWS = 64
-
-
-def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
-    """Overwrite the symmetric positive definite ``a`` with R = L^-1,
-    lower-triangular, for its Cholesky factor a = L L^T, and return it.
-
-    Recursive 2 x 2 blocking: with R11 the result for the top-left
-    block, L21 = A21 R11^T is the factor's off-diagonal block,
-    A22 - L21 L21^T the Schur complement whose result is R22, and
-    R21 = -(R22 L21) R11.  Blocks up to ``_INVERSE_BLOCK`` are factored
-    and inverted directly; everything else is matrix products written
-    into the blocks of ``a``, so the only temporaries are a quarter of
-    the matrix at a time.  A leaf that is not numerically positive
-    definite raises ``np.linalg.LinAlgError``, leaving ``a`` partly
-    overwritten.
-    """
-    n = a.shape[0]
-    if n <= _INVERSE_BLOCK:
-        a[...] = np.tril(np.linalg.inv(np.linalg.cholesky(a)))
-        return a
-    h = n // 2
-    top = _cholesky_inverse(a[:h, :h])
-    low = a[h:, :h]
-    np.matmul(low, top.T, out=low)
-    a[h:, h:] -= low @ low.T
-    bottom = _cholesky_inverse(a[h:, h:])
-    np.matmul(bottom @ low, top, out=low)
-    np.negative(low, out=low)
-    a[:h, h:] = 0.0
-    return a
 
 
 # The lower triangle of a symmetric (or lower-triangular) n x n matrix
@@ -346,12 +314,26 @@ def _subtract_gram(node, y: np.ndarray) -> None:
 
 def _invert_tree(node) -> None:
     """Overwrite the tree of a symmetric positive definite A with that
-    of R = L^-1 for its Cholesky factor A = L L^T: ``_cholesky_inverse``'s
-    recursion, with the block products done by the tree products, which
-    skip the zero upper halves (about 2 n^3/3 flops)."""
+    of R = L^-1 for its Cholesky factor A = L L^T.
+
+    Recursive 2 x 2 blocking: with R11 the result for the top block,
+    L21 = A21 R11^T is the factor's off-diagonal block, A22 - L21 L21^T
+    the Schur complement whose result is R22, and R21 = -(R22 L21) R11,
+    all done by the tree products, which skip the zero upper halves
+    (about 2 n^3/3 flops).  A dense leaf of more than ``_INVERSE_BLOCK``
+    rows runs the same steps on its blocks as views, its upper block
+    zeroed; smaller ones are factored and inverted directly.  A block
+    that is not numerically positive definite raises
+    ``np.linalg.LinAlgError``, leaving the tree partly overwritten.
+    """
     if isinstance(node, np.ndarray):
-        _cholesky_inverse(node)
-        return
+        n = node.shape[0]
+        if n <= _INVERSE_BLOCK:
+            node[...] = np.tril(np.linalg.inv(np.linalg.cholesky(node)))
+            return
+        h = n // 2
+        node[:h, h:] = 0.0
+        node = (node[:h, :h], node[h:, :h], node[h:, h:])
     top, low, bottom = node
     _invert_tree(top)
     _times_transpose(low, top)  # L21 = A21 R11^T
@@ -594,11 +576,10 @@ def quadratic_approx_minimizer(
     _times_transpose(step, tree)  # (R g)^T
     _times(step, tree)  # (R^T R g)^T
     step = step[0]
-    # stationarity in (alpha, beta): P M^T (g + L_w (s - s*)), with
-    # L_w v = deg * v - sum_e w_e v[other] over the half-edge layout
+    # stationarity in (alpha, beta): P M^T (g + L_w (s - s*))
     half = data._half_edges
     w_half = half.spread(weights, weights)
-    resid = g - (half.sum(w_half) * step - half.sum(w_half * step.take(half.other)))
+    resid = g - _laplacian_times(half, w_half, half.sum(w_half), step)
     residual = float(np.linalg.norm(proj.apply(np.concatenate([resid, cov.scaled.T @ resid]))))
     scale = float(np.linalg.norm(proj.apply(np.concatenate([g, cov.scaled.T @ g]))))
     if not residual <= 1e-8 * max(1.0, scale):

@@ -245,6 +245,15 @@ class _HalfEdges:
         return out
 
 
+def _laplacian_times(half: _HalfEdges, w_half: np.ndarray, degree: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """L_w v = degree * v - sum_e w_e v[other], one segment sum over the
+    half-edge layout, for the edge weights ``w_half`` spread onto it and
+    ``degree = half.sum(w_half)``."""
+    out = degree * v
+    out -= half.sum(w_half * v.take(half.other))
+    return out
+
+
 @dataclass(frozen=True)
 class CovariateMatrix:
     """Item features together with the rescaling that the model is fit on.

@@ -257,22 +257,28 @@ class TestLaplacianVarianceModel:
             assert peak <= 0.7 * n * n * 8
             assert peak <= inference.factor_peak_bytes(n)
 
-    def test_cholesky_inverse(self):
+    def test_invert_dense_square(self):
         rng = np.random.default_rng(113)
         for n in (1, 5, 64, 65, 300):
             m = rng.normal(size=(n, n))
             a = m @ m.T / n + np.eye(n)
-            buffer = a.copy()
-            inv = inference._cholesky_inverse(buffer)
-            assert inv is buffer
+            inv = a.copy()
+            inference._invert_tree(inv)
             assert np.array_equal(inv, np.tril(inv))
             assert np.abs(inv @ a @ inv.T - np.eye(n)).max() <= 1e-13
 
-    @pytest.mark.parametrize("leaf, n", [(256, 256), (256, 257), (256, 513), (4, 9), (4, 37)])
-    def test_tree_factor_matches_dense(self, monkeypatch, leaf, n):
+    @pytest.mark.parametrize(
+        "leaf, block, n",
+        [(256, 64, 256), (256, 64, 257), (256, 64, 513), (4, 64, 9), (4, 64, 37), (16, 4, 37)],
+        ids=["256-256", "256-257", "256-513", "4-9", "4-37", "16-37"],
+    )
+    def test_tree_factor_matches_dense(self, monkeypatch, leaf, block, n):
         # a leaf alone, one split with a leaf of 128 rows and one of 129,
-        # two levels, and with 4-row leaves a deep uneven tree
+        # two levels, with 4-row leaves a deep uneven tree, and with
+        # 16-row leaves inverted 4 rows at a time, uneven views split
+        # inside the tree's leaves
         monkeypatch.setattr(inference, "_LEAF_ROWS", leaf)
+        monkeypatch.setattr(inference, "_INVERSE_BLOCK", block)
         data, _ = unequal_trials_instance(seed=116, n=n, d=0)
         weights = np.random.default_rng(n).uniform(0.1, 2.0, size=data.n_edges)
         tree = inference._shifted_laplacian_tree(data, weights)
@@ -317,7 +323,7 @@ class TestLaplacianVarianceModel:
         cbar = build_projection(cov).apply(rng.normal(size=n + d))
         assert vm.variance_of(cbar) == pytest.approx(ref.variance_of(cbar), rel=1e-10)
 
-    def test_cholesky_inverse_refuses_indefinite(self):
+    def test_invert_dense_square_refuses_indefinite(self):
         # positive definite leading blocks, an indefinite Schur complement:
         # the failure surfaces in a leaf of the lower half
         rng = np.random.default_rng(114)
@@ -326,7 +332,7 @@ class TestLaplacianVarianceModel:
         a = m @ m.T / n + np.eye(n)
         a[150:, 150:] -= 50.0 * np.eye(n - 150)
         with pytest.raises(np.linalg.LinAlgError):
-            inference._cholesky_inverse(a)
+            inference._invert_tree(a)
 
     def test_oracle_matches_dense_route(self):
         data, cov = unequal_trials_instance(seed=104)
@@ -445,7 +451,7 @@ class TestWeightGraphRefusal:
         def fail(a):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-        monkeypatch.setattr(inference, "_cholesky_inverse", fail)
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
         data, cov, truth, fit = fitted_instance(seed=115)
         with pytest.raises(InvalidArgumentError, match="positive definite"):
             plugin_variance_model(fit)
