@@ -8,68 +8,99 @@ Ford's strong-connectivity condition for the estimate to exist),
 quantifies uncertainty through the pseudoinverse of the projected
 Hessian, ranks items with soft-thresholded scores, and ships a
 reproducible Monte Carlo harness plus a CSV-driven CLI.
+
+The public names below load their module, and with it numpy, on first
+access, so importing the package or the CLI loads neither.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CareRankError,
-    ConfigurationError,
-    ConnectivityError,
-    DegenerateColumnError,
-    DegenerateContrastError,
-    DegenerateDesignError,
-    DimensionError,
-    InvalidArgumentError,
-    ParseError,
-)
-from .model import (
-    ComparisonData,
-    CovariateMatrix,
-    FitDiagnostics,
-    ParamVector,
-    ProjectionOperator,
-    build_projection,
-    connected_components,
-    gradient,
-    hessian,
-    is_connected,
-    neg_log_likelihood,
-)
-from .estimation import (
-    FitConfig,
-    FitResult,
-    fit_mle,
-    preprocess_covariates,
-    project_to_theta,
-)
-from .inference import (
-    ContrastResult,
-    InferenceReport,
-    RankingScores,
-    VarianceModel,
-    care_ranking_scores,
-    contrast_inference,
-    full_inference_report,
-    oracle_variance_model,
-    plugin_variance_model,
-    projected_hessian_pinv,
-    quadratic_approx_minimizer,
-    soft_threshold,
-    standardized_stats,
-)
-from .normal import normal_cdf, normal_quantile, two_sided_p_value
-from .simulation import (
-    ExperimentPlan,
-    ExperimentResult,
-    SyntheticSpec,
-    distribution_sampling_probability,
-    effective_sample_size,
-    generate_truth,
-    ks_distance_to_normal,
-    rate_experiment_pairs,
-    rng_stream,
-    run_distribution_experiment,
-    run_rate_experiment,
-    sample_comparisons,
-)
+# The thread-count variables of the BLAS libraries numpy may link; each
+# is read once, when numpy loads.
+_BLAS_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# The public names, by the submodule that owns them.
+_EXPORTS = {
+    "errors": (
+        "CareRankError",
+        "ConfigurationError",
+        "ConnectivityError",
+        "DegenerateColumnError",
+        "DegenerateContrastError",
+        "DegenerateDesignError",
+        "DimensionError",
+        "InvalidArgumentError",
+        "ParseError",
+    ),
+    "model": (
+        "ComparisonData",
+        "CovariateMatrix",
+        "FitDiagnostics",
+        "ParamVector",
+        "ProjectionOperator",
+        "build_projection",
+        "connected_components",
+        "gradient",
+        "hessian",
+        "is_connected",
+        "neg_log_likelihood",
+    ),
+    "estimation": (
+        "FitConfig",
+        "FitResult",
+        "fit_mle",
+        "preprocess_covariates",
+        "project_to_theta",
+    ),
+    "inference": (
+        "ContrastResult",
+        "InferenceReport",
+        "RankingScores",
+        "VarianceModel",
+        "care_ranking_scores",
+        "contrast_inference",
+        "full_inference_report",
+        "oracle_variance_model",
+        "plugin_variance_model",
+        "projected_hessian_pinv",
+        "quadratic_approx_minimizer",
+        "soft_threshold",
+        "standardized_stats",
+    ),
+    "normal": ("normal_cdf", "normal_quantile", "two_sided_p_value"),
+    "simulation": (
+        "ExperimentPlan",
+        "ExperimentResult",
+        "SyntheticSpec",
+        "distribution_sampling_probability",
+        "effective_sample_size",
+        "generate_truth",
+        "ks_distance_to_normal",
+        "rate_experiment_pairs",
+        "rng_stream",
+        "run_distribution_experiment",
+        "run_rate_experiment",
+        "sample_comparisons",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    # the owning submodules resolve too, as they did when this module
+    # imported them
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -24,11 +24,12 @@ import datetime
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from . import __version__
+# numpy and the modules built on it load inside the commands that use
+# them, so that ``experiment`` can pin BLAS to one thread before numpy
+# loads and ``fit`` loads no inference or simulation code
+from . import _BLAS_THREAD_ENV, __version__
 from .errors import (
     CareRankError,
     ConfigurationError,
@@ -38,38 +39,11 @@ from .errors import (
     InvalidArgumentError,
     ParseError,
 )
-from .estimation import FitConfig, FitResult, fit_mle, preprocess_covariates
-from .inference import (
-    VarianceModel,
-    care_ranking_scores,
-    factor_peak_bytes,
-    full_inference_report,
-    plugin_variance_model,
-)
-from .io import (
-    ParsedComparisons,
-    config_hash,
-    file_sha256,
-    parse_comparisons_csv,
-    parse_covariates_csv,
-    read_config_file,
-    write_comparisons_csv,
-    write_covariates_csv,
-    write_experiment_files,
-    write_inference_csv,
-    write_json,
-    write_ranking_csv,
-)
-from .simulation import (
-    ExperimentPlan,
-    SyntheticSpec,
-    distribution_sampling_probability,
-    generate_truth,
-    rate_experiment_pairs,
-    run_distribution_experiment,
-    run_rate_experiment,
-    sample_comparisons,
-)
+
+if TYPE_CHECKING:
+    from .estimation import FitResult
+    from .inference import VarianceModel
+    from .io import ParsedComparisons
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -140,8 +114,9 @@ _OPTIONS = {
                      "comma-separated p:L pairs, e.g. 1:50,0.5:25"),
     "replications": _Option(int, ("experiment",), "replications per (p, L) pair"),
     "workers": _Option(int, ("experiment",),
-                       "worker processes, each with one BLAS thread, at most "
-                       "one per usable CPU; default 1"),
+                       "worker processes, forked from this one, which runs "
+                       "with one BLAS thread; at most one per usable CPU; "
+                       "default 1"),
     "statistics": _Option(str, ("experiment",), "comma-separated statistic names"),
 }
 
@@ -196,6 +171,8 @@ class RunConfig:
         # bytes, not their paths, and only for the commands that read
         # them; the output path and the worker count must not change
         # result file contents.
+        from .io import config_hash, file_sha256
+
         hashable = {
             k: v for k, v in dataclasses.asdict(self).items()
             if k not in ("out", "workers")
@@ -269,7 +246,11 @@ def build_parser() -> _Parser:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Apply precedence: command line > config file > defaults."""
-    file_cfg = read_config_file(args.config) if args.config else {}
+    file_cfg = {}
+    if args.config:
+        from .io import read_config_file
+
+        file_cfg = read_config_file(args.config)
     unknown = sorted(set(file_cfg) - set(_OPTIONS))
     if unknown:
         raise ConfigurationError(
@@ -291,6 +272,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_and_fit(config: RunConfig) -> ResultBundle:
+    import numpy as np
+
+    from .estimation import FitConfig, fit_mle, preprocess_covariates
+    from .io import parse_comparisons_csv, parse_covariates_csv
+
     config.require("comparisons", "out")
     parsed = parse_comparisons_csv(config.comparisons)
     if parsed.tie_rows_dropped:
@@ -369,6 +355,8 @@ def _available_memory(
 def _variance_model(bundle: ResultBundle) -> VarianceModel:
     """``plugin_variance_model``, refused up front when its peak memory
     would exceed what is available, rather than killed part way."""
+    from .inference import factor_peak_bytes, plugin_variance_model
+
     n = bundle.fit.params.n_items
     need = factor_peak_bytes(n)
     available = _available_memory()
@@ -386,6 +374,8 @@ def _variance_model(bundle: ResultBundle) -> VarianceModel:
 def cmd_fit(config: RunConfig) -> int:
     """``fit``, ``infer`` and ``rank``: write ``fit.json``, then, from a
     converged fit, the inference or ranking table that the command names."""
+    from .io import write_json
+
     bundle = _load_and_fit(config)
     write_json(os.path.join(config.out, "fit.json"), bundle.fit_payload())
     fit, table = bundle.fit, _TABLES.get(config.command)
@@ -409,6 +399,9 @@ def cmd_fit(config: RunConfig) -> int:
         return EXIT_CONVERGENCE
     if table is None:
         return EXIT_OK
+    from .inference import care_ranking_scores, full_inference_report
+    from .io import write_inference_csv, write_ranking_csv
+
     vm, ids = _variance_model(bundle), bundle.parsed.item_ids
     path = os.path.join(config.out, f"{table}.csv")
     if table == "inference":
@@ -421,6 +414,9 @@ def cmd_fit(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
+    from .io import write_comparisons_csv, write_covariates_csv, write_json
+    from .simulation import SyntheticSpec, generate_truth, sample_comparisons
+
     config.require("out")
     spec = SyntheticSpec(n=config.n, d=config.d, seed=config.seed)
     cov, truth = generate_truth(spec)
@@ -455,6 +451,16 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_experiment(config: RunConfig) -> int:
+    from .io import write_experiment_files
+    from .simulation import (
+        ExperimentPlan,
+        SyntheticSpec,
+        distribution_sampling_probability,
+        rate_experiment_pairs,
+        run_distribution_experiment,
+        run_rate_experiment,
+    )
+
     config.require("out")
     spec = SyntheticSpec(n=config.n, d=config.d, seed=config.seed)
     if config.kind == "rate":
@@ -512,6 +518,13 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.command == "experiment" and "numpy" not in sys.modules:
+            # A study's output depends on the BLAS thread count, so every
+            # replication runs with one thread.  Set before numpy loads,
+            # the variables pin this process too; simulation, loaded
+            # first, sees that and forks its workers, which inherit it.
+            os.environ.update(dict.fromkeys(_BLAS_THREAD_ENV, "1"))
+            from . import simulation
         return _COMMANDS[args.command][0](resolve_config(args))
     except (CareRankError, *_PATH_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)

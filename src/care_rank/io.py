@@ -36,12 +36,15 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ParseError
 from .model import ComparisonData
-from .simulation import ExperimentResult
+
+if TYPE_CHECKING:
+    from .simulation import ExperimentResult
 
 __all__ = [
     "ParsedComparisons",

@@ -13,20 +13,33 @@ Bernoulli trials.
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id), so every replication owns an independent,
 platform-stable stream.  A study runs its replications in a pool of
-spawned worker processes, each started with one BLAS thread; a
-replication's floating-point results depend on the BLAS thread count,
-so pinning it in every worker (one worker included) is what makes a
-study's output independent of both the worker count and the caller's
-BLAS environment.
+worker processes, each with one BLAS thread; a replication's
+floating-point results depend on the BLAS thread count, so pinning it
+in every worker (one worker included) is what makes a study's output
+independent of both the worker count and the caller's BLAS environment.
+A process that loaded numpy with one BLAS thread, as ``care-rank
+experiment`` does, forks its workers, which inherit it; any other
+caller's workers are spawned interpreters, each loading numpy with one
+thread.
 """
 
 from __future__ import annotations
 
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from math import log, sqrt
+
+from . import _BLAS_THREAD_ENV
+
+# Whether this process loads numpy with one BLAS thread: numpy is not
+# loaded yet and every thread variable reads 1.  Only then may a study's
+# workers fork from it.
+_BLAS_PINNED = "numpy" not in sys.modules and all(
+    os.environ.get(name) == "1" for name in _BLAS_THREAD_ENV
+)
 
 import numpy as np
 
@@ -82,9 +95,11 @@ _MAX_RESAMPLE_ATTEMPTS = 200
 # its memory to this many doubles plus the kept pairs.
 _SAMPLE_CHUNK = 1 << 16
 
-# Thread-count variables the BLAS libraries numpy links read when they
-# load; every worker process starts with each set to 1.
-_BLAS_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# A study sends its replications to the workers in chunks, about this
+# many per worker: each task and each result through the parent costs it
+# CPU time that the workers, one per core, would otherwise have, while
+# the last chunk holds a worker up for only about 1/32 of its share.
+_CHUNKS_PER_WORKER = 32
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -345,17 +360,23 @@ def _run_task(task: tuple) -> dict:
 
 
 def _start_pool(processes: int, replication_fn, context: _StudyContext):
-    """A pool of spawned worker processes, each with one BLAS thread.
+    """A pool of worker processes, each with one BLAS thread.
 
-    The BLAS thread variables are set only while the children start; a
-    spawned child reads them when it loads numpy, while this process
-    keeps its own environment and its already loaded BLAS."""
+    When this process loaded numpy with one BLAS thread (``_BLAS_PINNED``)
+    and the platform can fork, the workers are forked from it and inherit
+    its BLAS and the study context; a BLAS with one thread starts none,
+    so the fork copies no thread's locks.  Otherwise they are spawned
+    interpreters.  Either way the BLAS thread variables are set to 1
+    while the children start and restored after: a spawned child reads
+    them when it loads numpy, while this process keeps its own
+    environment and its already loaded BLAS."""
     import multiprocessing
 
+    fork = _BLAS_PINNED and "fork" in multiprocessing.get_all_start_methods()
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_ENV}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_ENV, "1"))
     try:
-        return multiprocessing.get_context("spawn").Pool(
+        return multiprocessing.get_context("fork" if fork else "spawn").Pool(
             processes, _install_worker, (replication_fn, context)
         )
     finally:
@@ -369,8 +390,9 @@ def _start_pool(processes: int, replication_fn, context: _StudyContext):
 def _run_study(context: _StudyContext, replication_fn) -> list[SettingResult]:
     """Every (p, L) setting's replications, in one pool of at most as many
     workers as there are replications or usable cores (more processes
-    than cores only add spawn cost).  Results arrive in task order, so a
-    failing replication raises the same error at any worker count."""
+    than cores only add start-up cost).  Results arrive in task order, and
+    a chunk stops at its first failing replication, so a failing
+    replication raises the same error at any worker count."""
     plan = context.plan
     tasks = [
         (p, L, pair_index, rep)
@@ -378,8 +400,9 @@ def _run_study(context: _StudyContext, replication_fn) -> list[SettingResult]:
         for rep in range(plan.replications)
     ]
     workers = min(plan.workers or 1, len(tasks), _usable_cores())
+    chunksize = 1 + len(tasks) // (_CHUNKS_PER_WORKER * workers)
     with _start_pool(workers, replication_fn, context) as pool:
-        rows = pool.imap(_run_task, tasks)
+        rows = pool.imap(_run_task, tasks, chunksize)
         return [
             _setting_result(plan, p, L, list(islice(rows, plan.replications)))
             for p, L in plan.pl_pairs

@@ -4,6 +4,11 @@ example checks.  Property tests draw the same examples on every run (a
 derandomized hypothesis profile with no example database) and have no
 per-example deadline, so the suite stays deterministic on slow machines."""
 
+# Loaded before care_rank, so that this process never counts as pinned
+# to one BLAS thread, whatever the environment, and its studies spawn
+# their workers as any library caller's do; the forked route is tested in
+# subprocesses.
+import numpy
 import pytest
 from hypothesis import settings
 

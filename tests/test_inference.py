@@ -205,9 +205,10 @@ class TestLaplacianVarianceModel:
         c = np.zeros(14)
         c[0], c[12] = 1.0, 1.0
         assert contrast_inference(c, fit, vm).std_error > 0
-        # a study runs its replications in spawned processes, which these
-        # patches do not reach; run one replication here, on the context
-        # the study builds and sends to its workers
+        # a study runs its replications in worker processes, spawned from
+        # this process, which these patches do not reach; run one
+        # replication here, on the context the study builds and sends to
+        # its workers
         plan = ExperimentPlan(
             pl_pairs=((0.5, 6),), replications=1,
             statistics=frozenset({"qq_alpha1", "coverage"}), workers=1,

@@ -1,5 +1,6 @@
 """Generators, RNG streams, and the experiment harness."""
 
+import json
 import math
 import multiprocessing
 import os
@@ -390,7 +391,7 @@ class TestWorkerPool:
             def __exit__(self, *exc):
                 return False
 
-            def imap(self, fn, tasks):
+            def imap(self, fn, tasks, chunksize):
                 return map(fn, tasks)
 
         def get_context(method):
@@ -430,20 +431,101 @@ class TestWorkerPool:
     def test_output_independent_of_workers_and_blas_environment(self, tmp_path):
         # n = 200 is large enough for a multithreaded BLAS to change the
         # last bits of the Cholesky factor and the products behind each
-        # variance model
-        src = os.path.dirname(os.path.dirname(os.path.abspath(care_rank.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        # variance model.  The CLI runs with one BLAS thread and forks its
+        # workers; the library run here, in a process that loaded numpy
+        # first, spawns them, so the two routes are checked against each
+        # other.
+        from care_rank import cli
+        from care_rank.io import write_experiment_files
+
+        argv = ["experiment", "--kind", "distribution", "--n", "200", "--d", "5",
+                "--seed", "31", "--replications", "4"]
+        env = _subprocess_env()
         pinned = dict(env, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        two_threads = dict(env, OMP_NUM_THREADS="2", OPENBLAS_NUM_THREADS="2")
+        runs = (("w1", 1, env), ("w2", 2, env), ("w1-pinned", 1, pinned),
+                ("w2-two-threads", 2, two_threads))
         outputs = []
-        for label, workers, run_env in (("w1", 1, env), ("w2", 2, env), ("w1-pinned", 1, pinned)):
+        for label, workers, run_env in runs:
             out = tmp_path / label
             subprocess.run(
-                [sys.executable, "-m", "care_rank.cli", "experiment", "--kind", "distribution",
-                 "--n", "200", "--d", "5", "--seed", "31", "--replications", "4",
+                [sys.executable, "-m", "care_rank.cli", *argv,
                  "--workers", str(workers), "--out", str(out)],
                 env=run_env, check=True, capture_output=True,
             )
-            outputs.append({name: (out / "experiment" / name).read_bytes()
-                            for name in ("records.csv", "summary.csv")})
-        assert outputs[0] == outputs[1] == outputs[2]
+            outputs.append(out / "experiment")
+        config = cli.resolve_config(cli.build_parser().parse_args(argv))
+        spec = SyntheticSpec(n=200, d=5, seed=31)
+        plan = ExperimentPlan(
+            pl_pairs=[(distribution_sampling_probability(200, 5), 20)], replications=4,
+            statistics=frozenset({"qq_alpha1", "hist_A", "hist_B", "coverage"}), workers=2,
+        )
+        outputs.append(tmp_path / "library")
+        write_experiment_files(
+            str(outputs[-1]), run_distribution_experiment(spec, plan), config.provenance()
+        )
+        files = [{name: (out / name).read_bytes() for name in ("records.csv", "summary.csv")}
+                 for out in outputs]
+        assert all(found == files[0] for found in files[1:])
+
+
+def _subprocess_env(**blas) -> dict:
+    """This environment with the package importable and the BLAS thread
+    variables replaced by ``blas``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(care_rank.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in care_rank._BLAS_THREAD_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return {**env, **blas}
+
+
+# Records the start method of every pool a study asks for, runs a small
+# study, then prints the methods and the BLAS thread variables.
+_START_METHOD_PROBE = """
+import json, multiprocessing, os, sys
+started, get_context = [], multiprocessing.get_context
+multiprocessing.get_context = lambda method: started.append(method) or get_context(method)
+{before}
+{study}
+print(json.dumps({{"methods": started, "env": [os.environ.get(k) for k in {names!r}]}}))
+"""
+
+_LIBRARY_STUDY = """
+from care_rank.simulation import ExperimentPlan, SyntheticSpec, run_rate_experiment
+run_rate_experiment(SyntheticSpec(n=20, d=1, seed=30),
+                    ExperimentPlan(pl_pairs=[(0.9, 4)], replications=3, workers=2))
+"""
+
+_CLI_STUDY = """
+from care_rank.cli import main
+assert main(["experiment", "--kind", "rate", "--n", "20", "--d", "1", "--seed", "30",
+             "--pairs", "0.9:4", "--replications", "3", "--out", "out"{config}]) == 0
+"""
+
+_ONE = dict.fromkeys(care_rank._BLAS_THREAD_ENV, "1")
+
+
+@pytest.mark.parametrize("blas, before, study, method, env_after", [
+    # numpy not yet loaded and all three variables at 1: the process is
+    # pinned, and its workers fork
+    (_ONE, "", _LIBRARY_STUDY, "fork", ["1", "1", "1"]),
+    # numpy loaded first, or a variable unset: the BLAS state is unknown
+    (_ONE, "import numpy", _LIBRARY_STUDY, "spawn", ["1", "1", "1"]),
+    ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}, "", _LIBRARY_STUDY, "spawn",
+     ["1", "1", None]),
+    # the experiment command pins itself before numpy loads, also when a
+    # config file is read first ...
+    ({}, "", _CLI_STUDY.format(config=""), "fork", ["1", "1", "1"]),
+    ({"OMP_NUM_THREADS": "2"}, "", _CLI_STUDY.format(config=', "--config", "study.cfg"'),
+     "fork", ["1", "1", "1"]),
+    # ... but leaves the environment of a process with numpy loaded alone
+    ({}, "import numpy", _CLI_STUDY.format(config=""), "spawn", [None, None, None]),
+], ids=["pinned", "numpy-first", "partly-pinned", "cli", "cli-config", "cli-numpy-first"])
+def test_workers_fork_only_from_a_pinned_process(tmp_path, blas, before, study, method,
+                                                 env_after):
+    (tmp_path / "study.cfg").write_text("workers = 2\n", encoding="ascii")
+    code = _START_METHOD_PROBE.format(before=before, study=study,
+                                      names=care_rank._BLAS_THREAD_ENV)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, check=True,
+                          env=_subprocess_env(**blas), capture_output=True, text=True)
+    found = json.loads(proc.stdout.splitlines()[-1])
+    assert found == {"methods": [method], "env": env_after}
