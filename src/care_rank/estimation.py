@@ -6,9 +6,9 @@ the likelihood ignores).  The fit is therefore a Bradley-Terry fit on s,
 by damped Newton on the weighted Laplacian, followed by the regression
 split of s on the augmented design: beta is the slope and alpha the
 residual, which lies in the identifiable subspace.  Each Newton step is
-solved by Jacobi-preconditioned conjugate gradients with Laplacian
-matvecs over the half-edge layout of the comparisons, so a step costs
-O(E) per inner iteration and the fit builds no n x n array.  The MLE
+solved by ``model._ShiftedLaplacian``, which the quadratic surrogate
+also uses: Jacobi-preconditioned conjugate gradients with O(E) matvecs
+over the half-edge layout, so the fit builds no n x n array.  The MLE
 exists only when the directed win graph is strongly connected (Ford
 1957); other data stops at once with ``stop_reason == "no_mle"``.
 """
@@ -31,10 +31,11 @@ from .model import (
     FitDiagnostics,
     ParamVector,
     ProjectionOperator,
-    _laplacian_times,
+    _projected_norm,
     _refuse_split,
     _regression_split,
     _score_terms,
+    _ShiftedLaplacian,
     build_projection,
 )
 
@@ -50,10 +51,6 @@ __all__ = [
 # slack bounds how much the recorded trace may rise per step.
 _DESCENT_SLACK = 1e-12
 _MAX_HALVINGS = 80
-# Each Newton system is solved by preconditioned CG from zero to this
-# relative residual, within at most this many inner iterations.
-_CG_RTOL = 1e-12
-_CG_MAX_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -169,49 +166,19 @@ def project_to_theta(params: ParamVector, proj: ProjectionOperator) -> ParamVect
     return ParamVector.from_stacked(proj.apply(params.stacked), params.n_items)
 
 
-def _pcg(apply, b: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve H x = b for symmetric positive definite H, given by
-    ``apply``, by conjugate gradients with the Jacobi preconditioner
-    ``diag`` from x = 0; returns x and the iteration count.
-
-    Every iterate minimizes 0.5 x^T H x - b^T x over a Krylov space that
-    contains 0, so b^T x > 0 as soon as x != 0: with b the negative
-    gradient, each iterate is a descent direction.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = r / diag
-    p = z.copy()
-    rz = float(r @ z)
-    stop = _CG_RTOL * float(np.linalg.norm(b))
-    for k in range(_CG_MAX_ITERS):
-        if np.linalg.norm(r) <= stop:
-            return x, k
-        hp = apply(p)
-        curvature = float(p @ hp)
-        if not curvature > 0:
-            return x, k
-        step = rz / curvature
-        x += step * p
-        r -= step * hp
-        z = r / diag
-        rz, rz_old = float(r @ z), rz
-        p = z + (rz / rz_old) * p
-    return x, _CG_MAX_ITERS
-
-
 def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None = None) -> FitResult:
     """Constrained MLE of (alpha, beta) by damped Newton on the total scores.
 
     Minimizes the negative log-likelihood over the total trial count
     from s = 0.  Each step solves with the Hessian L_w / scale + 11^T / n
-    (the last term pins the constant shift the objective ignores) by
-    Jacobi-preconditioned conjugate gradients, applying L_w v = deg * v - sum_e w_e v[other] as
-    one segment sum over the half-edge layout of the comparisons (every
-    edge once from each end, grouped by item); the step is halved while
-    it would increase the objective, so the objective trace is
-    nonincreasing.  The fit converges when the projected gradient in
-    (alpha, beta), ||[(I - Q Q^T) G; X^T G]||, meets ``grad_tol``.  Memory and time per inner iteration are O(n d + E).
+    (the last term pins the constant shift the objective ignores) by the
+    conjugate gradients of ``model._ShiftedLaplacian``, over the
+    half-edge layout of the comparisons (every edge once from each end,
+    grouped by item); the step is halved while it would increase the
+    objective, so the objective trace is nonincreasing.  The fit
+    converges when the projected gradient in (alpha, beta),
+    ||[(I - Q Q^T) G; X^T G]||, meets ``grad_tol``.  Memory and time per
+    inner iteration are O(n d + E).
     Requires a connected comparison graph; a win graph that is not
     strongly connected stops at once with ``"no_mle"``.
 
@@ -230,29 +197,15 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         raise InvalidArgumentError("comparison data has no edges")
     _refuse_split("comparison graph", data._component_labels)
 
-    proj = build_projection(cov)
-    n = data.n_items
-    half = data._half_edges
-    x, q = cov.scaled, proj._span_q
     scale = float(data.total_trials)
 
     def objective(s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         value, grad, weights = _score_terms(data, s)
         return value / scale, grad / scale, weights
 
-    def projected_norm(g: np.ndarray) -> float:
-        return float(np.linalg.norm(proj.apply(np.concatenate([g, x.T @ g]))))
-
-    def hess_apply(v: np.ndarray) -> np.ndarray:
-        # (L_w / scale + 11^T / n) v, with the edge weights w / scale of
-        # the current step on both half-edges
-        out = _laplacian_times(half, w_half, degree, v)
-        out += v.sum() / n
-        return out
-
-    s = np.zeros(n)
+    s = np.zeros(data.n_items)
     val, g, weights = objective(s)
-    pg_norm = projected_norm(g)
+    pg_norm = _projected_norm(cov, g)
     trace = [val]
     iterations = halvings = cg_iterations = 0
     stop_reason = None if data._closed_group is None else "no_mle"
@@ -263,10 +216,7 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         if iterations >= config.max_iters:
             stop_reason = "max_iters"
             break
-        w = weights / scale
-        w_half = half.spread(w, w)
-        degree = half.sum(w_half)
-        newton, inner = _pcg(hess_apply, -g, degree + 1.0 / n)
+        newton, inner = _ShiftedLaplacian(data._half_edges, weights / scale).solve(-g)
         cg_iterations += inner
         t = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -280,12 +230,13 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
             stop_reason = "stalled"
             break
         s, val, g, weights = cand, cand_val, cand_g, cand_weights
-        pg_norm = projected_norm(g)
+        pg_norm = _projected_norm(cov, g)
         trace.append(val)
         iterations += 1
 
     params = _regression_split(cov, s)
     scores = params.scores(cov)
+    q = build_projection(cov)._span_q
     diagnostics = FitDiagnostics(
         kappa1=float(np.exp(scores.max() - scores.min())),
         incoherence=float(np.sqrt((q * q).sum(axis=1)).max()),

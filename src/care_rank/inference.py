@@ -49,8 +49,9 @@ P c != 0.
 
 Also provided: the minimizer of the quadratic expansion of the loss
 around a known truth (the inferential surrogate used to study how close
-the MLE is to its linearization), and soft-thresholded ranking scores
-that zero out statistically insignificant intrinsic effects.
+the MLE is to its linearization, one conjugate gradient solve with A),
+and soft-thresholded ranking scores that zero out statistically
+insignificant intrinsic effects.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ from .model import (
     ParamVector,
     ProjectionOperator,
     _check_dims,
-    _laplacian_times,
+    _projected_norm,
     _readonly,
     _refuse_split,
     _regression_split,
     _score_terms,
+    _ShiftedLaplacian,
     _smallest_reaching,
     _weighted_degrees,
     build_projection,
@@ -395,12 +397,9 @@ def _shifted_laplacian_tree(data: ComparisonData, weights: np.ndarray):
     return build(0, n, data.item_i, data.item_j, weights)
 
 
-def _factored_laplacian(data: ComparisonData, weights: np.ndarray):
-    """The block tree of R = L^-1 for the Cholesky factor L of
-    A = L_w + 11^T/n.  First, edges weighing at most
-    ``DEFAULT_EIGEN_CUTOFF`` times the largest are dropped and the rest's
-    components found in O(E); more than one raises ``ConnectivityError``,
-    and a factor that still fails raises ``InvalidArgumentError``."""
+def _refuse_weight_split(data: ComparisonData, weights: np.ndarray) -> None:
+    """Drop the edges weighing at most ``DEFAULT_EIGEN_CUTOFF`` times the
+    largest; if the rest split the graph, raise ``ConnectivityError``."""
     keep = weights > DEFAULT_EIGEN_CUTOFF * weights.max(initial=0.0)
     if keep.all():
         graph, labels = "comparison graph", data._component_labels
@@ -409,6 +408,12 @@ def _factored_laplacian(data: ComparisonData, weights: np.ndarray):
         graph = "comparison graph under its Hessian weights"
         labels = _smallest_reaching(half, half.spread(keep, keep))
     _refuse_split(graph, labels)
+
+
+def _factored_laplacian(data: ComparisonData, weights: np.ndarray):
+    """The block tree of R = L^-1 for the Cholesky factor L of A, after
+    ``_refuse_weight_split``; a failed factor raises ``InvalidArgumentError``."""
+    _refuse_weight_split(data, weights)
     tree = _shifted_laplacian_tree(data, weights)
     try:
         _invert_tree(tree)
@@ -561,28 +566,21 @@ def quadratic_approx_minimizer(
 
     In the total scores the expansion is g^T (s - s*) + (s - s*)^T L_w
     (s - s*) / 2 around the true scores s*, so the minimizer is one Newton
-    step, s = s* - L_w^+ g = s* - A^-1 g (g sums to zero), solved through
-    R = L^-1 for the Cholesky factor L of A = L_w + 11^T/n, held as the
-    block tree of ``_factored_laplacian``; the regression split of s is
-    the point of the subspace with those scores.  Simulation-side tool:
-    requires the true parameters.
+    step, s = s* - L_w^+ g = s* - A^-1 g (g sums to zero), solved by the
+    fit's conjugate gradients on A (``model._ShiftedLaplacian``) in O(E)
+    memory; the regression split of s is the point of the subspace with
+    those scores.  Simulation-side tool: requires the true parameters.
     """
     _check_dims(data, cov, truth)
-    proj = build_projection(cov)
     s = truth.scores(cov)
     _, g, weights = _score_terms(data, s)
-    step = g[np.newaxis].copy()
-    tree = _factored_laplacian(data, weights)
-    _times_transpose(step, tree)  # (R g)^T
-    _times(step, tree)  # (R^T R g)^T
-    step = step[0]
-    # stationarity in (alpha, beta): P M^T (g + L_w (s - s*))
-    half = data._half_edges
-    w_half = half.spread(weights, weights)
-    resid = g - _laplacian_times(half, w_half, half.sum(w_half), step)
-    residual = float(np.linalg.norm(proj.apply(np.concatenate([resid, cov.scaled.T @ resid]))))
-    scale = float(np.linalg.norm(proj.apply(np.concatenate([g, cov.scaled.T @ g]))))
-    if not residual <= 1e-8 * max(1.0, scale):
+    _refuse_weight_split(data, weights)
+    system = _ShiftedLaplacian(data._half_edges, weights)
+    step = system.solve(g)[0]
+    # stationarity in (alpha, beta): P M^T (g + L_w (s - s*)); the shift
+    # adds sum(step) / n = sum(g) / n, zero up to rounding
+    residual = _projected_norm(cov, g - system.times(step))
+    if not residual <= 1e-8 * max(1.0, _projected_norm(cov, g)):
         raise InvalidArgumentError(
             f"quadratic stationarity residual {residual:.3e} too large; "
             "graph may be effectively disconnected"

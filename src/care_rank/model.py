@@ -43,6 +43,8 @@ __all__ = [
 # Relative singular-value cutoff below which the augmented design is
 # treated as rank deficient.
 RANK_RTOL = 1e-10
+_CG_RTOL = 1e-12
+_CG_MAX_ITERS = 1000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -245,13 +247,52 @@ class _HalfEdges:
         return out
 
 
-def _laplacian_times(half: _HalfEdges, w_half: np.ndarray, degree: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """L_w v = degree * v - sum_e w_e v[other], one segment sum over the
-    half-edge layout, for the edge weights ``w_half`` spread onto it and
-    ``degree = half.sum(w_half)``."""
-    out = degree * v
-    out -= half.sum(w_half * v.take(half.other))
-    return out
+class _ShiftedLaplacian:
+    """A = L_w + 11^T/n for per-edge weights w, held as the weights
+    spread onto the half-edge layout and the degrees, so a matvec is one
+    segment sum and no n x n array is built.  A is positive definite
+    when the graph is connected under w, and A^-1 = L_w^+ + 11^T/n."""
+
+    def __init__(self, half: _HalfEdges, w: np.ndarray):
+        self.half = half
+        self.w_half = half.spread(w, w)
+        self.degree = half.sum(self.w_half)
+
+    def times(self, v: np.ndarray) -> np.ndarray:
+        """A v = degree * v - sum_e w_e v[other] + sum(v) / n."""
+        out = self.degree * v
+        out -= self.half.sum(self.w_half * v.take(self.half.other))
+        out += v.sum() / self.half.n_items
+        return out
+
+    def solve(self, b: np.ndarray) -> tuple[np.ndarray, int]:
+        """Solve A x = b by conjugate gradients with the Jacobi
+        preconditioner diag A from x = 0, to a residual of ``_CG_RTOL``
+        ||b|| within ``_CG_MAX_ITERS`` iterations; returns x and the
+        iteration count.  Each iterate minimizes 0.5 x^T A x - b^T x over
+        a Krylov space that contains 0, so b^T x > 0 once x != 0: with b
+        the negative gradient, every iterate is a descent direction."""
+        diag = self.degree + 1.0 / self.half.n_items
+        x = np.zeros_like(b)
+        r = b.copy()
+        z = r / diag
+        p = z.copy()
+        rz = float(r @ z)
+        stop = _CG_RTOL * float(np.linalg.norm(b))
+        for k in range(_CG_MAX_ITERS):
+            if np.linalg.norm(r) <= stop:
+                return x, k
+            ap = self.times(p)
+            curvature = float(p @ ap)
+            if not curvature > 0:
+                return x, k
+            step = rz / curvature
+            x += step * p
+            r -= step * ap
+            z = r / diag
+            rz, rz_old = float(r @ z), rz
+            p = z + (rz / rz_old) * p
+        return x, _CG_MAX_ITERS
 
 
 @dataclass(frozen=True)
@@ -514,6 +555,12 @@ def _regression_split(cov: CovariateMatrix, s: np.ndarray) -> ParamVector:
     the likelihood ignores constant shifts of s."""
     stacked = build_projection(cov).apply(np.concatenate([s, cov._score_split @ s]))
     return ParamVector.from_stacked(stacked, cov.n_items)
+
+
+def _projected_norm(cov: CovariateMatrix, r: np.ndarray) -> float:
+    """||P M^T r|| for M = [I, X]: the norm in (alpha, beta), on the
+    identifiable subspace, of a gradient ``r`` in the total scores."""
+    return float(np.linalg.norm(build_projection(cov).apply(np.concatenate([r, cov.scaled.T @ r]))))
 
 
 def _smallest_reaching(half: _HalfEdges, keep: np.ndarray | None = None) -> np.ndarray:

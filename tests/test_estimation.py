@@ -424,14 +424,14 @@ class TestFitMLE:
         # a first direction 64 times too long is halved five or six times
         # (twice the Newton step may already descend); later steps are
         # plain Newton steps
-        pcg, calls = estimation._pcg, []
+        solve, calls = model._ShiftedLaplacian.solve, []
 
-        def overshoot_once(*args):
-            x, k = pcg(*args)
+        def overshoot_once(system, b):
+            x, k = solve(system, b)
             calls.append(k)
             return (64.0 * x if len(calls) == 1 else x), k
 
-        monkeypatch.setattr(estimation, "_pcg", overshoot_once)
+        monkeypatch.setattr(model._ShiftedLaplacian, "solve", overshoot_once)
         data, cov, _ = sample_small_instance(seed=43)
         fit = fit_mle(data, cov)
         assert fit.converged

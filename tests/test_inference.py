@@ -456,8 +456,6 @@ class TestWeightGraphRefusal:
         data, cov, truth, fit = fitted_instance(seed=115)
         with pytest.raises(InvalidArgumentError, match="positive definite"):
             plugin_variance_model(fit)
-        with pytest.raises(InvalidArgumentError, match="positive definite"):
-            quadratic_approx_minimizer(data, cov, truth)
 
 
 class TestContrastInference:
@@ -607,6 +605,39 @@ class TestQuadraticApproxMinimizer:
         monkeypatch.setattr(model, "hessian", refuse)
         data, cov, truth = sample_small_instance(seed=84, n=6, d=2, trials=20)
         quadratic_approx_minimizer(data, cov, truth)
+
+    def test_builds_no_block_tree(self, monkeypatch):
+        # one conjugate gradient solve over the half-edge layout, the
+        # fit's, not the variance models' factor
+        def refuse(*args, **kwargs):
+            raise AssertionError("block tree built")
+
+        monkeypatch.setattr(inference, "_shifted_laplacian_tree", refuse)
+        cov, truth = generate_truth(SyntheticSpec(n=300, d=3, seed=85))
+        data = sample_comparisons(cov, truth, 0.1, 5, 85)
+        got = quadratic_approx_minimizer(data, cov, truth).stacked
+        want = quadratic_minimizer_by_dense_pinv(data, cov, truth)
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+    def test_memory_is_linear_in_edges(self):
+        n = 1500
+        cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=7))
+        data = sample_comparisons(cov, truth, 0.02, 5, 1)
+        tracemalloc.start()
+        try:
+            quadratic_approx_minimizer(data, cov, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n x n float array alone would take 18 MB
+        assert peak < n * n * 8 / 4
+
+    def test_unsolved_step_is_invalid_argument(self, monkeypatch):
+        # a step that misses stationarity in (alpha, beta) is refused
+        monkeypatch.setattr(model._ShiftedLaplacian, "solve", lambda system, b: (0.0 * b, 0))
+        data, cov, truth = sample_small_instance(seed=86, n=6, d=2, trials=20)
+        with pytest.raises(InvalidArgumentError, match="stationarity residual"):
+            quadratic_approx_minimizer(data, cov, truth)
 
     def test_stationarity_residual(self):
         data, cov, truth = sample_small_instance(seed=83, n=6, d=2, trials=20)
