@@ -449,14 +449,19 @@ def parse_comparisons_csv(path: str) -> ParsedComparisons:
 def parse_covariates_csv(path: str, item_ids: list[str]) -> ParsedCovariates:
     """Load item features and align rows to the comparison mapping.
 
-    The header is ``item,<f1>,...,<fd>``; a file with only the item
-    column is valid and yields the covariate-free model.  Items outside
-    the mapping are reported, not used.
+    The header is ``item,<f1>,...,<fd>`` with distinct, nonempty
+    feature names; a file with only the item column is valid and yields
+    the covariate-free model.  Items outside the mapping are reported,
+    not used.
     """
     header, numbers, columns, width_error = _read_table(path)
     if header[0] != "item":
         raise ParseError(f"{path}: first column must be 'item', got {header[:1]}")
     feature_names = header[1:]
+    for column, name in enumerate(feature_names, start=2):
+        if not name or name in feature_names[: column - 2]:
+            what = f"duplicate feature name {name!r}" if name else "empty feature name"
+            raise ParseError(f"{path}: {what} in column {column}")
     names = columns[0]
     m = len(names)
     # The first record of each id; any later record of it is a duplicate.

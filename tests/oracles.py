@@ -402,6 +402,13 @@ def parse_covariates_by_rows(path, item_ids):
     header, rows = _records_by_rows(path)
     if header[0] != "item":
         raise ParseError(f"{path}: first column must be 'item', got {header[:1]}")
+    seen = set()
+    for column, name in enumerate(header[1:], start=2):
+        if name == "":
+            raise ParseError(f"{path}: empty feature name in column {column}")
+        if name in seen:
+            raise ParseError(f"{path}: duplicate feature name {name!r} in column {column}")
+        seen.add(name)
     by_id = {}
     for lineno, row in rows:
         if len(row) != len(header):

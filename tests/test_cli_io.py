@@ -474,6 +474,25 @@ class TestParseCovariates:
         assert outcome[0] == "error" and outcome[2] == 3 and "field limit" in outcome[1]
         assert outcome == covariates_outcome(parse_covariates_by_rows, path, ["a", "b"])
 
+    @pytest.mark.parametrize("header, message", [
+        ("item,f,f", "duplicate feature name 'f' in column 3"),
+        ("item, g ,h,g", "duplicate feature name 'g' in column 4"),
+        ("item,,g", "empty feature name in column 2"),
+        ("item,g, ", "empty feature name in column 3"),
+    ], ids=["duplicate", "padded-duplicate", "empty", "blank"])
+    def test_header_errors(self, tmp_path, capsys, header, message):
+        # each feature name labels a beta row of inference.csv
+        row = ",1" * header.count(",")
+        path = write(tmp_path / "x.csv", f"{header}\na{row}\nb{row}\n")
+        outcome = covariates_outcome(parse_covariates_csv, path, ["a", "b"])
+        assert outcome == ("error", f"{path}: {message}", None)
+        assert outcome == covariates_outcome(parse_covariates_by_rows, path, ["a", "b"])
+        comparisons = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\na,b,4,1\n")
+        code = main(["fit", "--comparisons", comparisons, "--covariates", path,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_nul_suffixed_id_is_its_own_item(self, tmp_path):
         path = write(tmp_path / "x.csv", "item,f1\na,1.0\na\x00,2.0\n")
         parsed = parse_covariates_csv(path, ["a", "a\x00"])
