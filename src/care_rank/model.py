@@ -53,6 +53,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integers(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array.  An integer array is taken as it is;
+    any other value must be finite and integral, and is refused rather
+    than truncated."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        a = np.asarray(a, dtype=float)
+        whole = (np.floor(a) == a) & (np.abs(a) < 2.0**63)
+        if not whole.all():
+            raise InvalidArgumentError(f"{name} must be finite integers, got {float(a[~whole][0])}")
+    return np.asarray(a, dtype=np.int64)
+
+
 def sigmoid(t: np.ndarray | float) -> np.ndarray | float:
     """Logistic function, stable for arguments of any magnitude."""
     t = np.asarray(t, dtype=float)
@@ -82,13 +95,13 @@ class ComparisonData:
     wins_j: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n_items)
+        n = int(_integers("n_items", self.n_items))
         if n < 1:
             raise InvalidArgumentError(f"n_items must be positive, got {n}")
-        ii = np.asarray(self.item_i, dtype=np.int64).ravel()
-        jj = np.asarray(self.item_j, dtype=np.int64).ravel()
-        tt = np.asarray(self.trials, dtype=np.int64).ravel()
-        ww = np.asarray(self.wins_j, dtype=np.int64).ravel()
+        ii, jj, tt, ww = (
+            _integers(name, getattr(self, name)).ravel()
+            for name in ("item_i", "item_j", "trials", "wins_j")
+        )
         if not (ii.shape == jj.shape == tt.shape == ww.shape):
             raise InvalidArgumentError("edge arrays must share one length")
         if ii.size:

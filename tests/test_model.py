@@ -106,6 +106,22 @@ class TestComparisonData:
         with pytest.raises(InvalidArgumentError):
             ComparisonData.from_edges(3, [(0, 3, 2, 1)])
 
+    def test_rejects_non_integral_values(self):
+        # truncation would read this as n = 3, item_i [0, 1], trials [5, 5], wins_j [2, 3]
+        with pytest.raises(InvalidArgumentError, match="n_items must be finite integers, got 3.9"):
+            ComparisonData(3.9, [0, 1.9], [1, 2], [5.5, 5], [2.8, 3])
+        good = dict(item_i=[0, 1], item_j=[1, 2], trials=[5, 5], wins_j=[2, 3])
+        for name, bad, shown in [
+            ("item_i", [0, 1.9], "1.9"), ("item_j", [1, np.nan], "nan"),
+            ("trials", [5.5, 5], "5.5"), ("trials", [np.inf, 5], "inf"),
+            ("wins_j", [2.8, 3], "2.8"), ("trials", [1e30, 5], r"1e\+30"),
+        ]:
+            with pytest.raises(InvalidArgumentError, match=f"{name} must be finite integers, got {shown}"):
+                ComparisonData(3, **{**good, name: bad})
+        # integral floats are the integers they hold
+        floats = ComparisonData(3.0, *(np.array(v, dtype=float) for v in good.values()))
+        assert floats.n_items == 3 and floats.edges == ComparisonData(3, **good).edges
+
     def test_win_fraction(self):
         data = ComparisonData.from_edges(2, [(0, 1, 4, 3)])
         assert data.win_fraction[0] == 0.75
