@@ -16,7 +16,7 @@ from care_rank.errors import (
     DimensionError,
     InvalidArgumentError,
 )
-from care_rank import estimation, model
+from care_rank import model
 from care_rank.estimation import (
     FitConfig,
     fit_mle,
