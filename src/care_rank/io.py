@@ -6,18 +6,16 @@ Comparison data arrives as CSV in either aggregated form
 dense indices in sorted id order, so row order does not matter, and the
 mapping travels with every output.
 
-A comparison file is first read as bytes.  A plain aggregated file
-(ASCII, no quotes, unpadded cells, counts of ASCII digits; see
-``_plain_columns``), such as ``care-rank simulate`` writes, is tokenized
-with numpy: record and cell bounds come from the positions of its
-newlines and commas, the ids become codes by one sort of integer keys,
-and the counts are read digit by digit.  Every other file (quoted or
-padded cells, per-trial form, counts that ``int()`` reads some other
-way, a ragged record), and any plain file whose records fail a check,
-is read again by ``csv.reader`` into one Python list of stripped cells
-per column, as covariate files are.  So every error comes from that
-reading and names the first bad record by its 1-based number.  Both
-readings share the checks and the pair sums.
+Two tokenizers read a comparison file into numpy columns of id codes
+and counts, and only decide whether the file is valid.  A plain
+aggregated file (ASCII, no quotes, unpadded cells, counts of ASCII
+digits), such as ``care-rank simulate`` writes, is tokenized from its
+bytes (``_plain_columns``); any other file, or a plain one that fails a
+check, from the records ``csv.reader`` splits (``_csv_columns``).  Both
+share the checks (``_valid``), the renumbering and the pair sums.  Only
+an invalid file is walked one record at a time, to name its first bad
+record by its 1-based number (``_raise_first_bad_record``); covariate
+files, one record per item, are always read that way.
 
 Every CSV output is one table written by ``_write_table``: the
 provenance '#' line, the header, then the rows zipped from one column
@@ -108,20 +106,11 @@ class ParsedCovariates:
     extra_items: list[str]
 
 
-def _read_table(path: str) -> tuple[list[str], list[int], list[list[str]], ParseError | None]:
-    """A CSV file as its header and its body's columns.
-
-    ``csv.reader`` splits the records, so quoting works as usual; blank
-    records and '#' comment records (such as the provenance line our
-    writers emit) are skipped.  This reads every covariate file, and
-    every comparison file that ``_plain_columns`` does not take or whose
-    records fail a check, so all parse errors come from here.  Returns
-    the stripped header, the 1-based record numbers of the body records,
-    one list of stripped cells per header column, and the error for the
-    first record whose width differs from the header's (or None).  The
-    body stops before that record; its error stands only if no earlier
-    record fails.
-    """
+def _records(path: str) -> tuple[list[str], list[int], list[list[str]]]:
+    """A CSV file's stripped header, and the 1-based numbers and raw
+    cells of its body records, as ``csv.reader`` splits them (so quoting
+    works as usual).  Blank records and '#' comment records, such as the
+    provenance line our writers emit, are skipped."""
     records = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -138,95 +127,26 @@ def _read_table(path: str) -> tuple[list[str], list[int], list[list[str]], Parse
     if not numbers:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in records[numbers[0] - 1]]
-    body = [records[k - 1] for k in numbers[1:]]
-    del records
-    widths = np.fromiter(map(len, body), dtype=np.int64, count=len(body))
-    wrong = np.flatnonzero(widths != len(header))
-    width_error = None
-    if wrong.size:
-        k = int(wrong[0])
-        width_error = ParseError(
-            f"expected {len(header)} columns, got {widths[k]}", row=numbers[k + 1]
-        )
-        del body[k:]
-    columns = [[row[c].strip() for row in body] for c in range(len(header))]
-    return header, numbers[1 : len(body) + 1], columns, width_error
+    return header, numbers[1:], [records[k - 1] for k in numbers[1:]]
 
 
-def _first_failure(checks) -> tuple[int, object] | None:
-    """The position of the earliest record failing any check and, at
-    that record, the message of its earliest check; None if all pass.
-
-    ``checks`` are (mask, message) pairs in the order a record is
-    checked; ``message`` builds the text from a record's position.
-    """
-    first = None
-    for mask, message in checks:
-        hits = np.flatnonzero(mask)
-        if hits.size and (first is None or hits[0] < first[0]):
-            first = (int(hits[0]), message)
-    return first
+def _stripped_rows(header: list[str], numbers: list[int], body: list[list[str]]):
+    """Each body record's number and stripped cells, in file order; a
+    record of another width than the header is a ParseError there."""
+    for number, row in zip(numbers, body):
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} columns, got {len(row)}", row=number)
+        yield number, [cell.strip() for cell in row]
 
 
-def _raise_first(numbers: list[int], checks, width_error: ParseError | None) -> None:
-    """Raise the error a record-by-record reading would meet first.
-
-    The body stops before the width error's record, so that error is
-    raised only when no check fails.
-    """
-    first = _first_failure(checks)
-    if first is not None:
-        k, message = first
-        raise ParseError(message(k), row=numbers[k])
-    if width_error is not None:
-        raise width_error
-
-
-def _convert(cells: list[str], kind: type) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values of string cells as ``kind`` (int or float), the mask of
-    cells ``kind()`` rejects and the mask of integers outside the int64
-    range; the values of both read 0.  The cells are converted as one
-    column; only when that raises does each cell go through ``kind()``
-    alone, to locate the bad ones."""
-    dtype = np.int64 if kind is int else np.float64
-    try:
-        values = np.fromiter(map(kind, cells), dtype=dtype, count=len(cells))
-        clean = np.zeros(len(cells), dtype=bool)
-        return values, clean, clean
-    except (ValueError, OverflowError):
-        pass
-    values = np.zeros(len(cells), dtype=dtype)
-    rejected = np.zeros(len(cells), dtype=bool)
-    wide = np.zeros(len(cells), dtype=bool)
-    for k, cell in enumerate(cells):
-        try:
-            value = kind(cell)
-        except ValueError:
-            rejected[k] = True
-            continue
-        try:
-            values[k] = value
-        except OverflowError:
-            wide[k] = True
-    return values, rejected, wide
-
-
-def _id_checks(ids: list[str], code_i: np.ndarray, code_j: np.ndarray) -> list:
-    """The checks of a record's two ids, given as codes into the sorted ids."""
+def _valid(ids, code_i, code_j, trials, wins_j) -> bool:
+    """Whether every record has two distinct non-empty ids (as codes into
+    the sorted ``ids``), trials >= 1 and wins_j in [0, trials]."""
     empty = 0 if ids[:1] == [""] else -1
-    return [
-        ((code_i == empty) | (code_j == empty), lambda k: "empty item id"),
-        (code_i == code_j, lambda k: f"self-comparison of item {ids[code_i[k]]!r}"),
-    ]
-
-
-def _count_checks(trials: np.ndarray, wins_j: np.ndarray) -> list:
-    """The checks of an aggregated record's counts, once they are integers."""
-    return [
-        (trials < 1, lambda k: f"trials must be positive, got {trials[k]}"),
-        ((wins_j < 0) | (wins_j > trials),
-         lambda k: f"wins_j {wins_j[k]} outside [0, {trials[k]}]"),
-    ]
+    return bool((
+        (code_i != empty) & (code_j != empty) & (code_i != code_j)
+        & (trials >= 1) & (wins_j >= 0) & (wins_j <= trials)
+    ).all())
 
 
 # An aggregated file is plain when csv.reader and str.strip would leave
@@ -285,9 +205,10 @@ def _sorted_codes(body: np.ndarray, first: np.ndarray, size: np.ndarray):
 
 
 def _plain_columns(raw: bytes):
-    """What ``_read_comparisons`` would return for a plain aggregated
-    file, tokenized from its bytes (the caller checks the records); None
-    for a file that is not plain.
+    """The sorted ids, each record's id codes and counts, and the number
+    of tie records dropped (0) of a plain aggregated file, tokenized from
+    its bytes (the caller checks the records); None for a file that is
+    not plain.
 
     Plain means: ASCII with no '"' byte and no line longer than
     csv's field limit, line ends '\\n' or '\\r\\n', and, after any blank
@@ -342,58 +263,71 @@ def _plain_columns(raw: bytes):
     return ids, codes[0::2], codes[1::2], trials, wins_j, 0
 
 
-def _read_comparisons(path: str):
-    """A comparison file read by ``_read_table``: the sorted ids, each
-    usable record's id codes and counts, and the number of tie records
-    dropped.  Raises the error of the first bad record, with its number."""
-    header, numbers, columns, width_error = _read_table(path)
-    if header == AGGREGATED_HEADER:
-        aggregated = True
-    elif header == PER_TRIAL_HEADER:
-        aggregated = False
-    else:
-        raise ParseError(
-            f"{path}: unrecognized header {header}; expected "
-            f"{AGGREGATED_HEADER} or {PER_TRIAL_HEADER}"
-        )
-
-    # Every id seen, in sorted order, as an integer code; the checks
-    # below compare codes rather than strings.
-    first, second = columns[0], columns[1]
+def _csv_columns(header: list[str], body: list[list[str]]):
+    """What ``_plain_columns`` returns, from the records ``_records``
+    read (the caller checks the records); None if a record's width
+    differs from the header's, a count is one ``int()`` rejects or one
+    outside the int64 range, a winner is neither item of its record, or
+    a tie record fails the id checks of ``_valid``."""
+    if set(map(len, body)) - {len(header)}:
+        return None
+    first, second, *rest = ([row[c].strip() for row in body] for c in range(len(header)))
     m = len(first)
+    # Every id seen, in sorted order, as an integer code; the checks
+    # compare codes rather than strings.
     ids = sorted(set(first) | set(second))
     code = {name: k for k, name in enumerate(ids)}
     code_i = np.fromiter(map(code.__getitem__, first), dtype=np.int64, count=m)
     code_j = np.fromiter(map(code.__getitem__, second), dtype=np.int64, count=m)
-    checks = _id_checks(ids, code_i, code_j)
-    if aggregated:
-        (trials, bad_t, wide_t), (wins_j, bad_w, wide_w) = (
-            _convert(column, int) for column in columns[2:]
-        )
-        checks += [
-            (bad_t | bad_w, lambda k: (
-                f"non-integer trials/wins in {columns[2][k]!r},{columns[3][k]!r}"
-            )),
-            (wide_t | wide_w, lambda k: (
-                f"trials/wins {columns[2][k]!r},{columns[3][k]!r} outside the 64-bit range"
-            )),
-            *_count_checks(trials, wins_j),
-        ]
-        ties = 0
-    else:
-        winner = columns[2]
-        tie = np.fromiter((w.lower() == TIE_MARKER for w in winner), dtype=bool, count=m)
-        code_w = np.fromiter((code.get(w, -1) for w in winner), dtype=np.int64, count=m)
-        checks.append((~(tie | (code_w == code_i) | (code_w == code_j)), lambda k: (
-            f"winner {winner[k]!r} is neither {first[k]!r} nor {second[k]!r}"
-        )))
-        keep = ~tie
-        ties = int(tie.sum())
-        wins_j = (code_w == code_j)[keep].astype(np.int64)
-        trials = np.ones(wins_j.size, dtype=np.int64)
-        code_i, code_j = code_i[keep], code_j[keep]
-    _raise_first(numbers, checks, width_error)
-    return ids, code_i, code_j, trials, wins_j, ties
+    if header == AGGREGATED_HEADER:
+        try:
+            trials, wins_j = (np.fromiter(map(int, c), dtype=np.int64, count=m) for c in rest)
+        except (ValueError, OverflowError):
+            return None
+        return ids, code_i, code_j, trials, wins_j, 0
+    winner = rest[0]
+    tie = np.fromiter((w.lower() == TIE_MARKER for w in winner), dtype=bool, count=m)
+    code_w = np.fromiter((code.get(w, -1) for w in winner), dtype=np.int64, count=m)
+    trials = np.ones(m, dtype=np.int64)
+    wins_j = (code_w == code_j).astype(np.int64)
+    # Tie records are checked with the others, before they are dropped.
+    named = tie | (code_w == code_i) | (code_w == code_j)
+    if not (named.all() and _valid(ids, code_i, code_j, trials, wins_j)):
+        return None
+    keep = ~tie
+    return ids, code_i[keep], code_j[keep], trials[keep], wins_j[keep], m - int(keep.sum())
+
+
+def _raise_first_bad_record(header: list[str], numbers: list[int], body: list[list[str]]):
+    """Raise the error of the first comparison record that fails a
+    check, with its number, checking one record at a time.  Only called
+    once a tokenizer has found the file invalid."""
+    aggregated = header == AGGREGATED_HEADER
+    for number, (first, second, *rest) in _stripped_rows(header, numbers, body):
+        if not first or not second:
+            raise ParseError("empty item id", row=number)
+        if first == second:
+            raise ParseError(f"self-comparison of item {first!r}", row=number)
+        if aggregated:
+            try:
+                trials, wins_j = map(int, rest)
+            except ValueError:
+                raise ParseError(
+                    f"non-integer trials/wins in {rest[0]!r},{rest[1]!r}", row=number
+                ) from None
+            if not -(2**63) <= min(trials, wins_j) <= max(trials, wins_j) < 2**63:
+                raise ParseError(
+                    f"trials/wins {rest[0]!r},{rest[1]!r} outside the 64-bit range", row=number
+                )
+            if trials < 1:
+                raise ParseError(f"trials must be positive, got {trials}", row=number)
+            if not 0 <= wins_j <= trials:
+                raise ParseError(f"wins_j {wins_j} outside [0, {trials}]", row=number)
+        elif rest[0].lower() != TIE_MARKER and rest[0] not in (first, second):
+            raise ParseError(
+                f"winner {rest[0]!r} is neither {first!r} nor {second!r}", row=number
+            )
+    raise AssertionError("a tokenizer refused records that pass every check")
 
 
 def parse_comparisons_csv(path: str) -> ParsedComparisons:
@@ -404,17 +338,21 @@ def parse_comparisons_csv(path: str) -> ParsedComparisons:
     Duplicate pairs are summed, orientation is canonicalized to i < j in
     mapping order, and per-trial rows whose winner column is the tie
     marker are dropped (counted in the result) -- the model cannot
-    represent ties.  A plain aggregated file whose records all pass the
-    checks is tokenized from its bytes (``_plain_columns``); any other
-    file is read by ``_read_comparisons``, which raises the error of the
-    first bad record with that record's number.
+    represent ties.  An invalid file raises the error of its first bad
+    record, with that record's number.
     """
     with open(path, "rb") as fh:
         columns = _plain_columns(fh.read())
-    if columns is None or _first_failure(
-        _id_checks(*columns[:3]) + _count_checks(*columns[3:5])
-    ):
-        columns = _read_comparisons(path)
+    if columns is None or not _valid(*columns[:5]):
+        header, numbers, body = _records(path)
+        if header not in (AGGREGATED_HEADER, PER_TRIAL_HEADER):
+            raise ParseError(
+                f"{path}: unrecognized header {header}; expected "
+                f"{AGGREGATED_HEADER} or {PER_TRIAL_HEADER}"
+            )
+        columns = _csv_columns(header, body)
+        if columns is None or not _valid(*columns[:5]):
+            _raise_first_bad_record(header, numbers, body)
     ids, code_i, code_j, trials, wins_j, ties = columns
 
     if not code_i.size:
@@ -452,9 +390,10 @@ def parse_covariates_csv(path: str, item_ids: list[str]) -> ParsedCovariates:
     The header is ``item,<f1>,...,<fd>`` with distinct, nonempty
     feature names; a file with only the item column is valid and yields
     the covariate-free model.  Items outside the mapping are reported,
-    not used.
+    not used.  A covariate file has one record per item, so its records
+    are checked one at a time and the first bad one is named by number.
     """
-    header, numbers, columns, width_error = _read_table(path)
+    header, numbers, body = _records(path)
     if header[0] != "item":
         raise ParseError(f"{path}: first column must be 'item', got {header[:1]}")
     feature_names = header[1:]
@@ -462,25 +401,20 @@ def parse_covariates_csv(path: str, item_ids: list[str]) -> ParsedCovariates:
         if not name or name in feature_names[: column - 2]:
             what = f"duplicate feature name {name!r}" if name else "empty feature name"
             raise ParseError(f"{path}: {what} in column {column}")
-    names = columns[0]
-    m = len(names)
-    # The first record of each id; any later record of it is a duplicate.
-    position = dict(zip(reversed(names), range(m - 1, -1, -1)))
-    first_row = np.fromiter(map(position.__getitem__, names), dtype=np.int64, count=m)
-    repeated = first_row != np.arange(m)
-    values = np.zeros((m, len(feature_names)))
-    bad = np.zeros((m, len(feature_names)), dtype=bool)
-    for c, column in enumerate(columns[1:]):
-        values[:, c], bad[:, c], _ = _convert(column, float)
-    _raise_first(numbers, [
-        (np.fromiter((name == "" for name in names), dtype=bool, count=m),
-         lambda k: "empty item id"),
-        (repeated, lambda k: f"duplicate item {names[k]!r}"),
-        (bad.any(axis=1), lambda k: (
-            f"non-numeric value {columns[1 + bad[k].argmax()][k]!r} "
-            f"in column {header[1 + bad[k].argmax()]!r}"
-        )),
-    ], width_error)
+    position, values = {}, []
+    for number, (name, *cells) in _stripped_rows(header, numbers, body):
+        if not name:
+            raise ParseError("empty item id", row=number)
+        if name in position:
+            raise ParseError(f"duplicate item {name!r}", row=number)
+        position[name] = len(position)
+        for cell, feature in zip(cells, feature_names):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"non-numeric value {cell!r} in column {feature!r}", row=number
+                ) from None
 
     missing = [name for name in item_ids if name not in position]
     if missing:
@@ -489,9 +423,9 @@ def parse_covariates_csv(path: str, item_ids: list[str]) -> ParsedCovariates:
             + ("..." if len(missing) > 8 else "")
         )
     wanted = set(item_ids)
-    extra = [name for name in names if name not in wanted]
-    matrix = values[[position[name] for name in item_ids]]
-    return ParsedCovariates(matrix, feature_names, extra)
+    extra = [name for name in position if name not in wanted]
+    matrix = np.array(values).reshape(len(position), len(feature_names))
+    return ParsedCovariates(matrix[[position[name] for name in item_ids]], feature_names, extra)
 
 
 def read_config_file(path: str) -> dict[str, str]:
