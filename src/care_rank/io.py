@@ -109,11 +109,12 @@ class ParsedCovariates:
 def _records(path: str) -> tuple[list[str], list[int], list[list[str]]]:
     """A CSV file's stripped header, and the 1-based numbers and raw
     cells of its body records, as ``csv.reader`` splits them (so quoting
-    works as usual).  Blank records and '#' comment records, such as the
-    provenance line our writers emit, are skipped."""
+    works as usual).  A leading UTF-8 byte-order mark is dropped; blank
+    records and '#' comment records, such as the provenance line our
+    writers emit, are skipped."""
     records = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             records.extend(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -429,9 +430,10 @@ def parse_covariates_csv(path: str, item_ids: list[str]) -> ParsedCovariates:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Flat key=value config file; '#' starts a comment; blank lines ignored."""
+    """Flat key=value config file; '#' starts a comment; blank lines
+    ignored; a leading UTF-8 byte-order mark is dropped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -310,10 +310,11 @@ def strongly_connected_by_bfs(data):
 def _records_by_rows(path):
     """The stripped header of a CSV file and its body records, each with
     its 1-based record number and stripped cells; blank records and
-    records whose first cell starts with '#' are skipped.  A record
-    ``csv.reader`` cannot read is a ParseError at its number."""
+    records whose first cell starts with '#' are skipped, and so is a
+    leading UTF-8 byte-order mark.  A record ``csv.reader`` cannot read
+    is a ParseError at its number."""
     header, rows, lineno = None, [], 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or all(not cell.strip() for cell in row):

@@ -270,6 +270,17 @@ class TestParseComparisons:
         with pytest.raises(ParseError, match="64-bit"):
             parse_comparisons_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        "item_i,item_j,trials,wins_j\na,b,5,3\n",
+        "item_i,item_j,winner\na,b,b\nb,a,b\na,b,a\na,b,b\nb,a,a\n",
+    ], ids=["aggregated", "per-trial"])
+    def test_byte_order_mark_dropped(self, tmp_path, text):
+        # spreadsheet programs start a UTF-8 CSV file with one
+        path = write(tmp_path / "c.csv", "\ufeff" + text)
+        outcome = parse_outcome(parse_comparisons_csv, path)
+        assert outcome == ("ok", 2, [(0, 1, 5, 3)], ["a", "b"], 0)
+        assert outcome == parse_outcome(parse_comparisons_by_rows, path)
+
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(comparison_files())
     def test_matches_row_oracle(self, tmp_path, text):
@@ -493,6 +504,13 @@ class TestParseCovariates:
         assert code == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = write(tmp_path / "x.csv", "\ufeffitem,f1\nb,2.0\na,1.0\n")
+        outcome = covariates_outcome(parse_covariates_csv, path, ["a", "b"])
+        assert outcome[0] == "ok" and outcome[3] == ["f1"]
+        assert parse_covariates_csv(path, ["a", "b"]).matrix.tolist() == [[1.0], [2.0]]
+        assert outcome == covariates_outcome(parse_covariates_by_rows, path, ["a", "b"])
+
     def test_nul_suffixed_id_is_its_own_item(self, tmp_path):
         path = write(tmp_path / "x.csv", "item,f1\na,1.0\na\x00,2.0\n")
         parsed = parse_covariates_csv(path, ["a", "a\x00"])
@@ -613,6 +631,10 @@ class TestConfigFile:
         )
         cfg = read_config_file(path)
         assert cfg == {"max_iters": "50", "grad_tol": "1e-6", "step_size": "auto"}
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = write(tmp_path / "run.cfg", "\ufeffmax_iters = 50\n")
+        assert read_config_file(path) == {"max_iters": "50"}
 
     def test_bad_line(self, tmp_path):
         path = write(tmp_path / "run.cfg", "just a line\n")
