@@ -317,6 +317,9 @@ class TestParseComparisons:
         # cells and '#' lines past csv.field_size_limit()
         ("item_i,item_j,trials,wins_j\na,b,2,1\n" + "x" * 200_000 + ",b,2,1\n", 3),
         ("#" + "x" * 200_000 + "\nitem_i,item_j,trials,wins_j\na,b,2,1\n", 1),
+        # tie records are dropped only after their ids are checked
+        ("item_i,item_j,winner\na,b,b\na,a,tie\n", 3),
+        ("item_i,item_j,winner\na,b,b\n,b,tie\n", 3),
     ], ids=[
         "wrong-width", "empty-id", "self-comparison", "non-integer", "non-integer-empty",
         "trials-below-one", "wins-above-trials", "wins-negative", "unknown-winner",
@@ -324,12 +327,27 @@ class TestParseComparisons:
         "value-before-width", "width-before-value", "non-integer-before-self",
         "non-integer-before-range", "non-ascii-digits", "past-int64", "below-int64",
         "non-integer-before-int64", "quoted-line-break", "long-id", "long-comment",
+        "tie-self-comparison", "tie-empty-id",
     ])
     def test_errors_match_row_oracle(self, tmp_path, text, row):
         path = write(tmp_path / "c.csv", text)
         outcome = parse_outcome(parse_comparisons_csv, path)
         assert outcome[0] == "error" and outcome[2] == row
         assert outcome == parse_outcome(parse_comparisons_by_rows, path)
+
+    @pytest.mark.parametrize("text", [
+        '"item_i","item_j","trials","wins_j"\n"a","b","2","1"\n"c,d","b","3","0"\n',
+        "item_i, item_j ,winner\n a ,b, b\nb,a , TIE \n b , a, a\n",
+    ], ids=["quoted", "padded-per-trial"])
+    def test_valid_file_never_reaches_record_loop(self, tmp_path, text):
+        # the tokenizers decide validity; the record loop runs only to
+        # name what is wrong
+        path = write(tmp_path / "c.csv", text)
+        expected = parse_outcome(parse_comparisons_by_rows, path)
+        assert expected[0] == "ok"
+        with mock.patch("care_rank.io._raise_first_bad_record",
+                        side_effect=AssertionError("record loop reached")):
+            assert parse_outcome(parse_comparisons_csv, path) == expected
 
 
 # Printable ASCII but the comma and the quote: what a plain file's ids
