@@ -289,6 +289,13 @@ def _load_and_fit(config: RunConfig) -> ResultBundle:
                 "never compared", file=sys.stderr,
             )
         raw, feature_names = pc.matrix, pc.feature_names
+        bad = np.argwhere(~np.isfinite(raw))
+        if bad.size:  # the parser reads nan and inf; the fit cannot use them
+            k, c = bad[0].tolist()
+            raise InvalidArgumentError(
+                f"{config.covariates}: covariates contain non-finite values, first "
+                f"{raw[k, c]} for item {parsed.item_ids[k]!r} in column {feature_names[c]!r}"
+            )
     else:
         raw = np.zeros((parsed.data.n_items, 0))
         feature_names = []

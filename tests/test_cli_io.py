@@ -1043,6 +1043,20 @@ class TestExitCodes:
         assert f"error: {name} must be" in capsys.readouterr().err
         assert not (out / "fit.json").exists()
 
+    def test_non_finite_covariate_names_its_item_and_feature(self, tmp_path, capsys):
+        data = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\n"
+                     "a,b,9,4\nb,c,9,5\nc,d,9,3\na,d,9,6\n")
+        cov = write(tmp_path / "x.csv", "item,f1,f2\nd,inf,0\na,1,2\nc,1.5,nan\nb,2,3\n")
+        out = tmp_path / "o"
+        code = main(["fit", "--comparisons", data, "--covariates", cov, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        # the first in item order, then feature order
+        assert capsys.readouterr().err == (
+            f"error: {cov}: covariates contain non-finite values, first nan for item 'c' "
+            "in column 'f2'\n"
+        )
+        assert not (out / "fit.json").exists()
+
     def test_missing_required_option(self):
         assert main(["fit"]) == EXIT_CONFIG
 
