@@ -62,7 +62,6 @@ _EXPORTS = {
         "care_ranking_scores",
         "contrast_inference",
         "full_inference_report",
-        "oracle_variance_model",
         "plugin_variance_model",
         "projected_hessian_pinv",
         "quadratic_approx_minimizer",

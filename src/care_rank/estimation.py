@@ -31,6 +31,7 @@ from .model import (
     FitDiagnostics,
     ParamVector,
     ProjectionOperator,
+    _CG_RTOL,
     _projected_norm,
     _refuse_split,
     _regression_split,
@@ -174,10 +175,14 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
     (the last term pins the constant shift the objective ignores) by the
     conjugate gradients of ``model._ShiftedLaplacian``, over the
     half-edge layout of the comparisons (every edge once from each end,
-    grouped by item); the step is halved while it would increase the
-    objective, so the objective trace is nonincreasing.  The fit
-    converges when the projected gradient in (alpha, beta),
-    ||[(I - Q Q^T) G; X^T G]||, meets ``grad_tol``.  Memory and time per
+    grouped by item).  The solve is inexact (Dembo, Eisenstat & Steihaug
+    1982): it stops at the relative residual
+    max(``_CG_RTOL``, min(0.1, ||g||) ||g||) for the scaled gradient g,
+    which tightens as g falls, so the early steps take few CG iterations
+    and the last ones are solved to ``_CG_RTOL`` = 1e-12.  The step is
+    halved while it would increase the objective, so the objective trace
+    is nonincreasing.  The fit converges when the projected gradient in
+    (alpha, beta), ||[(I - Q Q^T) G; X^T G]||, meets ``grad_tol``.  Memory and time per
     inner iteration are O(n d + E).
     Requires a connected comparison graph; a win graph that is not
     strongly connected stops at once with ``"no_mle"``.
@@ -216,7 +221,9 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
         if iterations >= config.max_iters:
             stop_reason = "max_iters"
             break
-        newton, inner = _ShiftedLaplacian(data._half_edges, weights / scale).solve(-g)
+        g_norm = float(np.linalg.norm(g))
+        rtol = max(_CG_RTOL, min(0.1, g_norm) * g_norm)
+        newton, inner = _ShiftedLaplacian(data._half_edges, weights / scale, rtol).solve(-g)
         cg_iterations += inner
         t = 1.0
         for _ in range(_MAX_HALVINGS):

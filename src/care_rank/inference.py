@@ -33,7 +33,11 @@ from R's columns less (R Q) Q^T, so neither a dense (n+d) x (n+d)
 matrix nor G itself is formed.  The projector and S come from the
 covariates alone, so no caller passes them.  ``projected_hessian_pinv``
 builds a dense root from an eigendecomposition of P H P, as a
-reference: no command or study runs it.
+reference: no command or study runs it.  The distribution study reads
+three variances from each of two models, at the truth and at the fit:
+up to n = 266 it solves for them as u^T A^-1 u with one dense LU solve
+(``simulation._variances_by_solve``), and above that it calls
+``_laplacian_variance_model`` at both points.
 
 The Hessian's only null directions must be the d+1 of the constraint,
 so the graph must stay connected under its weights: edges weighing at
@@ -89,7 +93,6 @@ __all__ = [
     "InferenceReport",
     "projected_hessian_pinv",
     "plugin_variance_model",
-    "oracle_variance_model",
     "contrast_inference",
     "full_inference_report",
     "quadratic_approx_minimizer",
@@ -104,7 +107,7 @@ DEFAULT_EIGEN_CUTOFF = 1e-10
 class VarianceModel:
     """The plug-in covariance V = [P H P]^+ of the stacked (alpha, beta)
     estimate as V = G^T G for a root G.  From ``plugin_variance_model``
-    and ``oracle_variance_model`` G = L^-1 T^T = [R (I - Q Q^T) | R S^T]
+    G = L^-1 T^T = [R (I - Q Q^T) | R S^T]
     (see the module docstring), held as the block tree of R's lower
     triangle with R Q and R S^T; from ``projected_hessian_pinv``
     G = Lambda^-1/2 V^T of the kept eigenpairs, held whole.
@@ -487,13 +490,6 @@ def _laplacian_variance_model(
 def plugin_variance_model(fit: FitResult) -> VarianceModel:
     """Variance model with the Hessian evaluated at the fitted parameters."""
     return _laplacian_variance_model(fit.data, fit.covariates, fit.params)
-
-
-def oracle_variance_model(
-    data: ComparisonData, cov: CovariateMatrix, truth: ParamVector
-) -> VarianceModel:
-    """Variance model at known true parameters (simulation use)."""
-    return _laplacian_variance_model(data, cov, truth)
 
 
 def _project_contrast(c: np.ndarray, fit: FitResult) -> tuple[np.ndarray, np.ndarray]:

@@ -232,8 +232,8 @@ class _HalfEdges:
             n,
             _readonly((np.cumsum(counts) - counts)[items]),
             _readonly(items),
-            _readonly(np.concatenate([item_j, item_i]).take(order).astype(np.int32)),
-            _readonly(order.astype(np.int32)),
+            _readonly(np.concatenate([item_j, item_i]).take(order)),
+            _readonly(order),
         )
 
     def spread(self, at_i: np.ndarray, at_j: np.ndarray) -> np.ndarray:
@@ -264,12 +264,14 @@ class _ShiftedLaplacian:
     """A = L_w + 11^T/n for per-edge weights w, held as the weights
     spread onto the half-edge layout and the degrees, so a matvec is one
     segment sum and no n x n array is built.  A is positive definite
-    when the graph is connected under w, and A^-1 = L_w^+ + 11^T/n."""
+    when the graph is connected under w, and A^-1 = L_w^+ + 11^T/n.
+    ``rtol`` is the relative residual at which ``solve`` stops."""
 
-    def __init__(self, half: _HalfEdges, w: np.ndarray):
+    def __init__(self, half: _HalfEdges, w: np.ndarray, rtol: float = _CG_RTOL):
         self.half = half
         self.w_half = half.spread(w, w)
         self.degree = half.sum(self.w_half)
+        self.rtol = rtol
 
     def times(self, v: np.ndarray) -> np.ndarray:
         """A v = degree * v - sum_e w_e v[other] + sum(v) / n."""
@@ -280,20 +282,21 @@ class _ShiftedLaplacian:
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve A x = b by conjugate gradients with the Jacobi
-        preconditioner diag A from x = 0, to a residual of ``_CG_RTOL``
-        ||b|| within ``_CG_MAX_ITERS`` iterations; returns x and the
-        iteration count.  Each iterate minimizes 0.5 x^T A x - b^T x over
-        a Krylov space that contains 0, so b^T x > 0 once x != 0: with b
-        the negative gradient, every iterate is a descent direction."""
+        preconditioner diag A from x = 0, to a residual of ``rtol`` ||b||
+        within ``_CG_MAX_ITERS`` iterations; returns x and the iteration
+        count.  Each iterate minimizes 0.5 x^T A x - b^T x over a Krylov
+        space that contains 0, so b^T x > 0 once x != 0: with b the
+        negative gradient, every iterate is a descent direction, however
+        early the solve stops."""
         diag = self.degree + 1.0 / self.half.n_items
         x = np.zeros_like(b)
         r = b.copy()
         z = r / diag
         p = z.copy()
         rz = float(r @ z)
-        stop = _CG_RTOL * float(np.linalg.norm(b))
+        stop2 = (self.rtol * float(np.linalg.norm(b))) ** 2
         for k in range(_CG_MAX_ITERS):
-            if np.linalg.norm(r) <= stop:
+            if float(r @ r) <= stop2:
                 return x, k
             ap = self.times(p)
             curvature = float(p @ ap)
@@ -302,9 +305,10 @@ class _ShiftedLaplacian:
             step = rz / curvature
             x += step * p
             r -= step * ap
-            z = r / diag
+            np.divide(r, diag, out=z)
             rz, rz_old = float(r @ z), rz
-            p = z + (rz / rz_old) * p
+            p *= rz / rz_old
+            p += z
         return x, _CG_MAX_ITERS
 
 

@@ -164,6 +164,15 @@ def covariance_from_root(vm):
     return 0.5 * (v + v.T)
 
 
+def oracle_variance_model(data, cov, truth):
+    """The factor route's variance model at known parameters, as the
+    distribution study builds it above the size it solves densely at.
+    Not an independent route: a wrapper that names the private call."""
+    from care_rank.inference import _laplacian_variance_model
+
+    return _laplacian_variance_model(data, cov, truth)
+
+
 def dense_from_tree(node):
     """The n x n lower-triangular matrix a lower-triangle block tree
     stores: a leaf is its dense square, a (top, low, bottom) triple puts

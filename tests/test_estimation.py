@@ -16,7 +16,7 @@ from care_rank.errors import (
     DimensionError,
     InvalidArgumentError,
 )
-from care_rank import model
+from care_rank import estimation, model
 from care_rank.estimation import (
     FitConfig,
     fit_mle,
@@ -33,6 +33,7 @@ from care_rank.model import (
 )
 from care_rank.simulation import (
     SyntheticSpec,
+    distribution_sampling_probability,
     generate_truth,
     rate_experiment_pairs,
     sample_comparisons,
@@ -395,6 +396,21 @@ class TestFitMLE:
             assert np.abs(fit.params.stacked - stacked).max() <= 1e-10, (n, p, L)
             assert fit.diagnostics.halvings == 0
             assert fit.diagnostics.cg_iterations >= iterations
+
+    def test_forcing_term_saves_cg_iterations(self, monkeypatch):
+        # the inexact steps take the same Newton path in fewer inner
+        # iterations than steps all solved to _CG_RTOL
+        n, d = 200, 5
+        cov, truth = generate_truth(SyntheticSpec(n=n, d=d, seed=20250801))
+        data = sample_comparisons(cov, truth, distribution_sampling_probability(n, d), 20, 1)
+        forced = fit_mle(data, cov)
+        monkeypatch.setattr(estimation, "_ShiftedLaplacian",
+                            lambda half, w, rtol: model._ShiftedLaplacian(half, w))
+        exact = fit_mle(data, cov)
+        assert forced.converged and exact.converged
+        assert forced.diagnostics.iterations == exact.diagnostics.iterations
+        assert forced.diagnostics.cg_iterations < exact.diagnostics.cg_iterations
+        assert np.abs(forced.params.stacked - exact.params.stacked).max() <= 1e-10
 
     def test_fit_builds_no_dense_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):

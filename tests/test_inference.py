@@ -19,7 +19,6 @@ from care_rank.inference import (
     care_ranking_scores,
     contrast_inference,
     full_inference_report,
-    oracle_variance_model,
     plugin_variance_model,
     projected_hessian_pinv,
     quadratic_approx_minimizer,
@@ -48,6 +47,7 @@ from oracles import (
     covariance_from_root,
     dense_from_tree,
     null_dimension,
+    oracle_variance_model,
     projected_hessian_by_nullspace,
     quadratic_minimizer_by_dense_pinv,
     sample_small_instance,
@@ -381,6 +381,7 @@ class TestLaplacianVarianceModel:
         for call in (
             lambda: plugin_variance_model(dataclasses.replace(fit, params=far)),
             lambda: oracle_variance_model(data, cov, far),
+            lambda: simulation._variances_by_solve(data, cov, far),
             lambda: quadratic_approx_minimizer(data, cov, far),
         ):
             with pytest.raises(ConnectivityError, match="2 components") as exc:

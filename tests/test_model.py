@@ -178,7 +178,7 @@ class TestHalfEdgeLayout:
     def test_reducers_equal_scatter_formulas(self, data):
         half = data._half_edges
         n, ii, jj = data.n_items, data.item_i, data.item_j
-        assert half.other.dtype == half.slot.dtype == np.int32
+        assert half.other.dtype == half.slot.dtype == np.intp
         # integer-valued weights, so every summation order is exact
         w = data.trials.astype(float)
         r = (2 * data.wins_j - data.trials).astype(float)

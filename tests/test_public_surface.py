@@ -36,7 +36,7 @@ def test_readme_library_quick_start_runs(capsys):
     assert capsys.readouterr().out.strip()
 
 
-# What the package exported when it imported every submodule, by owner.
+# What the package exports, by owning submodule.
 EXPORTS = {
     "errors": ["CareRankError", "ConfigurationError", "ConnectivityError",
                "DegenerateColumnError", "DegenerateContrastError", "DegenerateDesignError",
@@ -48,7 +48,7 @@ EXPORTS = {
                    "project_to_theta"],
     "inference": ["ContrastResult", "InferenceReport", "RankingScores", "VarianceModel",
                   "care_ranking_scores", "contrast_inference", "full_inference_report",
-                  "oracle_variance_model", "plugin_variance_model", "projected_hessian_pinv",
+                  "plugin_variance_model", "projected_hessian_pinv",
                   "quadratic_approx_minimizer", "soft_threshold", "standardized_stats"],
     "normal": ["normal_cdf", "normal_quantile", "two_sided_p_value"],
     "simulation": ["ExperimentPlan", "ExperimentResult", "SyntheticSpec",
