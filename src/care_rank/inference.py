@@ -34,10 +34,9 @@ matrix nor G itself is formed.  The projector and S come from the
 covariates alone, so no caller passes them.  ``projected_hessian_pinv``
 builds a dense root from an eigendecomposition of P H P, as a
 reference: no command or study runs it.  The distribution study reads
-three variances from each of two models, at the truth and at the fit:
-up to n = 266 it solves for them as u^T A^-1 u with one dense LU solve
-(``simulation._variances_by_solve``), and above that it calls
-``_laplacian_variance_model`` at both points.
+three variances from each of two models, at the truth and at the fit,
+so it builds no factor: ``_variances_by_solve`` gets them as
+u^T A^-1 u for u = T^T c from one dense LU solve with A.
 
 The Hessian's only null directions must be the d+1 of the constraint,
 so the graph must stay connected under its weights: edges weighing at
@@ -82,6 +81,7 @@ from .model import (
     _ShiftedLaplacian,
     _smallest_reaching,
     _weighted_degrees,
+    _weighted_laplacian,
     build_projection,
 )
 from .normal import normal_quantile, two_sided_p_value
@@ -413,6 +413,9 @@ def _refuse_weight_split(data: ComparisonData, weights: np.ndarray) -> None:
     _refuse_split(graph, labels)
 
 
+_NOT_POSITIVE_DEFINITE = "L_w + 11^T/n is not numerically positive definite"
+
+
 def _factored_laplacian(data: ComparisonData, weights: np.ndarray):
     """The block tree of R = L^-1 for the Cholesky factor L of A, after
     ``_refuse_weight_split``; a failed factor raises ``InvalidArgumentError``."""
@@ -421,7 +424,7 @@ def _factored_laplacian(data: ComparisonData, weights: np.ndarray):
     try:
         _invert_tree(tree)
     except np.linalg.LinAlgError:
-        raise InvalidArgumentError("L_w + 11^T/n is not numerically positive definite") from None
+        raise InvalidArgumentError(_NOT_POSITIVE_DEFINITE) from None
     return tree
 
 
@@ -485,6 +488,32 @@ def _laplacian_variance_model(
     products = np.hstack([q, cov._score_split.T])
     _times_transpose(products.T, tree)
     return VarianceModel(root=_FactorRoot(tree, q, products[:, :k], products[:, k:]))
+
+
+def _variances_by_solve(
+    data: ComparisonData, cov: CovariateMatrix, params: ParamVector, contrasts: np.ndarray
+) -> np.ndarray:
+    """The variance at ``params`` of each column c of the (n+d) x k
+    ``contrasts``, u^T A^-1 u for u = T^T c, from one dense LU solve with
+    A = L_w + 11^T/n: the numbers ``_laplacian_variance_model`` gives as
+    ||G P c||^2, without a factor.  Builds two n x n arrays (A and
+    LAPACK's copy), so it suits a few contrasts at study sizes.  A graph
+    split under the weights raises ``ConnectivityError`` and a singular
+    A ``InvalidArgumentError``, as on the factor route."""
+    _check_dims(data, cov, params)
+    weights = _score_terms(data, params.scores(cov))[2]
+    _refuse_weight_split(data, weights)
+    n = data.n_items
+    a = _weighted_laplacian(n, data.item_i, data.item_j, weights)
+    a += 1.0 / n
+    q = build_projection(cov)._span_q
+    alpha = contrasts[:n]
+    u = alpha - q @ (q.T @ alpha) + cov._score_split.T @ contrasts[n:]
+    try:
+        x = np.linalg.solve(a, u)
+    except np.linalg.LinAlgError:
+        raise InvalidArgumentError(_NOT_POSITIVE_DEFINITE) from None
+    return np.maximum(np.einsum("ik,ik->k", u, x), 0.0)
 
 
 def plugin_variance_model(fit: FitResult) -> VarianceModel:

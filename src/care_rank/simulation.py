@@ -45,12 +45,11 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateContrastError, InvalidArgumentError
 from .estimation import fit_mle, preprocess_covariates, project_to_theta
-from .inference import _laplacian_variance_model, _refuse_weight_split, factor_peak_bytes
+from .inference import _variances_by_solve
 from .model import (
     ComparisonData,
     CovariateMatrix,
     ParamVector,
-    _weighted_laplacian,
     build_projection,
     is_connected,
     sigmoid,
@@ -536,77 +535,33 @@ def _hist_block(values: np.ndarray) -> dict:
     }
 
 
-def _variances_by_solve(
-    data: ComparisonData, cov: CovariateMatrix, params: ParamVector
-) -> tuple[float, float, float | None]:
-    """The variances at ``params`` of alpha_1 + beta_1 (alpha_1 alone
-    when d = 0), of alpha_1 and of beta_1 (None when d = 0), from one
-    dense solve with A = L_w + 11^T/n.
-
-    Each is u^T A^-1 u for u = T^T c, with T the regression split of the
-    total scores (see ``inference``): u_0 = (I - Q Q^T) e_0 for alpha_1
-    and the first slope row of Xbar^+ for beta_1, both orthogonal to 1,
-    so A^-1 may stand for L_w^+.  The contrast's u is their sum, so its
-    variance is the sum of the entries of F = U^T A^-1 U.  The weights
-    are trials * sigma * (1 - sigma) of the score differences, as in the
-    Hessian.  A graph split under them raises ``ConnectivityError``, and
-    a singular A ``InvalidArgumentError``, as on the factor route.
-    """
-    q = build_projection(cov)._span_q
-    u_alpha = -(q @ q[0])
-    u_alpha[0] += 1.0
-    u = np.column_stack([u_alpha, *cov._score_split[:1]])  # beta_1's row when d > 0
-    s = params.scores(cov)
-    sig = sigmoid(s[data.item_i] - s[data.item_j])
-    weights = data.trials * sig * (1.0 - sig)
-    _refuse_weight_split(data, weights)
-    a = _weighted_laplacian(data.n_items, data.item_i, data.item_j, weights)
-    a += 1.0 / data.n_items
-    try:
-        f = u.T @ np.linalg.solve(a, u)
-    except np.linalg.LinAlgError:
-        raise InvalidArgumentError("L_w + 11^T/n is not numerically positive definite") from None
-    diag = np.maximum(f.diagonal(), 0.0).tolist()
-    return max(float(f.sum()), 0.0), diag[0], (diag[1] if cov.n_features else None)
-
-
-def _study_variances(
-    data: ComparisonData, cov: CovariateMatrix, params: ParamVector
-) -> tuple[float, float, float | None]:
-    """What ``_variances_by_solve`` returns.  It is the route while its
-    two n x n arrays (A and LAPACK's copy of it) fit the factor route's
-    own memory bound, that is for n <= 266; above, the three are read
-    off the factor route's variance model: ``variance_of`` the projected
-    contrast and two entries of its diagonal."""
-    n = data.n_items
-    if 16 * n * n <= factor_peak_bytes(n):
-        return _variances_by_solve(data, cov, params)
-    vm = _laplacian_variance_model(data, cov, params)
-    cbar = build_projection(cov).apply(_default_contrast(n, cov.n_features))
-    var_beta1 = max(float(vm.diagonal[n]), 0.0) if cov.n_features else None
-    return vm.variance_of(cbar), max(float(vm.diagonal[0]), 0.0), var_beta1
-
-
 def _distribution_replication(context: _StudyContext, task: tuple) -> dict:
     """One replication of the distribution study: draw a connected
     graph, fit, and record the errors of alpha_1, beta_1 and the
-    contrast, standardized by the variances at the truth (oracle) and at
-    the fit (plug-in) from ``_study_variances``."""
+    contrast, standardized by their variances at the truth (oracle) and
+    at the fit (plug-in), each set from one ``_variances_by_solve``."""
     p, L, pair_index, rep = task
     spec, cov, truth = context.spec, context.cov, context.truth
     contrast = _default_contrast(spec.n, spec.d)
     zq = normal_quantile(1.0 - (1.0 - context.plan.level) / 2.0)
     data, resamples, stream = _sample_connected(spec, cov, truth, p, L, 2, pair_index, rep)
     fit = fit_mle(data, cov)
-    var_c_oracle, var_alpha1_oracle, var_beta1_oracle = _study_variances(data, cov, truth)
-    var_c_plugin, var_alpha1_plugin, var_beta1_plugin = _study_variances(data, cov, fit.params)
+    # columns: the contrast, alpha_1 and, when d > 0, beta_1
+    columns = np.zeros((spec.n + spec.d, 3 if spec.d else 2))
+    columns[:, 0] = contrast
+    columns[0, 1] = 1.0
+    if spec.d > 0:
+        columns[spec.n, 2] = 1.0
+    oracle = _variances_by_solve(data, cov, truth, columns).tolist()
+    plugin = _variances_by_solve(data, cov, fit.params, columns).tolist()
+    var_c_oracle, var_alpha1_oracle = oracle[:2]
+    var_c_plugin, var_alpha1_plugin = plugin[:2]
     if min(var_c_oracle, var_c_plugin) <= 0:
         raise DegenerateContrastError("contrast has zero plug-in variance")
     c_dot_fit = float(contrast @ fit.params.stacked)
     c_err = c_dot_fit - float(contrast @ truth.stacked)
     alpha1_err = float(fit.params.alpha[0] - truth.alpha[0])
-    se1_true = float(np.sqrt(var_alpha1_oracle))
-    se1_plugin = float(np.sqrt(var_alpha1_plugin))
+    se1_true, se1_plugin = sqrt(var_alpha1_oracle), sqrt(var_alpha1_plugin)
     rec = {
         "replication": rep,
         "stream": stream,
@@ -626,8 +581,8 @@ def _distribution_replication(context: _StudyContext, task: tuple) -> dict:
     if spec.d > 0:
         beta1_err = float(fit.params.beta[0] - truth.beta[0])
         rec["beta1_err"] = beta1_err
-        rec["var_beta1_oracle"] = var_beta1_oracle
-        rec["cover_beta1"] = int(abs(beta1_err) <= zq * float(np.sqrt(var_beta1_plugin)))
+        rec["var_beta1_oracle"] = oracle[2]
+        rec["cover_beta1"] = int(abs(beta1_err) <= zq * sqrt(plugin[2]))
     return rec
 
 

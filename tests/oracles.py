@@ -165,9 +165,8 @@ def covariance_from_root(vm):
 
 
 def oracle_variance_model(data, cov, truth):
-    """The factor route's variance model at known parameters, as the
-    distribution study builds it above the size it solves densely at.
-    Not an independent route: a wrapper that names the private call."""
+    """The factor route's variance model at known parameters.  Not an
+    independent route: a wrapper that names the private call."""
     from care_rank.inference import _laplacian_variance_model
 
     return _laplacian_variance_model(data, cov, truth)

@@ -361,6 +361,35 @@ class TestLaplacianVarianceModel:
             )
         assert report.level == 0.9
 
+    @pytest.mark.parametrize("n, d", [(60, 5), (60, 0), (200, 5), (200, 0)])
+    def test_solve_matches_factor_route(self, n, d):
+        # the distribution study's contrast, alpha_1, beta_1 (alpha_2
+        # when d = 0) and a random contrast, at the truth and at the fit
+        cov, truth = generate_truth(SyntheticSpec(n=n, d=d, seed=n + d))
+        data = sample_comparisons(cov, truth, distribution_sampling_probability(n, d), 20, 3)
+        columns = np.zeros((n + d, 4))
+        columns[:, 0] = simulation._default_contrast(n, d)
+        columns[0, 1] = 1.0
+        columns[n if d else 1, 2] = 1.0
+        columns[:, 3] = np.random.default_rng(n + d).standard_normal(n + d)
+        proj = build_projection(cov)
+        for params in (truth, fit_mle(data, cov).params):
+            vm = inference._laplacian_variance_model(data, cov, params)
+            want = [vm.variance_of(proj.apply(c)) for c in columns.T]
+            got = inference._variances_by_solve(data, cov, params, columns)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got[1:3], vm.diagonal[[0, n if d else 1]], rtol=1e-12, atol=0)
+
+    def test_singular_solve_is_invalid_argument(self, monkeypatch):
+        data, cov, truth = sample_small_instance(seed=71, n=5, d=2, trials=30)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(InvalidArgumentError, match="not numerically positive definite"):
+            inference._variances_by_solve(data, cov, truth, np.eye(7)[:, :2])
+
     def test_underflowing_weights_refused(self, monkeypatch):
         # two triangles joined by the bridge (2, 3); scores 800 apart make
         # the bridge weight underflow to exactly zero, so L_w has a second
@@ -381,7 +410,7 @@ class TestLaplacianVarianceModel:
         for call in (
             lambda: plugin_variance_model(dataclasses.replace(fit, params=far)),
             lambda: oracle_variance_model(data, cov, far),
-            lambda: simulation._variances_by_solve(data, cov, far),
+            lambda: inference._variances_by_solve(data, cov, far, np.eye(6)[:, :1]),
             lambda: quadratic_approx_minimizer(data, cov, far),
         ):
             with pytest.raises(ConnectivityError, match="2 components") as exc:

@@ -13,8 +13,8 @@ import pytest
 import care_rank
 from care_rank import inference, simulation
 from care_rank.errors import ConfigurationError, InvalidArgumentError
-from care_rank.estimation import fit_mle, preprocess_covariates
-from care_rank.model import ParamVector, build_projection, is_connected
+from care_rank.estimation import preprocess_covariates
+from care_rank.model import ParamVector, is_connected
 from care_rank.simulation import (
     ExperimentPlan,
     SyntheticSpec,
@@ -347,54 +347,19 @@ class TestDistributionExperiment:
         text = json.dumps(res.to_dict())
         assert json.loads(text)["kind"] == "distribution"
 
-
-class TestStudyVariances:
-    """The distribution study's three variances per model: one dense
-    solve while n <= 266, the factor route's variance model above."""
-
-    @staticmethod
-    def instance(n, d):
-        cov, truth = generate_truth(SyntheticSpec(n=n, d=d, seed=n + d))
-        data = sample_comparisons(cov, truth, distribution_sampling_probability(n, d), 20, 3)
-        return data, cov, truth, fit_mle(data, cov).params
-
-    @pytest.mark.parametrize("n, d", [(60, 5), (60, 0), (200, 5), (200, 0)])
-    def test_solve_matches_factor_route(self, n, d):
-        data, cov, truth, fitted = self.instance(n, d)
-        cbar = build_projection(cov).apply(simulation._default_contrast(n, d))
-        for params in (truth, fitted):
-            vm = inference._laplacian_variance_model(data, cov, params)
-            want = [vm.variance_of(cbar), vm.diagonal[0]] + ([vm.diagonal[n]] if d else [])
-            var_c, var_alpha1, var_beta1 = simulation._variances_by_solve(data, cov, params)
-            got = [var_c, var_alpha1] + ([var_beta1] if d else [])
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-            assert (var_beta1 is None) == (d == 0)
-
-    def test_singular_system_is_invalid_argument(self, monkeypatch):
-        data, cov, truth, _ = self.instance(60, 2)
-
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(InvalidArgumentError, match="not numerically positive definite"):
-            simulation._variances_by_solve(data, cov, truth)
-
-    @pytest.mark.parametrize("n, module, name", [
-        (300, np.linalg, "solve"),  # above the bound: the factor route only
-        (200, inference, "_invert_tree"),  # within it: no factor
-    ])
-    def test_route_by_size(self, monkeypatch, n, module, name):
-        spec = SyntheticSpec(n=n, d=3, seed=31)
-        p = distribution_sampling_probability(n, 3)
+    def test_replication_builds_no_factor(self, monkeypatch):
+        # the six variances come from two dense solves, at any n
+        n, d = 300, 3
+        spec = SyntheticSpec(n=n, d=d, seed=31)
+        p = distribution_sampling_probability(n, d)
         plan = ExperimentPlan(pl_pairs=[(p, 20)], replications=1,
                               statistics=frozenset({"coverage"}))
         context = simulation._StudyContext(spec, plan, *generate_truth(spec))
 
         def refuse(*args, **kwargs):
-            raise AssertionError(f"{name} called at n = {n}")
+            raise AssertionError("factor built in a replication")
 
-        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(inference, "_invert_tree", refuse)
         rec = simulation._distribution_replication(context, (p, 20, 0, 0))
         assert rec["converged"] and rec["var_c_oracle"] > 0 and rec["var_beta1_oracle"] > 0
 
