@@ -28,9 +28,9 @@ is ever allocated, and the variance model peaks at
 rows of leaves and temporaries.
 The variance model keeps the tree with R Q and R S^T: a contrast
 variance is ||G cbar||^2, one pass over the tree, and the coordinate
-variances are the squared column norms of G, computed leaf by leaf
-from R's columns less (R Q) Q^T, so neither a dense (n+d) x (n+d)
-matrix nor G itself is formed.  The projector and S come from the
+variances are the squared column norms of G, one more pass (each
+stored block less its part of (R Q) Q^T), so neither a dense
+(n+d) x (n+d) matrix nor G itself is formed.  The projector and S come from the
 covariates alone, so no caller passes them.  ``projected_hessian_pinv``
 builds a dense root from an eigendecomposition of P H P, as a
 reference: no command or study runs it.  The distribution study reads
@@ -73,6 +73,7 @@ from .model import (
     ParamVector,
     ProjectionOperator,
     _check_dims,
+    _hessian_weights,
     _projected_norm,
     _readonly,
     _refuse_split,
@@ -349,22 +350,6 @@ def _invert_tree(node) -> None:
     np.negative(low, out=low)
 
 
-def _column_strips(node, start: int = 0):
-    """For each leaf of the tree, its first column c and the stored
-    blocks of its columns, top to bottom, as (c, [(first_row, block),
-    ...]): the leaf, then the part of each enclosing ``low`` below it.
-    Above row c the columns are zero."""
-    if isinstance(node, np.ndarray):
-        yield start, [(start, node)]
-        return
-    top, low, bottom = node
-    h = low.shape[1]
-    for col, blocks in _column_strips(top, start):
-        cols = slice(col - start, col - start + blocks[0][1].shape[1])
-        yield col, blocks + [(start + h, low[:, cols])]
-    yield from _column_strips(bottom, start + h)
-
-
 def _shifted_laplacian_tree(data: ComparisonData, weights: np.ndarray):
     """The tree of A = L_w + 11^T/n, built from the edges block by block:
     each level splits the edges between its two diagonal blocks and the
@@ -416,23 +401,11 @@ def _refuse_weight_split(data: ComparisonData, weights: np.ndarray) -> None:
 _NOT_POSITIVE_DEFINITE = "L_w + 11^T/n is not numerically positive definite"
 
 
-def _factored_laplacian(data: ComparisonData, weights: np.ndarray):
-    """The block tree of R = L^-1 for the Cholesky factor L of A, after
-    ``_refuse_weight_split``; a failed factor raises ``InvalidArgumentError``."""
-    _refuse_weight_split(data, weights)
-    tree = _shifted_laplacian_tree(data, weights)
-    try:
-        _invert_tree(tree)
-    except np.linalg.LinAlgError:
-        raise InvalidArgumentError(_NOT_POSITIVE_DEFINITE) from None
-    return tree
-
-
 @dataclass(frozen=True)
 class _FactorRoot:
     """The root G = R T^T = [R (I - Q Q^T) | R S^T] of the factor route,
-    held as the tree of R with Q, R Q and R S^T; G itself is never
-    formed."""
+    held as the tree of R with Q, R Q and R S^T, each method one pass
+    over the tree; G itself is never formed."""
 
     tree: object
     q: np.ndarray
@@ -450,28 +423,38 @@ class _FactorRoot:
         return u
 
     def column_norms(self) -> np.ndarray:
-        """The squared column norms of G.  Those of R (I - Q Q^T) come
-        leaf by leaf: R's stored blocks in the leaf's columns less
-        (R Q) Q^T, squared and summed ``_DIAGONAL_ROWS`` rows at a
-        time.  The subtraction comes before the squares: a diagonal
-        taken as diag A^-1 less projection terms cancels when the 1/n
-        shift dominates A^-1."""
-        n = self.q.shape[0]
-        alpha = np.empty(n)
-        for col, blocks in _column_strips(self.tree):
-            width = blocks[0][1].shape[1]
-            qt = self.q[col : col + width].T
-            total = np.zeros(width)
-            # above row col, R is zero in these columns: only -(R Q) Q^T
-            spans = [(0, col, None)] + [(row, row + b.shape[0], b) for row, b in blocks]
-            for first, stop, block in spans:
-                for start in range(first, stop, _DIAGONAL_ROWS):
-                    end = min(start + _DIAGONAL_ROWS, stop)
-                    t = self.rq[start:end] @ qt
-                    if block is not None:
-                        np.subtract(block[start - first : end - first], t, out=t)
-                    total += np.einsum("ij,ij->j", t, t)
-            alpha[col : col + width] = total
+        """The squared column norms of G, those of R (I - Q Q^T) from one
+        pass over the tree: each stored block of R less its part of
+        (R Q) Q^T, ``_DIAGONAL_ROWS`` rows by at most ``_LEAF_ROWS``
+        columns at a time, subtracted before squaring (diag A^-1 less
+        projection terms cancels when the 1/n shift dominates A^-1);
+        above a leaf, R is zero and the rows add q^T (R Q)^T (R Q) q."""
+        alpha = np.zeros(self.q.shape[0])
+
+        def add(row, col, block):
+            cols = slice(col, col + block.shape[1])
+            qt, rq = self.q[cols].T, self.rq[row : row + block.shape[0]]
+            for start in range(0, block.shape[0], _DIAGONAL_ROWS):
+                rows = slice(start, start + _DIAGONAL_ROWS)
+                t = rq[rows] @ qt
+                np.subtract(block[rows], t, out=t)
+                alpha[cols] += np.einsum("ij,ij->j", t, t)
+
+        def walk(node, start):
+            if isinstance(node, np.ndarray):
+                add(start, start, node)
+                cols = slice(start, start + node.shape[1])
+                q, above = self.q[cols], self.rq[:start]
+                alpha[cols] += np.einsum("ij,ij->i", q @ (above.T @ above), q)
+                return
+            top, low, bottom = node
+            h = low.shape[1]
+            walk(top, start)
+            for col in range(0, h, _LEAF_ROWS):
+                add(start + h, start + col, low[:, col : col + _LEAF_ROWS])
+            walk(bottom, start + h)
+
+        walk(self.tree, 0)
         return np.concatenate([alpha, np.einsum("ij,ij->j", self.rs, self.rs)])
 
 
@@ -479,10 +462,17 @@ def _laplacian_variance_model(
     data: ComparisonData, cov: CovariateMatrix, params: ParamVector
 ) -> VarianceModel:
     """The variance model from its root G = L^-1 T^T, with T stacking
-    I - Q Q^T over the slope rows S of Xbar^+, and R = L^-1 from
-    ``_factored_laplacian``."""
+    I - Q Q^T over the slope rows S of Xbar^+, and R = L^-1 inverted in
+    place from the tree of A after ``_refuse_weight_split``; a failed
+    factor raises ``InvalidArgumentError``."""
     _check_dims(data, cov, params)
-    tree = _factored_laplacian(data, _score_terms(data, params.scores(cov))[2])
+    weights = _hessian_weights(data, params.scores(cov))
+    _refuse_weight_split(data, weights)
+    tree = _shifted_laplacian_tree(data, weights)
+    try:
+        _invert_tree(tree)
+    except np.linalg.LinAlgError:
+        raise InvalidArgumentError(_NOT_POSITIVE_DEFINITE) from None
     q = build_projection(cov)._span_q
     k = q.shape[1]
     products = np.hstack([q, cov._score_split.T])
@@ -501,7 +491,7 @@ def _variances_by_solve(
     split under the weights raises ``ConnectivityError`` and a singular
     A ``InvalidArgumentError``, as on the factor route."""
     _check_dims(data, cov, params)
-    weights = _score_terms(data, params.scores(cov))[2]
+    weights = _hessian_weights(data, params.scores(cov))
     _refuse_weight_split(data, weights)
     n = data.n_items
     a = _weighted_laplacian(n, data.item_i, data.item_j, weights)

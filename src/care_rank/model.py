@@ -486,6 +486,13 @@ def _score_terms(data: ComparisonData, s: np.ndarray) -> tuple[float, np.ndarray
     return value, half.sum(half.spread(r, -r)), data.trials * sig * (1.0 - sig)
 
 
+def _hessian_weights(data: ComparisonData, s: np.ndarray) -> np.ndarray:
+    """``_score_terms(data, s)[2]`` alone, bit for bit: the weights
+    ``trials * sigma * (1 - sigma)`` without the loss and gradient."""
+    sig = sigmoid(s[data.item_i] - s[data.item_j])
+    return data.trials * sig * (1.0 - sig)
+
+
 def neg_log_likelihood(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> float:
     """Negative log-likelihood of the comparison outcomes.
 
@@ -531,7 +538,7 @@ def hessian(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> 
     in (0, 1/4].  Assembled from the weighted Laplacian of the alpha
     block by the block identities H_ab = H_aa X and H_bb = X^T H_aa X."""
     _check_dims(data, cov, params)
-    w = _score_terms(data, params.scores(cov))[2]
+    w = _hessian_weights(data, params.scores(cov))
     lap = _weighted_laplacian(data.n_items, data.item_i, data.item_j, w)
     x = cov.scaled
     n, d = x.shape

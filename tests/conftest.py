@@ -12,6 +12,7 @@ import numpy
 import pytest
 from hypothesis import settings
 
+from care_rank import model
 from care_rank.simulation import (
     ExperimentPlan,
     SyntheticSpec,
@@ -52,3 +53,18 @@ def rate_study():
         pl_pairs=rate_experiment_pairs(), replications=50, workers=ACCEPTANCE_WORKERS
     )
     return plan, run_rate_experiment(spec, plan)
+
+
+@pytest.fixture
+def stalled_newton(monkeypatch):
+    """Every Newton direction after the first is the gradient times 2^80:
+    even 2^-79 of it, the last of the 80 halvings, is twice the gradient,
+    an ascent, so the fit stalls on its second step."""
+    solve, calls = model._ShiftedLaplacian.solve, []
+
+    def ascend(system, b):
+        x, k = solve(system, b)
+        calls.append(k)
+        return (x if len(calls) == 1 else -(2.0**80) * b), k
+
+    monkeypatch.setattr(model._ShiftedLaplacian, "solve", ascend)

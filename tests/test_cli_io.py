@@ -862,6 +862,18 @@ class TestCliPipelines:
         assert payload["n_items"] == 334
         assert payload["n_features"] == 3
 
+    def test_stderr_notes(self, tmp_path, capsys):
+        per_trial = write(tmp_path / "c.csv", "item_i,item_j,winner\n" + "".join(
+            f"{i},{j},{w}\n" for i, j in ("ab", "bc", "ac") for w in (i, j)) + "a,b,tie\n")
+        cov = write(tmp_path / "x.csv", "item,f1\na,0.5\nb,-1\nc,2\nd,3\n")
+        code = main(["fit", "--comparisons", per_trial, "--covariates", cov,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == (
+            "note: dropped 1 tie rows\n"
+            "note: ignoring covariates for 1 items never compared\n"
+        )
+
 
 class TestParser:
     def test_flags_of_each_command(self):
@@ -953,6 +965,16 @@ class TestExitCodes:
         # result file still written, honestly flagged
         payload = json.loads((out / "fit.json").read_text())
         assert payload["converged"] is False
+
+    def test_stalled_fit_exit(self, tmp_path, capsys, stalled_newton):
+        data = write(
+            tmp_path / "c.csv",
+            "item_i,item_j,trials,wins_j\na,b,9,1\nb,c,9,2\na,c,9,8\n",
+        )
+        out = tmp_path / "o"
+        assert main(["fit", "--comparisons", data, "--out", str(out)]) == EXIT_CONVERGENCE
+        assert capsys.readouterr().err == "fit stopped without convergence (stalled)\n"
+        assert json.loads((out / "fit.json").read_text())["stop_reason"] == "stalled"
 
     def test_no_mle_exit(self, tmp_path, capsys):
         data = write(

@@ -436,6 +436,15 @@ class TestFitMLE:
         # one n x n float array alone would take 18 MB
         assert peak < n * n * 8 / 4
 
+    def test_stall_stops_without_convergence(self, stalled_newton):
+        data, cov, _ = sample_small_instance(seed=43)
+        fit = fit_mle(data, cov)
+        assert fit.stop_reason == "stalled" and not fit.converged
+        assert fit.diagnostics.iterations == 1
+        assert fit.diagnostics.halvings == estimation._MAX_HALVINGS
+        assert len(fit.objective_trace) == 2
+        assert all(b <= a for a, b in zip(fit.objective_trace, fit.objective_trace[1:]))
+
     def test_halvings_counted(self, monkeypatch):
         # a first direction 64 times too long is halved five or six times
         # (twice the Newton step may already descend); later steps are

@@ -218,23 +218,6 @@ class TestLaplacianVarianceModel:
         record = simulation._distribution_replication(context, (0.5, 6, 0, 0))
         assert record["replication"] == 0 and record["var_c_plugin"] > 0
 
-    def test_memory_stays_near_three_squares(self):
-        # variance model plus report at n = 1500, mean degree 40: the
-        # shifted Laplacian, its Cholesky factor and the root, about
-        # 2.2-2.4 n^2 doubles traced; a general inverse with dense
-        # (n+d)^2 sandwiches needs about 4 n^2
-        n = 1500
-        cov, truth = generate_truth(SyntheticSpec(n=n, d=5, seed=110))
-        data = sample_comparisons(cov, truth, 40.0 / (n - 1), 10, 110)
-        fit = fit_mle(data, cov)
-        tracemalloc.start()
-        try:
-            full_inference_report(fit, plugin_variance_model(fit))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * n * n * 8
-
     def test_memory_stays_near_one_square(self):
         # the block tree of the lower triangle, factored and inverted in
         # place, with row-chunked temporaries: about 0.63 n^2 doubles
@@ -472,10 +455,13 @@ class TestWeightGraphRefusal:
         ))
         if len(want) > 1:
             with pytest.raises(ConnectivityError) as exc:
-                inference._factored_laplacian(data, weights)
+                inference._refuse_weight_split(data, weights)
             assert exc.value.components == want
         else:
-            root = dense_from_tree(inference._factored_laplacian(data, weights))
+            inference._refuse_weight_split(data, weights)
+            tree = inference._shifted_laplacian_tree(data, weights)
+            inference._invert_tree(tree)
+            root = dense_from_tree(tree)
             assert np.all(np.isfinite(root)) and np.array_equal(root, np.tril(root))
 
     def test_failed_factor_is_invalid_argument(self, monkeypatch):

@@ -14,6 +14,7 @@ from care_rank.estimation import preprocess_covariates, project_to_theta
 from care_rank.model import (
     ComparisonData,
     ParamVector,
+    _hessian_weights,
     _score_terms,
     build_projection,
     connected_components,
@@ -151,6 +152,13 @@ class TestLikelihoodKernel:
         data, cov, params = self.instance()
         want = score_terms_by_bincount(data, params.scores(cov))[2]
         np.testing.assert_array_equal(_score_terms(data, params.scores(cov))[2], want)
+
+    def test_hessian_weights_are_score_terms_weights(self):
+        data, cov, params = self.instance()
+        s = params.scores(cov)
+        # bit for bit, on edges where e^-|delta| underflows as well
+        assert np.abs(s[data.item_i] - s[data.item_j]).max() > 40
+        assert np.array_equal(_hessian_weights(data, s), _score_terms(data, s)[2])
 
 
 @st.composite

@@ -240,6 +240,14 @@ class TestRateExperiment:
         with pytest.raises(ConfigurationError):
             run_rate_experiment(spec, plan)
 
+    def test_mostly_disconnected_setting_refused(self):
+        # 2 replications kept after 3 disconnected draws: 3 of 5 draws
+        plan = ExperimentPlan(pl_pairs=[(0.2, 3)], replications=2,
+                              statistics=frozenset({"alpha_linf"}))
+        rows = [{"replication": k, "converged": True, "resamples": r} for k, r in enumerate((1, 2))]
+        with pytest.raises(ConfigurationError, match=r"more than half of the draws at \(p=0.2, L=3\)"):
+            simulation._setting_result(plan, 0.2, 3, rows)
+
     def test_resampling_keeps_replication_count(self):
         # sparse enough that some draws disconnect but not hopeless
         spec = SyntheticSpec(n=24, d=0, seed=25)
