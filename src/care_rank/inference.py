@@ -15,8 +15,8 @@ that shape: with T the linear map from s to its regression split
 (alpha = (I - Q Q^T) s, beta = the slope rows of Xbar^+ s),
 [P H P]^+ = T L_w^+ T^T.  T kills the constant vector, so L_w^+ may be
 replaced by A^-1 with A = L_w + 11^T/n, and with the Cholesky factor
-A = L L^T the covariance is G^T G for the n x (n+d) root G = L^-1 T^T.
-A is stored, and R = L^-1 built in its place, as a recursive 2 x 2
+A = L L^T the covariance is G^T G for the n x (n+d) root G = R T^T,
+R = L^-1.  A is stored, and R built in its place, as a recursive 2 x 2
 block tree of the lower triangle: dense leaves of at most a few hundred
 rows, and below each diagonal split one dense block.  The tree is built
 from the edges, and the factor-invert step is one recursion over it,
@@ -25,18 +25,18 @@ LAPACK factors and inverts; above those it is matrix products that
 skip the zero upper halves (about 2 n^3/3 flops).  So no n x n array
 is ever allocated, and the variance model peaks at
 ``factor_peak_bytes(n)``: the tree, about 0.5 n^2 doubles, and O(n)
-rows of leaves and temporaries.
-The variance model keeps the tree with R Q and R S^T: a contrast
-variance is ||G cbar||^2, one pass over the tree, and the coordinate
-variances are the squared column norms of G, one more pass (each
-stored block less its part of (R Q) Q^T), so neither a dense
-(n+d) x (n+d) matrix nor G itself is formed.  The projector and S come from the
-covariates alone, so no caller passes them.  ``projected_hessian_pinv``
+rows of leaves and temporaries.  The variance model keeps the root as
+its factors, the tree of R and the covariates, which give T: a contrast
+variance is ||R T^T cbar||^2, one pass over the tree; the coordinate
+variances are the squared column norms of G, for which one pass forms
+R Q and R S^T and one more takes each stored block of R less its part
+of (R Q) Q^T.  No dense (n+d) x (n+d) matrix, nor G, is formed.
+``projected_hessian_pinv``
 builds a dense root from an eigendecomposition of P H P, as a
 reference: no command or study runs it.  The distribution study reads
 three variances from each of two models, at the truth and at the fit,
 so it builds no factor: ``_variances_by_solve`` gets them as
-u^T A^-1 u for u = T^T c from one dense LU solve with A.
+u^T A^-1 u for the same u = T^T c from one dense LU solve with A.
 
 The Hessian's only null directions must be the d+1 of the constraint,
 so the graph must stay connected under its weights: edges weighing at
@@ -81,6 +81,7 @@ from .model import (
     _score_terms,
     _ShiftedLaplacian,
     _smallest_reaching,
+    _split_transpose,
     _weighted_degrees,
     _weighted_laplacian,
     build_projection,
@@ -108,10 +109,10 @@ DEFAULT_EIGEN_CUTOFF = 1e-10
 class VarianceModel:
     """The plug-in covariance V = [P H P]^+ of the stacked (alpha, beta)
     estimate as V = G^T G for a root G.  From ``plugin_variance_model``
-    G = L^-1 T^T = [R (I - Q Q^T) | R S^T]
-    (see the module docstring), held as the block tree of R's lower
-    triangle with R Q and R S^T; from ``projected_hessian_pinv``
-    G = Lambda^-1/2 V^T of the kept eigenpairs, held whole.
+    G = R T^T (see the module docstring), held as its two factors: the
+    block tree of R's lower triangle and the covariates, which give T;
+    from ``projected_hessian_pinv`` G = Lambda^-1/2 V^T of the kept
+    eigenpairs, held whole.
     ``variance_of`` is the squared norm of G cbar and ``diagonal`` the
     squared column norms of G, computed on first use; no dense
     (n+d) x (n+d) matrix is kept.  The factor route peaks at
@@ -134,9 +135,9 @@ class VarianceModel:
         return _readonly(self._root.column_norms())
 
     def variance_of(self, cbar: np.ndarray) -> float:
-        """cbar^T V cbar, clipped at zero."""
+        """cbar^T V cbar, as ||G cbar||^2."""
         u = self._root.times(cbar)
-        return max(float(u @ u), 0.0)
+        return float(u @ u)
 
 
 @dataclass(frozen=True)
@@ -193,15 +194,6 @@ class InferenceReport:
     level: float
 
 
-def _projected(hess: np.ndarray, proj: ProjectionOperator) -> np.ndarray:
-    # P is symmetric, so projecting every row and then every column
-    # gives P @ hess @ P without the dense projector.
-    out = proj.apply(proj.apply(hess).T)
-    out += out.T
-    out *= 0.5
-    return out
-
-
 def projected_hessian_pinv(hess: np.ndarray, proj: ProjectionOperator) -> VarianceModel:
     """Pseudoinverse of P @ hess @ P via symmetric eigendecomposition, as
     the root Lambda^-1/2 V^T of the kept eigenpairs.
@@ -217,7 +209,11 @@ def projected_hessian_pinv(hess: np.ndarray, proj: ProjectionOperator) -> Varian
         raise InvalidArgumentError(
             f"hessian shape {hess.shape} does not match projector dimension {dim}"
         )
-    projected = _projected(hess, proj)
+    # P is symmetric, so projecting every row and then every column
+    # gives P @ hess @ P without the dense projector.
+    projected = proj.apply(proj.apply(hess).T)
+    projected += projected.T
+    projected *= 0.5
     eigvals, eigvecs = np.linalg.eigh(projected)
     lam_max = float(eigvals[-1])
     threshold = DEFAULT_EIGEN_CUTOFF * max(lam_max, 0.0)
@@ -235,7 +231,9 @@ _INVERSE_BLOCK = 64
 
 # Rows of the block tree's leaves: a node of more rows is split in half.
 # Each leaf is one dense square, its zero upper half included, so the
-# leaves cost up to n * _LEAF_ROWS doubles.  At n = 2000 (2-core
+# leaves cost up to n * _LEAF_ROWS doubles; the tree products take their
+# left operand this many rows at a time, bounding their temporaries
+# alike.  At n = 2000 (2-core
 # OpenBLAS), 64, 128, 256 and 512 gave ``infer`` a peak RSS of 65.0,
 # 65.4, 67.0 and 73.8 MB, and the variance model 173, 155, 153 and
 # 168 ms.
@@ -243,17 +241,14 @@ _LEAF_ROWS = 256
 
 # The variance model and report peak, beyond what the fit holds, at the
 # block tree's 0.5 n^2 doubles plus O(n * _LEAF_ROWS): the leaves' zero
-# halves and temporaries.  Traced with the report at mean degree 40, that
+# halves, the products' temporaries, and R Q and R S^T while the
+# diagonal is formed.  Traced with the report at mean degree 40, that
 # term was at most 280 n doubles from n = 20 to 4000 (at n = 256, one
 # leaf), so 400 n bounds it.
 def factor_peak_bytes(n: int) -> int:
     """Bytes that bound the factor route's peak for ``n`` items."""
     return 4 * n * n + 3200 * n  # 8 (0.5 n^2 + 400 n)
 
-
-# Rows of each product's temporary: the tree products work through
-# their left operand this many rows at a time.
-_ROW_CHUNK = 256
 
 # Rows per step of the diagonal, whose temporaries are this many rows by
 # a leaf's width: against 256 rows, 64 cut the traced peak at n = 500
@@ -270,12 +265,12 @@ _DIAGONAL_ROWS = 64
 
 
 def _rows_times(out: np.ndarray, a: np.ndarray, b: np.ndarray, combine) -> None:
-    """``combine(out, a @ b)`` in place, ``_ROW_CHUNK`` rows at a time,
+    """``combine(out, a @ b)`` in place, ``_LEAF_ROWS`` rows at a time,
     with ``combine`` one of np.copyto, operator.iadd and operator.isub.
     Row r of the product needs row r of ``a`` only, so ``a`` may be
     ``out`` itself."""
-    for start in range(0, out.shape[0], _ROW_CHUNK):
-        rows = slice(start, start + _ROW_CHUNK)
+    for start in range(0, out.shape[0], _LEAF_ROWS):
+        rows = slice(start, start + _LEAF_ROWS)
         combine(out[rows], a[rows] @ b)
 
 
@@ -404,39 +399,39 @@ _NOT_POSITIVE_DEFINITE = "L_w + 11^T/n is not numerically positive definite"
 @dataclass(frozen=True)
 class _FactorRoot:
     """The root G = R T^T = [R (I - Q Q^T) | R S^T] of the factor route,
-    held as the tree of R with Q, R Q and R S^T, each method one pass
-    over the tree; G itself is never formed."""
+    held as its two factors: the tree of R and the covariates, which
+    give T.  G itself is never formed."""
 
     tree: object
-    q: np.ndarray
-    rq: np.ndarray
-    rs: np.ndarray
+    cov: CovariateMatrix
 
     def times(self, c: np.ndarray) -> np.ndarray:
-        """G c = R (c_alpha - Q Q^T c_alpha) + R S^T c_beta, for one
-        stacked vector or the columns of a matrix."""
-        n = self.q.shape[0]
-        u = np.array(c[:n], dtype=float)
-        _times_transpose(u.reshape(n, -1).T, self.tree)
-        u -= self.rq @ (self.q.T @ c[:n])
-        u += self.rs @ c[n:]
+        """G c = R T^T c, one pass over the tree, for one stacked vector
+        or the columns of a matrix."""
+        u = _split_transpose(self.cov, c)
+        _times_transpose(u.reshape(u.shape[0], -1).T, self.tree)
         return u
 
     def column_norms(self) -> np.ndarray:
-        """The squared column norms of G, those of R (I - Q Q^T) from one
-        pass over the tree: each stored block of R less its part of
+        """The squared column norms of G: one pass over the tree forms
+        R Q and R S^T, the beta block of G, and one more takes those of
+        R (I - Q Q^T), each stored block of R less its part of
         (R Q) Q^T, ``_DIAGONAL_ROWS`` rows by at most ``_LEAF_ROWS``
         columns at a time, subtracted before squaring (diag A^-1 less
         projection terms cancels when the 1/n shift dominates A^-1);
         above a leaf, R is zero and the rows add q^T (R Q)^T (R Q) q."""
-        alpha = np.zeros(self.q.shape[0])
+        q = build_projection(self.cov)._span_q
+        products = np.hstack([q, self.cov._score_split.T])
+        _times_transpose(products.T, self.tree)
+        rq, rs = np.hsplit(products, [q.shape[1]])
+        alpha = np.zeros(q.shape[0])
 
         def add(row, col, block):
             cols = slice(col, col + block.shape[1])
-            qt, rq = self.q[cols].T, self.rq[row : row + block.shape[0]]
+            qt, rq_rows = q[cols].T, rq[row : row + block.shape[0]]
             for start in range(0, block.shape[0], _DIAGONAL_ROWS):
                 rows = slice(start, start + _DIAGONAL_ROWS)
-                t = rq[rows] @ qt
+                t = rq_rows[rows] @ qt
                 np.subtract(block[rows], t, out=t)
                 alpha[cols] += np.einsum("ij,ij->j", t, t)
 
@@ -444,8 +439,8 @@ class _FactorRoot:
             if isinstance(node, np.ndarray):
                 add(start, start, node)
                 cols = slice(start, start + node.shape[1])
-                q, above = self.q[cols], self.rq[:start]
-                alpha[cols] += np.einsum("ij,ij->i", q @ (above.T @ above), q)
+                q_rows, above = q[cols], rq[:start]
+                alpha[cols] += np.einsum("ij,ij->i", q_rows @ (above.T @ above), q_rows)
                 return
             top, low, bottom = node
             h = low.shape[1]
@@ -455,16 +450,16 @@ class _FactorRoot:
             walk(bottom, start + h)
 
         walk(self.tree, 0)
-        return np.concatenate([alpha, np.einsum("ij,ij->j", self.rs, self.rs)])
+        return np.concatenate([alpha, np.einsum("ij,ij->j", rs, rs)])
 
 
 def _laplacian_variance_model(
     data: ComparisonData, cov: CovariateMatrix, params: ParamVector
 ) -> VarianceModel:
-    """The variance model from its root G = L^-1 T^T, with T stacking
-    I - Q Q^T over the slope rows S of Xbar^+, and R = L^-1 inverted in
-    place from the tree of A after ``_refuse_weight_split``; a failed
-    factor raises ``InvalidArgumentError``."""
+    """The variance model from its root G = R T^T, with T the regression
+    split and R = L^-1 inverted in place from the tree of A after
+    ``_refuse_weight_split``; a failed factor raises
+    ``InvalidArgumentError``."""
     _check_dims(data, cov, params)
     weights = _hessian_weights(data, params.scores(cov))
     _refuse_weight_split(data, weights)
@@ -473,11 +468,7 @@ def _laplacian_variance_model(
         _invert_tree(tree)
     except np.linalg.LinAlgError:
         raise InvalidArgumentError(_NOT_POSITIVE_DEFINITE) from None
-    q = build_projection(cov)._span_q
-    k = q.shape[1]
-    products = np.hstack([q, cov._score_split.T])
-    _times_transpose(products.T, tree)
-    return VarianceModel(root=_FactorRoot(tree, q, products[:, :k], products[:, k:]))
+    return VarianceModel(root=_FactorRoot(tree, cov))
 
 
 def _variances_by_solve(
@@ -496,9 +487,7 @@ def _variances_by_solve(
     n = data.n_items
     a = _weighted_laplacian(n, data.item_i, data.item_j, weights)
     a += 1.0 / n
-    q = build_projection(cov)._span_q
-    alpha = contrasts[:n]
-    u = alpha - q @ (q.T @ alpha) + cov._score_split.T @ contrasts[n:]
+    u = _split_transpose(cov, contrasts)
     try:
         x = np.linalg.solve(a, u)
     except np.linalg.LinAlgError:

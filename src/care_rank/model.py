@@ -581,6 +581,15 @@ def _regression_split(cov: CovariateMatrix, s: np.ndarray) -> ParamVector:
     return ParamVector.from_stacked(stacked, cov.n_items)
 
 
+def _split_transpose(cov: CovariateMatrix, c: np.ndarray) -> np.ndarray:
+    """T^T c = (I - Q Q^T) c_alpha + S^T c_beta, for T the regression
+    split above, of one stacked (alpha, beta) vector or the columns of a
+    matrix: the contrast as one on the total scores."""
+    n, q = cov.n_items, build_projection(cov)._span_q
+    alpha = c[:n]
+    return alpha - q @ (q.T @ alpha) + cov._score_split.T @ c[n:]
+
+
 def _projected_norm(cov: CovariateMatrix, r: np.ndarray) -> float:
     """||P M^T r|| for M = [I, X]: the norm in (alpha, beta), on the
     identifiable subspace, of a gradient ``r`` in the total scores."""

@@ -17,10 +17,11 @@ worker processes, each with one BLAS thread; a replication's
 floating-point results depend on the BLAS thread count, so pinning it
 in every worker (one worker included) is what makes a study's output
 independent of both the worker count and the caller's BLAS environment.
-A process that loaded numpy with one BLAS thread, as ``care-rank
-experiment`` does, forks its workers, which inherit it; any other
-caller's workers are spawned interpreters, each loading numpy with one
-thread.
+A process that imports this module before numpy, with every BLAS
+thread variable at 1, as ``care-rank experiment`` does, forks its
+workers, which inherit its one-thread BLAS.  Any other process, one
+that loaded numpy first included, spawns them as interpreters that
+each load numpy with one thread.
 """
 
 from __future__ import annotations
@@ -570,7 +571,7 @@ def _distribution_replication(context: _StudyContext, task: tuple) -> dict:
         "alpha1_err": alpha1_err,
         "alpha1_std_oracle": alpha1_err / se1_true,
         "alpha1_std_plugin": alpha1_err / se1_plugin,
-        "var_alpha1_oracle": se1_true**2,
+        "var_alpha1_oracle": var_alpha1_oracle,
         "a_stat": c_err / sqrt(var_c_oracle),
         "b_stat": c_err / sqrt(var_c_plugin),
         "c_dot_fit": c_dot_fit,

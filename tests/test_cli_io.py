@@ -522,6 +522,24 @@ class TestParseCovariates:
         assert code == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    def test_first_column_not_item_exits_parse(self, tmp_path, capsys):
+        path = write(tmp_path / "x.csv", "name,f1\na,1\nb,2\n")
+        comparisons = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\na,b,4,1\n")
+        code = main(["fit", "--comparisons", comparisons, "--covariates", path,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: {path}: first column must be 'item', got ['name']\n"
+        )
+
+    def test_empty_item_id_exits_parse(self, tmp_path, capsys):
+        path = write(tmp_path / "x.csv", "item,f1\na,1\n,2\nb,3\n")
+        comparisons = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\na,b,4,1\n")
+        code = main(["fit", "--comparisons", comparisons, "--covariates", path,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == "error: row 3: empty item id\n"
+
     def test_byte_order_mark_dropped(self, tmp_path):
         path = write(tmp_path / "x.csv", "\ufeffitem,f1\nb,2.0\na,1.0\n")
         outcome = covariates_outcome(parse_covariates_csv, path, ["a", "b"])
@@ -848,6 +866,26 @@ class TestCliPipelines:
         # file's grad_tol loosens convergence; CLI max-iters overrides file
         payload = json.loads((out / "fit.json").read_text())
         assert payload["final_grad_norm"] <= 1e-4 and payload["iterations"] > 1
+
+    def test_boolean_read_from_config_file(self, tmp_path):
+        # "no" in a file reads as --no-standardize, "yes" as the default
+        sim = simulate_dataset(tmp_path, n=20, d=2, seed=12, p=0.9, trials=6)
+        data = ["--comparisons", str(sim / "comparisons.csv"),
+                "--covariates", str(sim / "covariates.csv")]
+
+        def fitted(name, *args):
+            out = tmp_path / name
+            assert main(["fit", *data, *args, "--out", str(out)]) == EXIT_OK
+            payload = json.loads((out / "fit.json").read_text())
+            return [payload[key] for key in ("alpha", "beta", "column_sds")]
+
+        fits = {}
+        for value, flags in [("no", ["--no-standardize"]), ("yes", [])]:
+            cfg = write(tmp_path / f"{value}.cfg", f"standardize = {value}\n")
+            fits[value] = fitted(f"file-{value}", "--config", cfg)
+            assert fits[value] == fitted(f"flag-{value}", *flags)
+        # the unstandardized fit records unit column sds, so the two differ
+        assert fits["no"][2] == [1.0, 1.0] != fits["yes"][2]
 
     def test_stock_scale_shape(self, tmp_path):
         # hundreds of items with three features parse and fit end to end

@@ -111,6 +111,16 @@ class TestPreprocess:
         with pytest.raises(InvalidArgumentError):
             preprocess_covariates(np.zeros((1, 0)))
 
+    def test_one_dimensional_array_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="2-d array, got ndim=1"):
+            preprocess_covariates(np.arange(5.0))
+
+    def test_nan_rejected(self):
+        raw = np.random.default_rng(4).normal(size=(6, 2))
+        raw[3, 1] = np.nan
+        with pytest.raises(InvalidArgumentError, match="covariates contain non-finite values"):
+            preprocess_covariates(raw)
+
     def test_augmented_intercept_column(self):
         rng = np.random.default_rng(3)
         cov = preprocess_covariates(rng.normal(size=(9, 2)))
@@ -204,6 +214,12 @@ class TestFitMLE:
         data = ComparisonData.from_edges(3, [])
         cov = preprocess_covariates(np.zeros((3, 0)))
         with pytest.raises(InvalidArgumentError):
+            fit_mle(data, cov)
+
+    def test_covariates_for_another_item_count_rejected(self):
+        data = ComparisonData.from_edges(3, [(0, 1, 2, 1), (1, 2, 2, 1)])
+        cov = preprocess_covariates(np.zeros((4, 0)))
+        with pytest.raises(InvalidArgumentError, match="item counts disagree: data=3, covariates=4"):
             fit_mle(data, cov)
 
     def test_non_convergence_is_not_an_exception(self):

@@ -123,6 +123,18 @@ class TestComparisonData:
         floats = ComparisonData(3.0, *(np.array(v, dtype=float) for v in good.values()))
         assert floats.n_items == 3 and floats.edges == ComparisonData(3, **good).edges
 
+    def test_rejects_no_items(self):
+        with pytest.raises(InvalidArgumentError, match="n_items must be positive, got 0"):
+            ComparisonData.from_edges(0, [])
+
+    def test_rejects_edge_arrays_of_unequal_length(self):
+        with pytest.raises(InvalidArgumentError, match="edge arrays must share one length"):
+            ComparisonData(3, [0, 1], [1, 2], [5], [2, 3])
+
+    def test_rejects_zero_trial_edge(self):
+        with pytest.raises(InvalidArgumentError, match="every edge needs at least one trial"):
+            ComparisonData.from_edges(3, [(0, 1, 2, 1), (1, 2, 0, 0)])
+
     def test_win_fraction(self):
         data = ComparisonData.from_edges(2, [(0, 1, 4, 3)])
         assert data.win_fraction[0] == 0.75

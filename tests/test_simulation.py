@@ -371,6 +371,26 @@ class TestDistributionExperiment:
         rec = simulation._distribution_replication(context, (p, 20, 0, 0))
         assert rec["converged"] and rec["var_c_oracle"] > 0 and rec["var_beta1_oracle"] > 0
 
+    def test_replication_records_the_solved_variances(self):
+        # the record holds each oracle variance as solved, not the square
+        # of its square root, which can be an ulp away
+        n, d = 200, 5
+        spec = SyntheticSpec(n=n, d=d, seed=20250801)
+        p = distribution_sampling_probability(n, d)
+        plan = ExperimentPlan(pl_pairs=[(p, 20)], replications=10,
+                              statistics=frozenset({"coverage"}))
+        context = simulation._StudyContext(spec, plan, *generate_truth(spec))
+        columns = np.zeros((n + d, 3))
+        columns[:, 0] = simulation._default_contrast(n, d)
+        columns[0, 1] = columns[n, 2] = 1.0
+        for rep in range(10):
+            rec = simulation._distribution_replication(context, (p, 20, 0, rep))
+            data = sample_comparisons(context.cov, context.truth, p, 20,
+                                      rng_stream(spec.seed, rec["stream"]))
+            oracle = inference._variances_by_solve(data, context.cov, context.truth, columns)
+            assert rec["var_alpha1_oracle"] == oracle[1]
+            assert rec["var_beta1_oracle"] == oracle[2]
+
 
 class TestKsPipeline:
     def test_standard_normal_sample_passes(self):
