@@ -52,7 +52,6 @@ _EXPORTS = {
         "FitResult",
         "fit_mle",
         "preprocess_covariates",
-        "project_to_theta",
     ),
     "inference": (
         "ContrastResult",

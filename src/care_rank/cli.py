@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -212,7 +213,8 @@ class ResultBundle:
             "halvings": fit.diagnostics.halvings,
             "cg_iterations": fit.diagnostics.cg_iterations,
             "final_grad_norm": fit.diagnostics.final_grad_norm,
-            "kappa1": fit.diagnostics.kappa1,
+            # exp(max s - min s) overflows past a score range of about 709
+            "kappa1": fit.diagnostics.kappa1 if math.isfinite(fit.diagnostics.kappa1) else None,
             "incoherence": fit.diagnostics.incoherence,
             "likelihood_scale": fit.likelihood_scale,
             "objective_initial": fit.objective_trace[0],

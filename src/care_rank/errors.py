@@ -65,8 +65,11 @@ class ConfigurationError(CareRankError):
 
 
 class ParseError(CareRankError):
-    """A malformed input file; carries the offending row when known."""
+    """A malformed input file; carries the file's path and the offending
+    row when known, and the message leads with them."""
 
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message if row is None else f"row {row}: {message}")
-        self.row = row
+    def __init__(self, message: str, row: int | None = None, path: str | None = None):
+        if row is not None:
+            message = f"row {row}: {message}"
+        super().__init__(message if path is None else f"{path}: {message}")
+        self.row, self.path = row, path

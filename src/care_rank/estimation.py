@@ -5,7 +5,9 @@ s = alpha + X beta, which range over all of R^n (up to a constant shift
 the likelihood ignores).  The fit is therefore a Bradley-Terry fit on s,
 by damped Newton on the weighted Laplacian, followed by the regression
 split of s on the augmented design: beta is the slope and alpha the
-residual, which lies in the identifiable subspace.  Each Newton step is
+residual, which lies in the identifiable subspace.  Both come from the
+one SVD of the design that ``CovariateMatrix._basis`` caches, as does
+the fit's ``incoherence``.  Each Newton step is
 solved by ``model._ShiftedLaplacian``, which the quadratic surrogate
 also uses: Jacobi-preconditioned conjugate gradients with O(E) matvecs
 over the half-edge layout, so the fit builds no n x n array.  The MLE
@@ -30,21 +32,18 @@ from .model import (
     CovariateMatrix,
     FitDiagnostics,
     ParamVector,
-    ProjectionOperator,
     _CG_RTOL,
     _projected_norm,
     _refuse_split,
     _regression_split,
     _score_terms,
     _ShiftedLaplacian,
-    build_projection,
 )
 
 __all__ = [
     "FitConfig",
     "FitResult",
     "preprocess_covariates",
-    "project_to_theta",
     "fit_mle",
 ]
 
@@ -105,11 +104,6 @@ class FitResult:
     covariates: CovariateMatrix = field(repr=False)
     likelihood_scale: float = 1.0
 
-    @property
-    def projection(self) -> ProjectionOperator:
-        """The projector of ``covariates``, cached on them."""
-        return build_projection(self.covariates)
-
 
 def preprocess_covariates(raw: np.ndarray, standardize: bool = True) -> CovariateMatrix:
     """Standardize columns and rescale rows to the model's working scale.
@@ -152,19 +146,7 @@ def preprocess_covariates(raw: np.ndarray, standardize: bool = True) -> Covariat
         k = max_norm / target if max_norm > 0 else 1.0
     else:
         k = 1.0
-    scaled = x / k
-    augmented = np.hstack([np.ones((n, 1)), scaled])
-    return CovariateMatrix(raw, float(k), scaled, augmented, means, sds)
-
-
-def project_to_theta(params: ParamVector, proj: ProjectionOperator) -> ParamVector:
-    """Project parameters onto the identifiable subspace; idempotent."""
-    if params.n_items != proj.n_items or params.n_features != proj.n_features:
-        raise InvalidArgumentError(
-            f"parameter shape ({params.n_items}, {params.n_features}) does not "
-            f"match projector ({proj.n_items}, {proj.n_features})"
-        )
-    return ParamVector.from_stacked(proj.apply(params.stacked), params.n_items)
+    return CovariateMatrix(raw, float(k), x / k, means, sds)
 
 
 def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None = None) -> FitResult:
@@ -243,9 +225,11 @@ def fit_mle(data: ComparisonData, cov: CovariateMatrix, config: FitConfig | None
 
     params = _regression_split(cov, s)
     scores = params.scores(cov)
-    q = build_projection(cov)._span_q
+    q = cov._basis[0]
+    with np.errstate(over="ignore"):  # inf past a score range of about 709
+        kappa1 = float(np.exp(scores.max() - scores.min()))
     diagnostics = FitDiagnostics(
-        kappa1=float(np.exp(scores.max() - scores.min())),
+        kappa1=kappa1,
         incoherence=float(np.sqrt((q * q).sum(axis=1)).max()),
         iterations=iterations,
         final_grad_norm=pg_norm,

@@ -12,7 +12,8 @@ The likelihood depends on (alpha, beta) only through the total scores
 s = alpha + X beta, so H = M^T L_w M with M = [I, X] and L_w the
 weighted Laplacian of the comparison graph.  The variance models use
 that shape: with T the linear map from s to its regression split
-(alpha = (I - Q Q^T) s, beta = the slope rows of Xbar^+ s),
+(alpha = (I - Q Q^T) s, beta = W Q^T s, the slope rows of Xbar^+ s,
+from the one SVD of Xbar that ``CovariateMatrix._basis`` caches),
 [P H P]^+ = T L_w^+ T^T.  T kills the constant vector, so L_w^+ may be
 replaced by A^-1 with A = L_w + 11^T/n, and with the Cholesky factor
 A = L L^T the covariance is G^T G for the n x (n+d) root G = R T^T,
@@ -29,11 +30,11 @@ rows of leaves and temporaries.  The variance model keeps the root as
 its factors, the tree of R and the covariates, which give T: a contrast
 variance is ||R T^T cbar||^2, one pass over the tree; the coordinate
 variances are the squared column norms of G, for which one pass forms
-R Q and R S^T and one more takes each stored block of R less its part
-of (R Q) Q^T.  No dense (n+d) x (n+d) matrix, nor G, is formed.
-``projected_hessian_pinv``
-builds a dense root from an eigendecomposition of P H P, as a
-reference: no command or study runs it.  The distribution study reads
+R Q, which gives R S^T = (R Q) W^T, and one more takes each stored
+block of R less its part of (R Q) Q^T.  No dense (n+d) x (n+d)
+matrix, nor G, is formed.  ``projected_hessian_pinv`` builds a dense
+root from an eigendecomposition of P H P, as a reference: no command
+or study runs it.  The distribution study reads
 three variances from each of two models, at the truth and at the fit,
 so it builds no factor: ``_variances_by_solve`` gets them as
 u^T A^-1 u for the same u = T^T c from one dense LU solve with A.
@@ -241,7 +242,7 @@ _LEAF_ROWS = 256
 
 # The variance model and report peak, beyond what the fit holds, at the
 # block tree's 0.5 n^2 doubles plus O(n * _LEAF_ROWS): the leaves' zero
-# halves, the products' temporaries, and R Q and R S^T while the
+# halves, the products' temporaries, and R Q and (R Q) W^T while the
 # diagonal is formed.  Traced with the report at mean degree 40, that
 # term was at most 280 n doubles from n = 20 to 4000 (at n = 256, one
 # leaf), so 400 n bounds it.
@@ -398,7 +399,7 @@ _NOT_POSITIVE_DEFINITE = "L_w + 11^T/n is not numerically positive definite"
 
 @dataclass(frozen=True)
 class _FactorRoot:
-    """The root G = R T^T = [R (I - Q Q^T) | R S^T] of the factor route,
+    """The root G = R T^T = [R (I - Q Q^T) | R Q W^T] of the factor route,
     held as its two factors: the tree of R and the covariates, which
     give T.  G itself is never formed."""
 
@@ -414,16 +415,17 @@ class _FactorRoot:
 
     def column_norms(self) -> np.ndarray:
         """The squared column norms of G: one pass over the tree forms
-        R Q and R S^T, the beta block of G, and one more takes those of
-        R (I - Q Q^T), each stored block of R less its part of
-        (R Q) Q^T, ``_DIAGONAL_ROWS`` rows by at most ``_LEAF_ROWS``
-        columns at a time, subtracted before squaring (diag A^-1 less
-        projection terms cancels when the 1/n shift dominates A^-1);
-        above a leaf, R is zero and the rows add q^T (R Q)^T (R Q) q."""
-        q = build_projection(self.cov)._span_q
-        products = np.hstack([q, self.cov._score_split.T])
-        _times_transpose(products.T, self.tree)
-        rq, rs = np.hsplit(products, [q.shape[1]])
+        R Q, which gives the beta block R S^T = (R Q) W^T of G, and one
+        more takes those of R (I - Q Q^T), each stored block of R less
+        its part of (R Q) Q^T, ``_DIAGONAL_ROWS`` rows by at most
+        ``_LEAF_ROWS`` columns at a time, subtracted before squaring
+        (diag A^-1 less projection terms cancels when the 1/n shift
+        dominates A^-1); above a leaf, R is zero and the rows add
+        q^T (R Q)^T (R Q) q."""
+        q, w = self.cov._basis
+        rq = q.copy()
+        _times_transpose(rq.T, self.tree)
+        rs = rq @ w.T
         alpha = np.zeros(q.shape[0])
 
         def add(row, col, block):
@@ -509,7 +511,7 @@ def _project_contrast(c: np.ndarray, fit: FitResult) -> tuple[np.ndarray, np.nda
         raise InvalidArgumentError(f"contrast length {c.size}, expected {dim}")
     if not np.isfinite(c).all():
         raise InvalidArgumentError("contrast has non-finite entries")
-    cbar = fit.projection.apply(c)
+    cbar = build_projection(fit.covariates).apply(c)
     norm_c = float(np.linalg.norm(c))
     if float(np.linalg.norm(cbar)) <= 1e-12 * max(norm_c, 1.0):
         raise DegenerateContrastError(
@@ -647,7 +649,7 @@ def full_inference_report(fit: FitResult, vm: VarianceModel, level: float = 0.95
     coordinates, vectorised: for e_k the variance cbar^T V cbar is the
     diagonal entry V[k, k], since V already lives on the subspace."""
     est = fit.params.stacked
-    q = fit.projection._span_q
+    q = fit.covariates._basis[0]
     # ||P e_k||^2 = 1 - ||q_k||^2 for an alpha coordinate (beta coordinates
     # are left alone by P).  The difference cancels near zero, so any
     # coordinate close to the span is rechecked the way contrast_inference

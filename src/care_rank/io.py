@@ -89,7 +89,9 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    """Write ``payload`` as strict JSON: a NaN or infinite float raises
+    ValueError rather than writing a token JSON parsers reject."""
+    atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 @dataclass(frozen=True)
@@ -117,26 +119,28 @@ def _records(path: str) -> tuple[list[str], list[int], list[list[str]]]:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             records.extend(csv.reader(fh))
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     except csv.Error as exc:  # such as a cell past csv.field_size_limit()
-        raise ParseError(str(exc), row=len(records) + 1) from None
+        raise ParseError(str(exc), row=len(records) + 1, path=path) from None
     numbers = [
         k for k, row in enumerate(records, start=1)
         if row and ((first := row[0].lstrip()) and first[0] != "#"
                     or not first and any(map(str.strip, row)))
     ]
     if not numbers:
-        raise ParseError(f"{path}: empty file")
+        raise ParseError("empty file", path=path)
     header = [h.strip() for h in records[numbers[0] - 1]]
     return header, numbers[1:], [records[k - 1] for k in numbers[1:]]
 
 
-def _stripped_rows(header: list[str], numbers: list[int], body: list[list[str]]):
+def _stripped_rows(path: str, header: list[str], numbers: list[int], body: list[list[str]]):
     """Each body record's number and stripped cells, in file order; a
     record of another width than the header is a ParseError there."""
     for number, row in zip(numbers, body):
         if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} columns, got {len(row)}", row=number)
+            raise ParseError(
+                f"expected {len(header)} columns, got {len(row)}", row=number, path=path
+            )
         yield number, [cell.strip() for cell in row]
 
 
@@ -299,35 +303,34 @@ def _csv_columns(header: list[str], body: list[list[str]]):
     return ids, code_i[keep], code_j[keep], trials[keep], wins_j[keep], m - int(keep.sum())
 
 
-def _raise_first_bad_record(header: list[str], numbers: list[int], body: list[list[str]]):
+def _raise_first_bad_record(
+    path: str, header: list[str], numbers: list[int], body: list[list[str]]
+):
     """Raise the error of the first comparison record that fails a
     check, with its number, checking one record at a time.  Only called
     once a tokenizer has found the file invalid."""
     aggregated = header == AGGREGATED_HEADER
-    for number, (first, second, *rest) in _stripped_rows(header, numbers, body):
+    for number, (first, second, *rest) in _stripped_rows(path, header, numbers, body):
+        def bad(message: str) -> ParseError:
+            return ParseError(message, row=number, path=path)
+
         if not first or not second:
-            raise ParseError("empty item id", row=number)
+            raise bad("empty item id")
         if first == second:
-            raise ParseError(f"self-comparison of item {first!r}", row=number)
+            raise bad(f"self-comparison of item {first!r}")
         if aggregated:
             try:
                 trials, wins_j = map(int, rest)
             except ValueError:
-                raise ParseError(
-                    f"non-integer trials/wins in {rest[0]!r},{rest[1]!r}", row=number
-                ) from None
+                raise bad(f"non-integer trials/wins in {rest[0]!r},{rest[1]!r}") from None
             if not -(2**63) <= min(trials, wins_j) <= max(trials, wins_j) < 2**63:
-                raise ParseError(
-                    f"trials/wins {rest[0]!r},{rest[1]!r} outside the 64-bit range", row=number
-                )
+                raise bad(f"trials/wins {rest[0]!r},{rest[1]!r} outside the 64-bit range")
             if trials < 1:
-                raise ParseError(f"trials must be positive, got {trials}", row=number)
+                raise bad(f"trials must be positive, got {trials}")
             if not 0 <= wins_j <= trials:
-                raise ParseError(f"wins_j {wins_j} outside [0, {trials}]", row=number)
+                raise bad(f"wins_j {wins_j} outside [0, {trials}]")
         elif rest[0].lower() != TIE_MARKER and rest[0] not in (first, second):
-            raise ParseError(
-                f"winner {rest[0]!r} is neither {first!r} nor {second!r}", row=number
-            )
+            raise bad(f"winner {rest[0]!r} is neither {first!r} nor {second!r}")
     raise AssertionError("a tokenizer refused records that pass every check")
 
 
@@ -348,18 +351,18 @@ def parse_comparisons_csv(path: str) -> ParsedComparisons:
         header, numbers, body = _records(path)
         if header not in (AGGREGATED_HEADER, PER_TRIAL_HEADER):
             raise ParseError(
-                f"{path}: unrecognized header {header}; expected "
-                f"{AGGREGATED_HEADER} or {PER_TRIAL_HEADER}"
+                f"unrecognized header {header}; expected "
+                f"{AGGREGATED_HEADER} or {PER_TRIAL_HEADER}", path=path
             )
         columns = _csv_columns(header, body)
         if columns is None or not _valid(*columns[:5]):
-            _raise_first_bad_record(header, numbers, body)
+            _raise_first_bad_record(path, header, numbers, body)
     ids, code_i, code_j, trials, wins_j, ties = columns
 
     if not code_i.size:
-        raise ParseError(f"{path}: no usable comparison rows")
+        raise ParseError("no usable comparison rows", path=path)
     if trials.sum(dtype=np.float64) >= 2.0**63:  # int64 sums below would wrap
-        raise ParseError(f"{path}: trial counts sum past the 64-bit range")
+        raise ParseError("trial counts sum past the 64-bit range", path=path)
     # Keep the ids the usable rows name, renumbered densely.  The kept
     # ids are fresh string objects: cells parsed by csv.reader are
     # scattered over the heap the records filled, and would keep it all
@@ -396,32 +399,32 @@ def parse_covariates_csv(path: str, item_ids: list[str]) -> ParsedCovariates:
     """
     header, numbers, body = _records(path)
     if header[0] != "item":
-        raise ParseError(f"{path}: first column must be 'item', got {header[:1]}")
+        raise ParseError(f"first column must be 'item', got {header[:1]}", path=path)
     feature_names = header[1:]
     for column, name in enumerate(feature_names, start=2):
         if not name or name in feature_names[: column - 2]:
             what = f"duplicate feature name {name!r}" if name else "empty feature name"
-            raise ParseError(f"{path}: {what} in column {column}")
+            raise ParseError(f"{what} in column {column}", path=path)
     position, values = {}, []
-    for number, (name, *cells) in _stripped_rows(header, numbers, body):
+    for number, (name, *cells) in _stripped_rows(path, header, numbers, body):
         if not name:
-            raise ParseError("empty item id", row=number)
+            raise ParseError("empty item id", row=number, path=path)
         if name in position:
-            raise ParseError(f"duplicate item {name!r}", row=number)
+            raise ParseError(f"duplicate item {name!r}", row=number, path=path)
         position[name] = len(position)
         for cell, feature in zip(cells, feature_names):
             try:
                 values.append(float(cell))
             except ValueError:
                 raise ParseError(
-                    f"non-numeric value {cell!r} in column {feature!r}", row=number
+                    f"non-numeric value {cell!r} in column {feature!r}", row=number, path=path
                 ) from None
 
     missing = [name for name in item_ids if name not in position]
     if missing:
         raise ParseError(
-            f"{path}: missing covariates for compared items {missing[:8]}"
-            + ("..." if len(missing) > 8 else "")
+            f"missing covariates for compared items {missing[:8]}"
+            + ("..." if len(missing) > 8 else ""), path=path
         )
     wanted = set(item_ids)
     extra = [name for name in position if name not in wanted]
@@ -436,14 +439,14 @@ def read_config_file(path: str) -> dict[str, str]:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     out: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ParseError(f"expected key=value, got {stripped!r}", row=lineno)
+            raise ParseError(f"expected key=value, got {stripped!r}", row=lineno, path=path)
         key, value = stripped.split("=", 1)
         out[key.strip().replace("-", "_")] = value.strip()
     return out

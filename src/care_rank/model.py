@@ -4,8 +4,10 @@ Item ``i`` carries a latent score ``alpha_i + x_i @ beta``.  For a compared
 pair the probability that the higher-indexed item ``j`` beats ``i`` is the
 logistic function of the score difference.  This module holds the data
 containers, the negative log-likelihood with its gradient and Hessian, the
-projector onto the identifiable parameter subspace, and structural
-diagnostics of the comparison graph.
+regression split T of total scores onto the identifiable parameter
+subspace and its transpose, both from one SVD of the augmented design,
+the projector onto that subspace, and structural diagnostics of the
+comparison graph.
 
 Conventions used throughout:
 
@@ -318,41 +320,44 @@ class CovariateMatrix:
 
     ``scaled`` is the standardized feature matrix divided by ``scale_k`` so
     that the largest row norm equals sqrt((d+1)/n); ``augmented`` prepends
-    an all-ones intercept column to ``scaled``.  The projector and the
-    slope rows of the score split, which depend on the covariates alone,
-    are built on first use and cached (``build_projection``,
-    ``_regression_split``).
+    an all-ones intercept column to ``scaled``.  The regression split,
+    which depends on the covariates alone, is built on first use from one
+    SVD of the augmented design and cached as ``_basis`` = (Q, W): Q an
+    orthonormal basis of its span and W the d x (d+1) slope factor, so
+    that the slope rows of its pseudoinverse are S = W Q^T
+    (``_regression_split``, ``build_projection``).
     """
 
     raw: np.ndarray
     scale_k: float
     scaled: np.ndarray
-    augmented: np.ndarray
     column_means: np.ndarray
     column_sds: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "raw", _readonly(np.asarray(self.raw, dtype=float)))
-        object.__setattr__(self, "scaled", _readonly(np.asarray(self.scaled, dtype=float)))
-        object.__setattr__(self, "augmented", _readonly(np.asarray(self.augmented, dtype=float)))
-        object.__setattr__(self, "column_means", _readonly(np.asarray(self.column_means, dtype=float)))
-        object.__setattr__(self, "column_sds", _readonly(np.asarray(self.column_sds, dtype=float)))
+        for name in ("raw", "scaled", "column_means", "column_sds"):
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
 
     @property
     def n_items(self) -> int:
-        return self.augmented.shape[0]
+        return self.scaled.shape[0]
 
     @property
     def n_features(self) -> int:
         return self.scaled.shape[1]
 
-    @cached_property
-    def _projection(self) -> ProjectionOperator:
-        return ProjectionOperator(_svd_basis(self.augmented))
+    @property
+    def augmented(self) -> np.ndarray:
+        """The design Xbar = [1, X] of the scaled covariates."""
+        return _readonly(np.hstack([np.ones((self.n_items, 1)), self.scaled]))
 
     @cached_property
-    def _score_split(self) -> np.ndarray:
-        return _readonly(np.linalg.pinv(self.augmented)[1:])
+    def _basis(self) -> tuple[np.ndarray, np.ndarray]:
+        return _svd_basis(self.augmented)
+
+    @cached_property
+    def _projection(self) -> ProjectionOperator:
+        return ProjectionOperator(self._basis[0])
 
 
 @dataclass(frozen=True)
@@ -551,11 +556,13 @@ def hessian(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> 
     return out
 
 
-def _svd_basis(augmented: np.ndarray) -> np.ndarray:
-    """The k left singular vectors of the n x k augmented design, an
-    orthonormal basis of its span, with a rank check."""
+def _svd_basis(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One SVD Xbar = U diag(sigma) V^T of the n x k augmented design,
+    with a rank check: Q = U, an orthonormal basis of its span, and the
+    (k-1) x k slope factor W = (V diag(1/sigma))[1:], so that the slope
+    rows of Xbar^+ = V diag(1/sigma) U^T are W Q^T."""
     k = augmented.shape[1]
-    u, svals, _ = np.linalg.svd(augmented, full_matrices=False)
+    u, svals, vt = np.linalg.svd(augmented, full_matrices=False)
     rank = int(np.sum(svals > RANK_RTOL * svals[0]))
     if rank < k:
         raise DegenerateDesignError(
@@ -563,7 +570,7 @@ def _svd_basis(augmented: np.ndarray) -> np.ndarray:
             "are collinear with each other or with the intercept",
             rank=rank,
         )
-    return np.ascontiguousarray(u)
+    return _readonly(u), _readonly(vt.T[1:] / svals)
 
 
 def build_projection(cov: CovariateMatrix) -> ProjectionOperator:
@@ -574,20 +581,21 @@ def build_projection(cov: CovariateMatrix) -> ProjectionOperator:
 
 def _regression_split(cov: CovariateMatrix, s: np.ndarray) -> ParamVector:
     """The point of the identifiable subspace with total scores ``s``:
-    the regression split of s on Xbar, with beta the slope rows of
-    Xbar^+ s and alpha = (I - Q Q^T) s.  The intercept is dropped, as
-    the likelihood ignores constant shifts of s."""
-    stacked = build_projection(cov).apply(np.concatenate([s, cov._score_split @ s]))
-    return ParamVector.from_stacked(stacked, cov.n_items)
+    the regression split of s on Xbar, with beta = W Q^T s the slope
+    rows of Xbar^+ s and alpha = (I - Q Q^T) s.  The intercept is
+    dropped, as the likelihood ignores constant shifts of s."""
+    q, w = cov._basis
+    qs = q.T @ s
+    return ParamVector(s - q @ qs, w @ qs)
 
 
 def _split_transpose(cov: CovariateMatrix, c: np.ndarray) -> np.ndarray:
-    """T^T c = (I - Q Q^T) c_alpha + S^T c_beta, for T the regression
+    """T^T c = (I - Q Q^T) c_alpha + Q W^T c_beta, for T the regression
     split above, of one stacked (alpha, beta) vector or the columns of a
     matrix: the contrast as one on the total scores."""
-    n, q = cov.n_items, build_projection(cov)._span_q
+    (q, w), n = cov._basis, cov.n_items
     alpha = c[:n]
-    return alpha - q @ (q.T @ alpha) + cov._score_split.T @ c[n:]
+    return alpha - q @ (q.T @ alpha - w.T @ c[n:])
 
 
 def _projected_norm(cov: CovariateMatrix, r: np.ndarray) -> float:

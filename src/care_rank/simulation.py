@@ -45,7 +45,7 @@ _BLAS_PINNED = "numpy" not in sys.modules and all(
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateContrastError, InvalidArgumentError
-from .estimation import fit_mle, preprocess_covariates, project_to_theta
+from .estimation import fit_mle, preprocess_covariates
 from .inference import _variances_by_solve
 from .model import (
     ComparisonData,
@@ -188,10 +188,8 @@ def generate_truth(spec: SyntheticSpec) -> tuple[CovariateMatrix, ParamVector]:
     identifiable subspace.  The projection only recenters alpha; the
     covariate effect keeps its exact designed norm."""
     cov = preprocess_covariates(draw_covariates(spec), standardize=True)
-    truth = project_to_theta(
-        ParamVector(draw_alpha(spec), draw_beta(spec)), build_projection(cov)
-    )
-    return cov, truth
+    drawn = ParamVector(draw_alpha(spec), draw_beta(spec))
+    return cov, ParamVector.from_stacked(build_projection(cov).apply(drawn.stacked), spec.n)
 
 
 def sample_comparisons(

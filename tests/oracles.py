@@ -334,7 +334,7 @@ def _records_by_rows(path):
                     continue
                 rows.append((lineno, [cell.strip() for cell in row]))
         except csv.Error as exc:
-            raise ParseError(str(exc), row=lineno + 1) from None
+            raise ParseError(str(exc), row=lineno + 1, path=path) from None
     if header is None:
         raise ParseError(f"{path}: empty file")
     return header, rows
@@ -343,6 +343,10 @@ def _records_by_rows(path):
 def parse_comparisons_by_rows(path):
     """``parse_comparisons_csv`` one record at a time: each record is
     checked in turn and the pairs are summed in a dict."""
+
+    def bad(message, lineno):
+        return ParseError(message, row=lineno, path=path)
+
     header, rows = _records_by_rows(path)
     if header not in (AGGREGATED_HEADER, PER_TRIAL_HEADER):
         raise ParseError(
@@ -354,24 +358,24 @@ def parse_comparisons_by_rows(path):
     raw_edges, ties = [], 0
     for lineno, row in rows:
         if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} columns, got {len(row)}", row=lineno)
+            raise bad(f"expected {len(header)} columns, got {len(row)}", lineno)
         if not row[0] or not row[1]:
-            raise ParseError("empty item id", row=lineno)
+            raise bad("empty item id", lineno)
         if row[0] == row[1]:
-            raise ParseError(f"self-comparison of item {row[0]!r}", row=lineno)
+            raise bad(f"self-comparison of item {row[0]!r}", lineno)
         if aggregated:
             try:
                 trials, wins_j = int(row[2]), int(row[3])
             except ValueError:
-                raise ParseError(f"non-integer trials/wins in {row[2]!r},{row[3]!r}", row=lineno)
+                raise bad(f"non-integer trials/wins in {row[2]!r},{row[3]!r}", lineno)
             if not all(-(2**63) <= v < 2**63 for v in (trials, wins_j)):
-                raise ParseError(
-                    f"trials/wins {row[2]!r},{row[3]!r} outside the 64-bit range", row=lineno
+                raise bad(
+                    f"trials/wins {row[2]!r},{row[3]!r} outside the 64-bit range", lineno
                 )
             if trials < 1:
-                raise ParseError(f"trials must be positive, got {trials}", row=lineno)
+                raise bad(f"trials must be positive, got {trials}", lineno)
             if not (0 <= wins_j <= trials):
-                raise ParseError(f"wins_j {wins_j} outside [0, {trials}]", row=lineno)
+                raise bad(f"wins_j {wins_j} outside [0, {trials}]", lineno)
         else:
             winner = row[2]
             if winner.lower() == TIE_MARKER:
@@ -382,8 +386,8 @@ def parse_comparisons_by_rows(path):
             elif winner == row[1]:
                 trials, wins_j = 1, 1
             else:
-                raise ParseError(
-                    f"winner {winner!r} is neither {row[0]!r} nor {row[1]!r}", row=lineno
+                raise bad(
+                    f"winner {winner!r} is neither {row[0]!r} nor {row[1]!r}", lineno
                 )
         raw_edges.append((row[0], row[1], trials, wins_j))
 
@@ -408,6 +412,10 @@ def parse_comparisons_by_rows(path):
 def parse_covariates_by_rows(path, item_ids):
     """``parse_covariates_csv`` one record at a time: each record is
     checked in turn and its values kept in a dict by id."""
+
+    def bad(message, lineno):
+        return ParseError(message, row=lineno, path=path)
+
     header, rows = _records_by_rows(path)
     if header[0] != "item":
         raise ParseError(f"{path}: first column must be 'item', got {header[:1]}")
@@ -421,19 +429,19 @@ def parse_covariates_by_rows(path, item_ids):
     by_id = {}
     for lineno, row in rows:
         if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} columns, got {len(row)}", row=lineno)
+            raise bad(f"expected {len(header)} columns, got {len(row)}", lineno)
         name = row[0]
         if not name:
-            raise ParseError("empty item id", row=lineno)
+            raise bad("empty item id", lineno)
         if name in by_id:
-            raise ParseError(f"duplicate item {name!r}", row=lineno)
+            raise bad(f"duplicate item {name!r}", lineno)
         values = []
         for cell, column in zip(row[1:], header[1:]):
             try:
                 values.append(float(cell))
             except ValueError:
-                raise ParseError(
-                    f"non-numeric value {cell!r} in column {column!r}", row=lineno
+                raise bad(
+                    f"non-numeric value {cell!r} in column {column!r}", lineno
                 )
         by_id[name] = values
     missing = [name for name in item_ids if name not in by_id]
@@ -567,7 +575,7 @@ def fit_by_dense_newton(data, cov, grad_tol=1e-8, max_iters=100):
             t *= 0.5
         s, val, g, weights = s + t * newton, cand_val, cand_g, cand_weights
         iterations += 1
-    return proj.apply(np.concatenate([s, cov._score_split @ s])), iterations
+    return proj.apply(np.concatenate([s, np.linalg.pinv(cov.augmented)[1:] @ s])), iterations
 
 
 def quadratic_minimizer_by_dense_pinv(data, cov, truth):

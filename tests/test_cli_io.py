@@ -4,8 +4,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -37,6 +40,7 @@ from care_rank.io import (
     write_covariates_csv,
     write_experiment_files,
     write_inference_csv,
+    write_json,
     write_ranking_csv,
 )
 from care_rank.model import ComparisonData
@@ -451,8 +455,9 @@ class TestPlainComparisons:
         text = "#" + "x" * csv.field_size_limit() + "\nitem_i,item_j,trials,wins_j\na,b,2,1\n"
         path = write(tmp_path / "c.csv", text)
         for parse in (parse_comparisons_by_rows, parse_comparisons_csv):
-            with pytest.raises(ParseError, match="^row 1: field larger than field limit"):
+            with pytest.raises(ParseError) as exc_info:
                 parse(path)
+            assert str(exc_info.value).startswith(f"{path}: row 1: field larger than field limit")
 
 
 class TestParseCovariates:
@@ -538,7 +543,7 @@ class TestParseCovariates:
         code = main(["fit", "--comparisons", comparisons, "--covariates", path,
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
-        assert capsys.readouterr().err == "error: row 3: empty item id\n"
+        assert capsys.readouterr().err == f"error: {path}: row 3: empty item id\n"
 
     def test_byte_order_mark_dropped(self, tmp_path):
         path = write(tmp_path / "x.csv", "\ufeffitem,f1\nb,2.0\na,1.0\n")
@@ -580,6 +585,13 @@ def special_doubles(rng, shape):
 
 class TestWriters:
     """The column writers give the bytes of a row-by-row writer."""
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_json_refuses_non_finite_floats(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            write_json(str(path), {"ok": 1.0, "bad": [value]})
+        assert not path.exists()
 
     def test_comparisons(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -676,6 +688,13 @@ class TestConfigFile:
         path = write(tmp_path / "run.cfg", "just a line\n")
         with pytest.raises(ParseError):
             read_config_file(path)
+
+    def test_bad_line_error_names_the_file(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", "max_iters = 50\nbogus\n")
+        data = write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\na,b,4,1\n")
+        code = main(["fit", "--config", cfg, "--comparisons", data, "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {cfg}: row 2: expected key=value, got 'bogus'\n"
 
 
 class TestFmt17:
@@ -913,6 +932,31 @@ class TestCliPipelines:
         )
 
 
+    def test_cycle_past_the_exp_range_writes_strict_json(self, tmp_path):
+        # 300 items in a chain, each beating the next 50-0, and one upset
+        # closing the cycle: the MLE exists, but the fitted scores span
+        # more than 709, so exp(max s - min s) overflows a double
+        rows = [f"i{k:03d},i{k + 1:03d},50,0\n" for k in range(299)] + ["i299,i000,50,49\n"]
+        data = write(tmp_path / "cycle.csv", "item_i,item_j,trials,wins_j\n" + "".join(rows))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "care_rank.cli", "infer", "--comparisons", data,
+             "--out", str(out)], env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_OK
+        assert "RuntimeWarning" not in proc.stderr
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads((out / "fit.json").read_text(), parse_constant=refuse)
+        assert max(payload["scores"]) - min(payload["scores"]) > 709
+        assert payload["kappa1"] is None
+
+
 class TestParser:
     def test_flags_of_each_command(self):
         expected = {
@@ -941,6 +985,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("bad_file", ["comparisons", "covariates"])
+    def test_row_error_names_its_file(self, tmp_path, capsys, bad_file):
+        # with two input files, the message says which one holds the bad row
+        comparisons, covariates = (
+            write(tmp_path / "c.csv", "item_i,item_j,trials,wins_j\na,b,4,1\nb,b,4,2\n"
+                  if bad_file == "comparisons" else "item_i,item_j,trials,wins_j\na,b,4,1\n"),
+            write(tmp_path / "x.csv", "item,f1\na,1\n,2\nb,3\n"
+                  if bad_file == "covariates" else "item,f1\na,1\nb,3\n"),
+        )
+        code = main(["fit", "--comparisons", comparisons, "--covariates", covariates,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == {
+            "comparisons": f"error: {comparisons}: row 3: self-comparison of item 'b'\n",
+            "covariates": f"error: {covariates}: row 3: empty item id\n",
+        }[bad_file]
+
     def test_malformed_csv_is_parse_error(self, tmp_path):
         bad = write(tmp_path / "bad.csv", "item_i,item_j,trials,wins_j\na,b,2,9\n")
         code = main(["fit", "--comparisons", bad, "--out", str(tmp_path / "o")])
@@ -961,7 +1022,7 @@ class TestExitCodes:
         code = main(["fit", "--comparisons", bad, "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
         assert capsys.readouterr().err == (
-            f"error: row 2: field larger than field limit ({csv.field_size_limit()})\n"
+            f"error: {bad}: row 2: field larger than field limit ({csv.field_size_limit()})\n"
         )
 
     def test_disconnected_graph_exit(self, tmp_path, capsys):

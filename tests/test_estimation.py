@@ -21,7 +21,6 @@ from care_rank.estimation import (
     FitConfig,
     fit_mle,
     preprocess_covariates,
-    project_to_theta,
 )
 from care_rank.io import parse_comparisons_csv
 from care_rank.model import (
@@ -129,34 +128,35 @@ class TestPreprocess:
 
 
 class TestProjectToTheta:
+    """``build_projection(cov).apply`` on stacked parameters: the
+    projection onto theta, the identifiable subspace."""
+
     def test_fixed_point(self):
         rng = np.random.default_rng(4)
         cov = preprocess_covariates(rng.normal(size=(5, 2)))
         proj = build_projection(cov)
-        inside = project_to_theta(
-            ParamVector(rng.normal(size=5), rng.normal(size=2)), proj
-        )
-        again = project_to_theta(inside, proj)
-        np.testing.assert_allclose(again.stacked, inside.stacked, atol=1e-12)
+        inside = proj.apply(ParamVector(rng.normal(size=5), rng.normal(size=2)).stacked)
+        again = proj.apply(inside)
+        np.testing.assert_allclose(again, inside, atol=1e-12)
 
     def test_btl_centering(self):
         cov = preprocess_covariates(np.zeros((3, 0)))
         proj = build_projection(cov)
-        out = project_to_theta(ParamVector(np.ones(3), np.zeros(0)), proj)
-        np.testing.assert_allclose(out.alpha, 0.0, atol=1e-12)
+        out = proj.apply(ParamVector(np.ones(3), np.zeros(0)).stacked)
+        np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_constraint_satisfied(self):
         rng = np.random.default_rng(5)
         cov = preprocess_covariates(rng.normal(size=(5, 2)))
         proj = build_projection(cov)
-        out = project_to_theta(ParamVector(rng.normal(size=5), rng.normal(size=2)), proj)
-        assert np.abs(cov.augmented.T @ out.alpha).max() <= 1e-10
+        out = proj.apply(ParamVector(rng.normal(size=5), rng.normal(size=2)).stacked)
+        assert np.abs(cov.augmented.T @ out[:5]).max() <= 1e-10
 
     def test_dimension_mismatch(self):
         cov = preprocess_covariates(np.zeros((3, 0)))
         proj = build_projection(cov)
         with pytest.raises(InvalidArgumentError):
-            project_to_theta(ParamVector(np.zeros(4), np.zeros(0)), proj)
+            proj.apply(ParamVector(np.zeros(4), np.zeros(0)).stacked)
 
 
 class TestFitConfig:
@@ -249,7 +249,7 @@ class TestFitMLE:
     def test_local_optimality(self):
         data, cov, _ = sample_small_instance(seed=36)
         fit = fit_mle(data, cov)
-        proj = fit.projection
+        proj = build_projection(cov)
         best = neg_log_likelihood(data, cov, fit.params)
         rng = np.random.default_rng(100)
         n = data.n_items

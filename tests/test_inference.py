@@ -13,7 +13,7 @@ from scipy.linalg import null_space
 from care_rank import inference, model, simulation
 from care_rank.cli import EXIT_CONFIG, main
 from care_rank.errors import ConnectivityError, DegenerateContrastError, InvalidArgumentError
-from care_rank.estimation import FitConfig, fit_mle, preprocess_covariates, project_to_theta
+from care_rank.estimation import FitConfig, fit_mle, preprocess_covariates
 from care_rank.inference import (
     DEFAULT_EIGEN_CUTOFF,
     care_ranking_scores,
@@ -79,7 +79,7 @@ class TestProjectedHessianPinv:
     def test_involution_on_retained_spectrum(self):
         data, cov, _, fit = fitted_instance(seed=71)
         vm = plugin_variance_model(fit)
-        back = projected_hessian_pinv(covariance_from_root(vm), fit.projection)
+        back = projected_hessian_pinv(covariance_from_root(vm), build_projection(cov))
         m = projected_hessian_by_nullspace(hessian(data, cov, fit.params), cov)
         np.testing.assert_allclose(
             covariance_from_root(back), m, atol=1e-8 * np.linalg.norm(m),
@@ -138,7 +138,7 @@ def variance_model_at(fit, offset):
         return fit.params, plugin_variance_model(fit)
     n, stacked = fit.params.n_items, fit.params.stacked
     step = np.random.default_rng(n).normal(scale=offset, size=stacked.size)
-    point = project_to_theta(ParamVector.from_stacked(stacked + step, n), fit.projection)
+    point = ParamVector.from_stacked(build_projection(fit.covariates).apply(stacked + step), n)
     return point, oracle_variance_model(fit.data, fit.covariates, point)
 
 
@@ -151,7 +151,7 @@ class TestLaplacianVarianceModel:
         fit = fit_mle(data, cov)
         params, vm = variance_model_at(fit, offset)
         hess = hessian(data, cov, params)
-        ref = projected_hessian_pinv(hess, fit.projection)
+        ref = projected_hessian_pinv(hess, build_projection(cov))
         got, want = covariance_from_root(vm), covariance_from_root(ref)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         m = projected_hessian_by_nullspace(hess, cov)
@@ -178,13 +178,13 @@ class TestLaplacianVarianceModel:
             data, cov = unequal_trials_instance(seed=100 + d, d=d, standardize=standardize)
         fit = fit_mle(data, cov)
         params, vm = variance_model_at(fit, offset)
-        ref = projected_hessian_pinv(hessian(data, cov, params), fit.projection)
+        ref = projected_hessian_pinv(hessian(data, cov, params), build_projection(cov))
         n = data.n_items
         dense = covariance_from_root(ref)
         np.testing.assert_allclose(vm.diagonal, np.diagonal(dense), rtol=1e-12, atol=0)
         rng = np.random.default_rng(len(design))
         for _ in range(5):
-            cbar = fit.projection.apply(rng.normal(size=n + cov.n_features))
+            cbar = build_projection(cov).apply(rng.normal(size=n + cov.n_features))
             assert vm.variance_of(cbar) == pytest.approx(ref.variance_of(cbar), rel=1e-12)
         beta_block, want = covariance_from_root(vm)[n:, n:], dense[n:, n:]
         if want.size:
@@ -401,7 +401,7 @@ class TestLaplacianVarianceModel:
             assert exc.value.components == [[0, 1, 2], [3, 4, 5]]
         monkeypatch.undo()
         hess = hessian(data, cov, far)
-        assert projected_hessian_pinv(hess, fit.projection).rank_warning
+        assert projected_hessian_pinv(hess, build_projection(cov)).rank_warning
         assert null_dimension(projected_hessian_by_nullspace(hess, cov)) == 2
 
     def test_one_hot_covariate_is_degenerate(self, tmp_path):
@@ -742,7 +742,7 @@ class TestCareRankingScores:
 class TestStandardizedStats:
     def test_zero_at_truth(self):
         data, cov, truth, fit = fitted_instance(seed=91)
-        proj = fit.projection
+        proj = build_projection(cov)
         truth_in = ParamVector.from_stacked(proj.apply(truth.stacked), 5)
         vm_true = projected_hessian_pinv(hessian(data, cov, truth_in), proj)
         vm_plugin = plugin_variance_model(fit)
@@ -754,7 +754,7 @@ class TestStandardizedStats:
 
     def test_finite_for_default_contrast(self):
         data, cov, truth, fit = fitted_instance(seed=92)
-        proj = fit.projection
+        proj = build_projection(cov)
         truth_in = ParamVector.from_stacked(proj.apply(truth.stacked), 5)
         vm_true = projected_hessian_pinv(hessian(data, cov, truth_in), proj)
         vm_plugin = plugin_variance_model(fit)

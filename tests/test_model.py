@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from care_rank import model
 from care_rank.errors import ConnectivityError, DegenerateDesignError, InvalidArgumentError
-from care_rank.estimation import preprocess_covariates, project_to_theta
+from care_rank.estimation import preprocess_covariates
 from care_rank.model import (
     ComparisonData,
     ParamVector,
     _hessian_weights,
+    _regression_split,
     _score_terms,
+    _split_transpose,
     build_projection,
     connected_components,
     gradient,
@@ -346,9 +348,9 @@ class TestHessian:
 class TestProjection:
     def test_covariate_factors_built_once(self):
         _, cov, _ = sample_small_instance(seed=24, n=6, d=2)
-        proj, split = build_projection(cov), cov._score_split
-        assert build_projection(cov) is proj and cov._score_split is split
-        assert not (proj._span_q.flags.writeable or split.flags.writeable)
+        proj = build_projection(cov)
+        assert build_projection(cov) is proj
+        assert not proj._span_q.flags.writeable
 
     def test_btl_block_is_centering(self):
         cov = btl_cov(5)
@@ -409,6 +411,80 @@ class TestProjection:
         with pytest.raises(DegenerateDesignError) as exc_info:
             build_projection(cov)
         assert exc_info.value.rank == 2
+
+
+def random_design(seed, n=9, d=3, standardize=True):
+    rng = np.random.default_rng(seed)
+    return preprocess_covariates(rng.normal(size=(n, d)) * [1.0, 10.0, 0.1][:d], standardize)
+
+
+class TestRegressionSplit:
+    """T maps total scores s to (alpha, beta) = ((I - Xbar Xbar^+) s,
+    the slope rows of Xbar^+ s); T^T maps a contrast back onto s."""
+
+    @pytest.mark.parametrize(
+        "seed, d, standardize", [(40, 0, True), (41, 2, True), (42, 3, False)]
+    )
+    def test_matches_pseudoinverse_oracle(self, seed, d, standardize):
+        cov = random_design(seed, d=d, standardize=standardize)
+        s = np.random.default_rng(seed).normal(size=cov.n_items)
+        pinv = np.linalg.pinv(cov.augmented)
+        split = _regression_split(cov, s)
+        beta, alpha = pinv[1:] @ s, s - cov.augmented @ (pinv @ s)
+        for got, want in ((split.beta, beta), (split.alpha, alpha)):
+            scale = max(1.0, np.abs(want).max(initial=0.0))
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed, d", [(43, 0), (44, 3)])
+    def test_transpose_is_adjoint(self, seed, d):
+        cov = random_design(seed, d=d, standardize=False)
+        rng = np.random.default_rng(seed)
+        n = cov.n_items
+        cs = rng.normal(size=(n + d, 4))
+        columns = _split_transpose(cov, cs)
+        for k in range(4):
+            s = rng.normal(size=n)
+            lhs = _regression_split(cov, s).stacked @ cs[:, k]
+            rhs = s @ _split_transpose(cov, cs[:, k])
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(columns[:, k], _split_transpose(cov, cs[:, k]), rtol=1e-14)
+
+    def test_one_svd_per_covariate_matrix(self, monkeypatch):
+        from care_rank.inference import (
+            care_ranking_scores,
+            contrast_inference,
+            full_inference_report,
+            plugin_variance_model,
+        )
+        from care_rank.estimation import fit_mle
+
+        data, cov, _ = sample_small_instance(seed=45, n=8, d=2)
+        calls = []
+        svd, pinv = np.linalg.svd, np.linalg.pinv
+
+        def counted(name, fn):
+            return lambda *args, **kwargs: (calls.append(name), fn(*args, **kwargs))[1]
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+        monkeypatch.setattr(np.linalg, "pinv", counted("pinv", pinv))
+        fit = fit_mle(data, cov)
+        vm = plugin_variance_model(fit)
+        full_inference_report(fit, vm)
+        care_ranking_scores(fit, vm)
+        contrast_inference(np.eye(10)[0], fit, vm)
+        _split_transpose(cov, np.ones(10))
+        assert calls == ["svd"]
+        fit_mle(data, preprocess_covariates(np.array(cov.raw)))
+        assert calls == ["svd", "svd"]
+
+    def test_basis_cached_and_read_only(self):
+        cov = random_design(46)
+        q, w = basis = cov._basis
+        assert cov._basis is basis and build_projection(cov)._span_q is q
+        assert q.shape == (9, 4) and w.shape == (3, 4)
+        assert not (q.flags.writeable or w.flags.writeable)
+        with pytest.raises(ValueError):
+            q[0, 0] = 1.0
 
 
 class TestConnectivity:

@@ -44,8 +44,7 @@ EXPORTS = {
     "model": ["ComparisonData", "CovariateMatrix", "FitDiagnostics", "ParamVector",
               "ProjectionOperator", "build_projection", "connected_components", "gradient",
               "hessian", "is_connected", "neg_log_likelihood"],
-    "estimation": ["FitConfig", "FitResult", "fit_mle", "preprocess_covariates",
-                   "project_to_theta"],
+    "estimation": ["FitConfig", "FitResult", "fit_mle", "preprocess_covariates"],
     "inference": ["ContrastResult", "InferenceReport", "RankingScores", "VarianceModel",
                   "care_ranking_scores", "contrast_inference", "full_inference_report",
                   "plugin_variance_model", "projected_hessian_pinv",

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from care_rank.estimation import fit_mle, preprocess_covariates, project_to_theta
+from care_rank.estimation import fit_mle, preprocess_covariates
 from care_rank.inference import full_inference_report, plugin_variance_model
 from care_rank.model import ParamVector, build_projection
 from care_rank.simulation import (
@@ -57,7 +57,7 @@ class TestSizeUnderNull:
         beta = draw_beta(spec)
         beta[null_index] = 0.0
         proj = build_projection(cov)
-        truth = project_to_theta(ParamVector(draw_alpha(spec), beta), proj)
+        truth = ParamVector.from_stacked(proj.apply(np.concatenate([draw_alpha(spec), beta])), n)
 
         def one_rep(rep: int) -> int:
             data = sample_comparisons(cov, truth, p, L, rng_stream(spec.seed, 10_000 + rep))
