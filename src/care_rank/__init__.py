@@ -45,7 +45,6 @@ _EXPORTS = {
         "gradient",
         "hessian",
         "is_connected",
-        "neg_log_likelihood",
     ),
     "estimation": (
         "FitConfig",

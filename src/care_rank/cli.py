@@ -464,42 +464,29 @@ def cmd_experiment(config: RunConfig) -> int:
     from .simulation import (
         ExperimentPlan,
         SyntheticSpec,
-        distribution_sampling_probability,
-        rate_experiment_pairs,
         run_distribution_experiment,
         run_rate_experiment,
     )
 
     config.require("out")
     spec = SyntheticSpec(n=config.n, d=config.d, seed=config.seed)
-    if config.kind == "rate":
-        # beta_rel_l2 is undefined without covariates
-        stats = "alpha_linf,beta_rel_l2" if spec.d else "alpha_linf"
-        pairs, replications, runner = rate_experiment_pairs(), 200, run_rate_experiment
-    elif config.kind == "distribution":
-        pairs = [(distribution_sampling_probability(spec.n, spec.d), 20)]
-        stats, replications = "qq_alpha1,hist_A,hist_B,coverage", 250
-        runner = run_distribution_experiment
-    else:
+    runners = {"rate": run_rate_experiment, "distribution": run_distribution_experiment}
+    if config.kind not in runners:
         raise ConfigurationError(f"unknown experiment kind {config.kind!r}")
-    # a given value replaces the default even when it is falsy, so that
-    # ExperimentPlan rejects zero replications instead of running the
-    # default study
-    if config.pairs is not None:
-        pairs = config.pairs
-    if config.statistics is not None:
-        stats = config.statistics
-    if config.replications is not None:
-        replications = config.replications
+    # an option left unset takes the study's own design; a given one
+    # replaces it even when it is empty or zero, so that the plan or the
+    # study refuses it instead of running the design
+    stats = config.statistics
     plan = ExperimentPlan(
-        pl_pairs=pairs,
-        replications=replications,
-        statistics=frozenset(s.strip() for s in stats.split(",") if s.strip()),
+        pl_pairs=config.pairs,
+        replications=config.replications,
+        statistics=None if stats is None else {s.strip() for s in stats.split(",") if s.strip()},
         level=config.level,
         workers=config.workers,
     )
     write_experiment_files(
-        os.path.join(config.out, "experiment"), runner(spec, plan), config.provenance()
+        os.path.join(config.out, "experiment"), runners[config.kind](spec, plan),
+        config.provenance(),
     )
     return EXIT_OK
 

@@ -17,7 +17,6 @@ exists only when the directed win graph is strongly connected (Ford
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,7 @@ from .model import (
     FitDiagnostics,
     ParamVector,
     _CG_RTOL,
+    _integer,
     _projected_norm,
     _refuse_split,
     _regression_split,
@@ -67,14 +67,7 @@ class FitConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        try:
-            max_iters = operator.index(self.max_iters)
-        except TypeError:
-            max_iters = 0
-        if max_iters < 1:
-            raise InvalidArgumentError(
-                f"max_iters must be an integer of at least 1, got {self.max_iters!r}"
-            )
+        object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters, 1))
         if not 0.0 < self.grad_tol < np.inf:
             raise InvalidArgumentError(
                 f"grad_tol must be positive and finite, got {self.grad_tol}"

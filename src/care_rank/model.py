@@ -3,11 +3,11 @@
 Item ``i`` carries a latent score ``alpha_i + x_i @ beta``.  For a compared
 pair the probability that the higher-indexed item ``j`` beats ``i`` is the
 logistic function of the score difference.  This module holds the data
-containers, the negative log-likelihood with its gradient and Hessian, the
-regression split T of total scores onto the identifiable parameter
-subspace and its transpose, both from one SVD of the augmented design,
-the projector onto that subspace, and structural diagnostics of the
-comparison graph.
+containers, the likelihood kernel, the gradient and Hessian of the
+negative log-likelihood, the regression split T of total scores onto
+the identifiable parameter subspace and its transpose, both from one
+SVD of the augmented design, the projector onto that subspace, and
+structural diagnostics of the comparison graph.
 
 Conventions used throughout:
 
@@ -21,6 +21,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,7 +35,6 @@ __all__ = [
     "ParamVector",
     "ProjectionOperator",
     "FitDiagnostics",
-    "neg_log_likelihood",
     "gradient",
     "hessian",
     "build_projection",
@@ -66,6 +66,18 @@ def _integers(name: str, values) -> np.ndarray:
         if not whole.all():
             raise InvalidArgumentError(f"{name} must be finite integers, got {float(a[~whole][0])}")
     return np.asarray(a, dtype=np.int64)
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``; a float or any other
+    non-integer is refused, not truncated."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+    if number < least:
+        raise InvalidArgumentError(f"{name} must be at least {least}, got {number}")
+    return number
 
 
 def sigmoid(t: np.ndarray | float) -> np.ndarray | float:
@@ -496,19 +508,6 @@ def _hessian_weights(data: ComparisonData, s: np.ndarray) -> np.ndarray:
     ``trials * sigma * (1 - sigma)`` without the loss and gradient."""
     sig = sigmoid(s[data.item_i] - s[data.item_j])
     return data.trials * sig * (1.0 - sig)
-
-
-def neg_log_likelihood(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> float:
-    """Negative log-likelihood of the comparison outcomes.
-
-    The value depends on the parameters only through the total scores,
-    so it is invariant under any parameter shift orthogonal to all
-    pairwise feature differences.
-    """
-    _check_dims(data, cov, params)
-    if data.n_edges == 0:
-        raise InvalidArgumentError("comparison data has no edges")
-    return _score_terms(data, params.scores(cov))[0]
 
 
 def gradient(data: ComparisonData, cov: CovariateMatrix, params: ParamVector) -> np.ndarray:

@@ -26,10 +26,9 @@ each load numpy with one thread.
 
 from __future__ import annotations
 
-import operator
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from math import log, sqrt
 
@@ -51,6 +50,7 @@ from .model import (
     ComparisonData,
     CovariateMatrix,
     ParamVector,
+    _integer,
     build_projection,
     is_connected,
     sigmoid,
@@ -101,18 +101,6 @@ _SAMPLE_CHUNK = 1 << 16
 # CPU time that the workers, one per core, would otherwise have, while
 # the last chunk holds a worker up for only about 1/32 of its share.
 _CHUNKS_PER_WORKER = 32
-
-
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int of at least ``least``; a float or any other
-    non-integer is refused, not truncated."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
-    if number < least:
-        raise InvalidArgumentError(f"{name} must be at least {least}, got {number}")
-    return number
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -233,28 +221,37 @@ def sample_comparisons(
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """What to run: the (p, L) grid, replication count, and statistics."""
+    """What to run: the (p, L) grid, replication count, and statistics.
 
-    pl_pairs: tuple
-    replications: int = 200
-    statistics: frozenset = frozenset({"alpha_linf", "beta_rel_l2"})
+    A field left ``None`` takes the study's own design when a runner
+    receives the plan: ``run_rate_experiment`` and
+    ``run_distribution_experiment`` say which.  A given value replaces
+    that design, and is checked here even when it is empty or zero.
+    """
+
+    pl_pairs: tuple | None = None
+    replications: int | None = None
+    statistics: frozenset | None = None
     level: float = 0.95
     workers: int | None = None
 
     def __post_init__(self):
-        pairs = tuple((float(p), _integer("L", L, 1)) for p, L in self.pl_pairs)
-        if not pairs:
-            raise InvalidArgumentError("pl_pairs must be nonempty")
-        for p, _ in pairs:
-            if not (0.0 < p <= 1.0):
-                raise InvalidArgumentError(f"p must be in (0, 1], got {p}")
-        object.__setattr__(self, "pl_pairs", pairs)
-        object.__setattr__(self, "replications", _integer("replications", self.replications, 1))
-        stats = frozenset(self.statistics)
-        unknown = stats - KNOWN_STATISTICS
-        if unknown:
-            raise InvalidArgumentError(f"unknown statistics: {sorted(unknown)}")
-        object.__setattr__(self, "statistics", stats)
+        if self.pl_pairs is not None:
+            pairs = tuple((float(p), _integer("L", L, 1)) for p, L in self.pl_pairs)
+            if not pairs:
+                raise InvalidArgumentError("pl_pairs must be nonempty")
+            for p, _ in pairs:
+                if not (0.0 < p <= 1.0):
+                    raise InvalidArgumentError(f"p must be in (0, 1], got {p}")
+            object.__setattr__(self, "pl_pairs", pairs)
+        if self.replications is not None:
+            object.__setattr__(self, "replications", _integer("replications", self.replications, 1))
+        if self.statistics is not None:
+            stats = frozenset(self.statistics)
+            unknown = stats - KNOWN_STATISTICS
+            if unknown:
+                raise InvalidArgumentError(f"unknown statistics: {sorted(unknown)}")
+            object.__setattr__(self, "statistics", stats)
         if not (0.0 < self.level < 1.0):
             raise InvalidArgumentError("level must be in (0, 1)")
         if self.workers is not None:
@@ -442,6 +439,12 @@ def _setting_result(plan: ExperimentPlan, p: float, L: int, rows: list[dict]) ->
     return SettingResult(p, L, resamples, aggregates, {}, records)
 
 
+def _with_design(plan: ExperimentPlan, **design) -> ExperimentPlan:
+    """``plan`` with each of its fields that is ``None`` set from ``design``."""
+    return replace(plan, **{key: value for key, value in design.items()
+                            if getattr(plan, key) is None})
+
+
 def _check_statistics(plan: ExperimentPlan, kind: str, own: frozenset) -> None:
     """Refuse a plan that asks the ``kind`` study for none of its ``own``
     statistics, or for any it does not record."""
@@ -470,13 +473,22 @@ def _provenance(spec: SyntheticSpec, plan: ExperimentPlan, kind: str) -> dict:
     }
 
 
-def run_rate_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> ExperimentResult:
+def run_rate_experiment(
+    spec: SyntheticSpec, plan: ExperimentPlan = ExperimentPlan()
+) -> ExperimentResult:
     """Replicated sample-fit-record loop measuring estimation error.
 
     Per replication: draw a comparison graph (resampling disconnected
     draws with fresh sub-streams), fit, and record the max intrinsic-score
-    error and/or the relative covariate-effect error.
+    error and/or the relative covariate-effect error.  The plan's unset
+    fields take the study's design: the six ``rate_experiment_pairs()``,
+    200 replications, and both statistics (``alpha_linf`` alone when
+    d = 0).
     """
+    plan = _with_design(
+        plan, pl_pairs=rate_experiment_pairs(), replications=200,
+        statistics=RATE_STATISTICS if spec.d else {"alpha_linf"},
+    )
     _check_statistics(plan, "rate", RATE_STATISTICS)
     if "beta_rel_l2" in plan.statistics and spec.d == 0:
         raise InvalidArgumentError("beta_rel_l2 is undefined without covariates")
@@ -585,7 +597,9 @@ def _distribution_replication(context: _StudyContext, task: tuple) -> dict:
     return rec
 
 
-def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> ExperimentResult:
+def run_distribution_experiment(
+    spec: SyntheticSpec, plan: ExperimentPlan = ExperimentPlan()
+) -> ExperimentResult:
     """Replicated study of the standardized fitted quantities.
 
     Records, per replication, the first intrinsic score standardized by
@@ -595,7 +609,14 @@ def run_distribution_experiment(spec: SyntheticSpec, plan: ExperimentPlan) -> Ex
     per-coordinate CI coverage indicators, and the oracle contrast
     variance.  Emits QQ and histogram summaries per setting.  These, the
     coverage and the contrast variance are over the converged fits.
+    The plan's unset fields take the study's design: the one setting
+    p = ``distribution_sampling_probability(n, d)``, L = 20, 250
+    replications, and all four statistics.
     """
+    plan = _with_design(
+        plan, pl_pairs=[(distribution_sampling_probability(spec.n, spec.d), 20)],
+        replications=250, statistics=DISTRIBUTION_STATISTICS,
+    )
     _check_statistics(plan, "distribution", DISTRIBUTION_STATISTICS)
     context = _StudyContext(spec, plan, *generate_truth(spec))
     d = spec.d

@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 from scipy.linalg import null_space
 
-from care_rank.errors import ParseError
+from care_rank.errors import InvalidArgumentError, ParseError
 from care_rank.io import (
     AGGREGATED_HEADER,
     PER_TRIAL_HEADER,
@@ -24,7 +24,7 @@ from care_rank.io import (
     fmt17,
     provenance_comment,
 )
-from care_rank.model import ComparisonData, ParamVector, neg_log_likelihood
+from care_rank.model import ComparisonData, ParamVector, _check_dims, _score_terms
 
 
 def sigmoid_by_masks(t):
@@ -90,6 +90,18 @@ def design_by_outer_products(data, cov):
         diff = xt_i - xt_j
         sigma += np.outer(diff, diff)
     return sigma
+
+
+def neg_log_likelihood(data, cov, params):
+    """Negative log-likelihood of the comparison outcomes, from the
+    library's likelihood kernel on the total scores.  The value depends
+    on the parameters only through those scores, so it is invariant
+    under any parameter shift orthogonal to all pairwise feature
+    differences."""
+    _check_dims(data, cov, params)
+    if data.n_edges == 0:
+        raise InvalidArgumentError("comparison data has no edges")
+    return _score_terms(data, params.scores(cov))[0]
 
 
 def nll_by_direct_summation(data, cov, params):

@@ -21,7 +21,6 @@ from care_rank.model import (
     build_projection,
     gradient,
     hessian,
-    neg_log_likelihood,
 )
 from care_rank.simulation import (
     SyntheticSpec,
@@ -35,6 +34,7 @@ from oracles import (
     constraint_matrix,
     covariance_from_root,
     grid_search_mle,
+    neg_log_likelihood,
     projected_hessian_by_nullspace,
     projector_by_nullspace,
     sample_small_instance,

@@ -28,7 +28,6 @@ from care_rank.model import (
     ParamVector,
     build_projection,
     is_connected,
-    neg_log_likelihood,
 )
 from care_rank.simulation import (
     SyntheticSpec,
@@ -38,7 +37,12 @@ from care_rank.simulation import (
     sample_comparisons,
 )
 
-from oracles import fit_by_dense_newton, grid_search_mle, sample_small_instance
+from oracles import (
+    fit_by_dense_newton,
+    grid_search_mle,
+    neg_log_likelihood,
+    sample_small_instance,
+)
 
 
 @st.composite

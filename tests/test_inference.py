@@ -115,6 +115,11 @@ class TestProjectedHessianPinv:
         assert null_dimension(projected_hessian_by_nullspace(h, cov)) == 2
         assert vm.rank_warning
 
+    def test_wrong_shape_refused(self):
+        proj = build_projection(preprocess_covariates(np.zeros((3, 0))))
+        with pytest.raises(InvalidArgumentError, match=r"hessian shape \(4, 4\)"):
+            projected_hessian_pinv(np.eye(4), proj)
+
 
 def unequal_trials_instance(seed, n=12, d=2, standardize=True):
     """A random connected graph (a path plus about half the other pairs)

@@ -23,7 +23,6 @@ from care_rank.model import (
     gradient,
     hessian,
     is_connected,
-    neg_log_likelihood,
     sigmoid,
 )
 
@@ -35,6 +34,7 @@ from oracles import (
     degree_by_bincount,
     design_by_outer_products,
     minima_by_minimum_at,
+    neg_log_likelihood,
     nll_by_direct_summation,
     projector_by_nullspace,
     sample_small_instance,
@@ -318,6 +318,11 @@ class TestGradient:
         fd = central_difference_gradient(data, cov, params)
         assert np.all(np.abs(g) > 1e-3)  # instance chosen with no tiny components
         np.testing.assert_allclose(fd, g, rtol=1e-5)
+
+    def test_feature_count_mismatch(self):
+        data, cov, params = sample_small_instance(seed=2, n=4, d=2)
+        with pytest.raises(InvalidArgumentError, match="feature counts disagree"):
+            gradient(data, cov, ParamVector(params.alpha, params.beta[:1]))
 
 
 class TestHessian:

@@ -43,7 +43,7 @@ EXPORTS = {
                "DimensionError", "InvalidArgumentError", "ParseError"],
     "model": ["ComparisonData", "CovariateMatrix", "FitDiagnostics", "ParamVector",
               "ProjectionOperator", "build_projection", "connected_components", "gradient",
-              "hessian", "is_connected", "neg_log_likelihood"],
+              "hessian", "is_connected"],
     "estimation": ["FitConfig", "FitResult", "fit_mle", "preprocess_covariates"],
     "inference": ["ContrastResult", "InferenceReport", "RankingScores", "VarianceModel",
                   "care_ranking_scores", "contrast_inference", "full_inference_report",

@@ -178,6 +178,32 @@ class TestPlans:
         with pytest.raises(InvalidArgumentError):
             ExperimentPlan(pl_pairs=[(0.5, 5)], statistics=frozenset({"nope"}))
 
+    def test_level_validation(self):
+        for level in (0.0, 1.0):
+            with pytest.raises(InvalidArgumentError, match="level must be in"):
+                ExperimentPlan(level=level)
+
+    def test_only_unset_fields_take_the_study_design(self, monkeypatch):
+        # the studies themselves are not run: each records the plan it
+        # resolved in its provenance
+        monkeypatch.setattr(simulation, "_run_study", lambda context, replication_fn: [])
+        for d in (0, 3):
+            spec = SyntheticSpec(n=50, d=d, seed=33)
+            assert run_rate_experiment(spec).provenance["replications"] == 200
+            assert run_distribution_experiment(spec).provenance["replications"] == 250
+            # a given field replaces the design, an empty one included
+            given = ExperimentPlan(pl_pairs=[(0.5, 3)], statistics={"coverage"})
+            dist = run_distribution_experiment(spec, given).provenance
+            assert (dist["pl_pairs"], dist["statistics"]) == ([[0.5, 3]], ["coverage"])
+            with pytest.raises(InvalidArgumentError, match="needs one of"):
+                run_rate_experiment(spec, ExperimentPlan(statistics=frozenset()))
+
+    def test_stream_space_bounds_the_attempts(self):
+        last = simulation._replication_stream(1, 0, 0, (1 << 12) - 1)
+        assert last == (1 << 56) | ((1 << 12) - 1)
+        with pytest.raises(ConfigurationError, match="exhausted the stream space"):
+            simulation._replication_stream(1, 0, 0, 1 << 12)
+
     def test_paper_pairs(self):
         assert rate_experiment_pairs() == [
             (1.0, 50), (0.5, 25), (0.222, 25), (0.625, 5), (0.4, 5), (0.278, 5)
@@ -229,9 +255,23 @@ class TestRateExperiment:
 
     def test_beta_statistic_needs_covariates(self):
         spec = SyntheticSpec(n=20, d=0, seed=23)
-        plan = ExperimentPlan(pl_pairs=[(0.9, 4)], replications=2)
-        with pytest.raises(InvalidArgumentError):
+        plan = ExperimentPlan(pl_pairs=[(0.9, 4)], replications=2,
+                              statistics=simulation.RATE_STATISTICS)
+        with pytest.raises(InvalidArgumentError, match="beta_rel_l2 is undefined"):
             run_rate_experiment(spec, plan)
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_default_plan_runs_the_study_grid(self, d):
+        spec = SyntheticSpec(n=40, d=d, seed=34)
+        res = run_rate_experiment(spec, ExperimentPlan(replications=2))
+        assert res.provenance["pl_pairs"] == [list(pair) for pair in rate_experiment_pairs()]
+        assert res.provenance["replications"] == 2
+        statistics = res.provenance["statistics"]
+        assert statistics == (["alpha_linf", "beta_rel_l2"] if d else ["alpha_linf"])
+        assert [(s.p, s.L) for s in res.settings] == rate_experiment_pairs()
+        for setting in res.settings:
+            assert set(statistics) <= set(setting.records)
+            assert len(setting.records["replication"]) == 2
 
     def test_hopelessly_sparse_raises_configuration_error(self):
         spec = SyntheticSpec(n=24, d=0, seed=24)
@@ -334,9 +374,23 @@ class TestDistributionExperiment:
 
     def test_requires_distribution_statistic(self):
         spec = SyntheticSpec(n=20, d=1, seed=28)
-        plan = ExperimentPlan(pl_pairs=[(0.9, 4)], replications=2)
-        with pytest.raises(InvalidArgumentError):
+        plan = ExperimentPlan(pl_pairs=[(0.9, 4)], replications=2,
+                              statistics=frozenset({"alpha_linf"}))
+        with pytest.raises(InvalidArgumentError, match="needs one of"):
             run_distribution_experiment(spec, plan)
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_default_plan_runs_the_study_setting(self, d):
+        spec = SyntheticSpec(n=40, d=d, seed=35)
+        res = run_distribution_experiment(spec, ExperimentPlan(replications=2))
+        p = distribution_sampling_probability(40, d)
+        assert res.provenance["pl_pairs"] == [[p, 20]]
+        assert res.provenance["replications"] == 2
+        assert res.provenance["statistics"] == sorted(simulation.DISTRIBUTION_STATISTICS)
+        (setting,) = res.settings
+        assert (setting.p, setting.L) == (p, 20)
+        assert len(setting.records["replication"]) == 2
+        assert {"qq_alpha1", "hist_A", "hist_B", "coverage"} <= set(setting.extras)
 
     def test_refuses_rate_statistics(self):
         spec = SyntheticSpec(n=20, d=1, seed=28)
