@@ -170,6 +170,7 @@ class TestPlans:
             {"pl_pairs": [(0.5, 2.5)]},
             {"pl_pairs": [(0.5, 5)], "replications": 2.5},
             {"pl_pairs": [(0.5, 5)], "workers": 1.5},
+            {"level": 0.0}, {"level": 1.0},
         ):
             with pytest.raises(InvalidArgumentError):
                 ExperimentPlan(**kwargs)
@@ -177,11 +178,6 @@ class TestPlans:
     def test_statistic_validation(self):
         with pytest.raises(InvalidArgumentError):
             ExperimentPlan(pl_pairs=[(0.5, 5)], statistics=frozenset({"nope"}))
-
-    def test_level_validation(self):
-        for level in (0.0, 1.0):
-            with pytest.raises(InvalidArgumentError, match="level must be in"):
-                ExperimentPlan(level=level)
 
     def test_only_unset_fields_take_the_study_design(self, monkeypatch):
         # the studies themselves are not run: each records the plan it
